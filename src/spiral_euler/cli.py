@@ -21,6 +21,8 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, ParameterError
 from .grid_space import AngularSignal, build_grid, field_from_json, field_to_json
 from .physical import (
+    VERIFY_SUITES,
+    VERIFY_THRESHOLDS,
     eval_fields_batch,
     export_samples_csv,
     export_spirals_csv,
@@ -219,28 +221,17 @@ def cmd_verify(args) -> int:
     stream, omega = _load_solution(out)
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
     report = run_verify(stream, omega, stream.params, suite=suites, seed=cfg["seed"])
-    passed = True
     verdict = {}
-    if "selfsim" in suites:
-        ok = report["selfsim"]["max_rel_defect"] <= 1e-10
-        verdict["selfsim"] = ok
-        passed &= ok
-    if "lp" in suites:
-        ok = all(row["ok"] for row in report["lp"])
-        verdict["lp"] = ok
-        passed &= ok
-    if "weak" in suites:
-        ok = all(row["rel"] <= 1e-5 for row in report["weak"])
-        verdict["weak"] = ok
-        passed &= ok
-    if "divfree" in suites:
-        ok = all(row["rel"] <= 1e-5 for row in report["divfree"])
-        verdict["divfree"] = ok
-        passed &= ok
-    if "poisson" in suites:
-        ok = all(row["rel"] <= 1e-5 for row in report["poisson"])
-        verdict["poisson"] = ok
-        passed &= ok
+    for name in VERIFY_SUITES:
+        if name not in suites:
+            continue
+        if name == "lp":
+            verdict[name] = all(row["ok"] for row in report["lp"])
+        elif name == "selfsim":
+            verdict[name] = report["selfsim"]["max_rel_defect"] <= VERIFY_THRESHOLDS[name]
+        else:
+            verdict[name] = all(row["rel"] <= VERIFY_THRESHOLDS[name] for row in report[name])
+    passed = all(verdict.values())
     doc = dict(stamp)
     doc["report"] = report
     doc["verdict"] = verdict

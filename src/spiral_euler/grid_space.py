@@ -221,19 +221,39 @@ class RadialGrid:
         """Clenshaw evaluation at s in [0, 1] of DCT coefficients.
 
         coeffs may carry leading batch axes; the result has shape
-        coeffs.shape[:-1] + s.shape.
+        coeffs.shape[:-1] + s.shape.  Each row's all-zero tail is skipped:
+        with the rows sorted by length, step k updates only the rows longer
+        than k.  The skipped updates would have kept exact zeros, so the
+        result is bit-identical to the dense recurrence.
         """
         y = 1.0 - 2.0 * np.asarray(s, dtype=float)
-        lead = coeffs.shape[:-1]
-        yb = y[(None,) * len(lead) + (...,)]
-        shape = lead + y.shape
-        b1 = np.zeros(shape, dtype=coeffs.dtype)
-        b2 = np.zeros(shape, dtype=coeffs.dtype)
-        for k in range(coeffs.shape[-1] - 1, 0, -1):
-            ck = coeffs[..., k][(...,) + (None,) * y.ndim]
-            b1, b2 = ck + 2.0 * yb * b1 - b2, b1
-        c0 = coeffs[..., 0][(...,) + (None,) * y.ndim]
-        return c0 + yb * b1 - b2
+        rows = coeffs.reshape(-1, coeffs.shape[-1])
+        nonzero = rows != 0
+        length = np.where(
+            nonzero.any(axis=1), rows.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0
+        )
+        order = np.argsort(-length, kind="stable")
+        rows = rows[order]
+        active = np.count_nonzero(length[:, None] > np.arange(rows.shape[1]), axis=0).tolist()
+        cols = rows.T[(...,) + (None,) * y.ndim]
+        y2 = 2.0 * y
+
+        def padded(b, m):  # b with zero rows appended up to m rows
+            if len(b) == m:
+                return b
+            return np.concatenate([b, np.zeros((m - len(b),) + y.shape, dtype=coeffs.dtype)])
+
+        # b1, b2 hold the rows active at step k, a prefix that grows as k falls
+        b1 = b2 = np.zeros((0,) + y.shape, dtype=coeffs.dtype)
+        for k in range(rows.shape[1] - 1, 0, -1):
+            m = active[k]
+            if m > len(b1):
+                b1, b2 = padded(b1, m), padded(b2, m)
+            b1, b2 = cols[k, :m] + y2 * b1 - b2, b1
+        b1, b2 = padded(b1, len(rows)), padded(b2, len(rows))
+        out = np.empty_like(b1)
+        out[order] = cols[0] + y * b1 - b2
+        return out.reshape(coeffs.shape[:-1] + y.shape)
 
 
 def build_grid(points: int, scale: float) -> RadialGrid:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -85,6 +86,25 @@ def test_solve_verify_render_pipeline(tmp_path):
     vdoc = json.loads((out / "verify.json").read_text())
     assert vdoc["passed"] is True
     assert main(["render", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_reconstruct_spirals_csv_reads_back_as_numbers(tmp_path):
+    # a zero-crossing angular factor gives 2N zero-set curves in spirals.csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mu = 1.0\nN = 8\ngrid.points = 96\nomega.amplitude = 1.05\n"
+        "solver.epsilon_cap = 0.5\nreconstruct.samples = 10\n"
+    )
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "spirals.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["phi0", "t", "beta", "x1", "x2"]
+    assert len({row[0] for row in rows}) == 16
+    for row in rows:
+        assert len(row) == 5
+        for text in row:
+            float(text)
 
 
 def test_solve_failure_exit_code(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiral_euler import (
     AngularSignal,
@@ -210,3 +212,46 @@ def test_base_state_values(desk_params, desk_grid, desk_cuts):
     assert np.all(prof.core == 0)
     vals = prof.values(desk_cuts)
     assert np.max(np.abs(vals - prof.cconst)) == 0.0
+
+
+def _dense_clenshaw(coeffs, s):
+    """The plain Clenshaw recurrence over every coefficient of every row."""
+    y = 1.0 - 2.0 * np.asarray(s, dtype=float)
+    lead = coeffs.shape[:-1]
+    yb = y[(None,) * len(lead) + (...,)]
+    b1 = np.zeros(lead + y.shape, dtype=coeffs.dtype)
+    b2 = np.zeros(lead + y.shape, dtype=coeffs.dtype)
+    for k in range(coeffs.shape[-1] - 1, 0, -1):
+        ck = coeffs[..., k][(...,) + (None,) * y.ndim]
+        b1, b2 = ck + 2.0 * yb * b1 - b2, b1
+    return coeffs[..., 0][(...,) + (None,) * y.ndim] + yb * b1 - b2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 4), max_size=2),
+    width=st.integers(1, 40),
+    points=st.lists(st.integers(1, 6), max_size=2),
+    complex_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ragged_clenshaw_bit_identical_to_dense(
+    desk_grid, lead, width, points, complex_rows, seed, data
+):
+    # zero-padded stacks: every row gets its own nonzero length, 0 included
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (width,)
+    coeffs = rng.standard_normal(shape)
+    if complex_rows:
+        coeffs = coeffs + 1j * rng.standard_normal(shape)
+    rows = int(np.prod(lead))
+    lengths = data.draw(st.lists(st.integers(0, width), min_size=rows, max_size=rows))
+    mask = np.arange(width) >= np.reshape(lengths, tuple(lead) + (1,))
+    coeffs[mask] = 0.0
+    s = rng.uniform(0.0, 1.0, tuple(points))
+    got = desk_grid.evaluate_coefficients(coeffs, s)
+    want = _dense_clenshaw(coeffs, s)
+    assert got.shape == want.shape == tuple(lead) + tuple(points)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -3,6 +3,7 @@ import pytest
 
 from spiral_euler import (
     AngularSignal,
+    InversionError,
     ParameterError,
     SpectralField,
     base_vorticity_factor,
@@ -16,7 +17,12 @@ from spiral_euler import (
     to_plane,
     verify,
 )
-from spiral_euler.physical import FieldEvaluator, render_spirals_svg, export_samples_csv
+from spiral_euler.physical import (
+    FieldEvaluator,
+    _derived_values,
+    export_samples_csv,
+    render_spirals_svg,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,57 @@ def test_chart_round_trip_random(base_setup):
     z2 = to_plane(base, b2, p2, ev)
     rel = np.hypot(z[:, 0] - z2[:, 0], z[:, 1] - z2[:, 1]) / np.hypot(z[:, 0], z[:, 1])
     assert np.max(rel) < 1e-10
+
+
+def test_chart_inversion_stall_raises(desk_solution):
+    stream, omega, _ = desk_solution
+    ev = FieldEvaluator(stream, omega)
+    z = np.random.default_rng(4).uniform(0.5, 2.0, (50, 2))
+    with pytest.raises(InversionError, match="stalled"):
+        to_chart(stream, z, ev, max_iter=1)
+
+
+def test_chart_inversion_rejects_lost_sign(base_setup):
+    # the negated base stream has dbeta_bar psi > 0 everywhere
+    base, omega, _ = base_setup
+    flipped = base.scaled(-1.0)
+    ev = FieldEvaluator(flipped, omega)
+    with pytest.raises(InversionError, match="lost its sign"):
+        to_chart(flipped, np.array([[1.0, 0.5]]), ev)
+
+
+# max |fast - full| / max |full| per field over the test's chart points; the
+# measured values sit five to eight times below these.  The desk mode-0 rows
+# end in an algebraic tail near 1e-13 that the plateau rule chops.
+FAST_FIELD_BOUNDS = {
+    "desk_solution": {
+        "psi": 5e-11, "db": 1e-10, "dv": 1e-10, "dp": 1e-14, "dpdb": 2e-13, "lg": 2.5e-10,
+    },
+    "prod_solution": {
+        "psi": 5e-15, "db": 1e-13, "dv": 1e-13, "dp": 5e-12, "dpdb": 1e-10, "lg": 5e-12,
+    },
+}
+
+
+@pytest.mark.parametrize("solution", sorted(FAST_FIELD_BOUNDS))
+def test_fused_fields_match_full_mode_sum(request, solution):
+    stream, omega, _ = request.getfixturevalue(solution)
+    ev = FieldEvaluator(stream, omega)
+    grid, params = stream.grid, stream.params
+    rng = np.random.default_rng(12)
+    beta = np.exp(rng.uniform(np.log(0.01), np.log(50.0), 5000))
+    phi = rng.uniform(0.0, 2 * np.pi, 5000)
+    # reference: all 2K+1 modes, unchopped and unfolded
+    nvec = params.mode_indices
+    phases = np.exp(1j * nvec[:, None] * phi[None, :])
+    fused = ev.field(ev.FIELDS, beta, phi)
+    for name, arr, fast in zip(ev.FIELDS, _derived_values(stream, ev.cuts).values(), fused):
+        vals = grid.evaluate_coefficients(grid.chebyshev_coefficients(arr), grid.s_of_beta(beta))
+        full = np.sum(vals * phases, axis=0).real
+        rel = np.max(np.abs(fast - full)) / np.max(np.abs(full))
+        assert rel <= FAST_FIELD_BOUNDS[solution][name], name
+        single = ev.field(name, beta, phi)
+        assert np.max(np.abs(single - fast)) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_chart_rejects_origin(base_setup):
