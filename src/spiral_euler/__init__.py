@@ -44,7 +44,7 @@ from .operators import (
     apply_linearization_inverse,
     apply_mode_operator,
     assemble_linearization,
-    export_operator,
+    derived_fields,
     invert_mode_operator,
     linearization_set,
     shift_minus,

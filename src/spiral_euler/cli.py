@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,20 +37,6 @@ EXIT_CONFIG = 1
 EXIT_CERTIFICATE = 2
 EXIT_SOLVE = 3
 EXIT_VERIFY = 4
-
-
-def _limit_threads() -> None:
-    cap = os.environ.get("SPIRAL_EULER_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        pass
 
 
 def _dump_json(path: Path, doc: dict) -> None:
@@ -259,7 +244,6 @@ def cmd_render(args) -> int:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = argparse.ArgumentParser(
         prog="spiral-euler",
         description="Self-similar spiral solutions of the planar Euler equations",

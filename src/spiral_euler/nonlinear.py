@@ -38,7 +38,6 @@ import scipy.linalg as sla
 from .errors import ParameterError, SignConditionError
 from .grid_space import (
     AngularSignal,
-    CutoffSamples,
     ModeProfile,
     RadialGrid,
     SolverParams,
@@ -48,13 +47,12 @@ from .grid_space import (
 )
 from .operators import (
     LinearModeOperator,
-    analysis_matrix,
-    apply_beta_mult,
     assemble_linearization,
     beta_mult_matrix,
+    derived_fields,
+    dvarphi_bar_ext,
     mode_operator_matrix,
     shift_plus,
-    synthesis_matrix,
 )
 
 __all__ = [
@@ -85,10 +83,9 @@ class NonlinearWorkspace:
         self.synth_matrix = np.exp(1j * np.outer(self.k_indices, self.Phi))
         self._plus_lu: dict[int, tuple] = {}
 
-    def synth(self, per_mode: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Angular synthesis of per-mode extended vectors, (M+1, n_angles)."""
-        coef = np.array([per_mode[int(k * self.params.N)] for k in self.k_indices])
-        return np.einsum("km,ka->ma", coef, self.synth_matrix)
+    def synth(self, rows: np.ndarray) -> np.ndarray:
+        """Angular synthesis of stacked mode rows k = -K..K, (M+1, n_angles)."""
+        return np.einsum("km,ka->ma", rows, self.synth_matrix)
 
     def project(self, values: np.ndarray) -> tuple[dict[int, np.ndarray], float]:
         """Project angular samples back to the lattice; returns dropped mass."""
@@ -142,22 +139,6 @@ class ResidualField:
         return doc
 
 
-def _derived_fields(stream: SpectralField, ws: NonlinearWorkspace):
-    grid, cuts, mu = ws.grid, ws.cuts, ws.params.mu
-    db, dv, dp, dpdb, lg = {}, {}, {}, {}, {}
-    for n in ws.mode_list:
-        ext = stream.modes[n].extended(cuts)
-        q = grid.apply_radial(ext)
-        b = q + (1.0 - 2.0 * mu) * ext
-        db[n] = b
-        dv[n] = -(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext
-        dp[n] = 1j * n * ext
-        dpdb[n] = 1j * n * b
-        qb = grid.apply_radial(b)
-        lg[n] = -(qb - apply_beta_mult(grid, n, b)) + (2.0 * mu - 1.0) * b + b
-    return db, dv, dp, dpdb, lg
-
-
 _SIGN_CONDITIONS = (
     ("dbeta_bar(psi)", "db", -1.0),  # must stay negative
     ("dvarphi_bar(psi)", "dv", 1.0),  # must stay positive
@@ -194,12 +175,12 @@ def eval_residual(
         ws = NonlinearWorkspace(stream.params, stream.grid)
     params = ws.params
     mu = params.mu
-    db, dv, dp, dpdb, lg = _derived_fields(stream, ws)
-    A = ws.synth(db).real
-    B = ws.synth(dv).real
-    C = ws.synth(lg).real
-    D = ws.synth(dpdb).real
-    E = ws.synth(dp).real
+    fields = derived_fields(stream, ws.cuts)
+    A = ws.synth(fields["db"]).real
+    B = ws.synth(fields["dv"]).real
+    C = ws.synth(fields["lg"]).real
+    D = ws.synth(fields["dpdb"]).real
+    E = ws.synth(fields["dp"]).real
     if check_signs:
         _check_signs(ws, {"db": A, "dv": B, "lg": C})
 
@@ -215,9 +196,7 @@ def eval_residual(
     grid = ws.grid
     res_ext: dict[int, np.ndarray] = {}
     for n in ws.mode_list:
-        r = Rm[n]
-        dvar = -(grid.apply_radial(r) - apply_beta_mult(grid, n, r)) + (2.0 * mu - 1.0) * r
-        res_ext[n] = dvar + 1j * n * Sm[n] + Qm[n]
+        res_ext[n] = dvarphi_bar_ext(grid, mu, n, Rm[n]) + 1j * n * Sm[n] + Qm[n]
 
     raw = {n: float(np.max(np.abs(res_ext[n][:-1]))) for n in ws.mode_list}
     if preimage_norms:
@@ -256,9 +235,7 @@ def eval_residual(
     return ResidualField(field=field_, norm_report=report)
 
 
-def linearization_at_base(
-    params: SolverParams, grid: RadialGrid, cuts: CutoffSamples | None = None
-) -> dict[int, LinearModeOperator]:
+def linearization_at_base(params: SolverParams, grid: RadialGrid) -> dict[int, LinearModeOperator]:
     """Analytic linearization at the base state by the bar-derivative route.
 
     Composes (1/2 mu^2)((dvarphi_bar^2 + mu^2 dphi^2)(dbeta_bar + 2 mu)
@@ -266,8 +243,6 @@ def linearization_at_base(
     assemble_linearization, which multiplies out the shifted-operator form;
     the two code paths share only the grid primitives.
     """
-    if cuts is None:
-        cuts = sample_cutoffs(grid)
     mu = params.mu
     M = grid.size
     eye = np.eye(M + 1, dtype=complex)
@@ -282,8 +257,7 @@ def linearization_at_base(
             (dvarphi @ dvarphi + mu * mu * (1j * n) ** 2 * eye) @ (dbeta + 2.0 * mu * eye)
             + (2.0 * mu - 1.0) * (dbeta + dvarphi)
         ) / (2.0 * mu * mu)
-        ext = analysis_matrix(cuts, n) @ fun @ synthesis_matrix(cuts)
-        out[n] = LinearModeOperator(n=n, matrix=ext, label="bar-derivative composition", fun=fun)
+        out[n] = LinearModeOperator(n=n, fun=fun)
     return out
 
 
@@ -333,7 +307,7 @@ def fd_derivative_check(
     if is_base:
         if operators is None:
             operators = {
-                n: assemble_linearization(n, stream.params, stream.grid, cuts)
+                n: assemble_linearization(n, stream.params, stream.grid)
                 for n in ws.mode_list
             }
         ref = {n: operators[n].apply_function(dir_ext[n]) for n in ws.mode_list}

@@ -60,12 +60,12 @@ from .grid_space import (
 
 __all__ = [
     "LinearModeOperator",
-    "export_operator",
     "shift_plus",
     "shift_minus",
     "mode_operator_matrix",
     "apply_mode_operator",
     "invert_mode_operator",
+    "derived_fields",
     "apply_bar_derivative",
     "assemble_linearization",
     "linearization_set",
@@ -312,7 +312,7 @@ def _invert_by_quadrature(n: int, shift: float, fun, betas: np.ndarray, tol: flo
     if n == 0:
         return _invert_zero_mode(shift, fun, betas)
     out = np.zeros(len(betas), dtype=complex)
-    wave = 2.0 * np.pi / abs(n) if n != 0 else np.inf
+    wave = 2.0 * np.pi / abs(n)
     bmax = max(float(np.max(betas)), 1.0)
     scan = np.geomspace(1e-8, 10.0 * bmax, 400)
     scan_abs = np.abs(fun(scan))
@@ -343,50 +343,42 @@ def _invert_by_quadrature(n: int, shift: float, fun, betas: np.ndarray, tol: flo
                 total += _adaptive(kern, x0, x1, tol_i)
                 fval = complex(fun(np.array([x1]))[0])
                 flat_tail = fmax_beyond(x1) * x1 ** (-shift) / shift
-                if n == 0:
-                    # no oscillation: march until the whole remaining tail is
-                    # negligible, then credit the frozen-integrand estimate
-                    if flat_tail < tol_i:
-                        total += fval * x1 ** (-shift) / shift
-                        break
-                else:
-                    # integration-by-parts remainder after two explicit terms
-                    slope = abs(fval - fprev) / step
-                    rem = (
-                        fmax_beyond(x1) * (shift + 1.0) * (shift + 2.0) * x1 ** (-shift - 3.0) / abs(n) ** 3
-                        + slope * x1 ** (-shift - 1.0) / n**2
+                # integration-by-parts remainder after two explicit terms
+                slope = abs(fval - fprev) / step
+                rem = (
+                    fmax_beyond(x1) * (shift + 1.0) * (shift + 2.0) * x1 ** (-shift - 3.0) / abs(n) ** 3
+                    + slope * x1 ** (-shift - 1.0) / n**2
+                )
+                if rem < tol_i or flat_tail < tol_i:
+                    t1 = np.exp(-1j * n * x1) * x1 ** (-shift - 1.0) / (1j * n)
+                    t2 = (
+                        -(shift + 1.0)
+                        * np.exp(-1j * n * x1)
+                        * x1 ** (-shift - 2.0)
+                        / (1j * n) ** 2
                     )
-                    if rem < tol_i or flat_tail < tol_i:
-                        t1 = np.exp(-1j * n * x1) * x1 ** (-shift - 1.0) / (1j * n)
-                        t2 = (
-                            -(shift + 1.0)
-                            * np.exp(-1j * n * x1)
-                            * x1 ** (-shift - 2.0)
-                            / (1j * n) ** 2
-                        )
-                        total += fval * (t1 + t2)
-                        break
+                    total += fval * (t1 + t2)
+                    break
                 if x1 > 1e14:
                     raise AccuracyError(
                         "tail of the inverse integral did not settle", flat_tail
                     )
                 fprev = fval
                 x0 = x1
-                step = min(1.6 * step, 0.5 * wave) if n != 0 else 1.6 * step
+                step = min(1.6 * step, 0.5 * wave)
             out[i] = -(beta**shift) * np.exp(1j * n * beta) * total
         else:
             total = 0.0 + 0.0j
             hi = beta
             # drop the upper part of (0, beta] wherever it is provably negligible
-            if n != 0:
-                while hi > 1e-13 * beta:
-                    cand = 0.5 * hi
-                    dropped = fmax_beyond(cand) * (hi ** (-shift) - cand ** (-shift)) / (-shift)
-                    if dropped >= 0.05 * tol_i:
-                        break
-                    hi = cand
             while hi > 1e-13 * beta:
-                lo = max(hi / 2.0, hi - 0.5 * wave) if n != 0 else hi / 2.0
+                cand = 0.5 * hi
+                dropped = fmax_beyond(cand) * (hi ** (-shift) - cand ** (-shift)) / (-shift)
+                if dropped >= 0.05 * tol_i:
+                    break
+                hi = cand
+            while hi > 1e-13 * beta:
+                lo = max(hi / 2.0, hi - 0.5 * wave)
                 total += _adaptive(kern, lo, hi, tol_i)
                 hi = lo
             total += complex(fun(np.array([0.0]))[0]) * hi ** (-shift) / (-shift)
@@ -395,31 +387,59 @@ def _invert_by_quadrature(n: int, shift: float, fun, betas: np.ndarray, tol: flo
 
 
 # ---------------------------------------------------------------------------
-# Bar derivatives on whole fields
+# Adapted-coordinate derivatives
 # ---------------------------------------------------------------------------
 
-_BAR_KINDS = ("dbeta_bar", "dvarphi_bar", "dphi", "dphi_dbeta_bar", "dvarphi1_dbeta_bar")
+
+def dvarphi_bar_ext(
+    grid: RadialGrid, mu: float, n: int, ext: np.ndarray, q: np.ndarray | None = None
+) -> np.ndarray:
+    """dvarphi_bar = -(Q - i n beta) + (2 mu - 1) on an extended mode vector.
+
+    ``q`` is Q ext = beta d/dbeta ext when the caller already has it.
+    """
+    if q is None:
+        q = grid.apply_radial(ext)
+    return -(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext
 
 
-def bar_apply_ext(grid: RadialGrid, mu: float, n: int, kind: str, ext: np.ndarray) -> np.ndarray:
-    """Apply one adapted-coordinate derivative to an extended mode vector."""
-    if kind == "dphi":
-        return 1j * n * ext
-    q = grid.apply_radial(ext)
-    if kind == "dbeta_bar":
-        return q + (1.0 - 2.0 * mu) * ext
-    if kind == "dvarphi_bar":
-        return -(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext
-    if kind == "dphi_dbeta_bar":
-        return 1j * n * (q + (1.0 - 2.0 * mu) * ext)
-    if kind == "dvarphi1_dbeta_bar":
-        db = q + (1.0 - 2.0 * mu) * ext
-        return (
-            -(grid.apply_radial(db) - apply_beta_mult(grid, n, db))
-            + (2.0 * mu - 1.0) * db
-            + db
-        )
-    raise ParameterError(f"unknown bar-derivative kind {kind!r}; choose from {_BAR_KINDS}")
+def derived_fields(field_: SpectralField, cuts: CutoffSamples) -> dict:
+    """The stream profile and its five adapted-coordinate derivatives.
+
+    Returns (2K+1, M+1) arrays of extended mode vectors, one row per mode
+    n = N k, k = -K..K, keyed by name:
+
+        psi   the profile itself
+        db    dbeta_bar psi = (Q + 1 - 2 mu) psi
+        dv    dvarphi_bar psi
+        dp    dphi psi = i n psi
+        dpdb  dphi dbeta_bar psi
+        lg    (dvarphi_bar + 1) dbeta_bar psi
+    """
+    grid, mu = field_.grid, field_.params.mu
+    nvec = [int(n) for n in field_.params.mode_indices]
+    psi = np.array([field_.modes[n].extended(cuts) for n in nvec])
+    db, dv, dp, dpdb, lg = (np.empty_like(psi) for _ in range(5))
+    # row by row through the per-vector primitives, which a stacked matrix
+    # product would not reproduce bit for bit
+    for i, n in enumerate(nvec):
+        q = grid.apply_radial(psi[i])
+        db[i] = q + (1.0 - 2.0 * mu) * psi[i]
+        dv[i] = dvarphi_bar_ext(grid, mu, n, psi[i], q)
+        dp[i] = 1j * n * psi[i]
+        dpdb[i] = 1j * n * db[i]
+        lg[i] = dvarphi_bar_ext(grid, mu, n, db[i]) + db[i]
+    return {"psi": psi, "db": db, "dv": dv, "dp": dp, "dpdb": dpdb, "lg": lg}
+
+
+# public kind names of the derivatives and their derived_fields keys
+_BAR_KINDS = {
+    "dbeta_bar": "db",
+    "dvarphi_bar": "dv",
+    "dphi": "dp",
+    "dphi_dbeta_bar": "dpdb",
+    "dvarphi1_dbeta_bar": "lg",
+}
 
 
 def apply_bar_derivative(kind: str, field_: SpectralField) -> SpectralField:
@@ -428,16 +448,16 @@ def apply_bar_derivative(kind: str, field_: SpectralField) -> SpectralField:
     Kinds: dbeta_bar, dvarphi_bar, dphi, dphi_dbeta_bar, dvarphi1_dbeta_bar.
     """
     if kind not in _BAR_KINDS:
-        raise ParameterError(f"unknown bar-derivative kind {kind!r}; choose from {_BAR_KINDS}")
+        raise ParameterError(
+            f"unknown bar-derivative kind {kind!r}; choose from {tuple(_BAR_KINDS)}"
+        )
     cuts = sample_cutoffs(field_.grid)
-    mu = field_.params.mu
-
-    def one(prof: ModeProfile) -> ModeProfile:
-        ext = prof.extended(cuts)
-        out = bar_apply_ext(field_.grid, mu, prof.n, kind, ext)
-        return ModeProfile.from_values(prof.n, out[:-1], out[-1], cuts)
-
-    return field_.map_modes(one)
+    rows = derived_fields(field_, cuts)[_BAR_KINDS[kind]]
+    modes = {
+        int(n): ModeProfile.from_values(int(n), row[:-1], row[-1], cuts)
+        for n, row in zip(field_.params.mode_indices, rows)
+    }
+    return SpectralField(params=field_.params, grid=field_.grid, modes=modes)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +467,9 @@ def apply_bar_derivative(kind: str, field_: SpectralField) -> SpectralField:
 
 @dataclass
 class LinearModeOperator:
-    """Dense per-mode operator on the extended coordinates.
-
-    ``matrix`` acts on [core at nodes; c0; cinf; cconst] (size M+3); the
-    function-space matrix ``fun`` acts on [values at nodes; value at inf].
-    """
+    """Dense per-mode operator ``fun`` on [values at nodes; value at inf]."""
 
     n: int
-    matrix: np.ndarray
-    label: str
     fun: np.ndarray
 
     def __post_init__(self):
@@ -472,65 +486,7 @@ class LinearModeOperator:
         return self.fun @ ext
 
 
-def export_operator(op: LinearModeOperator, path, format: str = "npy") -> None:
-    """Dump the dense extended-coordinate matrix for external inspection.
-
-    npy   complex matrix via numpy's binary format
-    json  {"n", "label", "shape", "matrix": [[[re, im], ...], ...]}
-    """
-    if format == "npy":
-        np.save(path, op.matrix)
-    elif format == "json":
-        import json as _json
-
-        doc = {
-            "n": op.n,
-            "label": op.label,
-            "shape": list(op.matrix.shape),
-            "matrix": [[[z.real, z.imag] for z in row] for row in op.matrix],
-        }
-        with open(path, "w") as fh:
-            _json.dump(doc, fh, sort_keys=True)
-    else:
-        raise ParameterError(f"unknown export format {format!r}")
-
-
-def synthesis_matrix(cuts: CutoffSamples) -> np.ndarray:
-    """(M+1) x (M+3): structured coordinates to [values; value at inf]."""
-    grid = cuts.grid
-    M = grid.size
-    S = np.zeros((M + 1, M + 3), dtype=complex)
-    S[:M, :M] = np.eye(M)
-    S[:M, M] = cuts.xi0
-    S[:M, M + 1] = cuts.xiinf
-    S[:M, M + 2] = 1.0
-    S[M, M + 1] = 1.0
-    S[M, M + 2] = 1.0
-    return S
-
-
-def analysis_matrix(cuts: CutoffSamples, n: int) -> np.ndarray:
-    """(M+3) x (M+1): canonical split of [values; value at inf]."""
-    grid = cuts.grid
-    M = grid.size
-    R = np.zeros((M + 3, M + 1), dtype=complex)
-    if n == 0:
-        R[M + 2, M] = 1.0  # cconst = value at infinity
-        R[M, 0] = 1.0
-        R[M, M] = -1.0  # c0 = value(0) - cconst
-    else:
-        R[M + 1, M] = 1.0  # cinf = value at infinity
-        R[M, 0] = 1.0
-    R[:M, :M] = np.eye(M)
-    R[:M, :] -= cuts.xi0[:, None] * R[M, :][None, :]
-    R[:M, :] -= cuts.xiinf[:, None] * R[M + 1, :][None, :]
-    R[:M, :] -= R[M + 2, :][None, :]
-    return R
-
-
-def assemble_linearization(
-    n: int, params: SolverParams, grid: RadialGrid, cuts: CutoffSamples | None = None
-) -> LinearModeOperator:
+def assemble_linearization(n: int, params: SolverParams, grid: RadialGrid) -> LinearModeOperator:
     """Per-mode linearization at the base state.
 
     (1/2 mu^2) ( D(n,s+) D(n,s-) (Q+1) + (2 mu - 1) i n beta ) with shifts
@@ -541,23 +497,16 @@ def assemble_linearization(
     sm = shift_minus(mu, n)
     if sp == 0.0 or sm == 0.0:
         raise DegenerateShiftError(f"degenerate shift at (mu={mu}, n={n})")
-    if cuts is None:
-        cuts = sample_cutoffs(grid)
     M = grid.size
     Dp = mode_operator_matrix(grid, n, sp)
     Dm = mode_operator_matrix(grid, n, sm)
     Q1 = grid.radial.astype(complex) + np.eye(M + 1)
     fun = (Dp @ Dm @ Q1 + (2.0 * mu - 1.0) * beta_mult_matrix(grid, n)) / (2.0 * mu * mu)
-    ext = analysis_matrix(cuts, n) @ fun @ synthesis_matrix(cuts)
-    return LinearModeOperator(n=n, matrix=ext, label="mode-operator composition", fun=fun)
+    return LinearModeOperator(n=n, fun=fun)
 
 
 def linearization_set(params: SolverParams, grid: RadialGrid) -> dict[int, LinearModeOperator]:
-    cuts = sample_cutoffs(grid)
-    return {
-        int(n): assemble_linearization(int(n), params, grid, cuts)
-        for n in params.mode_indices
-    }
+    return {int(n): assemble_linearization(int(n), params, grid) for n in params.mode_indices}
 
 
 def apply_linearization_inverse(

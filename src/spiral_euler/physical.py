@@ -29,20 +29,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InversionError, ParameterError
-from .grid_space import (
-    AngularSignal,
-    CutoffSamples,
-    SolverParams,
-    SpectralField,
-    sample_cutoffs,
-)
-from .operators import apply_beta_mult
+from .grid_space import AngularSignal, SolverParams, SpectralField, sample_cutoffs
+from .operators import derived_fields
 
 __all__ = [
     "PhysicalSample",
@@ -140,24 +135,6 @@ def _standard_chop(coeffs: np.ndarray, tol: float) -> int:
     return max(int(np.argmin(cc)), 1)
 
 
-def _derived_values(stream: SpectralField, cuts: CutoffSamples) -> dict:
-    """Node values of the derived fields, one row per mode n = N k, k = -K..K."""
-    grid, mu = stream.grid, stream.params.mu
-    K = stream.params.harmonics
-    nvec = np.arange(-K, K + 1) * stream.params.N
-    exts = np.array([stream.modes[int(n)].extended(cuts) for n in nvec])
-    q = np.array([grid.apply_radial(e) for e in exts])
-    bmul = np.array([apply_beta_mult(grid, int(n), e) for n, e in zip(nvec, exts)])
-    db = q + (1.0 - 2.0 * mu) * exts
-    dv = -(q - bmul) + (2.0 * mu - 1.0) * exts
-    dp = 1j * nvec[:, None] * exts
-    dpdb = 1j * nvec[:, None] * db
-    qb = np.array([grid.apply_radial(e) for e in db])
-    bmul_b = np.array([apply_beta_mult(grid, int(n), e) for n, e in zip(nvec, db)])
-    lg = -(qb - bmul_b) + (2.0 * mu - 1.0) * db + db
-    return dict(zip(FieldEvaluator.FIELDS, (exts, db, dv, dp, dpdb, lg)))
-
-
 class FieldEvaluator:
     """Vectorized evaluation of the derived profile fields at chart points.
 
@@ -168,6 +145,7 @@ class FieldEvaluator:
     tol^(2/3), and a row without a plateau keeps every coefficient.
     """
 
+    # the keys of operators.derived_fields
     FIELDS = ("psi", "db", "dv", "dp", "dpdb", "lg")
 
     def __init__(self, stream: SpectralField, omega: AngularSignal | None = None):
@@ -179,10 +157,11 @@ class FieldEvaluator:
         self.mu = self.params.mu
         K = self.params.harmonics
         self.nvec = np.arange(K + 1) * self.params.N
-        values = _derived_values(stream, self.cuts)
+        values = derived_fields(stream, self.cuts)
         eps = np.finfo(float).eps
         self._rows = {}
-        for name, arr in values.items():
+        for name in self.FIELDS:
+            arr = values[name]
             coef = _fold(self.grid.chebyshev_coefficients(arr), K)
             scale = float(np.max(np.sum(np.abs(_fold(arr, K)), axis=0)))
             for row in coef:
@@ -315,6 +294,16 @@ def to_chart(
     return beta, phi
 
 
+def _velocity(scale, mu, theta, db, dv, dp, dpdb, lg):
+    """Cartesian velocity components, radial factor ``scale``, at angle theta."""
+    radial_part = (dpdb * dv - lg * dp) / (2.0 * db)
+    pref = scale * (-db / mu) ** (1.0 / (2.0 * mu) - 1.0) * (2.0 * db / lg)
+    return (
+        pref * (radial_part * np.cos(theta) - dv * np.sin(theta)),
+        pref * (radial_part * np.sin(theta) + dv * np.cos(theta)),
+    )
+
+
 def eval_fields_batch(
     stream: SpectralField,
     omega: AngularSignal,
@@ -335,12 +324,8 @@ def eval_fields_batch(
 
     w = (beta / t) * dv ** (-1.0 / (2.0 * mu)) * om
     psi = (beta / t) ** (1.0 - 2.0 * mu) * psiv
-    theta = beta + phi
     rmag = np.hypot(x[..., 0], x[..., 1])
-    radial_part = (dpdb * dv - lg * dp) / (2.0 * db)
-    pref = rmag ** (1.0 - 1.0 / mu) * (-db / mu) ** (1.0 / (2.0 * mu) - 1.0) * (2.0 * db / lg)
-    u1 = pref * (radial_part * np.cos(theta) - dv * np.sin(theta))
-    u2 = pref * (radial_part * np.sin(theta) + dv * np.cos(theta))
+    u1, u2 = _velocity(rmag ** (1.0 - 1.0 / mu), mu, beta + phi, db, dv, dp, dpdb, lg)
     return {
         "w": w,
         "u1": u1,
@@ -386,15 +371,7 @@ def initial_data(
 
     w0 = (db0 / (-mu * dv0)) ** (1.0 / (2.0 * mu)) * om
     psi0_factor = (-db0 / mu) ** (1.0 / (2.0 * mu) - 1.0) * psi0
-    radial_part = (dpdb0 * dv0 - lg0 * dp0) / (2.0 * db0)
-    pref = (-db0 / mu) ** (1.0 / (2.0 * mu) - 1.0) * (2.0 * db0 / lg0)
-    u0 = np.stack(
-        [
-            pref * (radial_part * np.cos(theta) - dv0 * np.sin(theta)),
-            pref * (radial_part * np.sin(theta) + dv0 * np.cos(theta)),
-        ],
-        axis=-1,
-    )
+    u0 = np.stack(_velocity(1.0, mu, theta, db0, dv0, dp0, dpdb0, lg0), axis=-1)
     return {"w0": w0, "u0": u0, "psi0": psi0_factor}
 
 
@@ -760,8 +737,9 @@ def export_spirals_csv(path, curves: Sequence[SpiralCurve]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["phi0", "t", "beta", "x1", "x2"])
         for c in curves:
-            for beta, (x1, x2) in zip(c.beta, c.points):
-                writer.writerow(_csv_numbers((c.phi0, c.t, beta, x1, x2)))
+            phi0, t = _csv_numbers((c.phi0, c.t))
+            cols = (map(repr, a.tolist()) for a in (c.beta, c.points[:, 0], c.points[:, 1]))
+            writer.writerows(zip(repeat(phi0), repeat(t), *cols))
 
 
 def render_spirals_svg(path, curves: Sequence[SpiralCurve], size: int = 640) -> None:
@@ -772,10 +750,6 @@ def render_spirals_svg(path, curves: Sequence[SpiralCurve], size: int = 640) -> 
     else:
         lim = 1.0
     half = size / 2.0
-
-    def px(p):
-        return (half + p[0] / lim * (half - 10), half - p[1] / lim * (half - 10))
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -786,7 +760,9 @@ def render_spirals_svg(path, curves: Sequence[SpiralCurve], size: int = 640) -> 
         f'<text x="{half + 6}" y="14" font-size="12" fill="#555">x2={lim:.3g}</text>',
     ]
     for i, c in enumerate(curves):
-        pts = " ".join(f"{px(p)[0]:.2f},{px(p)[1]:.2f}" for p in c.points)
+        xs = half + c.points[:, 0] / lim * (half - 10)
+        ys = half - c.points[:, 1] / lim * (half - 10)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         hue = (137 * i) % 360
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="hsl({hue},60%,40%)" '

@@ -45,7 +45,12 @@ from .grid_space import (
     build_grid,
 )
 from .nonlinear import NonlinearWorkspace, eval_residual
-from .operators import LinearModeOperator, apply_linearization_inverse, linearization_set
+from .operators import (
+    LinearModeOperator,
+    apply_linearization_inverse,
+    derived_fields,
+    linearization_set,
+)
 
 __all__ = [
     "SolveReport",
@@ -78,13 +83,13 @@ class SolveReport:
 
 
 _BOUND_TABLE = (
-    # name, kind, lower(mu), upper(mu)
-    ("dbeta_bar(psi)", "dbeta_bar", lambda mu: -1.5, lambda mu: -0.5),
-    ("dvarphi_bar(psi)", "dvarphi_bar", lambda mu: 0.5, lambda mu: 1.5),
-    ("(dvarphi_bar+1)dbeta_bar(psi)", "dvarphi1_dbeta_bar", lambda mu: -3.0 * mu, lambda mu: -mu),
-    ("dphi(psi)", "dphi", lambda mu: -1.0, lambda mu: 1.0),
-    ("dphi_dbeta_bar(psi)", "dphi_dbeta_bar", lambda mu: -1.0, lambda mu: 1.0),
-    ("psi", "id", lambda mu: 1.0 / (4.0 * mu - 2.0), lambda mu: 3.0 / (4.0 * mu - 2.0)),
+    # name, derived field, lower(mu), upper(mu)
+    ("dbeta_bar(psi)", "db", lambda mu: -1.5, lambda mu: -0.5),
+    ("dvarphi_bar(psi)", "dv", lambda mu: 0.5, lambda mu: 1.5),
+    ("(dvarphi_bar+1)dbeta_bar(psi)", "lg", lambda mu: -3.0 * mu, lambda mu: -mu),
+    ("dphi(psi)", "dp", lambda mu: -1.0, lambda mu: 1.0),
+    ("dphi_dbeta_bar(psi)", "dpdb", lambda mu: -1.0, lambda mu: 1.0),
+    ("psi", "psi", lambda mu: 1.0 / (4.0 * mu - 2.0), lambda mu: 3.0 / (4.0 * mu - 2.0)),
 )
 
 
@@ -97,28 +102,12 @@ def bounds_check(stream: SpectralField, n_angles: int = 128) -> tuple[bool, dict
     """
     params = stream.params
     ws = NonlinearWorkspace(params, stream.grid, n_angles=max(n_angles, 4 * params.harmonics + 1))
-    grid, cuts, mu = ws.grid, ws.cuts, params.mu
-    from .operators import apply_beta_mult
-
-    per_kind: dict[str, dict[int, np.ndarray]] = {k: {} for _, k, _, _ in _BOUND_TABLE}
-    for n in ws.mode_list:
-        ext = stream.modes[n].extended(cuts)
-        q = grid.apply_radial(ext)
-        db = q + (1.0 - 2.0 * mu) * ext
-        per_kind["id"][n] = ext
-        per_kind["dbeta_bar"][n] = db
-        per_kind["dvarphi_bar"][n] = -(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext
-        per_kind["dphi"][n] = 1j * n * ext
-        per_kind["dphi_dbeta_bar"][n] = 1j * n * db
-        qb = grid.apply_radial(db)
-        per_kind["dvarphi1_dbeta_bar"][n] = (
-            -(qb - apply_beta_mult(grid, n, db)) + (2.0 * mu - 1.0) * db + db
-        )
-
+    mu = params.mu
+    fields = derived_fields(stream, ws.cuts)
     margins = {}
     ok = True
-    for name, kind, lo_fn, hi_fn in _BOUND_TABLE:
-        vals = ws.synth(per_kind[kind]).real
+    for name, key, lo_fn, hi_fn in _BOUND_TABLE:
+        vals = ws.synth(fields[key]).real
         lo, hi = lo_fn(mu), hi_fn(mu)
         vmin, vmax = float(np.min(vals)), float(np.max(vals))
         margin = min(vmin - lo, hi - vmax)
@@ -153,7 +142,7 @@ def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) 
         raise ConvergenceError(
             f"angular perturbation seminorm {semi:.3e} exceeds the trust region "
             f"{epsilon_cap:.3g}*|mean| = {epsilon_cap * abs(mean):.3e}; "
-            "reduce the amplitude or continue from a smaller one"
+            "reduce the amplitude"
         )
     return semi
 
@@ -223,7 +212,7 @@ def newton_solve(
         if it >= 1 and history[-1] > history[-2]:
             report.message = (
                 f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; "
-                "try a smaller angular amplitude or continuation"
+                "try a smaller angular amplitude"
             )
             raise ConvergenceError(report.message, last_iterate=stream, report=report)
         if it == max_iter:
@@ -295,17 +284,11 @@ def angular_initial_vorticity(
     """
     if ws is None:
         ws = NonlinearWorkspace(stream.params, stream.grid)
-    params, grid, cuts, mu = ws.params, ws.grid, ws.cuts, stream.params.mu
-    from .operators import apply_beta_mult
-
-    db0, dv0 = {}, {}
-    for n in ws.mode_list:
-        ext = stream.modes[n].extended(cuts)
-        q = grid.apply_radial(ext)
-        db0[n] = (q + (1.0 - 2.0 * mu) * ext)[:1]
-        dv0[n] = (-(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext)[:1]
-    coefs_db = np.array([db0[int(k * params.N)][0] for k in ws.k_indices])
-    coefs_dv = np.array([dv0[int(k * params.N)][0] for k in ws.k_indices])
+    params, mu = ws.params, stream.params.mu
+    fields = derived_fields(stream, ws.cuts)
+    # the values at beta = 0, the first node, copied contiguous for the BLAS product
+    coefs_db = fields["db"][:, 0].copy()
+    coefs_dv = fields["dv"][:, 0].copy()
     db_vals = (coefs_db[None, :] @ ws.synth_matrix).real[0]
     dv_vals = (coefs_dv[None, :] @ ws.synth_matrix).real[0]
     om = omega.values(ws.phi)

@@ -11,13 +11,14 @@ from spiral_euler import (
     apply_linearization_inverse,
     apply_mode_operator,
     assemble_linearization,
-    export_operator,
+    derived_fields,
     invert_mode_operator,
     linearization_set,
     mode_norm,
     shift_minus,
     shift_plus,
 )
+from spiral_euler.operators import beta_mult_matrix
 from conftest import random_field
 
 
@@ -48,6 +49,30 @@ def test_bar_derivative_dphi_is_mode_multiplier(desk_params, desk_grid, desk_cut
     expected = F.mode(n).scaled(1j * n)
     got = out.mode(n)
     assert np.max(np.abs(got.extended(desk_cuts) - expected.extended(desk_cuts))) < 1e-12
+
+
+def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid, desk_cuts):
+    # the matrix forms of linearization_at_base: dbeta_bar = Q + 1 - 2 mu,
+    # dvarphi_bar = -(Q - i n beta) + 2 mu - 1
+    F = random_field(desk_params, desk_grid, desk_cuts, seed=5)
+    mu = desk_params.mu
+    eye = np.eye(desk_grid.size + 1)
+    dbeta = desk_grid.radial + (1.0 - 2.0 * mu) * eye
+    got = derived_fields(F, desk_cuts)
+    for i, n in enumerate(int(n) for n in desk_params.mode_indices):
+        ext = F.mode(n).extended(desk_cuts)
+        dvarphi = -(desk_grid.radial - beta_mult_matrix(desk_grid, n)) + (2.0 * mu - 1.0) * eye
+        expected = {
+            "psi": ext,
+            "db": dbeta @ ext,
+            "dv": dvarphi @ ext,
+            "dp": 1j * n * ext,
+            "dpdb": 1j * n * (dbeta @ ext),
+            "lg": (dvarphi + eye) @ dbeta @ ext,
+        }
+        for name, ref in expected.items():
+            err = np.max(np.abs(got[name][i] - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (n, name, err)
 
 
 def test_bar_derivative_unknown_kind(desk_params, desk_grid):
@@ -206,7 +231,7 @@ def test_commutation_remainder():
 
 def test_assemble_linearization_constant_sector(desk_params, desk_grid, desk_cuts):
     mu = desk_params.mu
-    op = assemble_linearization(0, desk_params, desk_grid, desk_cuts)
+    op = assemble_linearization(0, desk_params, desk_grid)
     const = desk_grid.extend(np.ones(desk_grid.size), 1.0)
     out = op.apply_function(const)
     expected = (2 * mu - 1) ** 2 / (2 * mu * mu)
@@ -217,12 +242,6 @@ def test_assemble_linearization_degenerate_shift(desk_grid):
     params = SolverParams(mu=1.0, N=8, grid_points=96)
     with pytest.raises(DegenerateShiftError):
         assemble_linearization(1, params, desk_grid)  # (2-1)*1-1 = 0
-
-
-def test_linearization_matrix_is_extended_size(desk_params, desk_grid):
-    op = assemble_linearization(desk_params.N, desk_params, desk_grid)
-    M = desk_grid.size
-    assert op.matrix.shape == (M + 3, M + 3)
 
 
 def test_linearization_inverse_constant_sector(desk_params, desk_grid, desk_cuts):
@@ -287,18 +306,3 @@ def test_neumann_agrees_with_direct(desk_params, desk_grid, desk_cuts):
 def test_shift_helpers():
     assert shift_plus(1.0, 4) == 5.0
     assert shift_minus(1.0, 4) == -3.0
-
-
-def test_operator_export(tmp_path, desk_params, desk_grid):
-    import json
-
-    import numpy as np
-
-    op = assemble_linearization(desk_params.N, desk_params, desk_grid)
-    export_operator(op, tmp_path / "op.npy")
-    loaded = np.load(tmp_path / "op.npy")
-    assert np.array_equal(loaded, op.matrix)
-    export_operator(op, tmp_path / "op.json", format="json")
-    doc = json.loads((tmp_path / "op.json").read_text())
-    assert doc["n"] == desk_params.N
-    assert doc["shape"] == [desk_grid.size + 3, desk_grid.size + 3]

@@ -17,9 +17,9 @@ from spiral_euler import (
     to_plane,
     verify,
 )
+from spiral_euler.operators import derived_fields
 from spiral_euler.physical import (
     FieldEvaluator,
-    _derived_values,
     export_samples_csv,
     render_spirals_svg,
 )
@@ -105,7 +105,9 @@ def test_fused_fields_match_full_mode_sum(request, solution):
     nvec = params.mode_indices
     phases = np.exp(1j * nvec[:, None] * phi[None, :])
     fused = ev.field(ev.FIELDS, beta, phi)
-    for name, arr, fast in zip(ev.FIELDS, _derived_values(stream, ev.cuts).values(), fused):
+    derived = derived_fields(stream, ev.cuts)
+    for name, fast in zip(ev.FIELDS, fused):
+        arr = derived[name]
         vals = grid.evaluate_coefficients(grid.chebyshev_coefficients(arr), grid.s_of_beta(beta))
         full = np.sum(vals * phases, axis=0).real
         rel = np.max(np.abs(fast - full)) / np.max(np.abs(full))
