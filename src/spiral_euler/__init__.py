@@ -17,6 +17,7 @@ from .errors import (
     InversionError,
     ParameterError,
     SignConditionError,
+    SingularOperatorError,
     StructureError,
 )
 from .grid_space import (

@@ -15,6 +15,10 @@ class DegenerateShiftError(ParameterError):
     """A mode-operator shift vanished, so its inverse does not exist."""
 
 
+class SingularOperatorError(ParameterError):
+    """A dense mode operator has an exactly zero pivot, so it has no inverse."""
+
+
 class SignConditionError(RuntimeError):
     """A pointwise sign condition on the stream profile failed.
 

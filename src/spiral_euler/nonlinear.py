@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ParameterError, SignConditionError
 from .grid_space import (
@@ -51,7 +50,7 @@ from .operators import (
     beta_mult_matrix,
     derived_fields,
     dvarphi_bar_ext,
-    mode_operator_matrix,
+    mode_operator,
     shift_plus,
 )
 
@@ -81,7 +80,7 @@ class NonlinearWorkspace:
         self.Phi = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
         self.phi = self.Phi / params.N
         self.synth_matrix = np.exp(1j * np.outer(self.k_indices, self.Phi))
-        self._plus_lu: dict[int, tuple] = {}
+        self._plus_ops: dict[int, LinearModeOperator] = {}
 
     def synth(self, rows: np.ndarray) -> np.ndarray:
         """Angular synthesis of stacked mode rows k = -K..K, (M+1, n_angles)."""
@@ -99,15 +98,15 @@ class NonlinearWorkspace:
                 dropped += float(np.max(np.abs(c[:, b])))
         return out, dropped
 
-    def preimage_lu(self, n: int):
-        if n not in self._plus_lu:
-            self._plus_lu[n] = sla.lu_factor(
-                mode_operator_matrix(self.grid, n, shift_plus(self.params.mu, n))
-            )
-        return self._plus_lu[n]
+    def preimage_operator(self, n: int) -> LinearModeOperator:
+        """D(n, s+) for mode n, factored once per workspace."""
+        if n not in self._plus_ops:
+            self._plus_ops[n] = mode_operator(self.grid, n, shift_plus(self.params.mu, n))
+        return self._plus_ops[n]
 
     def preimage_sup(self, n: int, ext: np.ndarray) -> float:
-        return float(np.max(np.abs(sla.lu_solve(self.preimage_lu(n), ext))))
+        # a single unrefined solve: the gauge is a norm, not a solution
+        return float(np.max(np.abs(self.preimage_operator(n).lu_solve(ext))))
 
 
 @dataclass(frozen=True)

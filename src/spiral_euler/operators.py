@@ -34,11 +34,11 @@ with shifts s+- = (2 +- n) mu - 1.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
@@ -46,6 +46,7 @@ from .errors import (
     ConvergenceError,
     DegenerateShiftError,
     ParameterError,
+    SingularOperatorError,
 )
 from .grid_space import (
     CutoffSamples,
@@ -63,6 +64,7 @@ __all__ = [
     "shift_plus",
     "shift_minus",
     "mode_operator_matrix",
+    "mode_operator",
     "apply_mode_operator",
     "invert_mode_operator",
     "derived_fields",
@@ -113,6 +115,11 @@ def mode_operator_matrix(grid: RadialGrid, n: int, shift: float) -> np.ndarray:
     )
 
 
+def mode_operator(grid: RadialGrid, n: int, shift: float) -> LinearModeOperator:
+    """D(n, shift) as a dense operator, factored on its first solve."""
+    return LinearModeOperator(n=n, fun=mode_operator_matrix(grid, n, shift))
+
+
 def apply_shifted(grid: RadialGrid, n: int, shift: float, ext: np.ndarray) -> np.ndarray:
     """Apply D(n, shift) to an extended vector."""
     return grid.apply_radial(ext) - apply_beta_mult(grid, n, ext) - shift * ext
@@ -157,6 +164,7 @@ def invert_mode_operator(
     cuts: CutoffSamples,
     method: str = "matrix",
     tol: float = 1e-12,
+    op: LinearModeOperator | None = None,
 ) -> ModeProfile:
     """Bounded inverse of D(n, shift) applied to a structured profile.
 
@@ -165,9 +173,15 @@ def invert_mode_operator(
     oscillation index a far component still has a bounded preimage, but one
     that leaves the slot algebra, so it rides through the extended solve
     with the core.
+
+    ``op`` is D(n, shift) as a LinearModeOperator (``mode_operator``); a
+    caller inverting one operator many times passes it so that its LU is
+    taken once.  The matrix method builds its own when it is omitted.
     """
     if shift == 0.0:
         raise DegenerateShiftError(f"mode operator with zero shift at n={n} is singular")
+    if op is not None and op.n != n:
+        raise ParameterError(f"operator for n={op.n} passed to invert at n={n}")
     grid = cuts.grid
     b = grid.nodes
     a_new = -f.c0 / shift
@@ -192,10 +206,9 @@ def invert_mode_operator(
         rhs_inf = f.cinf + f.cconst
 
     if method == "matrix":
-        D = mode_operator_matrix(grid, n, shift)
-        ext = grid.extend(rhs, rhs_inf)
-        sol = sla.solve(D, ext)
-        sol += sla.solve(D, ext - D @ sol)  # one step of iterative refinement
+        if op is None:
+            op = mode_operator(grid, n, shift)
+        sol = op.solve_function(grid.extend(rhs, rhs_inf))
         core_vals = sol[:-1]
         core_inf = sol[-1]
     elif method == "quadrature":
@@ -467,7 +480,12 @@ def apply_bar_derivative(kind: str, field_: SpectralField) -> SpectralField:
 
 @dataclass
 class LinearModeOperator:
-    """Dense per-mode operator ``fun`` on [values at nodes; value at inf]."""
+    """Dense per-mode operator ``fun`` on [values at nodes; value at inf].
+
+    Every solve with a mode operator goes through here: the LU is taken on
+    the first solve and kept with the operator, so it lives as long as its
+    owner.
+    """
 
     n: int
     fun: np.ndarray
@@ -475,11 +493,30 @@ class LinearModeOperator:
     def __post_init__(self):
         self._lu = None
 
-    def solve_function(self, ext_rhs: np.ndarray) -> np.ndarray:
+    def lu_solve(self, ext_rhs: np.ndarray) -> np.ndarray:
+        """Solve with the LU factors alone, without refinement.
+
+        Raises SingularOperatorError on an exactly zero pivot.
+        """
+        # scipy.linalg loads only for a command that factors a matrix
+        import scipy.linalg as sla
+
         if self._lu is None:
-            self._lu = sla.lu_factor(self.fun)
-        sol = sla.lu_solve(self._lu, ext_rhs)
-        sol += sla.lu_solve(self._lu, ext_rhs - self.fun @ sol)
+            with warnings.catch_warnings():
+                # an exactly zero pivot warns here and raises below
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu, piv = sla.lu_factor(self.fun)
+            if not np.all(np.diagonal(lu)):
+                raise SingularOperatorError(
+                    f"mode operator at n={self.n} is singular (exactly zero pivot)"
+                )
+            self._lu = (lu, piv)
+        return sla.lu_solve(self._lu, ext_rhs)
+
+    def solve_function(self, ext_rhs: np.ndarray) -> np.ndarray:
+        """Solve with one step of iterative refinement."""
+        sol = self.lu_solve(ext_rhs)
+        sol += self.lu_solve(ext_rhs - self.fun @ sol)
         return sol
 
     def apply_function(self, ext: np.ndarray) -> np.ndarray:

@@ -127,3 +127,68 @@ def test_certificate_table_renders(prod_params, prod_grid):
     text = cert.table()
     assert "PASS" in text
     assert "contraction" in text
+
+
+def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypatch):
+    # one LU per distinct D(n, shift): (n, s-), (n, s+) for n = N, 2N, 3N
+    # and (0, -1); the rows equal those of a fresh factorization per call
+    import scipy.linalg as sla
+
+    from spiral_euler import certifier
+
+    K, _ = contraction_and_threshold(desk_params.mu, desk_params.N)
+    factored = []
+    lu_factor = sla.lu_factor
+
+    def counting(a, *args, **kwargs):
+        factored.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", counting)
+    rows = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
+    assert len(factored) == 7
+
+    invert = certifier.invert_mode_operator
+    monkeypatch.setattr(
+        certifier,
+        "invert_mode_operator",
+        lambda n, shift, f, cuts, op=None: invert(n, shift, f, cuts),
+    )
+    factored.clear()
+    per_call = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
+    assert len(factored) == 3 * 8 * 3
+    assert rows == per_call
+
+
+def test_cutoff_weighted_suprema_match_delta_scan(prod_grid):
+    # the weighted suprema, evaluated at delta = 1/2 alone, against the scan
+    # over the whole delta range on the table's own sample
+    from spiral_euler.grid_space import (
+        cutoff_normalization,
+        mollifier_bump,
+        mollifier_bump_derivative,
+        xi_far,
+    )
+
+    base = np.geomspace(1e-6, 1e6, 4096)
+    support = np.linspace(0.5, 2.5, 16 * 4096)
+    nodes = prod_grid.nodes
+    beta = np.unique(np.concatenate([base, support, nodes[nodes > 0]]))
+    C = cutoff_normalization()
+    eta = C * mollifier_bump(beta)
+    eta_p = C * mollifier_bump_derivative(beta)
+    values = {
+        "beta_dbeta_xi0": beta * eta,
+        "beta_xi0": beta * xi_near(beta),
+        "dbeta_xiinf": eta,
+        "xiinf_over_beta": xi_far(beta) / beta,
+        "beta2_dbeta_xi0": beta * beta * eta,
+        "beta2_dbeta2_xi0": beta * beta * eta_p,
+    }
+    table = cutoff_norm_table(prod_grid)
+    for name, v in values.items():
+        scan = 0.0
+        for d in np.linspace(1.0 / 6.0 + 1e-9, 0.5, 23):
+            w = np.maximum(beta**d, beta**-d)
+            scan = max(scan, float(np.max(w * np.abs(v))))
+        assert table[name]["computed"] == scan, name

@@ -1,7 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import spiral_euler
 
 from spiral_euler import ConfigError
 from spiral_euler.cli import main
@@ -143,3 +150,49 @@ def test_match_mode_solve(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["time_scale"] == pytest.approx(1.0)
+
+
+def test_singular_linearization_exits_as_solve_failure(tmp_path, monkeypatch):
+    # an exactly singular operator ends the solve at its first LU with the
+    # solve-failure code, not with NaN iterates or a traceback
+    from spiral_euler import LinearModeOperator, solver
+
+    def singular_set(params, grid):
+        zero = np.zeros((grid.size + 1, grid.size + 1), dtype=complex)
+        return {int(n): LinearModeOperator(n=int(n), fun=zero) for n in params.mode_indices}
+
+    monkeypatch.setattr(solver, "linearization_set", singular_set)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert "singular" in doc["error"]
+
+
+def test_cli_loads_scipy_only_for_the_lu(tmp_path):
+    # every command pays for what the package imports at start-up: no scipy
+    # at import, and certify/solve load scipy.linalg and nothing heavier
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    script = (
+        "import json, sys\n"
+        "import spiral_euler.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "at_import = loaded()\n"
+        "cli.main(['certify', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([at_import, loaded()]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(spiral_euler.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    at_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert at_import == []
+    heavy = ("scipy.integrate", "scipy.fft", "scipy.special", "scipy.optimize")
+    assert [m for m in after_run if m.startswith(heavy)] == []
+    assert "scipy.linalg" in after_run

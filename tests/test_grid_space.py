@@ -71,6 +71,21 @@ def test_cutoff_normalization_constant():
     assert abs(cutoff_normalization() - 142.25034) < 1e-4
 
 
+def test_cutoff_normalization_literal_matches_quadrature():
+    # the stored literal against the double-precision quadrature it replaced
+    # and the 40-digit integral, correctly rounded
+    import mpmath
+    from scipy.integrate import quad
+
+    C = cutoff_normalization()
+    total, _ = quad(lambda b: float(mollifier_bump(b)), 1.0, 2.0, epsabs=1e-15, epsrel=1e-14)
+    assert C == 1.0 / total
+    with mpmath.workdps(40):
+        bump = lambda b: mpmath.exp(1 / ((b - mpmath.mpf(3) / 2) ** 2 - mpmath.mpf(1) / 4))
+        exact = 1 / mpmath.quad(bump, [1, 1.5, 2])
+        assert abs(mpmath.mpf(C) - exact) <= np.spacing(C)
+
+
 def test_cutoff_bump_maximum():
     peak = cutoff_normalization() * float(mollifier_bump(np.array([1.5]))[0])
     assert abs(peak - 2.60541) < 1e-4
@@ -253,5 +268,34 @@ def test_ragged_clenshaw_bit_identical_to_dense(
     got = desk_grid.evaluate_coefficients(coeffs, s)
     want = _dense_clenshaw(coeffs, s)
     assert got.shape == want.shape == tuple(lead) + tuple(points)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+_DCT_GRIDS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.sampled_from([16, 17, 33, 96, 257, 513, 1024]),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    complex_values=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chebyshev_coefficients_equal_scipy_dct(M, lead, complex_values, seed):
+    # the numpy transform against scipy's DCT-I, which it replaced
+    from scipy.fft import dct
+
+    if M not in _DCT_GRIDS:
+        _DCT_GRIDS[M] = build_grid(M, 1.0)
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (M + 1,)
+    ext = rng.standard_normal(shape) * np.exp(rng.uniform(-10.0, 10.0, shape))
+    if complex_values:
+        ext = ext + 1j * rng.standard_normal(shape)
+    want = dct(ext, type=1, axis=-1) / M
+    want[..., 0] *= 0.5
+    want[..., -1] *= 0.5
+    got = _DCT_GRIDS[M].chebyshev_coefficients(ext)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

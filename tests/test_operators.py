@@ -3,8 +3,10 @@ import pytest
 
 from spiral_euler import (
     DegenerateShiftError,
+    LinearModeOperator,
     ModeProfile,
     ParameterError,
+    SingularOperatorError,
     SolverParams,
     SpectralField,
     apply_bar_derivative,
@@ -18,7 +20,7 @@ from spiral_euler import (
     shift_minus,
     shift_plus,
 )
-from spiral_euler.operators import beta_mult_matrix
+from spiral_euler.operators import beta_mult_matrix, mode_operator
 from conftest import random_field
 
 
@@ -130,6 +132,31 @@ def test_invert_zero_shift_is_singular(desk_cuts):
     f = smooth_profile(desk_cuts.grid, desk_cuts)
     with pytest.raises(DegenerateShiftError):
         invert_mode_operator(2, 0.0, f, desk_cuts)
+
+
+def test_singular_operator_raises_instead_of_nan():
+    # LU with partial pivoting leaves an exactly zero last pivot here
+    op = LinearModeOperator(n=8, fun=np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
+    with pytest.raises(SingularOperatorError):
+        op.solve_function(np.ones(2, dtype=complex))
+    with pytest.raises(SingularOperatorError):
+        op.lu_solve(np.ones(2, dtype=complex))
+    # a ParameterError, so the solve command exits with its failure code
+    assert issubclass(SingularOperatorError, ParameterError)
+
+
+def test_invert_with_prefactored_operator(desk_cuts):
+    grid = desk_cuts.grid
+    f = smooth_profile(grid, desk_cuts, n=2, seed=4)
+    op = mode_operator(grid, 2, 1.3)
+    for seed in (4, 5):
+        g = smooth_profile(grid, desk_cuts, n=2, seed=seed)
+        shared = invert_mode_operator(2, 1.3, g, desk_cuts, op=op)
+        own = invert_mode_operator(2, 1.3, g, desk_cuts)
+        assert np.array_equal(shared.core, own.core)
+        assert (shared.c0, shared.cinf, shared.cconst) == (own.c0, own.cinf, own.cconst)
+    with pytest.raises(ParameterError):
+        invert_mode_operator(0, 1.3, f, desk_cuts, op=op)
 
 
 def test_invert_norm_bounds_random_suite():
