@@ -18,7 +18,7 @@ grid (the solver default) and direct evaluation of the explicit integral
     u(beta) = -beta^s e^{i n beta} int_beta^inf  x^{-s-1} e^{-i n x} f(x) dx   (s > 0)
     u(beta) =  beta^s e^{i n beta} int_0^beta    x^{-s-1} e^{-i n x} f(x) dx   (s < 0)
 
-by adaptive oscillation-aware panel quadrature (the verification oracle).
+by Gauss panel quadrature on one shared panel set (the verification oracle).
 
 On the extended vector [values at nodes; value at infinity], multiplication
 by beta uses the finite-part rule (beta*f)(inf) := -scale * f'(s=1), which is
@@ -212,16 +212,9 @@ def invert_mode_operator(
         core_vals = sol[:-1]
         core_inf = sol[-1]
     elif method == "quadrature":
-        if n != 0 and (f.cinf != 0.0 or f.cconst != 0.0):
-            decaying = profile_interpolant(
-                ModeProfile(f.n, rhs - f.cinf * cuts.xiinf - f.cconst), cuts
-            )
-            far_inf, far_const = f.cinf, f.cconst
-
-            def fun(x):
-                return decaying(x) + far_inf * xi_far(x) + far_const
-        else:
-            fun = profile_interpolant(ModeProfile(f.n, rhs), cuts)
+        fun = profile_interpolant(
+            ModeProfile(f.n, rhs - rhs_inf * cuts.xiinf, cinf=rhs_inf), cuts
+        )
         core_vals = _invert_by_quadrature(n, shift, fun, b, tol)
         core_inf = 0.0
     else:
@@ -252,150 +245,144 @@ def profile_interpolant(f: ModeProfile, cuts: CutoffSamples) -> Callable:
 
 
 _GX, _GW = leggauss(16)
+_HALVINGS = 48  # geometric panels below the smallest radius (shift < 0)
+_DOUBLINGS = 60  # candidate tail cut points above the largest radius (shift > 0)
+_MAX_DEPTH = 45  # bisections of an initial panel
+_MAX_PANELS = 1 << 17
+_CHUNK = 1 << 13  # panels per integrand evaluation, which bounds memory
 
 
-def _panel(fun, a: float, b: float) -> complex:
-    x = 0.5 * (b - a) * _GX + 0.5 * (a + b)
-    return 0.5 * (b - a) * complex(np.sum(_GW * fun(x)))
-
-
-def _adaptive(fun, a: float, b: float, tol: float, depth: int = 0, whole=None) -> complex:
-    if whole is None:
-        whole = _panel(fun, a, b)
-    m = 0.5 * (a + b)
-    left = _panel(fun, a, m)
-    right = _panel(fun, m, b)
-    err = abs(left + right - whole)
-    if err < tol:
-        return left + right
-    if depth >= 20:
-        raise AccuracyError(f"panel quadrature stalled on [{a:.3g}, {b:.3g}]", err)
-    return _adaptive(fun, a, m, tol, depth + 1, left) + _adaptive(
-        fun, m, b, tol, depth + 1, right
-    )
-
-
-def _invert_zero_mode(shift: float, fun, betas: np.ndarray) -> np.ndarray:
-    """Oscillation-free inverse: cumulative Gauss panels over node intervals.
-
-    The requested radii are the panel edges, so every value is a prefix or
-    suffix sum; the singular end panels are subdivided geometrically and the
-    tail beyond the last edge freezes the integrand at its sampled value.
-    """
-    edges = [float(b) for b in betas if b > 0.0]
-    if shift > 0.0:
-        # extend upward for the suffix integrals; the analytic frozen tail
-        # covers everything beyond
-        all_edges = np.array(edges + [edges[-1] * 2.0**j for j in range(1, 60)])
-    else:
-        # refine downward for the x^(-shift-1) singularity at the origin
-        all_edges = np.array([edges[0] * 2.0 ** (-j) for j in range(44, 0, -1)] + edges)
-    a = all_edges[:-1]
-    b = all_edges[1:]
-    xg = 0.5 * (b - a)[:, None] * _GX[None, :] + 0.5 * (a + b)[:, None]
-    kern = xg ** (-shift - 1.0) * fun(xg.ravel()).reshape(xg.shape)
-    panel = 0.5 * (b - a) * np.sum(_GW[None, :] * kern, axis=1)
-    f0 = complex(fun(np.array([0.0]))[0])
-    ffar = complex(fun(np.array([all_edges[-1]]))[0])
-    out = np.zeros(len(betas), dtype=complex)
-    if shift > 0.0:
-        suffix = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
-        tail = ffar * all_edges[-1] ** (-shift) / shift
-        lookup = {edge: suffix[i] + tail for i, edge in enumerate(all_edges)}
-        for i, beta in enumerate(betas):
-            out[i] = -f0 / shift if beta == 0.0 else -(beta**shift) * lookup[float(beta)]
-    else:
-        prefix = np.concatenate([[0.0], np.cumsum(panel)])
-        head = f0 * all_edges[0] ** (-shift) / (-shift)
-        lookup = {edge: prefix[i] + head for i, edge in enumerate(all_edges)}
-        for i, beta in enumerate(betas):
-            out[i] = -f0 / shift if beta == 0.0 else (beta**shift) * lookup[float(beta)]
+def _gauss_sums(n: int, shift: float, fun, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre integral of x^(-shift-1) e^(-i n x) f(x) on each panel."""
+    out = np.empty(len(a), dtype=complex)
+    for i in range(0, len(a), _CHUNK):
+        lo, hi = a[i : i + _CHUNK], b[i : i + _CHUNK]
+        t = 0.5 * (hi - lo)[:, None] * (_GX + 1.0)
+        x = lo[:, None] + t
+        # the phase is split at the left edge, so that rounding a node far
+        # out does not shift its phase by |n| ulp(x)
+        kern = x ** (-shift - 1.0) * np.exp(-1j * n * t) * fun(x.ravel()).reshape(x.shape)
+        out[i : i + _CHUNK] = 0.5 * (hi - lo) * np.exp(-1j * n * lo) * (kern @ _GW)
     return out
 
 
 def _invert_by_quadrature(n: int, shift: float, fun, betas: np.ndarray, tol: float) -> np.ndarray:
     """Integral-formula inverse evaluated at the given radii.
 
-    Without oscillation the integral collapses to cumulative panel sums over
-    the node intervals.  Otherwise panels never exceed half an oscillation
-    wavelength 2*pi/|n| in the integration variable, and for shift > 0 the
-    tail beyond the last panel is summed by integration by parts with the
-    integrand frozen at its far value.
+    One panel set serves every radius: the positive radii are panel edges,
+    so each value is a suffix sum (shift > 0) or a prefix sum (shift < 0) of
+    panel integrals.  Below the smallest radius the panels halve
+    geometrically towards the origin, where the integrand is frozen at f(0);
+    above the largest they double up to a cut point X, beyond which f is
+    frozen at f(X) and the tail is summed in closed form (two integration by
+    parts terms when n != 0).  With n != 0 no panel is wider than half a
+    wavelength pi/|n|.  Panels are checked in vectorized rounds, the 16-point
+    Gauss-Legendre rule on the whole panel against its two halves, and the
+    failing ones are bisected.
+
+    ``tol`` bounds the estimated error of every returned value relative to
+    the sup-norm bound F/|shift| of the inverse, F the largest |f| sampled at
+    0, at the radii and at the tail cut candidates.  Half of it is shared
+    among the panels in proportion to their integral of F x^(-shift-1), the
+    other half goes to the frozen tail.  Raises AccuracyError when a panel
+    needs more than _MAX_DEPTH bisections, the panel set outgrows
+    _MAX_PANELS or the tail does not settle.
     """
-    if n == 0:
-        return _invert_zero_mode(shift, fun, betas)
-    out = np.zeros(len(betas), dtype=complex)
-    wave = 2.0 * np.pi / abs(n)
-    bmax = max(float(np.max(betas)), 1.0)
-    scan = np.geomspace(1e-8, 10.0 * bmax, 400)
-    scan_abs = np.abs(fun(scan))
-    fscale = max(float(np.max(scan_abs)), float(np.abs(fun(np.array([0.0]))[0])), 1e-300)
+    betas = np.asarray(betas, dtype=float)
+    edges = np.unique(betas[betas > 0.0])
+    top = edges[-1] * 2.0 ** np.arange(_DOUBLINGS + 1) if shift > 0.0 and len(edges) else []
+    scan = fun(np.concatenate([[0.0], edges, top]))
+    f0 = complex(scan[0])
+    fscale = max(float(np.max(np.abs(scan))), np.finfo(float).tiny)
+    out = np.full(len(betas), -f0 / shift, dtype=complex)
+    if not len(edges):
+        return out
 
-    def fmax_beyond(x: float) -> float:
-        m = scan >= x
-        return float(np.max(scan_abs[m])) if np.any(m) else float(scan_abs[-1])
-
-    def kern(x):
-        return x ** (-shift - 1.0) * np.exp(-1j * n * x) * fun(x)
-
-    for i, beta in enumerate(betas):
-        if beta == 0.0:
-            out[i] = -complex(fun(np.array([0.0]))[0]) / shift
-            continue
-        # tolerance on the raw integral, sized so the beta^shift prefactor
-        # brings the error back to tol relative to the answer's scale
-        raw = fscale * max(beta ** (-shift), 1.0) / abs(shift)
-        tol_i = tol * max(raw, fscale)
-        if shift > 0.0:
-            total = 0.0 + 0.0j
-            x0 = beta
-            fprev = complex(fun(np.array([x0]))[0])
-            step = min(max(beta, 1.0), 0.5 * wave)
-            while True:
-                x1 = x0 + step
-                total += _adaptive(kern, x0, x1, tol_i)
-                fval = complex(fun(np.array([x1]))[0])
-                flat_tail = fmax_beyond(x1) * x1 ** (-shift) / shift
-                # integration-by-parts remainder after two explicit terms
-                slope = abs(fval - fprev) / step
-                rem = (
-                    fmax_beyond(x1) * (shift + 1.0) * (shift + 2.0) * x1 ** (-shift - 3.0) / abs(n) ** 3
-                    + slope * x1 ** (-shift - 1.0) / n**2
-                )
-                if rem < tol_i or flat_tail < tol_i:
-                    t1 = np.exp(-1j * n * x1) * x1 ** (-shift - 1.0) / (1j * n)
-                    t2 = (
-                        -(shift + 1.0)
-                        * np.exp(-1j * n * x1)
-                        * x1 ** (-shift - 2.0)
-                        / (1j * n) ** 2
-                    )
-                    total += fval * (t1 + t2)
-                    break
-                if x1 > 1e14:
-                    raise AccuracyError(
-                        "tail of the inverse integral did not settle", flat_tail
-                    )
-                fprev = fval
-                x0 = x1
-                step = min(1.6 * step, 0.5 * wave)
-            out[i] = -(beta**shift) * np.exp(1j * n * beta) * total
+    if shift > 0.0:
+        # freezing f at X misses var * X^-s / s at n = 0, var the sampled
+        # variation of f beyond X; at n != 0 it misses the next integration
+        # by parts terms, f'(X) X^(-s-1) / n^2 with f'(X) ~ var / X and
+        # f (s+1)(s+2) X^(-s-3) / |n|^3.  Cut at the first doubling where
+        # that is within half of tol * F / s at the largest radius.
+        ft = scan[-len(top) :]
+        var = np.max(np.triu(np.abs(ft[None, :] - ft[:, None])), axis=1)
+        var[-1] = np.inf
+        if n == 0:
+            err = var * top ** (-shift) / shift
         else:
-            total = 0.0 + 0.0j
-            hi = beta
-            # drop the upper part of (0, beta] wherever it is provably negligible
-            while hi > 1e-13 * beta:
-                cand = 0.5 * hi
-                dropped = fmax_beyond(cand) * (hi ** (-shift) - cand ** (-shift)) / (-shift)
-                if dropped >= 0.05 * tol_i:
-                    break
-                hi = cand
-            while hi > 1e-13 * beta:
-                lo = max(hi / 2.0, hi - 0.5 * wave)
-                total += _adaptive(kern, lo, hi, tol_i)
-                hi = lo
-            total += complex(fun(np.array([0.0]))[0]) * hi ** (-shift) / (-shift)
-            out[i] = (beta**shift) * np.exp(1j * n * beta) * total
+            fmax = np.maximum.accumulate(np.abs(ft)[::-1])[::-1]
+            err = top ** (-shift) * (
+                var / (top * n) ** 2
+                + fmax * (shift + 1.0) * (shift + 2.0) / (top * abs(n)) ** 3
+            )
+        ok = np.flatnonzero(err <= 0.5 * tol * fscale * edges[-1] ** (-shift) / shift)
+        if not len(ok):
+            raise AccuracyError("tail of the inverse integral did not settle", float(err.min()))
+        knots = np.concatenate([edges, top[1 : ok[0] + 1]])
+        X, fX = knots[-1], ft[ok[0]]
+        if n == 0:
+            tail = fX * X ** (-shift) / shift
+        else:
+            tail = fX * np.exp(-1j * n * X) * (
+                X ** (-shift - 1.0) / (1j * n)
+                - (shift + 1.0) * X ** (-shift - 2.0) / (1j * n) ** 2
+            )
+    else:
+        knots = np.concatenate([edges[0] * 2.0 ** -np.arange(_HALVINGS, 0, -1), edges])
+        head = f0 * knots[0] ** (-shift) / (-shift)
+
+    # split every interval to at most half a wavelength
+    lo, hi = knots[:-1], knots[1:]
+    parts = np.maximum(np.ceil((hi - lo) * abs(n) / np.pi), 1).astype(int)
+    if parts.sum() > _MAX_PANELS:
+        raise AccuracyError("inverse integral needs too many panels", float(parts.sum()))
+    knots = np.append(
+        np.concatenate([np.linspace(l, h, k, endpoint=False) for l, h, k in zip(lo, hi, parts)]),
+        hi[-1],
+    )
+
+    a, b = knots[:-1], knots[1:]
+    whole = _gauss_sums(n, shift, fun, a, b)
+    done_a, done_v = [], []
+    for depth in range(_MAX_DEPTH + 1):
+        m = 0.5 * (a + b)
+        left, right = np.split(
+            _gauss_sums(n, shift, fun, np.concatenate([a, m]), np.concatenate([m, b])), 2
+        )
+        halves = left + right
+        # half of tol * F * int_a^b x^(-shift-1) dx, written to keep its digits
+        # on narrow panels
+        budget = (
+            0.5 * tol * fscale * a ** (-shift)
+            * np.abs(np.expm1(-shift * np.log1p((b - a) / a))) / abs(shift)
+        )
+        good = np.abs(halves - whole) <= budget
+        done_a.append(a[good])
+        done_v.append(halves[good])
+        bad = ~good
+        if not np.any(bad):
+            break
+        if depth == _MAX_DEPTH:
+            worst = float(np.max(np.abs(halves - whole)[bad]))
+            raise AccuracyError(f"panel quadrature stalled near beta = {a[bad][0]:.6g}", worst)
+        count = sum(map(len, done_a)) + 2 * np.count_nonzero(bad)
+        if count > _MAX_PANELS:
+            raise AccuracyError("inverse integral needs too many panels", float(count))
+        a, b = np.concatenate([a[bad], m[bad]]), np.concatenate([m[bad], b[bad]])
+        whole = np.concatenate([left[bad], right[bad]])
+
+    a = np.concatenate(done_a)
+    order = np.argsort(a)
+    v = np.concatenate(done_v)[order]
+    # every edge is a panel's left end: idx panels lie left of it
+    idx = np.searchsorted(a[order], edges)
+    if shift > 0.0:
+        raw = -(np.append(np.cumsum(v[::-1])[::-1], 0.0)[idx] + tail)
+    else:
+        raw = np.append(0.0, np.cumsum(v))[idx] + head
+    vals = edges**shift * np.exp(1j * n * edges) * raw
+    pos = betas > 0.0
+    out[pos] = vals[np.searchsorted(edges, betas[pos])]
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spiral_euler import (
+    AccuracyError,
     DegenerateShiftError,
     LinearModeOperator,
     ModeProfile,
@@ -254,6 +255,112 @@ def test_commutation_remainder():
             # a genuine, point-independent kernel multiple
             assert np.max(np.abs(consts)) > 1e-4
             assert np.std(consts) < 1e-8 * np.mean(np.abs(consts))
+
+
+QUAD_RADII = np.array([0.15, 0.5, 1.1, 2.2, 4.5, 9.0])
+
+
+def test_quadrature_inverse_matches_incomplete_gamma():
+    # int x^(-s-1) e^(-(1+in)x) dx = (1+in)^s Gamma(-s, .), upper for s > 0
+    # and lower for s < 0, on f = exp(-beta)
+    import mpmath
+    from spiral_euler.operators import _invert_by_quadrature
+
+    def f(x):
+        return np.exp(-np.asarray(x, dtype=float)).astype(complex)
+
+    for n in (0, 1, 4):
+        for s in (0.7, 1.6, -0.9, -2.2):
+            u = _invert_by_quadrature(n, s, f, QUAD_RADII, 1e-13)
+            ref = []
+            with mpmath.workdps(30):
+                z = mpmath.mpc(1, n)
+                for beta in QUAD_RADII:
+                    if s > 0:
+                        raw = -(z**s) * mpmath.gammainc(-s, z * beta)
+                    else:
+                        raw = z**s * mpmath.gammainc(-s, 0, z * beta)
+                    ref.append(complex(mpmath.mpf(beta) ** s * mpmath.expj(n * beta) * raw))
+            ref = np.array(ref)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, s)
+
+
+def test_quadrature_inverse_resolves_a_kink():
+    # criterion 3's weighted-envelope shape min(b^d, b^-d) has a kink at
+    # beta = 1, between two radii; the reference splits its quadrature there
+    import mpmath
+    from spiral_euler.operators import _invert_by_quadrature
+
+    delta = 0.4
+    co = np.array([0.8, -0.5, 0.3, 0.1, -0.05])
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        env = np.zeros_like(x)
+        pos = x > 0
+        env[pos] = np.minimum(x[pos] ** delta, x[pos] ** -delta)
+        cheb = np.polynomial.chebyshev.chebval(1.0 - 2.0 * x / (1.0 + x), co)
+        return (cheb * env).astype(complex)
+
+    for s in (0.7, 1.6, -0.9, -2.2):
+        u = _invert_by_quadrature(0, s, f, QUAD_RADII, 1e-13)
+        ref = []
+        with mpmath.workdps(20):
+            def g(x):
+                y = 1 - 2 * x / (1 + x)
+                cheb = sum(c * mpmath.chebyt(k, y) for k, c in enumerate(co))
+                return x ** (-s - 1) * cheb * min(x**delta, x**-delta)
+
+            for beta in QUAD_RADII:
+                if s > 0:
+                    nodes = [beta, 1, mpmath.inf] if beta < 1 else [beta, mpmath.inf]
+                    raw = -mpmath.quad(g, nodes)
+                else:
+                    raw = mpmath.quad(g, [0, 1, beta] if beta > 1 else [0, beta])
+                ref.append(complex(mpmath.mpf(beta) ** s * raw))
+        ref = np.array(ref)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref)), s
+
+
+def test_quadrature_inverse_work_bound():
+    # one shared panel set: the integrand is evaluated once for the tail
+    # scan, once for the whole panels and once per refinement round (4 calls
+    # measured), not once per panel and radius (48,196 calls before)
+    from spiral_euler.operators import _invert_by_quadrature
+
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        x = np.asarray(x, dtype=float)
+        smooth = np.polynomial.chebyshev.chebval(1.0 - 2.0 * x / (1.0 + x), [0.3, -0.5, 0.2, 0.1])
+        return (smooth * (1.0 - np.exp(-4.0 * x))).astype(complex)
+
+    _invert_by_quadrature(4, 0.7, f, QUAD_RADII, 1e-13)
+    assert calls <= 12
+
+
+def test_quadrature_inverse_reports_what_it_cannot_resolve():
+    from spiral_euler.operators import _invert_by_quadrature
+
+    def growing(x):
+        return (np.asarray(x, dtype=float) ** 2).astype(complex)
+
+    def step(x):
+        return (np.asarray(x, dtype=float) > 0.7).astype(complex)
+
+    def smooth(x):
+        return np.exp(-np.asarray(x, dtype=float)).astype(complex)
+
+    # x^(-s-1) x^2 is not integrable at infinity
+    with pytest.raises(AccuracyError, match="did not settle"):
+        _invert_by_quadrature(0, 0.7, growing, QUAD_RADII, 1e-13)
+    with pytest.raises(AccuracyError, match="stalled"):
+        _invert_by_quadrature(0, -0.9, step, QUAD_RADII, 1e-13)
+    # half-wavelength panels out to the largest radius
+    with pytest.raises(AccuracyError, match="too many panels"):
+        _invert_by_quadrature(100_000, -0.9, smooth, QUAD_RADII, 1e-13)
 
 
 def test_assemble_linearization_constant_sector(desk_params, desk_grid, desk_cuts):
