@@ -21,7 +21,6 @@ smallest admissible periodicities, and such rows are flagged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,7 +394,3 @@ def certify(
         notes=tuple(notes),
         spot_checks=spots,
     )
-
-
-def certificate_to_json_str(cert: Certificate) -> str:
-    return json.dumps(cert.to_json(), sort_keys=True, indent=1)

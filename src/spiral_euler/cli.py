@@ -1,9 +1,10 @@
 """Command-line entry points: certify, solve, reconstruct, verify, render.
 
-Exit codes: 0 success, 1 configuration problem, 2 certificate failure,
-3 solve failure, 4 verification failure.  Every JSON artifact embeds the
-configuration digest and the seed so runs can be traced; identical
-configurations produce byte-identical artifacts.
+Exit codes: 0 success, 1 configuration problem or a saved field that does
+not load, 2 certificate failure, 3 solve failure, 4 verification failure or
+a failed chart inversion (verify, reconstruct, render).  Every JSON artifact
+embeds the configuration digest and the seed so runs can be traced;
+identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .certifier import certify
 from .config import RunConfig, load_config
-from .errors import ConfigError, ConvergenceError, ParameterError
+from .errors import ConfigError, ConvergenceError, InversionError, ParameterError
 from .grid_space import AngularSignal, build_grid, field_from_json, field_to_json
 from .physical import (
     VERIFY_SUITES,
@@ -149,10 +150,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_solution(out: Path):
-    doc = json.loads((out / "field.json").read_text())
-    stream = field_from_json(doc)
-    omega = _omega_from_json(stream.params, doc["omega"])
+def _load_solution(path: Path):
+    """The stream profile and angular factor of a saved field.json.
+
+    A file that cannot be read or does not describe a field of this format
+    raises ConfigError.
+    """
+    try:
+        doc = json.loads(path.read_text())
+        stream = field_from_json(doc)
+        omega = _omega_from_json(stream.params, doc["omega"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc
     return stream, omega
 
 
@@ -163,7 +173,7 @@ def cmd_reconstruct(args) -> int:
         code = cmd_solve(args)
         if code != EXIT_OK:
             return code
-    stream, omega = _load_solution(out)
+    stream, omega = _load_solution(out / "field.json")
     formats = set(cfg["output.formats"].split(","))
     if args.format:
         formats &= set(args.format.split(","))
@@ -203,7 +213,7 @@ def cmd_verify(args) -> int:
         code = cmd_solve(args)
         if code != EXIT_OK:
             return code
-    stream, omega = _load_solution(out)
+    stream, omega = _load_solution(out / "field.json")
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
     report = run_verify(stream, omega, stream.params, suite=suites, seed=cfg["seed"])
     verdict = {}
@@ -230,13 +240,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     cfg = _load_cfg(args)
     out, stamp, cfg = _prepare(cfg, args.out, args.seed)
-    field_path = Path(args.field) if args.field else out / "field.json"
-    if not field_path.exists():
-        print(f"no saved field at {field_path}", file=sys.stderr)
-        return EXIT_CONFIG
-    doc = json.loads(field_path.read_text())
-    stream = field_from_json(doc)
-    omega = _omega_from_json(stream.params, doc["omega"])
+    stream, omega = _load_solution(Path(args.field) if args.field else out / "field.json")
     curves = spiral_extract(stream, omega, cfg["reconstruct.t"])
     render_spirals_svg(out / "spirals.svg", curves)
     print(f"rendered {len(curves)} curves to {out / 'spirals.svg'}")
@@ -270,6 +274,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InversionError as exc:
+        print(f"chart inversion failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ Direct-sum norms add the component norms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -43,6 +42,7 @@ __all__ = [
     "SpectralField",
     "AngularSignal",
     "bracket",
+    "mode_weight",
     "build_grid",
     "sample_cutoffs",
     "cutoff_normalization",
@@ -110,9 +110,11 @@ class SolverParams:
 
     @property
     def mode_indices(self) -> np.ndarray:
-        """Retained mode indices n = N*k for k = -K..K."""
-        k = np.arange(-self.harmonics, self.harmonics + 1)
-        return self.N * k
+        """Stored mode indices of a real field, n = N*k for k = 0..K.
+
+        Mode -n of a real field is conj(mode n), so it is never stored.
+        """
+        return self.N * np.arange(self.harmonics + 1)
 
     @property
     def base_omega(self) -> float:
@@ -249,19 +251,15 @@ class RadialGrid:
         cols = rows.T[(...,) + (None,) * y.ndim]
         y2 = 2.0 * y
 
-        def padded(b, m):  # b with zero rows appended up to m rows
-            if len(b) == m:
-                return b
-            return np.concatenate([b, np.zeros((m - len(b),) + y.shape, dtype=coeffs.dtype)])
-
-        # b1, b2 hold the rows active at step k, a prefix that grows as k falls
-        b1 = b2 = np.zeros((0,) + y.shape, dtype=coeffs.dtype)
+        # step k writes only the active prefix [:m], and m never shrinks as k
+        # falls, so the rows past it stay zero in all three rotating buffers
+        b1, b2, t = (np.zeros((len(rows),) + y.shape, dtype=coeffs.dtype) for _ in range(3))
         for k in range(rows.shape[1] - 1, 0, -1):
             m = active[k]
-            if m > len(b1):
-                b1, b2 = padded(b1, m), padded(b2, m)
-            b1, b2 = cols[k, :m] + y2 * b1 - b2, b1
-        b1, b2 = padded(b1, len(rows)), padded(b2, len(rows))
+            np.multiply(y2, b1[:m], out=t[:m])
+            t[:m] += cols[k, :m]
+            t[:m] -= b2[:m]
+            b1, b2, t = t, b1, b2
         out = np.empty_like(b1)
         out[order] = cols[0] + y * b1 - b2
         return out.reshape(coeffs.shape[:-1] + y.shape)
@@ -471,15 +469,6 @@ class ModeProfile:
     def extended(self, cuts: CutoffSamples) -> np.ndarray:
         return cuts.grid.extend(self.values(cuts), self.value_at_inf)
 
-    def conjugated(self) -> "ModeProfile":
-        return ModeProfile(
-            n=-self.n,
-            core=np.conj(self.core),
-            c0=np.conj(self.c0),
-            cinf=np.conj(self.cinf),
-            cconst=np.conj(self.cconst),
-        )
-
     def scaled(self, a: complex) -> "ModeProfile":
         return ModeProfile(self.n, a * self.core, a * self.c0, a * self.cinf, a * self.cconst)
 
@@ -567,12 +556,21 @@ def mode_norm(
     return sup + abs(c0) + abs(cinf) + abs(cconst)
 
 
+def mode_weight(n):
+    """How many lattice modes a stored mode n stands for: 1 at n = 0, else 2.
+
+    A stored mode n > 0 of a real field also stands for its conjugate -n.
+    """
+    return np.where(np.asarray(n) == 0, 1.0, 2.0)
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """A real scalar field on the chart, stored as radial mode profiles.
 
-    Modes live on the lattice n = N*k with |k| <= harmonics, and satisfy the
-    conjugate symmetry of a real field: mode(-n) = conj(mode(n)).
+    The field is Re sum_k w_k mode(n_k)(beta) e^{i n_k phi} over the stored
+    modes n_k = N*k, k = 0..harmonics, with w_0 = 1 and w_k = 2: the modes
+    -n = conj(mode n) of a real field are implied, not stored.
     """
 
     params: SolverParams
@@ -583,7 +581,7 @@ class SpectralField:
         want = set(int(n) for n in self.params.mode_indices)
         have = set(int(n) for n in self.modes)
         if have != want:
-            raise StructureError(f"mode set {sorted(have)} != lattice {sorted(want)}")
+            raise StructureError(f"mode set {sorted(have)} != stored modes {sorted(want)}")
         for n, prof in self.modes.items():
             if prof.n != n:
                 raise StructureError(f"profile at key {n} has index {prof.n}")
@@ -612,26 +610,21 @@ class SpectralField:
     def scaled(self, a: complex) -> "SpectralField":
         return self.map_modes(lambda p: p.scaled(a))
 
-    def symmetry_defect(self, cuts: CutoffSamples) -> float:
-        """Largest deviation from mode(-n) == conj(mode(n))."""
-        worst = 0.0
-        for n in self.params.mode_indices:
-            a = self.modes[int(n)].extended(cuts)
-            b = self.modes[int(-n)].conjugated().extended(cuts)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        return worst
-
 
 @dataclass(frozen=True)
 class AngularSignal:
-    """Angular function on the mode lattice N*Z, e.g. the vorticity factor."""
+    """Angular function on the mode lattice N*Z, e.g. the vorticity factor.
+
+    Coefficients may sit at any n = N*k with |k| <= harmonics; a real
+    function carries both n and -n.
+    """
 
     params: SolverParams
     coeffs: Mapping[int, complex]
 
     def __post_init__(self):
-        lattice = set(int(n) for n in self.params.mode_indices)
-        extra = set(int(n) for n in self.coeffs) - lattice
+        N, K = self.params.N, self.params.harmonics
+        extra = set(int(n) for n in self.coeffs if n % N != 0 or abs(n) > N * K)
         if extra:
             raise StructureError(f"coefficients off the mode lattice: {sorted(extra)}")
 
@@ -691,7 +684,8 @@ def spectral_norm(obj, s: float, cuts: CutoffSamples | None = None) -> float:
 
     For an AngularSignal the mode norm is the coefficient modulus.  For a
     SpectralField it is the direct-sum norm of the structured decomposition,
-    with the core measured in C_b^delta.
+    with the core measured in C_b^delta; each stored mode n != 0 counts
+    twice, once for itself and once for its conjugate mode -n.
     """
     if isinstance(obj, AngularSignal):
         return obj.a_norm(s)
@@ -707,7 +701,7 @@ def spectral_norm(obj, s: float, cuts: CutoffSamples | None = None) -> float:
             ModeProfile(prof.n, prof.core), "Cbdelta", delta, cuts
         )
         part = core_norm + abs(prof.c0) + abs(prof.cinf) + abs(prof.cconst)
-        total += bracket(int(n)) ** s * part
+        total += mode_weight(n) * bracket(int(n)) ** s * part
     return float(total)
 
 
@@ -766,13 +760,3 @@ def field_from_json(doc: dict) -> SpectralField:
             cconst=complex(*entry["cconst"]),
         )
     return SpectralField(params=params, grid=grid, modes=modes)
-
-
-def dump_field(field_: SpectralField, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_json(field_), fh, sort_keys=True)
-
-
-def load_field(path) -> SpectralField:
-    with open(path) as fh:
-        return field_from_json(json.load(fh))

@@ -14,16 +14,17 @@ psi, D = dphi dbeta_bar psi, E = dphi psi.  A solution of residual = 0 yields
 a genuine self-similar Euler flow after the chart is undone.
 
 The quotients and the fractional power are evaluated pointwise on an angular
-collocation circle and re-projected onto the retained mode lattice N*Z; sign
-conditions A < 0, B > 0, C < 0 are enforced on the sample first so every
-branch is real.
+collocation circle and re-projected onto the stored modes n = N k, k >= 0,
+of a real field; sign conditions A < 0, B > 0, C < 0 are enforced on the
+sample first so every branch is real.
 
 Residual size is reported two ways.  The raw report is the per-mode maximum
 over nodes.  The convergence gauge inverts the leading factor D(n, s+) of
-the linearization first and takes the weighted sum over modes of the
-preimage supremum; this matches the norm in which the linearization has a
-unit isometric part, and it is insensitive to the harmless growth that the
-raw values of an off-solution residual show at the far nodes.
+the linearization first and takes the weighted sum over the whole lattice
+|k| <= K of the preimage supremum, the implied modes -n included; this
+matches the norm in which the linearization has a unit isometric part, and
+it is insensitive to the harmless growth that the raw values of an
+off-solution residual show at the far nodes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .grid_space import (
     SolverParams,
     SpectralField,
     bracket,
+    mode_weight,
     sample_cutoffs,
 )
 from .operators import (
@@ -51,6 +53,7 @@ from .operators import (
     derived_fields,
     dvarphi_bar_ext,
     mode_operator,
+    shift_minus,
     shift_plus,
 )
 
@@ -74,39 +77,58 @@ class NonlinearWorkspace:
         self.grid = grid
         self.cuts = sample_cutoffs(grid)
         self.n_angles = int(n_angles)
-        self.k_indices = np.arange(-K, K + 1)
         self.mode_list = [int(n) for n in params.mode_indices]
         # reduced circle: fields are 2*pi/N periodic, so sample Phi = N*phi
         self.Phi = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
         self.phi = self.Phi / params.N
-        self.synth_matrix = np.exp(1j * np.outer(self.k_indices, self.Phi))
-        self._plus_ops: dict[int, LinearModeOperator] = {}
+        self.synth_matrix = mode_weight(self.mode_list)[:, None] * np.exp(
+            1j * np.outer(np.arange(K + 1), self.Phi)
+        )
+        self._ops: dict[tuple[int, float], LinearModeOperator] = {}
 
     def synth(self, rows: np.ndarray) -> np.ndarray:
-        """Angular synthesis of stacked mode rows k = -K..K, (M+1, n_angles)."""
-        return np.einsum("km,ka->ma", rows, self.synth_matrix)
+        """Real angular samples of stacked mode rows k = 0..K.
+
+        rows has shape (K+1, ...); the result has shape (..., n_angles).
+        """
+        return np.tensordot(rows, self.synth_matrix, axes=(0, 0)).real
 
     def project(self, values: np.ndarray) -> tuple[dict[int, np.ndarray], float]:
-        """Project angular samples back to the lattice; returns dropped mass."""
-        c = np.fft.fft(values, axis=1) / self.n_angles
+        """Project real angular samples (last axis) onto the modes k = 0..K.
+
+        Also returns the dropped mass: the largest modulus of every discarded
+        bin, each bin above K counted twice for its conjugate, the Nyquist
+        bin of an even sample count once.
+        """
+        c = np.fft.rfft(values, axis=-1) / self.n_angles
         K = self.params.harmonics
-        out = {int(k * self.params.N): c[:, k % self.n_angles] for k in self.k_indices}
-        kept = {k % self.n_angles for k in self.k_indices}
+        out = {int(k * self.params.N): c[..., k] for k in range(K + 1)}
         dropped = 0.0
-        for b in range(self.n_angles):
-            if b not in kept:
-                dropped += float(np.max(np.abs(c[:, b])))
+        for b in range(K + 1, c.shape[-1]):
+            twice = 2 * b != self.n_angles
+            dropped += (2.0 if twice else 1.0) * float(np.max(np.abs(c[..., b])))
         return out, dropped
 
-    def preimage_operator(self, n: int) -> LinearModeOperator:
-        """D(n, s+) for mode n, factored once per workspace."""
-        if n not in self._plus_ops:
-            self._plus_ops[n] = mode_operator(self.grid, n, shift_plus(self.params.mu, n))
-        return self._plus_ops[n]
+    def preimage_operator(self, n: int, shift: float) -> LinearModeOperator:
+        """D(n, shift), factored once per workspace."""
+        if (n, shift) not in self._ops:
+            self._ops[n, shift] = mode_operator(self.grid, n, shift)
+        return self._ops[n, shift]
 
     def preimage_sup(self, n: int, ext: np.ndarray) -> float:
+        """The gauge's term for the stored mode n >= 0 of a real residual.
+
+        Mode n contributes sup|D(n, s+(n))^-1 r_n|.  For n > 0 the implied
+        mode -n contributes sup|D(-n, s+(-n))^-1 conj(r_n)|, which equals
+        sup|D(n, s-(n))^-1 r_n| because D(-n, s) = conj(D(n, s)) for real s
+        and s+(-n) = s-(n).
+        """
+        mu = self.params.mu
+        shifts = (shift_plus(mu, n),) if n == 0 else (shift_plus(mu, n), shift_minus(mu, n))
         # a single unrefined solve: the gauge is a norm, not a solution
-        return float(np.max(np.abs(self.preimage_operator(n).lu_solve(ext))))
+        return sum(
+            float(np.max(np.abs(self.preimage_operator(n, s).lu_solve(ext)))) for s in shifts
+        )
 
 
 @dataclass(frozen=True)
@@ -131,7 +153,6 @@ class ResidualField:
         doc["norm_report"] = {
             "aggregate": self.norm_report["aggregate"],
             "dropped_mass": self.norm_report["dropped_mass"],
-            "symmetry_defect": self.norm_report["symmetry_defect"],
             "raw": {str(n): v for n, v in self.norm_report["raw"].items()},
             "preimage": {str(n): v for n, v in self.norm_report["preimage"].items()},
         }
@@ -175,11 +196,11 @@ def eval_residual(
     params = ws.params
     mu = params.mu
     fields = derived_fields(stream, ws.cuts)
-    A = ws.synth(fields["db"]).real
-    B = ws.synth(fields["dv"]).real
-    C = ws.synth(fields["lg"]).real
-    D = ws.synth(fields["dpdb"]).real
-    E = ws.synth(fields["dp"]).real
+    A = ws.synth(fields["db"])
+    B = ws.synth(fields["dv"])
+    C = ws.synth(fields["lg"])
+    D = ws.synth(fields["dpdb"])
+    E = ws.synth(fields["dp"])
     if check_signs:
         _check_signs(ws, {"db": A, "dv": B, "lg": C})
 
@@ -201,7 +222,7 @@ def eval_residual(
     if preimage_norms:
         zmode = {n: ws.preimage_sup(n, res_ext[n]) for n in ws.mode_list}
     else:
-        zmode = raw
+        zmode = {n: float(mode_weight(n)) * raw[n] for n in ws.mode_list}
     aggregate = float(sum(bracket(n) ** 0.5 * zmode[n] for n in ws.mode_list))
     dropped = dropR + dropS + dropQ
     scale = max(aggregate, max(raw.values()), 1e-300)
@@ -223,14 +244,7 @@ def eval_residual(
         for n in ws.mode_list
     }
     field_ = SpectralField(params=params, grid=grid, modes=modes)
-    sym = field_.symmetry_defect(cuts)
-    report = {
-        "raw": raw,
-        "preimage": zmode,
-        "aggregate": aggregate,
-        "dropped_mass": dropped,
-        "symmetry_defect": sym,
-    }
+    report = {"raw": raw, "preimage": zmode, "aggregate": aggregate, "dropped_mass": dropped}
     return ResidualField(field=field_, norm_report=report)
 
 
@@ -281,7 +295,7 @@ def fd_derivative_check(
         ws = NonlinearWorkspace(stream.params, stream.grid)
     cuts = ws.cuts
     norm2 = lambda per_mode: float(
-        np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in per_mode.values()))
+        np.sqrt(sum(mode_weight(n) * np.sum(np.abs(v) ** 2) for n, v in per_mode.items()))
     )
     dir_ext = {n: direction.modes[n].extended(cuts) for n in ws.mode_list}
     if norm2(dir_ext) == 0.0:

@@ -406,8 +406,8 @@ def dvarphi_bar_ext(
 def derived_fields(field_: SpectralField, cuts: CutoffSamples) -> dict:
     """The stream profile and its five adapted-coordinate derivatives.
 
-    Returns (2K+1, M+1) arrays of extended mode vectors, one row per mode
-    n = N k, k = -K..K, keyed by name:
+    Returns (K+1, M+1) arrays of extended mode vectors, one row per stored
+    mode n = N k, k = 0..K, keyed by name:
 
         psi   the profile itself
         db    dbeta_bar psi = (Q + 1 - 2 mu) psi

@@ -91,16 +91,6 @@ class SpiralFit:
     max_rel_error: float
 
 
-def _fold(arr: np.ndarray, K: int) -> np.ndarray:
-    """Fold the rows of modes -K..K onto k = 0..K.
-
-    Row 0 becomes Re a_0 and row k > 0 becomes a_k + conj(a_-k), so that
-    Re sum_{|k|<=K} a_k e^{i n_k phi} = Re sum_{k>=0} folded_k e^{i n_k phi}
-    for any rows, without a symmetry assumption.
-    """
-    return np.concatenate([arr[K : K + 1].real, arr[K + 1 :] + arr[K - 1 :: -1].conj()])
-
-
 def _standard_chop(coeffs: np.ndarray, tol: float) -> int:
     """Number of leading Chebyshev coefficients to keep.
 
@@ -138,11 +128,14 @@ def _standard_chop(coeffs: np.ndarray, tol: float) -> int:
 class FieldEvaluator:
     """Vectorized evaluation of the derived profile fields at chart points.
 
-    Each field is stored as real Chebyshev rows Re d_0, Re d_k, Im d_k
-    (k = 1..K) of its folded modes d_k.  Each d_k is chopped at its plateau
-    with the tolerance eps * max|field| / max|row|, that is eps relative to
-    the whole field; the plateau rule also accepts a flat tail up to about
-    tol^(2/3), and a row without a plateau keeps every coefficient.
+    A field is Re sum_k d_k e^{i n_k phi} over the stored modes k = 0..K,
+    with d_0 = Re a_0 and d_k = 2 a_k for the mode rows a_k of
+    operators.derived_fields (mode -n_k is conj(a_k)).  It is stored as real
+    Chebyshev rows Re d_0, Re d_k, Im d_k (k = 1..K).  Each d_k is chopped at
+    its plateau with the tolerance eps * max|field| / max|row|, that is eps
+    relative to the whole field; the plateau rule also accepts a flat tail
+    up to about tol^(2/3), and a row without a plateau keeps every
+    coefficient.
     """
 
     # the keys of operators.derived_fields
@@ -155,15 +148,15 @@ class FieldEvaluator:
         self.grid = stream.grid
         self.cuts = sample_cutoffs(stream.grid)
         self.mu = self.params.mu
-        K = self.params.harmonics
-        self.nvec = np.arange(K + 1) * self.params.N
+        self.nvec = self.params.mode_indices
         values = derived_fields(stream, self.cuts)
         eps = np.finfo(float).eps
         self._rows = {}
         for name in self.FIELDS:
             arr = values[name]
-            coef = _fold(self.grid.chebyshev_coefficients(arr), K)
-            scale = float(np.max(np.sum(np.abs(_fold(arr, K)), axis=0)))
+            d = np.concatenate([arr[:1].real, 2.0 * arr[1:]])
+            coef = self.grid.chebyshev_coefficients(d)
+            scale = float(np.max(np.sum(np.abs(d), axis=0)))
             for row in coef:
                 top = float(np.max(np.abs(row)))
                 if top > 0.0:
@@ -426,7 +419,7 @@ def spiral_extract(
     curves = []
     B, P = np.meshgrid(beta, zeros, indexing="ij")
     db = ev.field("db", B, P)
-    radii = (-db / mu) ** 0.5 * (t / B) ** mu
+    radii = t**mu * np.exp(ev._log_radius(db, B))
     theta = B + P
     X = radii * np.cos(theta)
     Y = radii * np.sin(theta)

@@ -107,7 +107,7 @@ def bounds_check(stream: SpectralField, n_angles: int = 128) -> tuple[bool, dict
     margins = {}
     ok = True
     for name, key, lo_fn, hi_fn in _BOUND_TABLE:
-        vals = ws.synth(fields[key]).real
+        vals = ws.synth(fields[key])
         lo, hi = lo_fn(mu), hi_fn(mu)
         vmin, vmax = float(np.min(vals)), float(np.max(vals))
         margin = min(vmin - lo, hi - vmax)
@@ -173,12 +173,7 @@ def newton_solve(
         raise ParameterError(f"unknown backend {backend!r}")
     semi = _omega_gate(omega, params, epsilon_cap)
     base = AngularSignal.base(params)
-    eps_used = float(
-        sum(
-            abs(omega.coeff(int(n)) - base.coeff(int(n))) / np.sqrt(np.hypot(n, 1.0))
-            for n in params.mode_indices
-        )
-    )
+    eps_used = float(omega.plus(base.scaled(-1.0)).a_norm(-0.5))
     if certificate is not None and not certificate.passes:
         warnings.warn(
             "contraction certificate fails at these parameters; the solve is "
@@ -235,12 +230,11 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
     grids where the frozen-Jacobian path needs a cross-check.
     """
     params, grid, cuts = ws.params, ws.grid, ws.cuts
-    pos_modes = [n for n in ws.mode_list if n >= 0]
     M1 = grid.size + 1
 
     def pack(field_: SpectralField) -> np.ndarray:
         parts = []
-        for n in pos_modes:
+        for n in ws.mode_list:
             ext = field_.modes[n].extended(cuts)
             parts.append(ext.real if n == 0 else np.concatenate([ext.real, ext.imag]))
         return np.concatenate(parts)
@@ -248,7 +242,7 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
     def unpack(vec: np.ndarray) -> SpectralField:
         modes = {}
         pos = 0
-        for n in pos_modes:
+        for n in ws.mode_list:
             if n == 0:
                 ext = vec[pos : pos + M1].astype(complex)
                 pos += M1
@@ -256,9 +250,6 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
                 ext = vec[pos : pos + M1] + 1j * vec[pos + M1 : pos + 2 * M1]
                 pos += 2 * M1
             modes[n] = ModeProfile.from_values(n, ext[:-1], ext[-1], cuts)
-        for n in ws.mode_list:
-            if n < 0:
-                modes[n] = modes[-n].conjugated()
         return SpectralField(params=params, grid=grid, modes=modes)
 
     x0 = pack(stream)
@@ -284,18 +275,21 @@ def angular_initial_vorticity(
     """
     if ws is None:
         ws = NonlinearWorkspace(stream.params, stream.grid)
-    params, mu = ws.params, stream.params.mu
+    mu = stream.params.mu
     fields = derived_fields(stream, ws.cuts)
-    # the values at beta = 0, the first node, copied contiguous for the BLAS product
-    coefs_db = fields["db"][:, 0].copy()
-    coefs_dv = fields["dv"][:, 0].copy()
-    db_vals = (coefs_db[None, :] @ ws.synth_matrix).real[0]
-    dv_vals = (coefs_dv[None, :] @ ws.synth_matrix).real[0]
+    # the values at beta = 0, the first node
+    db_vals = ws.synth(fields["db"][:, 0])
+    dv_vals = ws.synth(fields["dv"][:, 0])
     om = omega.values(ws.phi)
     h_vals = (db_vals / (-mu * dv_vals)) ** (1.0 / (2.0 * mu)) * om
-    c = np.fft.fft(h_vals) / ws.n_angles
-    coeffs = {int(k * params.N): complex(c[k % ws.n_angles]) for k in ws.k_indices}
-    return AngularSignal(params, coeffs)
+    modes, _ = ws.project(h_vals)
+    # an AngularSignal carries the whole lattice; h is real
+    coeffs = {}
+    for n, c in modes.items():
+        coeffs[n] = complex(c)
+        if n:
+            coeffs[-n] = complex(np.conj(c))
+    return AngularSignal(ws.params, coeffs)
 
 
 def match_initial_data(

@@ -66,7 +66,7 @@ def random_field(params, grid, cuts, seed=0, amplitude=1.0, decay=0.7):
     rng = np.random.default_rng(seed)
     b = grid.nodes
     modes = {}
-    for n in [int(x) for x in params.mode_indices if x >= 0]:
+    for n in [int(x) for x in params.mode_indices]:
         ncoef = 8
         co = (rng.standard_normal(ncoef) + 1j * rng.standard_normal(ncoef)) * np.exp(
             -decay * np.arange(ncoef)
@@ -76,6 +76,4 @@ def random_field(params, grid, cuts, seed=0, amplitude=1.0, decay=0.7):
         if n == 0:
             vals = vals.real.astype(complex)
         modes[n] = ModeProfile.from_values(n, vals, 0.0, cuts)
-    for n in [int(x) for x in params.mode_indices if x < 0]:
-        modes[n] = modes[-n].conjugated()
     return SpectralField(params=params, grid=grid, modes=modes)

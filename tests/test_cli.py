@@ -95,6 +95,7 @@ def test_solve_verify_render_pipeline(tmp_path):
     assert main(["render", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_reconstruct_spirals_csv_reads_back_as_numbers(tmp_path):
     # a zero-crossing angular factor gives 2N zero-set curves in spirals.csv
     cfg = tmp_path / "run.cfg"
@@ -169,6 +170,14 @@ def test_singular_linearization_exits_as_solve_failure(tmp_path, monkeypatch):
     assert "singular" in doc["error"]
 
 
+def _package_env():
+    """The environment with this package's source tree on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(spiral_euler.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_cli_loads_scipy_only_for_the_lu(tmp_path):
     # every command pays for what the package imports at start-up: no scipy
     # at import, and certify/solve load scipy.linalg and nothing heavier
@@ -184,15 +193,77 @@ def test_cli_loads_scipy_only_for_the_lu(tmp_path):
         "cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(json.dumps([at_import, loaded()]))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(spiral_euler.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
+        capture_output=True, text=True, env=_package_env(), timeout=300, check=True,
     )
     at_import, after_run = json.loads(proc.stdout.splitlines()[-1])
     assert at_import == []
     heavy = ("scipy.integrate", "scipy.fft", "scipy.special", "scipy.optimize")
     assert [m for m in after_run if m.startswith(heavy)] == []
     assert "scipy.linalg" in after_run
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "spiral_euler.cli", *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=300,
+    )
+
+
+def _saved_field(tmp_path, edit):
+    """A desk solve whose field.json is then rewritten by ``edit``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "field.json").read_text())
+    edit(doc)
+    (out / "field.json").write_text(json.dumps(doc))
+    return cfg, out
+
+
+def _drop_last_mode(doc):
+    doc["modes"].pop()
+
+
+def _add_conjugate_modes(doc):
+    # the format before the implied modes -n were dropped
+    conj = lambda z: [z[0], -z[1]]
+    for entry in list(doc["modes"]):
+        if entry["n"] > 0:
+            doc["modes"].append({
+                "n": -entry["n"],
+                "core": [conj(z) for z in entry["core"]],
+                **{key: conj(entry[key]) for key in ("c0", "cinf", "cconst")},
+            })
+
+
+@pytest.mark.parametrize("edit", [_drop_last_mode, _add_conjugate_modes])
+def test_unloadable_field_exits_as_config_error(tmp_path, edit):
+    cfg, out = _saved_field(tmp_path, edit)
+    for argv in (["verify", "--config", str(cfg)], ["render", "--config", str(cfg)]):
+        proc = _cli(*argv, "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("configuration error: cannot load the saved field")
+        assert "mode set" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
+    def negate_constant(doc):
+        # dbeta_bar psi then turns positive, and the chart map is undefined
+        zero = next(entry for entry in doc["modes"] if entry["n"] == 0)
+        zero["cconst"] = [-zero["cconst"][0], -zero["cconst"][1]]
+        # an angular factor with zeros, so that render has curves to map
+        doc["omega"] = [[-8, 0.6, 0.0], [0, 1.0, 0.0], [8, 0.6, 0.0]]
+
+    cfg, out = _saved_field(tmp_path, negate_constant)
+    for command in ("verify", "reconstruct", "render"):
+        proc = _cli(command, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "chart inversion failed: the radial derivative lost its sign; run bounds_check\n"
+        )

@@ -199,13 +199,6 @@ def test_spectral_norm_homogeneity_and_triangle(desk_params, desk_grid, desk_cut
         assert spectral_norm(F.plus(G), 0.5, desk_cuts) <= (nF + nG) * (1 + 1e-12)
 
 
-def test_field_symmetry_defect(desk_params, desk_grid, desk_cuts):
-    from conftest import random_field
-
-    F = random_field(desk_params, desk_grid, desk_cuts, seed=2)
-    assert F.symmetry_defect(desk_cuts) < 1e-14
-
-
 def test_serialization_round_trip(desk_params, desk_grid, desk_cuts):
     from conftest import random_field
 

@@ -8,14 +8,17 @@ from spiral_euler import (
     SignConditionError,
     SolverParams,
     SpectralField,
+    bracket,
     build_grid,
     eval_residual,
     fd_derivative_check,
     linearization_at_base,
     linearization_set,
     sample_cutoffs,
+    shift_plus,
 )
 from spiral_euler.nonlinear import NonlinearWorkspace
+from spiral_euler.operators import mode_operator
 from conftest import random_field
 
 
@@ -84,6 +87,7 @@ def test_linearization_mode_zero_scalar(desk_params, desk_grid):
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_fd_derivative_at_base(desk_params, desk_grid, desk_cuts):
     base = SpectralField.base_state(desk_params, desk_grid)
     omega = AngularSignal.base(desk_params)
@@ -123,6 +127,7 @@ def test_fd_step_out_of_range(desk_params, desk_grid, desk_cuts):
         fd_derivative_check(base, omega, direction, 1e-2)
 
 
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_linearity_in_angular_factor(desk_params, desk_grid, desk_cuts):
     # the angular factor enters the operator linearly
     stream = random_field(desk_params, desk_grid, desk_cuts, seed=24, amplitude=0.004)
@@ -149,6 +154,7 @@ def test_linearity_in_angular_factor(desk_params, desk_grid, desk_cuts):
     assert worst < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_residual_mode_lattice_closure(desk_params, desk_grid, desk_cuts):
     # quadratic interactions of lattice modes stay on the lattice: residuals
     # computed with different angular sample counts agree on the retained
@@ -174,10 +180,25 @@ def test_residual_mode_lattice_closure(desk_params, desk_grid, desk_cuts):
         assert d < 1e-9 * scale, n
 
 
-def test_residual_symmetry_defect_small(desk_solution, desk_cuts):
-    stream, omega, _ = desk_solution
-    res = eval_residual(stream, omega)
-    assert res.norm_report["symmetry_defect"] < 1e-10
+def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_grid, desk_cuts):
+    # off the solution: the base stream under a cosine factor, the desk
+    # solve's first iterate.  The reference runs over the whole lattice, mode
+    # -n being conj(mode n) inverted through its own D(-n, s+(-n)).
+    # Measured: n = 8 gives 5.555556e-04, n = -8 gives 7.142857e-04, and the
+    # aggregate agrees with the reference to 1.2e-16 relative.
+    mu, N = desk_params.mu, desk_params.N
+    base = SpectralField.base_state(desk_params, desk_grid)
+    res = eval_residual(base, AngularSignal.constant_plus_cosine(desk_params, 0.01))
+    terms = {}
+    for n in desk_params.mode_indices:
+        r = res.field.mode(int(n)).extended(desk_cuts)
+        for m, rm in [(int(n), r)] + ([(-int(n), r.conj())] if n else []):
+            op = mode_operator(desk_grid, m, shift_plus(mu, m))
+            terms[m] = float(np.max(np.abs(op.lu_solve(rm))))
+    reference = sum(bracket(m) ** 0.5 * z for m, z in terms.items())
+    assert res.aggregate == pytest.approx(reference, rel=1e-12)
+    # the implied mode's term is not a copy of the stored one's
+    assert abs(terms[-N] - terms[N]) > 0.2 * terms[N]
 
 
 def test_workspace_rejects_too_few_angles(desk_params, desk_grid):

@@ -101,13 +101,14 @@ def test_fused_fields_match_full_mode_sum(request, solution):
     rng = np.random.default_rng(12)
     beta = np.exp(rng.uniform(np.log(0.01), np.log(50.0), 5000))
     phi = rng.uniform(0.0, 2 * np.pi, 5000)
-    # reference: all 2K+1 modes, unchopped and unfolded
-    nvec = params.mode_indices
+    # reference: all 2K+1 modes of the lattice, mode -n the conjugate of the
+    # stored mode n, unchopped and unweighted
+    nvec = np.concatenate([-params.mode_indices[:0:-1], params.mode_indices])
     phases = np.exp(1j * nvec[:, None] * phi[None, :])
     fused = ev.field(ev.FIELDS, beta, phi)
     derived = derived_fields(stream, ev.cuts)
     for name, fast in zip(ev.FIELDS, fused):
-        arr = derived[name]
+        arr = np.concatenate([derived[name][:0:-1].conj(), derived[name]])
         vals = grid.evaluate_coefficients(grid.chebyshev_coefficients(arr), grid.s_of_beta(beta))
         full = np.sum(vals * phases, axis=0).real
         rel = np.max(np.abs(fast - full)) / np.max(np.abs(full))
@@ -217,6 +218,7 @@ def test_spiral_extract_no_zeros_is_empty(desk_solution):
     assert spiral_extract(stream, omega, 1.0) == []
 
 
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_spiral_extract_cosine_zero_set(desk_params, desk_grid):
     # an angular factor crossing zero yields 2N curves inside the envelope
     amp = 1.05 * desk_params.base_omega
