@@ -33,6 +33,7 @@ from .grid_space import (
     bracket,
     build_grid,
     cutoff_normalization,
+    delta_of,
     mode_norm,
     mollifier_bump,
     mollifier_bump_derivative,
@@ -68,13 +69,6 @@ CUTOFF_BOUNDS = {
     "beta2_dbeta2_xi0": 42.0,
     "plain_sup_mixed": 1.42,
 }
-
-
-def delta_of(mu: float) -> float:
-    """Weight exponent of the layered norm: 0.5 * min(2*mu - 1, 1)."""
-    if not mu > 2.0 / 3.0:
-        raise ParameterError(f"mu must exceed 2/3, got {mu}")
-    return 0.5 * min(2.0 * mu - 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,7 @@ def _perturbation_spot_check(
         worst = 0.0
         for _ in range(count):
             g = _random_core_profile(rng, n, cuts, delta)
-            gnorm = mode_norm(g, "Cbdelta", delta, cuts)
+            gnorm = mode_norm(g, delta, cuts)
             psi = invert(n, shift_minus(mu, n), g)
             psi = invert(0, -1.0, psi)
             ext = psi.extended(cuts)
@@ -321,13 +315,7 @@ def _perturbation_spot_check(
             pre = invert(
                 n, shift_plus(mu, n), ModeProfile.from_values(n, pert[:-1], pert[-1], cuts)
             )
-            pnorm = (
-                mode_norm(ModeProfile(n, pre.core), "Cbdelta", delta, cuts)
-                + abs(pre.c0)
-                + abs(pre.cinf)
-                + abs(pre.cconst)
-            )
-            worst = max(worst, pnorm / gnorm)
+            worst = max(worst, mode_norm(pre, delta, cuts) / gnorm)
         rows.append((int(n), float(worst), float(K), bool(worst <= K)))
     return tuple(rows)
 

@@ -1,10 +1,15 @@
 """Command-line entry points: certify, solve, reconstruct, verify, render.
 
-Exit codes: 0 success, 1 configuration problem or a saved field that does
-not load, 2 certificate failure, 3 solve failure, 4 verification failure or
-a failed chart inversion (verify, reconstruct, render).  Every JSON artifact
-embeds the configuration digest and the seed so runs can be traced;
-identical configurations produce byte-identical artifacts.
+Every subcommand takes --config, --out and --seed; reconstruct also takes
+--format and render also takes --field.
+
+Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
+subcommand), configuration problem or a saved field that does not load,
+2 certificate failure, 3 solve failure, 4 verification failure or a failed
+chart inversion (verify, reconstruct, render).  Codes 1 and 4 print one
+line to stderr.  Every JSON artifact embeds the configuration digest and
+the seed so runs can be traced; identical configurations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,13 +26,12 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, InversionError, ParameterError
 from .grid_space import AngularSignal, build_grid, field_from_json, field_to_json
 from .physical import (
-    VERIFY_SUITES,
-    VERIFY_THRESHOLDS,
     eval_fields_batch,
     export_samples_csv,
     export_spirals_csv,
     render_spirals_svg,
     spiral_extract,
+    verdicts,
     verify as run_verify,
     PhysicalSample,
 )
@@ -216,16 +220,7 @@ def cmd_verify(args) -> int:
     stream, omega = _load_solution(out / "field.json")
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
     report = run_verify(stream, omega, stream.params, suite=suites, seed=cfg["seed"])
-    verdict = {}
-    for name in VERIFY_SUITES:
-        if name not in suites:
-            continue
-        if name == "lp":
-            verdict[name] = all(row["ok"] for row in report["lp"])
-        elif name == "selfsim":
-            verdict[name] = report["selfsim"]["max_rel_defect"] <= VERIFY_THRESHOLDS[name]
-        else:
-            verdict[name] = all(row["rel"] <= VERIFY_THRESHOLDS[name] for row in report[name])
+    verdict = verdicts(report)
     passed = all(verdict.values())
     doc = dict(stamp)
     doc["report"] = report
@@ -247,8 +242,15 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors leave as ConfigError (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spiral-euler",
         description="Self-similar spiral solutions of the planar Euler equations",
     )
@@ -264,12 +266,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=False, help="path to the run configuration")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--format", default=None, help="comma list of json,csv,svg")
+        if name == "reconstruct":
+            p.add_argument("--format", default=None, help="comma list of json,csv,svg")
         if name == "render":
             p.add_argument("--field", default=None, help="path to a saved field JSON")
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -6,15 +6,15 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, StructureError
 from .grid_space import AngularSignal, SolverParams
+from .physical import VERIFY_SUITES
 
 __all__ = ["RunConfig", "load_config", "parse_config_text"]
 
 _DEFAULTS = {
     "mu": None,  # required
     "N": None,  # required
-    "p": 1.0,
     "harmonics": 3,
     "grid.points": 257,
     "grid.scale": 1.0,
@@ -51,7 +51,6 @@ _INT_KEYS = {
 }
 _FLOAT_KEYS = {
     "mu",
-    "p",
     "grid.scale",
     "omega.amplitude",
     "target.amplitude",
@@ -76,7 +75,6 @@ class RunConfig:
             SolverParams(
                 mu=self.values["mu"],
                 N=self.values["N"],
-                p=self.values["p"],
                 harmonics=self.values["harmonics"],
                 grid_points=self.values["grid.points"],
                 grid_scale=self.values["grid.scale"],
@@ -93,14 +91,7 @@ class RunConfig:
                 self.params, self.values["omega.amplitude"], self.values["omega.harmonic"]
             )
         if kind == "coeffs":
-            coeffs = {}
-            for chunk in self.values["omega.coeffs"].split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                n_s, re_s, im_s = chunk.split(":")
-                coeffs[int(n_s)] = complex(float(re_s), float(im_s))
-            return AngularSignal(self.params, coeffs)
+            return AngularSignal(self.params, _parse_coeffs(self.values["omega.coeffs"]))
         if kind == "match":
             raise ConfigError("omega.kind = match has no direct angular factor; use solve")
         raise ConfigError(f"unknown omega.kind {kind!r}")
@@ -132,6 +123,21 @@ class RunConfig:
         ]
         text = "\n".join(lines) + "\n"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _parse_coeffs(text: str) -> dict:
+    """The comma-separated omega.coeffs entries n:re:im as {n: re + i*im}."""
+    coeffs = {}
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            n_s, re_s, im_s = chunk.split(":")
+            coeffs[int(n_s)] = complex(float(re_s), float(im_s))
+        except ValueError:
+            raise ConfigError(f"omega.coeffs entry {chunk!r} is not n:re:im") from None
+    return coeffs
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
@@ -191,6 +197,16 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     formats = set(values["output.formats"].split(","))
     if not formats <= {"json", "csv", "svg"}:
         raise ConfigError(f"output.formats must be a subset of json,csv,svg")
+    suites = [s for s in values["verify.suites"].split(",") if s]
+    unknown = [s for s in suites if s not in VERIFY_SUITES]
+    if unknown:
+        raise ConfigError(
+            f"verify.suites: unknown suites {unknown}; known: {','.join(VERIFY_SUITES)}"
+        )
+    try:
+        AngularSignal(cfg.params, _parse_coeffs(values["omega.coeffs"]))
+    except StructureError as exc:
+        raise ConfigError(f"omega.coeffs: {exc}") from exc
     return cfg
 
 

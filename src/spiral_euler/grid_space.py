@@ -10,22 +10,22 @@ than a grid node.  A scalar radial function is represented by its values at
 the finite nodes together with three structured coefficients: the cutoff
 xi_near (equal to 1 near the origin), the cutoff xi_far (equal to 1 near
 infinity) and the constant function.  Constants therefore split exactly into
-xi_near + xi_far, which mirrors the layered function spaces the solver and
-the certifier measure against:
+xi_near + xi_far.
 
-    C_b          bounded continuous functions, sup norm
-    C_b^delta    sup of max(beta^delta, beta^-delta) |f|
-    W_-          C_b^delta (+ C xi_near at mode 0)
-    W_0          C_b^delta + C xi_near (+ constants at mode 0)
-    W_+          C_b^delta + C xi_near + C xi_far
+One norm is computed, the direct sum
 
-Direct-sum norms add the component norms.
+    C_b^delta + C xi_near + C xi_far + C
+
+whose core term is the sup of max(beta^delta, beta^-delta) |core| and whose
+slot terms are the moduli of the three coefficients.  The paper's layered
+spaces W_-, W_0 and W_+ are the subspaces where some slots vanish, and on
+them this is their norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -42,6 +42,7 @@ __all__ = [
     "SpectralField",
     "AngularSignal",
     "bracket",
+    "delta_of",
     "mode_weight",
     "build_grid",
     "sample_cutoffs",
@@ -67,46 +68,49 @@ def bracket(n) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
+def delta_of(mu: float) -> float:
+    """Weight exponent of the C_b^delta core norm: 0.5 * min(2*mu - 1, 1)."""
+    if not mu > 2.0 / 3.0:
+        raise ParameterError(f"mu must exceed 2/3, got {mu}")
+    return 0.5 * min(2.0 * mu - 1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Scalar parameters of the self-similar spiral problem.
 
     mu          similarity exponent, mu > 2/3
     N           angular periodicity (profiles live on the mode lattice N*Z)
-    p           integrability exponent, 1 <= p < 2*mu
     harmonics   number of retained harmonics K; modes n = N*k, |k| <= K
     grid_points number of finite radial nodes M
     grid_scale  scale of the algebraic map beta = scale*s/(1-s)
+
+    The weight exponent delta of the C_b^delta core norm follows from mu
+    (see delta_of) and is read-only.
     """
 
     mu: float
     N: int
-    p: float = 1.0
     harmonics: int = 3
     grid_points: int = 257
     grid_scale: float = 1.0
-    delta: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.mu > 2.0 / 3.0:
             raise ParameterError(f"mu must exceed 2/3, got {self.mu}")
         if self.N < 2:
             raise ParameterError(f"N must be at least 2, got {self.N}")
-        if not (1.0 <= self.p < 2.0 * self.mu):
-            raise ParameterError(f"p must lie in [1, 2*mu), got {self.p}")
         if self.harmonics < 1:
             raise ParameterError("harmonics must be positive")
         if self.grid_points < 16:
             raise ParameterError("grid_points must be at least 16")
         if not self.grid_scale > 0:
             raise ParameterError("grid_scale must be positive")
-        derived = 0.5 * min(2.0 * self.mu - 1.0, 1.0)
-        if self.delta is None:
-            object.__setattr__(self, "delta", derived)
-        elif abs(self.delta - derived) > 1e-15:
-            raise ParameterError(
-                f"delta must equal 0.5*min(2*mu-1, 1) = {derived}, got {self.delta}"
-            )
+
+    @property
+    def delta(self) -> float:
+        """Weight exponent of the C_b^delta core norm, delta_of(mu)."""
+        return delta_of(self.mu)
 
     @property
     def mode_indices(self) -> np.ndarray:
@@ -491,69 +495,27 @@ def _refined_s(grid: RadialGrid, factor: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * t))
 
 
-_VARIANT_SLOTS = {
-    # variant: (c0 allowed, cinf allowed, cconst allowed at mode 0)
-    "Cb": (True, True, True),
-    "Cbdelta": (False, False, False),
-    "Wminus": (False, False, False),  # c0 allowed only at n = 0, handled below
-    "Wzero": (True, False, True),
-    "Wplus": (True, True, False),
-}
+def mode_norm(f: ModeProfile, delta: float, cuts: CutoffSamples) -> float:
+    """Direct-sum norm of a mode profile: the core in C_b^delta plus the slots.
 
-
-def mode_norm(
-    f: ModeProfile,
-    variant: str,
-    delta: float,
-    cuts: CutoffSamples,
-    refine: int = 4,
-) -> float:
-    """Norm of a mode profile in one of the layered spaces.
-
-    Sup norms are estimated on a `refine`-times denser sample of the
-    interpolant.  Direct-sum variants add the moduli of the admitted
-    structured coefficients; a component the variant forbids raises
-    StructureError.  The Cb variant measures the whole function; Wplus
-    folds a constant into its two cutoff slots.
+    Returns sup max(beta^delta, beta^-delta) |core| + |c0| + |cinf| + |cconst|.
+    The supremum is taken over the node values and a four-times denser
+    sample of the core's interpolant; a core that does not vanish at
+    beta = 0 has an infinite weighted norm.
     """
-    if variant not in _VARIANT_SLOTS:
-        raise ParameterError(f"unknown norm variant {variant!r}")
     grid = cuts.grid
-    if variant == "Cb":
-        ext = f.extended(cuts)
-        sref = _refined_s(grid, refine)
-        vals = grid.evaluate_coefficients(grid.chebyshev_coefficients(ext), sref)
-        return float(max(np.max(np.abs(vals)), np.max(np.abs(ext))))
-
-    c0, cinf, cconst = f.c0, f.cinf, f.cconst
-    if variant == "Wplus" and cconst != 0.0:
-        c0 = c0 + cconst
-        cinf = cinf + cconst
-        cconst = 0.0
-    allow_c0, allow_cinf, allow_cconst = _VARIANT_SLOTS[variant]
-    if variant == "Wminus" and f.n == 0:
-        allow_c0 = True
-    if not allow_c0 and c0 != 0.0:
-        raise StructureError(f"variant {variant} forbids a xi_near component")
-    if not allow_cinf and cinf != 0.0:
-        raise StructureError(f"variant {variant} forbids a xi_far component")
-    if not allow_cconst and cconst != 0.0:
-        raise StructureError(f"variant {variant} forbids a constant component")
-
     ext = grid.extend(f.core, 0.0)
-    sref = _refined_s(grid, refine)
+    sref = _refined_s(grid, 4)
     core_ref = grid.evaluate_coefficients(grid.chebyshev_coefficients(ext), sref)
     beta_ref = grid.map_scale * sref / (1.0 - sref)
     wgt = np.maximum(beta_ref**delta, beta_ref**-delta)
     sup = float(np.max(wgt * np.abs(core_ref)))
-    # node values participate too; beta = 0 contributes only through a
-    # nonzero core value there, which means the weighted norm is infinite
     b = grid.nodes[1:]
     wnode = np.maximum(b**delta, b**-delta)
     sup = max(sup, float(np.max(wnode * np.abs(f.core[1:]))))
     if abs(f.core[0]) > 0.0:
         return math.inf
-    return sup + abs(c0) + abs(cinf) + abs(cconst)
+    return sup + abs(f.c0) + abs(f.cinf) + abs(f.cconst)
 
 
 def mode_weight(n):
@@ -683,9 +645,9 @@ def spectral_norm(obj, s: float, cuts: CutoffSamples | None = None) -> float:
     """Weighted l1 norm over modes: sum of <n>^s times the mode norm.
 
     For an AngularSignal the mode norm is the coefficient modulus.  For a
-    SpectralField it is the direct-sum norm of the structured decomposition,
-    with the core measured in C_b^delta; each stored mode n != 0 counts
-    twice, once for itself and once for its conjugate mode -n.
+    SpectralField it is mode_norm, the direct-sum norm of the structured
+    decomposition; each stored mode n != 0 counts twice, once for itself
+    and once for its conjugate mode -n.
     """
     if isinstance(obj, AngularSignal):
         return obj.a_norm(s)
@@ -696,11 +658,7 @@ def spectral_norm(obj, s: float, cuts: CutoffSamples | None = None) -> float:
     delta = obj.params.delta
     total = 0.0
     for n in obj.params.mode_indices:
-        prof = obj.modes[int(n)]
-        core_norm = mode_norm(
-            ModeProfile(prof.n, prof.core), "Cbdelta", delta, cuts
-        )
-        part = core_norm + abs(prof.c0) + abs(prof.cinf) + abs(prof.cconst)
+        part = mode_norm(obj.modes[int(n)], delta, cuts)
         total += mode_weight(n) * bracket(int(n)) ** s * part
     return float(total)
 
@@ -720,7 +678,6 @@ def field_to_json(field_: SpectralField) -> dict:
     return {
         "mu": field_.params.mu,
         "N": field_.params.N,
-        "p": field_.params.p,
         "harmonics": field_.params.harmonics,
         "grid_points": field_.params.grid_points,
         "grid_scale": field_.params.grid_scale,
@@ -739,10 +696,10 @@ def field_to_json(field_: SpectralField) -> dict:
 
 
 def field_from_json(doc: dict) -> SpectralField:
+    """The spectral field of a field_to_json document; other keys are ignored."""
     params = SolverParams(
         mu=doc["mu"],
         N=doc["N"],
-        p=doc.get("p", 1.0),
         harmonics=doc["harmonics"],
         grid_points=doc["grid_points"],
         grid_scale=doc["grid_scale"],

@@ -180,7 +180,6 @@ def eval_residual(
     stream: SpectralField,
     omega: AngularSignal,
     ws: NonlinearWorkspace | None = None,
-    check_signs: bool = True,
     dropped_mass_warn: float = 1e-8,
     preimage_norms: bool = True,
 ) -> ResidualField:
@@ -201,8 +200,7 @@ def eval_residual(
     C = ws.synth(fields["lg"])
     D = ws.synth(fields["dpdb"])
     E = ws.synth(fields["dp"])
-    if check_signs:
-        _check_signs(ws, {"db": A, "dv": B, "lg": C})
+    _check_signs(ws, {"db": A, "dv": B, "lg": C})
 
     R = 2.0 * A * B / C * (1.0 + (D / (2.0 * A)) ** 2) - D * E / (2.0 * A)
     S = (C * E - D * B) / (2.0 * A)

@@ -54,6 +54,7 @@ __all__ = [
     "verify",
     "VERIFY_SUITES",
     "VERIFY_THRESHOLDS",
+    "verdicts",
     "export_samples_csv",
     "export_spirals_csv",
     "render_spirals_svg",
@@ -505,7 +506,8 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float,
     Pulls the integral back to the chart, where the ball becomes the region
     beta >= beta*(phi); the radial integral substitutes beta = beta*/v to
     land on a finite interval.  The chart solve and the field grids depend
-    only on R * t^(-mu), so every p in ps shares them.
+    only on R * t^(-mu), so every p in ps shares them.  A radius solve that
+    does not reach |F| < 1e-12 in 60 steps raises InversionError.
     """
     mu = ev.mu
     zr = R * t ** (-mu)
@@ -526,6 +528,10 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float,
         beta = np.maximum(beta - step, 1e-3 * beta)
         if np.max(np.abs(F)) < 1e-12:
             break
+    else:
+        raise InversionError(
+            f"lp radius solve at R = {R}, t = {t} stalled at |F| = {np.max(np.abs(F)):.2e}"
+        )
     om = ev.omega_values(phis)
     v, wv = _gauss(n_rad, 0.0, 1.0)
     Bgrid = beta[None, :] / v[:, None]
@@ -548,6 +554,21 @@ VERIFY_SUITES = ("selfsim", "lp", "weak", "divfree", "poisson")
 # weak/divfree/poisson residual.  Each lp row carries its own verdict
 # against the analytic bound.
 VERIFY_THRESHOLDS = {"selfsim": 1e-10, "weak": 1e-5, "divfree": 1e-5, "poisson": 1e-5}
+
+
+def verdicts(report: dict) -> dict:
+    """Pass or fail of each suite a verify report holds, in VERIFY_SUITES order."""
+    verdict = {}
+    for name in VERIFY_SUITES:
+        if name not in report:
+            continue
+        if name == "lp":
+            verdict[name] = all(row["ok"] for row in report["lp"])
+        elif name == "selfsim":
+            verdict[name] = report["selfsim"]["max_rel_defect"] <= VERIFY_THRESHOLDS[name]
+        else:
+            verdict[name] = all(row["rel"] <= VERIFY_THRESHOLDS[name] for row in report[name])
+    return verdict
 
 
 def verify(

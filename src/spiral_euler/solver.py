@@ -76,7 +76,6 @@ class SolveReport:
     residual_history: list[float]
     bounds_ok: bool
     epsilon_used: float
-    certificate_ref: object | None = None
     time_scale: float = 1.0
     message: str = ""
     margins: dict = field(default_factory=dict)
@@ -157,7 +156,6 @@ def newton_solve(
     epsilon_cap: float = 0.1,
     operators: Mapping[int, LinearModeOperator] | None = None,
     ws: NonlinearWorkspace | None = None,
-    certificate=None,
 ) -> tuple[SpectralField, SolveReport]:
     """Solve the nonlinear problem for the stream profile at fixed Omega.
 
@@ -174,12 +172,6 @@ def newton_solve(
     semi = _omega_gate(omega, params, epsilon_cap)
     base = AngularSignal.base(params)
     eps_used = float(omega.plus(base.scaled(-1.0)).a_norm(-0.5))
-    if certificate is not None and not certificate.passes:
-        warnings.warn(
-            "contraction certificate fails at these parameters; the solve is "
-            "attempted anyway",
-            stacklevel=2,
-        )
     if operators is None:
         operators = linearization_set(params, grid)
 
@@ -191,7 +183,6 @@ def newton_solve(
         residual_history=history,
         bounds_ok=False,
         epsilon_used=eps_used,
-        certificate_ref=certificate,
     )
     for it in range(max_iter + 1):
         try:
@@ -378,7 +369,6 @@ def match_initial_data(
         residual_history=history,
         bounds_ok=report.bounds_ok,
         epsilon_used=report.epsilon_used,
-        certificate_ref=report.certificate_ref,
         time_scale=lam,
         margins=report.margins,
     )

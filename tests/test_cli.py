@@ -267,3 +267,45 @@ def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
         assert proc.stderr == (
             "chart inversion failed: the radial derivative lost its sign; run bounds_check\n"
         )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["solve", "--format", "csv"], "unrecognized arguments: --format csv"),
+    ([], "the following arguments are required: command"),
+    (["frob"], "invalid choice: 'frob'"),
+])
+def test_usage_error_exits_as_config_error(argv, message):
+    proc = _cli(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
+    assert message in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_help_exits_zero():
+    proc = _cli("reconstruct", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "--format" in proc.stdout
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("verify", "verify.suites = selfsim,bogus", "verify.suites: unknown suites ['bogus']"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = 8:0.01",
+     "omega.coeffs entry '8:0.01' is not n:re:im"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = x:1:0",
+     "omega.coeffs entry 'x:1:0' is not n:re:im"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = 0:1.0:0,3:0.01:0",
+     "omega.coeffs: coefficients off the mode lattice: [3]"),
+])
+def test_bad_config_value_exits_before_any_solve(tmp_path, command, lines, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = 1.0\nN = 8\ngrid.points = 96\n" + lines + "\n")
+    out = tmp_path / "out"
+    proc = _cli(command, "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"configuration error: {message}")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()

@@ -20,6 +20,7 @@ from spiral_euler import (
 from spiral_euler.operators import derived_fields
 from spiral_euler.physical import (
     FieldEvaluator,
+    _lp_chart_norms,
     export_samples_csv,
     render_spirals_svg,
 )
@@ -294,6 +295,23 @@ def test_verify_lp_bound(desk_solution, desk_params):
     report = verify(stream, omega, desk_params, suite=("lp",))
     assert len(report["lp"]) == 18
     assert all(row["ok"] for row in report["lp"])
+
+
+def test_lp_radius_solve_that_stalls_raises(desk_solution):
+    # a Newton slope 1000 times too steep shrinks |F| by 0.1% a step, so the
+    # 60-step radius solve ends far above its tolerance
+    stream, omega, _ = desk_solution
+
+    class SteepSlope(FieldEvaluator):
+        def field(self, names, beta, phi):
+            vals = super().field(names, beta, phi)
+            if names == ("db", "lg"):
+                db, lg = vals
+                return db, 1e3 * lg
+            return vals
+
+    with pytest.raises(InversionError, match="lp radius solve .* stalled"):
+        _lp_chart_norms(SteepSlope(stream, omega), [1.0], 1.0, 1.0)
 
 
 def test_verify_lp_base_closed_form(base_setup, desk_params):
