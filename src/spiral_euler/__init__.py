@@ -15,6 +15,7 @@ from .errors import (
     ConvergenceError,
     DegenerateShiftError,
     InversionError,
+    NonFiniteError,
     ParameterError,
     SignConditionError,
     SingularOperatorError,

@@ -287,8 +287,8 @@ def _perturbation_spot_check(
     Draws random weighted-core profiles g, forms the solution-space element
     psi = (Q+1)^-1 D(n,s-)^-1 g, applies (2 mu - 1) i n beta, and measures
     the image back in the target space through the D(n,s+) preimage.  Every
-    sampled ratio must stay below K.  Each distinct D(n, shift) is factored
-    once per call and shared by all samples.
+    sampled ratio must stay below K.  Each mode's samples pass every
+    inverse as one batch, one solve per operator and mode.
     """
     cuts = sample_cutoffs(grid)
     mu = params.mu
@@ -296,26 +296,24 @@ def _perturbation_spot_check(
     rng = np.random.default_rng(seed)
     ops: dict = {}
 
-    def invert(n: int, shift: float, f: ModeProfile) -> ModeProfile:
+    def invert(n: int, shift: float, fs: list) -> list:
         if (n, shift) not in ops:
             ops[n, shift] = mode_operator(grid, n, shift)
-        return invert_mode_operator(n, shift, f, cuts, op=ops[n, shift])
+        return invert_mode_operator(n, shift, fs, cuts, op=ops[n, shift])
 
     rows = []
     for k in (1, 2, 3):
         n = k * params.N
-        worst = 0.0
-        for _ in range(count):
-            g = _random_core_profile(rng, n, cuts, delta)
-            gnorm = mode_norm(g, delta, cuts)
-            psi = invert(n, shift_minus(mu, n), g)
-            psi = invert(0, -1.0, psi)
-            ext = psi.extended(cuts)
-            pert = (2.0 * mu - 1.0) * apply_beta_mult(grid, n, ext)
-            pre = invert(
-                n, shift_plus(mu, n), ModeProfile.from_values(n, pert[:-1], pert[-1], cuts)
-            )
-            worst = max(worst, mode_norm(pre, delta, cuts) / gnorm)
+        gs = [_random_core_profile(rng, n, cuts, delta) for _ in range(count)]
+        psis = invert(0, -1.0, invert(n, shift_minus(mu, n), gs))
+        perts = []
+        for psi in psis:
+            pert = (2.0 * mu - 1.0) * apply_beta_mult(grid, n, psi.extended(cuts))
+            perts.append(ModeProfile.from_values(n, pert[:-1], pert[-1], cuts))
+        pres = invert(n, shift_plus(mu, n), perts)
+        worst = max(
+            mode_norm(pre, delta, cuts) / mode_norm(g, delta, cuts) for g, pre in zip(gs, pres)
+        )
         rows.append((int(n), float(worst), float(K), bool(worst <= K)))
     return tuple(rows)
 

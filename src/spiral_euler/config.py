@@ -126,7 +126,11 @@ class RunConfig:
 
 
 def _parse_coeffs(text: str) -> dict:
-    """The comma-separated omega.coeffs entries n:re:im as {n: re + i*im}."""
+    """The comma-separated omega.coeffs entries n:re:im as {n: re + i*im}.
+
+    The angular factor is real: mode 0 must be real, and an entry at -n next
+    to one at n must be its complex conjugate.  Each mode appears once.
+    """
     coeffs = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -134,9 +138,20 @@ def _parse_coeffs(text: str) -> dict:
             continue
         try:
             n_s, re_s, im_s = chunk.split(":")
-            coeffs[int(n_s)] = complex(float(re_s), float(im_s))
+            n, c = int(n_s), complex(float(re_s), float(im_s))
         except ValueError:
             raise ConfigError(f"omega.coeffs entry {chunk!r} is not n:re:im") from None
+        if n in coeffs:
+            raise ConfigError(f"omega.coeffs lists mode {n} twice")
+        coeffs[n] = c
+    if coeffs.get(0, 0.0).imag != 0.0:
+        raise ConfigError(f"omega.coeffs mode 0 must be real, got {coeffs[0]}")
+    for n, c in coeffs.items():
+        if n > 0 and -n in coeffs and coeffs[-n] != c.conjugate():
+            raise ConfigError(
+                f"omega.coeffs mode {-n} must be the conjugate of mode {n} "
+                f"for a real angular factor: {coeffs[-n]} != {c.conjugate()}"
+            )
     return coeffs
 
 

@@ -19,6 +19,10 @@ class SingularOperatorError(ParameterError):
     """A dense mode operator has an exactly zero pivot, so it has no inverse."""
 
 
+class NonFiniteError(ParameterError):
+    """A dense solve was handed an operator or right-hand side holding inf or NaN."""
+
+
 class SignConditionError(RuntimeError):
     """A pointwise sign condition on the stream profile failed.
 

@@ -67,7 +67,7 @@ __all__ = [
 
 
 class NonlinearWorkspace:
-    """Cached angular transforms and preimage factorizations for one setup."""
+    """Cached angular transforms and preimage operators for one setup."""
 
     def __init__(self, params: SolverParams, grid: RadialGrid, n_angles: int = 64):
         K = params.harmonics
@@ -110,7 +110,7 @@ class NonlinearWorkspace:
         return out, dropped
 
     def preimage_operator(self, n: int, shift: float) -> LinearModeOperator:
-        """D(n, shift), factored once per workspace."""
+        """D(n, shift), assembled once per workspace."""
         if (n, shift) not in self._ops:
             self._ops[n, shift] = mode_operator(self.grid, n, shift)
         return self._ops[n, shift]

@@ -34,9 +34,8 @@ with shifts s+- = (2 +- n) mu - 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,6 +44,7 @@ from .errors import (
     AccuracyError,
     ConvergenceError,
     DegenerateShiftError,
+    NonFiniteError,
     ParameterError,
     SingularOperatorError,
 )
@@ -116,7 +116,7 @@ def mode_operator_matrix(grid: RadialGrid, n: int, shift: float) -> np.ndarray:
 
 
 def mode_operator(grid: RadialGrid, n: int, shift: float) -> LinearModeOperator:
-    """D(n, shift) as a dense operator, factored on its first solve."""
+    """D(n, shift) as a dense operator; every solve factors it afresh."""
     return LinearModeOperator(n=n, fun=mode_operator_matrix(grid, n, shift))
 
 
@@ -160,12 +160,12 @@ def apply_mode_operator(
 def invert_mode_operator(
     n: int,
     shift: float,
-    f: ModeProfile,
+    f: ModeProfile | Sequence[ModeProfile],
     cuts: CutoffSamples,
     method: str = "matrix",
     tol: float = 1e-12,
     op: LinearModeOperator | None = None,
-) -> ModeProfile:
+) -> ModeProfile | list[ModeProfile]:
     """Bounded inverse of D(n, shift) applied to a structured profile.
 
     Without oscillation every slot inverts diagonally to -1/shift times
@@ -174,55 +174,75 @@ def invert_mode_operator(
     that leaves the slot algebra, so it rides through the extended solve
     with the core.
 
+    ``f`` is one profile or a sequence of them; a sequence returns a list.
+    The matrix method solves a sequence as the columns of one solve, so its
+    profiles share one factorization, and each result equals the one its
+    profile gets alone, bit for bit.
+
     ``op`` is D(n, shift) as a LinearModeOperator (``mode_operator``); a
-    caller inverting one operator many times passes it so that its LU is
-    taken once.  The matrix method builds its own when it is omitted.
+    caller inverting with one operator repeatedly passes it so that the
+    matrix is assembled once.  The matrix method builds its own when it is
+    omitted.
     """
     if shift == 0.0:
         raise DegenerateShiftError(f"mode operator with zero shift at n={n} is singular")
     if op is not None and op.n != n:
         raise ParameterError(f"operator for n={op.n} passed to invert at n={n}")
+    batch = not isinstance(f, ModeProfile)
+    profiles = list(f) if batch else [f]
     grid = cuts.grid
     b = grid.nodes
-    a_new = -f.c0 / shift
 
-    if n == 0:
-        # every slot inverts diagonally; bump corrections go to the core rhs
-        binf_new = -f.cinf / shift
-        c_new = -f.cconst / shift
-        rhs = f.core.astype(complex) - a_new * (-b * cuts.eta) - binf_new * (b * cuts.eta)
-        rhs_inf = 0.0
-    else:
-        # the xi_near slot still inverts diagonally; a far component stays
-        # bounded under the inverse but leaves the slot algebra, so it rides
-        # along with the core through the extended solve
-        binf_new = c_new = 0.0
-        rhs = (
-            f.core.astype(complex)
-            + f.cinf * cuts.xiinf
-            + f.cconst
-            - a_new * (-b * cuts.eta - 1j * n * cuts.beta_xi0)
-        )
-        rhs_inf = f.cinf + f.cconst
+    # per profile: the core right-hand side, its value at infinity, and the
+    # slots (c0, cinf, cconst) of the result that invert diagonally
+    parts = []
+    for g in profiles:
+        a_new = -g.c0 / shift
+        if n == 0:
+            # every slot inverts diagonally; bump corrections go to the core rhs
+            binf_new = -g.cinf / shift
+            c_new = -g.cconst / shift
+            rhs = g.core.astype(complex) - a_new * (-b * cuts.eta) - binf_new * (b * cuts.eta)
+            rhs_inf = 0.0
+        else:
+            # the xi_near slot still inverts diagonally; a far component stays
+            # bounded under the inverse but leaves the slot algebra, so it
+            # rides along with the core through the extended solve
+            binf_new = c_new = 0.0
+            rhs = (
+                g.core.astype(complex)
+                + g.cinf * cuts.xiinf
+                + g.cconst
+                - a_new * (-b * cuts.eta - 1j * n * cuts.beta_xi0)
+            )
+            rhs_inf = g.cinf + g.cconst
+        parts.append((rhs, rhs_inf, a_new, binf_new, c_new))
 
     if method == "matrix":
         if op is None:
             op = mode_operator(grid, n, shift)
-        sol = op.solve_function(grid.extend(rhs, rhs_inf))
-        core_vals = sol[:-1]
-        core_inf = sol[-1]
+        sol = op.solve_function(np.stack([grid.extend(r[0], r[1]) for r in parts], axis=1))
+        cores = [(sol[:-1, j], sol[-1, j]) for j in range(len(parts))]
     elif method == "quadrature":
-        fun = profile_interpolant(
-            ModeProfile(f.n, rhs - rhs_inf * cuts.xiinf, cinf=rhs_inf), cuts
-        )
-        core_vals = _invert_by_quadrature(n, shift, fun, b, tol)
-        core_inf = 0.0
+        cores = []
+        for g, (rhs, rhs_inf, *_) in zip(profiles, parts):
+            fun = profile_interpolant(
+                ModeProfile(g.n, rhs - rhs_inf * cuts.xiinf, cinf=rhs_inf), cuts
+            )
+            cores.append((_invert_by_quadrature(n, shift, fun, b, tol), 0.0))
     else:
         raise ParameterError(f"unknown inversion method {method!r}")
 
-    values = core_vals + a_new * cuts.xi0 + binf_new * cuts.xiinf + c_new
-    v_inf = core_inf + binf_new + c_new
-    return ModeProfile.from_values(f.n, values, v_inf, cuts)
+    out = [
+        ModeProfile.from_values(
+            g.n,
+            core_vals + a_new * cuts.xi0 + binf_new * cuts.xiinf + c_new,
+            core_inf + binf_new + c_new,
+            cuts,
+        )
+        for g, (core_vals, core_inf), (_, _, a_new, binf_new, c_new) in zip(profiles, cores, parts)
+    ]
+    return out if batch else out[0]
 
 
 def profile_interpolant(f: ModeProfile, cuts: CutoffSamples) -> Callable:
@@ -469,41 +489,54 @@ def apply_bar_derivative(kind: str, field_: SpectralField) -> SpectralField:
 class LinearModeOperator:
     """Dense per-mode operator ``fun`` on [values at nodes; value at inf].
 
-    Every solve with a mode operator goes through here: the LU is taken on
-    the first solve and kept with the operator, so it lives as long as its
-    owner.
+    Every solve with a mode operator goes through here.  Each solve factors
+    ``fun`` afresh (LAPACK gesv through numpy), so a caller with several
+    right-hand sides for one operator passes them as the columns of one
+    array, which share the factorization.
     """
 
     n: int
     fun: np.ndarray
 
-    def __post_init__(self):
-        self._lu = None
-
     def lu_solve(self, ext_rhs: np.ndarray) -> np.ndarray:
-        """Solve with the LU factors alone, without refinement.
+        """Solve by LU with partial pivoting, without refinement.
 
-        Raises SingularOperatorError on an exactly zero pivot.
+        ``ext_rhs`` is one extended vector or a matrix of them as columns.
+        Raises NonFiniteError when the operator or the right-hand side holds
+        an inf or NaN, and SingularOperatorError on an exactly zero pivot.
+
+        A single column is solved next to a zero column: with more than one
+        BLAS thread, OpenBLAS's gesv takes another kernel for one right-hand
+        side, which rounds differently from the multi-column one, and a
+        column must get the same bits alone as in a batch.
         """
-        # scipy.linalg loads only for a command that factors a matrix
-        import scipy.linalg as sla
-
-        if self._lu is None:
-            with warnings.catch_warnings():
-                # an exactly zero pivot warns here and raises below
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(self.fun)
-            if not np.all(np.diagonal(lu)):
-                raise SingularOperatorError(
-                    f"mode operator at n={self.n} is singular (exactly zero pivot)"
-                )
-            self._lu = (lu, piv)
-        return sla.lu_solve(self._lu, ext_rhs)
+        for name, a in (("operator", self.fun), ("right-hand side", ext_rhs)):
+            if not np.isfinite(a).all():
+                raise NonFiniteError(f"mode operator at n={self.n}: non-finite {name}")
+        cols = ext_rhs.reshape(len(ext_rhs), -1)
+        try:
+            if cols.shape[1] == 1:
+                sol = np.linalg.solve(self.fun, np.column_stack([cols, np.zeros_like(cols)]))
+                return sol[:, :1].reshape(ext_rhs.shape)
+            return np.linalg.solve(self.fun, ext_rhs)
+        except np.linalg.LinAlgError:
+            raise SingularOperatorError(
+                f"mode operator at n={self.n} is singular (exactly zero pivot)"
+            ) from None
 
     def solve_function(self, ext_rhs: np.ndarray) -> np.ndarray:
-        """Solve with one step of iterative refinement."""
+        """Solve with one step of iterative refinement.
+
+        The refinement residual is formed one column at a time: a
+        matrix-matrix product rounds differently from a matrix-vector one,
+        and a multi-column solve must equal its columns solved one by one.
+        """
         sol = self.lu_solve(ext_rhs)
-        sol += self.lu_solve(ext_rhs - self.fun @ sol)
+        if sol.ndim == 1:
+            resid = ext_rhs - self.fun @ sol
+        else:
+            resid = np.stack([b - self.fun @ x for b, x in zip(ext_rhs.T, sol.T)], axis=1)
+        sol += self.lu_solve(resid)
         return sol
 
     def apply_function(self, ext: np.ndarray) -> np.ndarray:

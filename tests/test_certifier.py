@@ -130,33 +130,34 @@ def test_certificate_table_renders(prod_params, prod_grid):
 
 
 def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypatch):
-    # one LU per distinct D(n, shift): (n, s-), (n, s+) for n = N, 2N, 3N
-    # and (0, -1); the rows equal those of a fresh factorization per call
-    import scipy.linalg as sla
-
+    # one solve per inverse stage, D(n, s-), D(0, -1) and D(n, s+), and mode
+    # n = N, 2N, 3N, with all eight samples as its columns, twice for the
+    # refinement; the rows equal those of one solve per sample
+    # (each LinearModeOperator.lu_solve call is one gesv, one factorization)
     from spiral_euler import certifier
+    from spiral_euler.operators import LinearModeOperator
 
     K, _ = contraction_and_threshold(desk_params.mu, desk_params.N)
-    factored = []
-    lu_factor = sla.lu_factor
+    columns = []
+    solve = LinearModeOperator.lu_solve
 
-    def counting(a, *args, **kwargs):
-        factored.append(a.shape)
-        return lu_factor(a, *args, **kwargs)
+    def counting(op, b):
+        columns.append(1 if b.ndim == 1 else b.shape[1])
+        return solve(op, b)
 
-    monkeypatch.setattr(sla, "lu_factor", counting)
+    monkeypatch.setattr(LinearModeOperator, "lu_solve", counting)
     rows = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
-    assert len(factored) == 7
+    assert columns == [8] * (3 * 3 * 2)
 
     invert = certifier.invert_mode_operator
     monkeypatch.setattr(
         certifier,
         "invert_mode_operator",
-        lambda n, shift, f, cuts, op=None: invert(n, shift, f, cuts),
+        lambda n, shift, fs, cuts, op=None: [invert(n, shift, f, cuts) for f in fs],
     )
-    factored.clear()
+    columns.clear()
     per_call = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
-    assert len(factored) == 3 * 8 * 3
+    assert columns == [1] * (3 * 3 * 8 * 2)
     assert rows == per_call
 
 

@@ -6,6 +6,7 @@ from spiral_euler import (
     DegenerateShiftError,
     LinearModeOperator,
     ModeProfile,
+    NonFiniteError,
     ParameterError,
     SingularOperatorError,
     SolverParams,
@@ -146,6 +147,38 @@ def test_singular_operator_raises_instead_of_nan():
         op.lu_solve(np.ones(2, dtype=complex))
     # a ParameterError, so the solve command exits with its failure code
     assert issubclass(SingularOperatorError, ParameterError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_or_rhs_raises(bad):
+    # a non-finite input ends the solve with a package error, never a silent
+    # NaN or, for an infinite pivot, a finite but meaningless solution
+    fun = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
+    rhs = np.ones(2, dtype=complex)
+    broken = fun.copy()
+    broken[1, 1] = bad
+    with pytest.raises(NonFiniteError, match="non-finite operator"):
+        LinearModeOperator(n=8, fun=broken).solve_function(rhs)
+    with pytest.raises(NonFiniteError, match="non-finite right-hand side"):
+        LinearModeOperator(n=8, fun=fun).lu_solve(np.array([1.0, bad], dtype=complex))
+    # a ParameterError, so the solve command exits with its failure code
+    assert issubclass(NonFiniteError, ParameterError)
+
+
+@pytest.mark.parametrize("point", ["desk", "reference"])
+def test_multi_column_solve_equals_column_solves(point, request):
+    # the columns of one solve_function call equal one call per column, bit
+    # for bit: the refinement residual must not become a matrix product
+    params = request.getfixturevalue("desk_params" if point == "desk" else "prod_params")
+    grid = request.getfixturevalue("desk_grid" if point == "desk" else "prod_grid")
+    mu, rng = params.mu, np.random.default_rng(7)
+    ops = [mode_operator(grid, n, s) for n in (0, params.N) for s in (shift_plus(mu, n), -1.0)]
+    ops += list(linearization_set(params, grid).values())
+    for op in ops:
+        rhs = rng.standard_normal((grid.size + 1, 6)) + 1j * rng.standard_normal((grid.size + 1, 6))
+        sol = op.solve_function(rhs)
+        for j in range(rhs.shape[1]):
+            assert np.array_equal(sol[:, j], op.solve_function(rhs[:, j].copy()))
 
 
 def test_invert_with_prefactored_operator(desk_cuts):
