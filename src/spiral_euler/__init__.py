@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateShiftError,
+    DroppedMassWarning,
     InversionError,
     NonFiniteError,
     ParameterError,

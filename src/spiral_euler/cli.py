@@ -4,7 +4,8 @@ Every subcommand takes --config, --out and --seed; reconstruct also takes
 --format and render also takes --field.
 
 Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
-subcommand), configuration problem or a saved field that does not load,
+subcommand, a --format entry outside json,csv,svg), configuration problem,
+an output directory that cannot be written or a saved field that does not load,
 2 certificate failure, 3 solve failure, 4 verification failure or a failed
 chart inversion (verify, reconstruct, render).  Codes 1 and 4 print one
 line to stderr.  Every JSON artifact embeds the configuration digest and
@@ -17,15 +18,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .certifier import certify
-from .config import RunConfig, load_config
-from .errors import ConfigError, ConvergenceError, InversionError, ParameterError
+from .config import RunConfig, load_config, parse_formats
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DroppedMassWarning,
+    InversionError,
+    ParameterError,
+)
 from .grid_space import AngularSignal, build_grid, field_from_json, field_to_json
 from .physical import (
+    FieldEvaluator,
     eval_fields_batch,
     export_samples_csv,
     export_spirals_csv,
@@ -56,8 +66,11 @@ def _prepare(cfg: RunConfig, out_override=None, seed_override=None):
         values["seed"] = seed_override
     cfg = RunConfig(values=values)
     out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.echo").write_text(cfg.effective_text())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.echo").write_text(cfg.effective_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory {out}: {exc}") from exc
     stamp = {"config_hash": cfg.digest(), "seed": cfg["seed"]}
     return out, stamp, cfg
 
@@ -92,34 +105,64 @@ def _omega_from_json(params, entries) -> AngularSignal:
     return AngularSignal(params, {int(n): complex(re, im) for n, re, im in entries})
 
 
+@contextmanager
+def _dropped_mass_summary():
+    """Fold the dropped-harmonic-mass warnings raised inside into one stderr line.
+
+    Other warnings are shown as usual once the block ends.  The recording
+    filter is appended, so a filter the caller set (-W, PYTHONWARNINGS)
+    still decides first.
+    """
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DroppedMassWarning, append=True)
+            yield
+    finally:
+        dropped = []
+        for w in caught:
+            if isinstance(w.message, DroppedMassWarning):
+                dropped.append(w.message)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if dropped:
+            top = max(dropped, key=lambda w: w.dropped)
+            print(
+                f"warning: {len(dropped)} residual evaluations dropped harmonic mass "
+                f"above the gate; largest {top.dropped:.3e} against the residual "
+                f"scale {top.scale:.3e}",
+                file=sys.stderr,
+            )
+
+
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     out, stamp, cfg = _prepare(cfg, args.out, args.seed)
     params = cfg.params
     grid = build_grid(params.grid_points, params.grid_scale)
     try:
-        if cfg["omega.kind"] == "match":
-            omega, stream, report = match_initial_data(
-                cfg.target(),
-                params,
-                grid=grid,
-                tol=cfg["solver.outer_tol"],
-                max_outer=cfg["solver.outer_max_iter"],
-                inner_tol=cfg["solver.tol"],
-                inner_max_iter=cfg["solver.max_iter"],
-                epsilon_cap=cfg["solver.epsilon_cap"],
-            )
-        else:
-            omega = cfg.omega()
-            stream, report = newton_solve(
-                omega,
-                params,
-                grid=grid,
-                tol=cfg["solver.tol"],
-                max_iter=cfg["solver.max_iter"],
-                backend=cfg["solver.backend"],
-                epsilon_cap=cfg["solver.epsilon_cap"],
-            )
+        with _dropped_mass_summary():
+            if cfg["omega.kind"] == "match":
+                omega, stream, report = match_initial_data(
+                    cfg.target(),
+                    params,
+                    grid=grid,
+                    tol=cfg["solver.outer_tol"],
+                    max_outer=cfg["solver.outer_max_iter"],
+                    inner_tol=cfg["solver.tol"],
+                    inner_max_iter=cfg["solver.max_iter"],
+                    epsilon_cap=cfg["solver.epsilon_cap"],
+                )
+            else:
+                omega = cfg.omega()
+                stream, report = newton_solve(
+                    omega,
+                    params,
+                    grid=grid,
+                    tol=cfg["solver.tol"],
+                    max_iter=cfg["solver.max_iter"],
+                    backend=cfg["solver.backend"],
+                    epsilon_cap=cfg["solver.epsilon_cap"],
+                )
     except (ConvergenceError, ParameterError) as exc:
         doc = dict(stamp)
         doc["error"] = str(exc)
@@ -172,22 +215,23 @@ def _load_solution(path: Path):
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_cfg(args)
+    formats = parse_formats(cfg["output.formats"], "output.formats")
+    if args.format:
+        formats &= parse_formats(args.format, "--format")
     out, stamp, cfg = _prepare(cfg, args.out, args.seed)
     if not (out / "field.json").exists():
         code = cmd_solve(args)
         if code != EXIT_OK:
             return code
     stream, omega = _load_solution(out / "field.json")
-    formats = set(cfg["output.formats"].split(","))
-    if args.format:
-        formats &= set(args.format.split(","))
+    ev = FieldEvaluator(stream, omega)
     t = cfg["reconstruct.t"]
     n = cfg["reconstruct.samples"]
     rng = np.random.default_rng(cfg["seed"])
     r = rng.uniform(0.5, 2.0, n)
     ang = rng.uniform(0.0, 2.0 * np.pi, n)
     x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    fields = eval_fields_batch(stream, omega, x, np.full(n, t))
+    fields = eval_fields_batch(stream, omega, x, np.full(n, t), ev)
     if "csv" in formats:
         samples = [
             PhysicalSample(
@@ -201,7 +245,7 @@ def cmd_reconstruct(args) -> int:
             for i in range(n)
         ]
         export_samples_csv(out / "samples.csv", samples)
-    curves = spiral_extract(stream, omega, t)
+    curves = spiral_extract(stream, omega, t, ev=ev)
     if "csv" in formats:
         export_spirals_csv(out / "spirals.csv", curves)
     if "svg" in formats:

@@ -10,7 +10,7 @@ from .errors import ConfigError, ParameterError, StructureError
 from .grid_space import AngularSignal, SolverParams
 from .physical import VERIFY_SUITES
 
-__all__ = ["RunConfig", "load_config", "parse_config_text"]
+__all__ = ["RunConfig", "load_config", "parse_config_text", "parse_formats"]
 
 _DEFAULTS = {
     "mu": None,  # required
@@ -209,9 +209,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"omega.kind must be constant_plus_cos, coeffs or match")
     if values["solver.backend"] not in ("chord", "fd"):
         raise ConfigError(f"solver.backend must be chord or fd")
-    formats = set(values["output.formats"].split(","))
-    if not formats <= {"json", "csv", "svg"}:
-        raise ConfigError(f"output.formats must be a subset of json,csv,svg")
+    parse_formats(values["output.formats"], "output.formats")
     suites = [s for s in values["verify.suites"].split(",") if s]
     unknown = [s for s in suites if s not in VERIFY_SUITES]
     if unknown:
@@ -223,6 +221,14 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     except StructureError as exc:
         raise ConfigError(f"omega.coeffs: {exc}") from exc
     return cfg
+
+
+def parse_formats(text: str, source: str) -> set:
+    """The set named by a comma list of artifact formats out of json,csv,svg."""
+    formats = set(text.split(","))
+    if not formats <= {"json", "csv", "svg"}:
+        raise ConfigError(f"{source} must be a subset of json,csv,svg")
+    return formats
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:

@@ -67,3 +67,15 @@ class InversionError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration failed to parse or validate."""
+
+
+class DroppedMassWarning(UserWarning):
+    """A residual evaluation dropped harmonic mass large against its scale."""
+
+    def __init__(self, dropped: float, limit: float, scale: float):
+        self.dropped = dropped
+        self.scale = scale
+        super().__init__(
+            f"dropped harmonic mass {dropped:.3e} exceeds {limit:.1e} "
+            f"of the residual scale {scale:.3e}"
+        )

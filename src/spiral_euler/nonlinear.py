@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParameterError, SignConditionError
+from .errors import DroppedMassWarning, ParameterError, SignConditionError
 from .grid_space import (
     AngularSignal,
     ModeProfile,
@@ -230,11 +230,7 @@ def eval_residual(
         float(np.max(np.abs(R))), float(np.max(np.abs(S))), float(np.max(np.abs(source)))
     )
     if dropped > dropped_mass_warn * scale and dropped > 1e-10 * input_scale:
-        warnings.warn(
-            f"dropped harmonic mass {dropped:.3e} exceeds {dropped_mass_warn:.1e} "
-            f"of the residual scale {scale:.3e}",
-            stacklevel=2,
-        )
+        warnings.warn(DroppedMassWarning(dropped, dropped_mass_warn, scale), stacklevel=2)
 
     cuts = ws.cuts
     modes = {

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -169,13 +168,15 @@ class FieldEvaluator:
 
         A single name returns one array; a tuple of names returns one array
         per name, all from a single Clenshaw pass over the stacked rows.
+        The radial recurrence runs on beta as passed and the angular weights
+        on phi as passed; the two meet only in the final sum, so a grid given
+        as beta[:, None], phi[None, :] costs one recurrence per beta.
         """
         single = isinstance(names, str)
         if single:
             names = (names,)
-        beta, phi = np.broadcast_arrays(
-            np.asarray(beta, dtype=float), np.asarray(phi, dtype=float)
-        )
+        beta = np.asarray(beta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
         stack = np.concatenate([self._rows[name] for name in names])
         vals = self.grid.evaluate_coefficients(stack, self.grid.s_of_beta(beta))
         vals = vals.reshape((len(names), -1) + beta.shape)
@@ -417,17 +418,16 @@ def spiral_extract(
         return []
     mu = ev.mu
     beta = np.geomspace(beta_range[0], beta_range[1], n_beta)
-    curves = []
-    B, P = np.meshgrid(beta, zeros, indexing="ij")
+    B, P = beta[:, None], zeros[None, :]
     db = ev.field("db", B, P)
     radii = t**mu * np.exp(ev._log_radius(db, B))
     theta = B + P
-    X = radii * np.cos(theta)
-    Y = radii * np.sin(theta)
-    for j, phi0 in enumerate(zeros):
-        pts = np.stack([X[:, j], Y[:, j]], axis=-1)
-        curves.append(SpiralCurve(phi0=float(phi0), beta=beta.copy(), points=pts, t=float(t)))
-    return curves
+    # curve j's points are the contiguous block points[j]
+    points = np.stack([(radii * np.cos(theta)).T, (radii * np.sin(theta)).T], axis=-1)
+    return [
+        SpiralCurve(phi0=float(phi0), beta=beta.copy(), points=points[j], t=float(t))
+        for j, phi0 in enumerate(zeros)
+    ]
 
 
 def spiral_ode_oracle(mu: float, C: float, z0, theta_span) -> SpiralFit:
@@ -747,13 +747,23 @@ def export_samples_csv(path, samples: Iterable[PhysicalSample]) -> None:
 
 
 def export_spirals_csv(path, curves: Sequence[SpiralCurve]) -> None:
+    """Rows phi0,t,beta,x1,x2, one per curve point, in csv.writer's dialect.
+
+    No float repr needs quoting, so each curve is written by one % format.
+    The beta column's reprs are formed once and re-formed only when a
+    curve's beta differs from the previous curve's.
+    """
+    beta_key = cells = None
+    tail = ",%r,%r\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi0", "t", "beta", "x1", "x2"])
+        fh.write("phi0,t,beta,x1,x2\r\n")
         for c in curves:
-            phi0, t = _csv_numbers((c.phi0, c.t))
-            cols = (map(repr, a.tolist()) for a in (c.beta, c.points[:, 0], c.points[:, 1]))
-            writer.writerows(zip(repeat(phi0), repeat(t), *cols))
+            key = (c.beta.dtype, c.beta.shape, c.beta.tobytes())
+            if key != beta_key:
+                beta_key, cells = key, list(map(repr, c.beta.tolist()))
+            head = ",".join(_csv_numbers((c.phi0, c.t))) + ","
+            template = head + (tail + head).join(cells) + tail if cells else ""
+            fh.write(template % tuple(c.points.reshape(-1).tolist()))
 
 
 def render_spirals_svg(path, curves: Sequence[SpiralCurve], size: int = 640) -> None:
@@ -776,7 +786,8 @@ def render_spirals_svg(path, curves: Sequence[SpiralCurve], size: int = 640) -> 
     for i, c in enumerate(curves):
         xs = half + c.points[:, 0] / lim * (half - 10)
         ys = half - c.points[:, 1] / lim * (half - 10)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+        xy = np.stack([xs, ys], axis=-1).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
         hue = (137 * i) % 360
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="hsl({hue},60%,40%)" '

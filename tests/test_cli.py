@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,17 @@ grid.points = 96
 omega.amplitude = 0.01
 reconstruct.samples = 40
 verify.suites = selfsim,divfree,poisson
+"""
+
+# a zero-crossing angular factor at the desk point: 2N zero-set curves, and
+# a solve that drops harmonic mass above the gate
+ZERO_CROSSING = """
+mu = 1.0
+N = 8
+grid.points = 96
+omega.amplitude = 1.05
+solver.epsilon_cap = 0.5
+reconstruct.samples = 10
 """
 
 
@@ -328,4 +340,56 @@ def test_bad_config_value_exits_before_any_solve(tmp_path, command, lines, messa
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"configuration error: {message}")
     assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_solve_folds_dropped_mass_warnings_into_one_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ZERO_CROSSING)
+    proc = _cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    found = re.fullmatch(
+        r"warning: (\d+) residual evaluations dropped harmonic mass above the gate; "
+        r"largest (\S+) against the residual scale (\S+)",
+        lines[0],
+    )
+    assert found, lines[0]
+    assert int(found[1]) > 1
+    assert float(found[2]) > 1e-8 * float(found[3])
+
+
+def test_reconstruct_artifacts_byte_identical_across_dirs(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ZERO_CROSSING)
+    for out in ("a", "b"):
+        proc = _cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / out))
+        assert proc.returncode == 0, proc.stderr
+        assert "16 zero-set curves" in proc.stdout
+    for name in ("samples.csv", "spirals.csv", "spirals.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "reconstruct"])
+def test_unwritable_out_exits_as_config_error(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    proc = _cli(command, "--config", str(cfg), "--out", str(blocker / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: cannot write the output directory")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_reconstruct_rejects_unknown_format(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    proc = _cli("reconstruct", "--config", str(cfg), "--out", str(out), "--format", "csv,pdf")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "configuration error: --format must be a subset of json,csv,svg\n"
+    assert proc.stdout == ""
     assert not out.exists()

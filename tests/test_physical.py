@@ -1,11 +1,18 @@
+import csv
+import warnings
+from itertools import repeat
+
 import numpy as np
 import pytest
 
 from spiral_euler import (
     AngularSignal,
+    DroppedMassWarning,
     InversionError,
     ParameterError,
+    SolverParams,
     SpectralField,
+    SpiralCurve,
     base_vorticity_factor,
     eval_fields,
     eval_fields_batch,
@@ -22,6 +29,7 @@ from spiral_euler.physical import (
     FieldEvaluator,
     _lp_chart_norms,
     export_samples_csv,
+    export_spirals_csv,
     render_spirals_svg,
 )
 
@@ -345,3 +353,114 @@ def test_exports(tmp_path, desk_solution):
     assert text.splitlines()[0] == "x1,x2,t,w,u1,u2,psi"
     render_spirals_svg(tmp_path / "c.svg", [])
     assert "<svg" in (tmp_path / "c.svg").read_text()
+
+
+@pytest.fixture(scope="module")
+def spiral_solution():
+    # the spiral-reconstruct field: N = 500 and a zero-crossing angular
+    # factor, whose solve drops harmonic mass as in the tests marked for it
+    params = SolverParams(mu=1.0, N=500, grid_points=257)
+    omega = AngularSignal.constant_plus_cosine(params, 1.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DroppedMassWarning)
+        stream, report = newton_solve(omega, params)
+    return stream, omega, report
+
+
+@pytest.mark.parametrize("names", ["db", FieldEvaluator.FIELDS], ids=["db", "all"])
+@pytest.mark.parametrize("solution", ["desk_solution", "spiral_solution"])
+def test_field_on_broadcast_grid_equals_meshgrid(request, solution, names):
+    # the radial recurrence runs once per beta, the bits stay those of the
+    # full grid
+    stream, omega, _ = request.getfixturevalue(solution)
+    ev = FieldEvaluator(stream, omega)
+    beta = np.geomspace(0.05, 40.0, 160)
+    phi = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 1000)
+    B, P = np.meshgrid(beta, phi, indexing="ij")
+    got = ev.field(names, beta[:, None], phi[None, :])
+    want = ev.field(names, B, P)
+    if isinstance(names, str):
+        got, want = (got,), (want,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == (160, 1000)
+        assert g.flags.writeable
+        assert np.array_equal(g, w)
+
+
+def _csv_writer_spirals(path, curves):
+    # reference for export_spirals_csv: one csv.writer row per point
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["phi0", "t", "beta", "x1", "x2"])
+        for c in curves:
+            phi0, t = (repr(float(v)) for v in (c.phi0, c.t))
+            cols = (map(repr, a.tolist()) for a in (c.beta, c.points[:, 0], c.points[:, 1]))
+            writer.writerows(zip(repeat(phi0), repeat(t), *cols))
+
+
+def _per_point_svg(path, curves, size=640):
+    # reference for render_spirals_svg: one f-string per point
+    if curves:
+        all_pts = np.concatenate([c.points for c in curves], axis=0)
+        lim = float(np.max(np.abs(all_pts))) * 1.05
+    else:
+        lim = 1.0
+    half = size / 2.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<line x1="0" y1="{half}" x2="{size}" y2="{half}" stroke="#999" stroke-width="1"/>',
+        f'<line x1="{half}" y1="0" x2="{half}" y2="{size}" stroke="#999" stroke-width="1"/>',
+        f'<text x="{size - 60}" y="{half - 6}" font-size="12" fill="#555">x1={lim:.3g}</text>',
+        f'<text x="{half + 6}" y="14" font-size="12" fill="#555">x2={lim:.3g}</text>',
+    ]
+    for i, c in enumerate(curves):
+        xs = half + c.points[:, 0] / lim * (half - 10)
+        ys = half - c.points[:, 1] / lim * (half - 10)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+        hue = (137 * i) % 360
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="hsl({hue},60%,40%)" '
+            f'stroke-width="1.2"/>'
+        )
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+
+
+def _odd_curves(nonfinite):
+    """Curves whose beta arrays differ from one to the next, with -0.0 and
+    extreme magnitudes, and inf/nan values if ``nonfinite``."""
+    rng = np.random.default_rng(9)
+    extremes = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0 / 3.0]
+    if nonfinite:
+        extremes += [np.inf, -np.inf, np.nan]
+    odd = np.array(extremes)
+    zero_first = np.geomspace(0.05, 40.0, len(odd))
+    zero_first[0] = 0.0
+    negzero_first = zero_first.copy()
+    negzero_first[0] = -0.0
+    betas = [zero_first, zero_first.copy(), negzero_first, odd, odd[:3], odd[:0], zero_first]
+    curves = []
+    for j, beta in enumerate(betas):
+        pts = rng.standard_normal((len(beta), 2)) * 10.0 ** rng.integers(-5, 5, (len(beta), 2))
+        pts[: len(odd), j % 2] = odd[: len(beta)]
+        phi0 = [-0.0, 1e-300, 2.5, 1e300][j % 4]
+        curves.append(SpiralCurve(phi0=phi0, beta=beta, points=pts, t=[1.0, 0.1][j % 2]))
+    return curves
+
+
+@pytest.mark.parametrize("curves", [[], _odd_curves(False), _odd_curves(True)],
+                         ids=["empty", "finite", "nonfinite"])
+def test_spiral_writers_match_per_point_writers(tmp_path, curves):
+    for fast, slow, name in ((export_spirals_csv, _csv_writer_spirals, "s.csv"),
+                             (render_spirals_svg, _per_point_svg, "s.svg")):
+        with warnings.catch_warnings():
+            # the nonfinite points make the svg scale inf or nan
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fast(tmp_path / f"fast-{name}", curves)
+            slow(tmp_path / f"slow-{name}", curves)
+        want = (tmp_path / f"slow-{name}").read_bytes()
+        assert (tmp_path / f"fast-{name}").read_bytes() == want, name
