@@ -43,7 +43,6 @@ from .grid_space import (
 from .nonlinear import NonlinearWorkspace, ResidualField, eval_residual, fd_derivative_check, linearization_at_base
 from .operators import (
     LinearModeOperator,
-    apply_bar_derivative,
     apply_linearization_inverse,
     apply_mode_operator,
     assemble_linearization,
@@ -55,10 +54,8 @@ from .operators import (
 )
 from .physical import (
     FieldEvaluator,
-    PhysicalSample,
     SpiralCurve,
     SpiralFit,
-    eval_fields,
     eval_fields_batch,
     initial_data,
     spiral_extract,

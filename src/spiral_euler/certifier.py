@@ -279,13 +279,12 @@ def _random_core_profile(rng: np.random.Generator, n: int, cuts, delta: float) -
     return ModeProfile(n, smooth * envelope)
 
 
-def _perturbation_spot_check(
-    params: SolverParams, grid: RadialGrid, K: float, seed: int, count: int = 8
-) -> tuple:
+def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, seed: int) -> tuple:
     """Sampled norm of the perturbation against the contraction bound.
 
-    Draws random weighted-core profiles g, forms the solution-space element
-    psi = (Q+1)^-1 D(n,s-)^-1 g, applies (2 mu - 1) i n beta, and measures
+    Draws eight random weighted-core profiles g per mode, forms the
+    solution-space element psi = (Q+1)^-1 D(n,s-)^-1 g, applies
+    (2 mu - 1) i n beta, and measures
     the image back in the target space through the D(n,s+) preimage.  Every
     sampled ratio must stay below K.  Each mode's samples pass every
     inverse as one batch, one solve per operator and mode.
@@ -304,7 +303,7 @@ def _perturbation_spot_check(
     rows = []
     for k in (1, 2, 3):
         n = k * params.N
-        gs = [_random_core_profile(rng, n, cuts, delta) for _ in range(count)]
+        gs = [_random_core_profile(rng, n, cuts, delta) for _ in range(8)]
         psis = invert(0, -1.0, invert(n, shift_minus(mu, n), gs))
         perts = []
         for psi in psis:

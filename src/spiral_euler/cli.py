@@ -43,7 +43,6 @@ from .physical import (
     spiral_extract,
     verdicts,
     verify as run_verify,
-    PhysicalSample,
 )
 from .solver import match_initial_data, newton_solve
 
@@ -233,18 +232,7 @@ def cmd_reconstruct(args) -> int:
     x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
     fields = eval_fields_batch(stream, omega, x, np.full(n, t), ev)
     if "csv" in formats:
-        samples = [
-            PhysicalSample(
-                x=(float(x[i, 0]), float(x[i, 1])),
-                t=float(t),
-                w=float(fields["w"][i]),
-                u=(float(fields["u1"][i]), float(fields["u2"][i])),
-                psi=float(fields["psi"][i]),
-                chart=(float(fields["beta"][i]), float(fields["phi"][i])),
-            )
-            for i in range(n)
-        ]
-        export_samples_csv(out / "samples.csv", samples)
+        export_samples_csv(out / "samples.csv", x, t, fields)
     curves = spiral_extract(stream, omega, t, ev=ev)
     if "csv" in formats:
         export_spirals_csv(out / "spirals.csv", curves)

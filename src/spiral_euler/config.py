@@ -63,23 +63,55 @@ _FLOAT_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with all defaults filled."""
+    """Validated run configuration with all defaults filled.
+
+    Construction validates every value, overrides included, and raises
+    ConfigError on the first that is out of range.
+    """
 
     values: dict
     params: SolverParams = field(compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "params",
-            SolverParams(
-                mu=self.values["mu"],
-                N=self.values["N"],
-                harmonics=self.values["harmonics"],
-                grid_points=self.values["grid.points"],
-                grid_scale=self.values["grid.scale"],
-            ),
-        )
+        values = self.values
+        try:
+            params = SolverParams(
+                mu=values["mu"],
+                N=values["N"],
+                harmonics=values["harmonics"],
+                grid_points=values["grid.points"],
+                grid_scale=values["grid.scale"],
+            )
+        except ParameterError as exc:
+            raise ConfigError(f"invalid parameters: {exc}") from exc
+        object.__setattr__(self, "params", params)
+        for key in ("omega.harmonic", "target.harmonic"):
+            h = values[key]
+            if h % values["N"] != 0 or h == 0:
+                raise ConfigError(f"{key} = {h} is not a nonzero multiple of N = {values['N']}")
+        if values["omega.kind"] not in ("constant_plus_cos", "coeffs", "match"):
+            raise ConfigError(f"omega.kind must be constant_plus_cos, coeffs or match")
+        if values["solver.backend"] not in ("chord", "fd"):
+            raise ConfigError(f"solver.backend must be chord or fd")
+        for key in ("seed", "solver.max_iter", "solver.outer_max_iter"):
+            if values[key] < 0:
+                raise ConfigError(f"{key} must be non-negative, got {values[key]}")
+        for key in ("reconstruct.samples", "reconstruct.t"):
+            if not values[key] > 0:  # rejects a nan time too
+                raise ConfigError(f"{key} must be positive, got {values[key]}")
+        parse_formats(values["output.formats"], "output.formats")
+        suites = [s for s in values["verify.suites"].split(",") if s]
+        if not suites:
+            raise ConfigError("verify.suites must name at least one suite")
+        unknown = [s for s in suites if s not in VERIFY_SUITES]
+        if unknown:
+            raise ConfigError(
+                f"verify.suites: unknown suites {unknown}; known: {','.join(VERIFY_SUITES)}"
+            )
+        try:
+            AngularSignal(params, _parse_coeffs(values["omega.coeffs"]))
+        except StructureError as exc:
+            raise ConfigError(f"omega.coeffs: {exc}") from exc
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -197,30 +229,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     if values["target.harmonic"] is None:
         values["target.harmonic"] = values["N"]
 
-    try:
-        cfg = RunConfig(values=values)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from exc
-    for key in ("omega.harmonic", "target.harmonic"):
-        h = values[key]
-        if h % values["N"] != 0 or h == 0:
-            raise ConfigError(f"{key} = {h} is not a nonzero multiple of N = {values['N']}")
-    if values["omega.kind"] not in ("constant_plus_cos", "coeffs", "match"):
-        raise ConfigError(f"omega.kind must be constant_plus_cos, coeffs or match")
-    if values["solver.backend"] not in ("chord", "fd"):
-        raise ConfigError(f"solver.backend must be chord or fd")
-    parse_formats(values["output.formats"], "output.formats")
-    suites = [s for s in values["verify.suites"].split(",") if s]
-    unknown = [s for s in suites if s not in VERIFY_SUITES]
-    if unknown:
-        raise ConfigError(
-            f"verify.suites: unknown suites {unknown}; known: {','.join(VERIFY_SUITES)}"
-        )
-    try:
-        AngularSignal(cfg.params, _parse_coeffs(values["omega.coeffs"]))
-    except StructureError as exc:
-        raise ConfigError(f"omega.coeffs: {exc}") from exc
-    return cfg
+    return RunConfig(values=values)
 
 
 def parse_formats(text: str, source: str) -> set:

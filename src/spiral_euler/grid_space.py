@@ -136,41 +136,18 @@ class SolverParams:
 # ---------------------------------------------------------------------------
 
 
-def _clenshaw_curtis_weights(M: int) -> np.ndarray:
-    """Clenshaw-Curtis weights for the M+1 Lobatto points on [-1, 1]."""
-    n = M
-    theta = np.pi * np.arange(n + 1) / n
-    w = np.zeros(n + 1)
-    v = np.ones(n - 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / (n * n - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
-        v -= np.cos(n * theta[1:-1]) / (n * n - 1)
-    else:
-        w[0] = w[n] = 1.0 / (n * n)
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
-    w[1:-1] = 2.0 * v / n
-    return w
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Chebyshev-Lobatto grid for [0, inf) under beta = scale*s/(1-s).
 
     nodes       finite beta nodes, ascending, nodes[0] = 0
-    weights     quadrature weights for integrals over (0, inf)
     map_scale   the scale of the algebraic map
-    s           all M+1 Lobatto points in [0, 1]; s[-1] = 1 is the infinity slot
     diff_s      (M+1)^2 differentiation matrix in s
     radial      (M+1)^2 matrix of beta*d/dbeta = s(1-s) d/ds
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     map_scale: float
-    s: np.ndarray
     diff_s: np.ndarray
     radial: np.ndarray
 
@@ -294,11 +271,7 @@ def build_grid(points: int, scale: float) -> RadialGrid:
     for _ in range(3):
         radial[j, j] -= radial @ np.ones(M + 1)
     nodes = scale * s[:-1] / (1.0 - s[:-1])
-    wcc = 0.5 * _clenshaw_curtis_weights(M)  # mapped to [0, 1]
-    weights = wcc[:-1] * scale / (1.0 - s[:-1]) ** 2
-    return RadialGrid(
-        nodes=nodes, weights=weights, map_scale=float(scale), s=s, diff_s=D, radial=radial
-    )
+    return RadialGrid(nodes=nodes, map_scale=float(scale), diff_s=D, radial=radial)
 
 
 # ---------------------------------------------------------------------------
@@ -384,37 +357,18 @@ class CutoffSamples:
     xiinf: np.ndarray  # xi_far
     eta: np.ndarray  # d/dbeta xi_far, the normalized bump
     beta_xi0: np.ndarray
-    beta_dbeta_xi0: np.ndarray
-    beta2_dbeta_xi0: np.ndarray
-    beta2_dbeta2_xi0: np.ndarray
-    dbeta_xiinf: np.ndarray
-    xiinf_over_beta: np.ndarray
-    normalization: float
 
 
 def sample_cutoffs(grid: RadialGrid) -> CutoffSamples:
-    """Sample the cutoff pair and its derivative combinations at the nodes."""
+    """Sample the cutoff pair, the bump and beta * xi_near at the nodes."""
     b = grid.nodes
-    C = cutoff_normalization()
-    eta = C * mollifier_bump(b)
-    eta_p = C * mollifier_bump_derivative(b)
     x0 = xi_near(b)
-    xf = xi_far(b)
-    over = np.zeros_like(b)
-    pos = b > 0
-    over[pos] = xf[pos] / b[pos]
     return CutoffSamples(
         grid=grid,
         xi0=x0,
-        xiinf=xf,
-        eta=eta,
+        xiinf=xi_far(b),
+        eta=cutoff_normalization() * mollifier_bump(b),
         beta_xi0=b * x0,
-        beta_dbeta_xi0=-b * eta,
-        beta2_dbeta_xi0=-b * b * eta,
-        beta2_dbeta2_xi0=-b * b * eta_p,
-        dbeta_xiinf=eta,
-        xiinf_over_beta=over,
-        normalization=C,
     )
 
 
@@ -624,10 +578,10 @@ class AngularSignal:
     def a_norm(self, s: float) -> float:
         return float(sum(bracket(n) ** s * abs(c) for n, c in self.coeffs.items()))
 
-    def lp_norm(self, p: float, samples: int = 4096) -> float:
-        """L^p norm over the circle by dense quadrature on one period."""
+    def lp_norm(self, p: float) -> float:
+        """L^p norm over the circle by dense quadrature on 4096 points of one period."""
         period = 2.0 * np.pi / self.params.N
-        phi = period * np.arange(samples) / samples
+        phi = period * np.arange(4096) / 4096
         vals = np.abs(self.values(phi)) ** p
         return float((2.0 * np.pi * np.mean(vals)) ** (1.0 / p))
 

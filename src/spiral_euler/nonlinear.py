@@ -146,18 +146,6 @@ class ResidualField:
     def raw_max(self) -> float:
         return max(self.norm_report["raw"].values())
 
-    def to_json(self) -> dict:
-        from .grid_space import field_to_json
-
-        doc = field_to_json(self.field)
-        doc["norm_report"] = {
-            "aggregate": self.norm_report["aggregate"],
-            "dropped_mass": self.norm_report["dropped_mass"],
-            "raw": {str(n): v for n, v in self.norm_report["raw"].items()},
-            "preimage": {str(n): v for n, v in self.norm_report["preimage"].items()},
-        }
-        return doc
-
 
 _SIGN_CONDITIONS = (
     ("dbeta_bar(psi)", "db", -1.0),  # must stay negative

@@ -68,7 +68,6 @@ __all__ = [
     "apply_mode_operator",
     "invert_mode_operator",
     "derived_fields",
-    "apply_bar_derivative",
     "assemble_linearization",
     "linearization_set",
     "apply_linearization_inverse",
@@ -163,7 +162,6 @@ def invert_mode_operator(
     f: ModeProfile | Sequence[ModeProfile],
     cuts: CutoffSamples,
     method: str = "matrix",
-    tol: float = 1e-12,
     op: LinearModeOperator | None = None,
 ) -> ModeProfile | list[ModeProfile]:
     """Bounded inverse of D(n, shift) applied to a structured profile.
@@ -229,7 +227,7 @@ def invert_mode_operator(
             fun = profile_interpolant(
                 ModeProfile(g.n, rhs - rhs_inf * cuts.xiinf, cinf=rhs_inf), cuts
             )
-            cores.append((_invert_by_quadrature(n, shift, fun, b, tol), 0.0))
+            cores.append((_invert_by_quadrature(n, shift, fun, b, 1e-12), 0.0))
     else:
         raise ParameterError(f"unknown inversion method {method!r}")
 
@@ -452,34 +450,6 @@ def derived_fields(field_: SpectralField, cuts: CutoffSamples) -> dict:
     return {"psi": psi, "db": db, "dv": dv, "dp": dp, "dpdb": dpdb, "lg": lg}
 
 
-# public kind names of the derivatives and their derived_fields keys
-_BAR_KINDS = {
-    "dbeta_bar": "db",
-    "dvarphi_bar": "dv",
-    "dphi": "dp",
-    "dphi_dbeta_bar": "dpdb",
-    "dvarphi1_dbeta_bar": "lg",
-}
-
-
-def apply_bar_derivative(kind: str, field_: SpectralField) -> SpectralField:
-    """Apply one of the adapted-coordinate derivatives to a whole field.
-
-    Kinds: dbeta_bar, dvarphi_bar, dphi, dphi_dbeta_bar, dvarphi1_dbeta_bar.
-    """
-    if kind not in _BAR_KINDS:
-        raise ParameterError(
-            f"unknown bar-derivative kind {kind!r}; choose from {tuple(_BAR_KINDS)}"
-        )
-    cuts = sample_cutoffs(field_.grid)
-    rows = derived_fields(field_, cuts)[_BAR_KINDS[kind]]
-    modes = {
-        int(n): ModeProfile.from_values(int(n), row[:-1], row[-1], cuts)
-        for n, row in zip(field_.params.mode_indices, rows)
-    }
-    return SpectralField(params=field_.params, grid=field_.grid, modes=modes)
-
-
 # ---------------------------------------------------------------------------
 # Linearization at the base state
 # ---------------------------------------------------------------------------
@@ -570,8 +540,6 @@ def apply_linearization_inverse(
     opset: Mapping[int, LinearModeOperator],
     rhs: SpectralField,
     method: str = "direct",
-    tol: float = 1e-12,
-    max_terms: int = 64,
 ) -> SpectralField:
     """Solve the block-diagonal linearized system for every mode.
 
@@ -579,7 +547,8 @@ def apply_linearization_inverse(
     neumann  x = 2 mu^2 * sum_k (-(M^-1 E))^k M^-1 z with M = D+ D- (Q+1)
              inverted by three chained shifted-operator inversions and
              E = (2 mu - 1) i n beta; stops once the increment falls below
-             tol relative to the partial sum, errors out if it grows.
+             1e-12 relative to the partial sum or after 64 terms, errors out
+             if it grows.
     """
     params = rhs.params
     grid = rhs.grid
@@ -611,10 +580,10 @@ def apply_linearization_inverse(
         acc = term
         prev = np.inf
         grew = 0
-        for _ in range(max_terms):
+        for _ in range(64):
             inc = float(np.max(np.abs(term.extended(cuts))))
             base = max(float(np.max(np.abs(acc.extended(cuts)))), 1e-300)
-            if inc <= tol * base:
+            if inc <= 1e-12 * base:
                 break
             grew = grew + 1 if inc > prev else 0
             if grew >= 3:

@@ -27,9 +27,8 @@ independent oracle for the spiral exponent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,13 +38,11 @@ from .grid_space import AngularSignal, SolverParams, SpectralField, sample_cutof
 from .operators import derived_fields
 
 __all__ = [
-    "PhysicalSample",
     "SpiralCurve",
     "SpiralFit",
     "FieldEvaluator",
     "to_plane",
     "to_chart",
-    "eval_fields",
     "eval_fields_batch",
     "initial_data",
     "spiral_extract",
@@ -58,18 +55,6 @@ __all__ = [
     "export_spirals_csv",
     "render_spirals_svg",
 ]
-
-
-@dataclass(frozen=True)
-class PhysicalSample:
-    """One reconstructed space-time sample with its chart preimage."""
-
-    x: tuple
-    t: float
-    w: float
-    u: tuple
-    psi: float
-    chart: tuple
 
 
 @dataclass(frozen=True)
@@ -219,14 +204,14 @@ def to_chart(
     stream: SpectralField,
     z: np.ndarray,
     ev: FieldEvaluator | None = None,
-    tol: float = 1e-13,
     max_iter: int = 80,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the chart map at nonzero plane points.
 
     Along the line beta + phi = arg(z) the log-radius is strictly decreasing
     in beta, so a bracketed Newton iteration converges for every admissible
-    profile.  Returns (beta, phi) arrays matching z[..., 2].
+    profile; a point is done once its log-radius misfit |F| is below 1e-13.
+    Returns (beta, phi) arrays matching z[..., 2].
     """
     if ev is None:
         ev = FieldEvaluator(stream)
@@ -273,7 +258,7 @@ def to_chart(
         cand = b - F / deriv
         inside = (cand > lo_a) & (cand < hi_a)
         cand = np.where(inside, cand, 0.5 * (lo_a + hi_a))
-        done = np.abs(F) < tol
+        done = np.abs(F) < 1e-13
         lo[act], hi[act] = lo_a, hi_a
         beta[act] = np.where(done, b, cand)
         act = act[~done]
@@ -282,7 +267,7 @@ def to_chart(
     else:
         b = beta[act]
         F = ev.log_radius(b, theta[act] - b) - target[act]
-        if np.max(np.abs(F)) > 1e3 * tol:
+        if np.max(np.abs(F)) > 1e3 * 1e-13:
             raise InversionError(f"chart inversion stalled at |F| = {np.max(np.abs(F)):.2e}")
     beta = beta.reshape(shape)
     phi = np.mod(theta.reshape(shape) - beta, 2.0 * np.pi)
@@ -331,19 +316,6 @@ def eval_fields_batch(
     }
 
 
-def eval_fields(stream: SpectralField, omega: AngularSignal, x, t: float) -> PhysicalSample:
-    """Reconstruct one space-time sample (t > 0, x != 0)."""
-    out = eval_fields_batch(stream, omega, np.asarray(x, float)[None, :], np.array([t]))
-    return PhysicalSample(
-        x=(float(x[0]), float(x[1])),
-        t=float(t),
-        w=float(out["w"][0]),
-        u=(float(out["u1"][0]), float(out["u2"][0])),
-        psi=float(out["psi"][0]),
-        chart=(float(out["beta"][0]), float(out["phi"][0])),
-    )
-
-
 def initial_data(
     stream: SpectralField, omega: AngularSignal, theta, ev: FieldEvaluator | None = None
 ) -> dict:
@@ -370,8 +342,9 @@ def initial_data(
     return {"w0": w0, "u0": u0, "psi0": psi0_factor}
 
 
-def _omega_zeros(omega: AngularSignal, params: SolverParams, n_scan: int = 16384) -> np.ndarray:
+def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
     """All zeros of the angular factor on [0, 2 pi), by scan and bisection."""
+    n_scan = 16384
     period = 2.0 * np.pi / params.N
     phis = period * np.arange(n_scan) / n_scan
     vals = omega.values(phis)
@@ -403,13 +376,13 @@ def spiral_extract(
     omega: AngularSignal,
     t: float,
     n_beta: int = 160,
-    beta_range: tuple = (0.05, 40.0),
     ev: FieldEvaluator | None = None,
 ) -> list[SpiralCurve]:
     """Zero-set curves of the vorticity at time t.
 
-    One curve per zero of the angular factor; an angular factor without
-    zeros gives an empty list.
+    One curve per zero of the angular factor, sampled at n_beta radii
+    geometric in [0.05, 40]; an angular factor without zeros gives an
+    empty list.
     """
     if ev is None:
         ev = FieldEvaluator(stream, omega)
@@ -417,7 +390,7 @@ def spiral_extract(
     if len(zeros) == 0:
         return []
     mu = ev.mu
-    beta = np.geomspace(beta_range[0], beta_range[1], n_beta)
+    beta = np.geomspace(0.05, 40.0, n_beta)
     B, P = beta[:, None], zeros[None, :]
     db = ev.field("db", B, P)
     radii = t**mu * np.exp(ev._log_radius(db, B))
@@ -499,8 +472,7 @@ def _gauss(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float,
-                    n_phi: int = 512, n_rad: int = 64) -> list[float]:
+def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float) -> list[float]:
     """L^p norms of w(., t) over the centered ball of radius R via the chart.
 
     Pulls the integral back to the chart, where the ball becomes the region
@@ -509,6 +481,7 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float,
     only on R * t^(-mu), so every p in ps shares them.  A radius solve that
     does not reach |F| < 1e-12 in 60 steps raises InversionError.
     """
+    n_phi, n_rad = 512, 64
     mu = ev.mu
     zr = R * t ** (-mu)
     # the chart fields are 2 pi / N periodic; sampling one period makes the
@@ -732,18 +705,20 @@ def verify(
 # ---------------------------------------------------------------------------
 
 
-def _csv_numbers(values) -> list[str]:
-    # repr of a Python float round-trips exactly; numpy 2 scalars would print
-    # as np.float64(...)
-    return [repr(float(v)) for v in values]
+def export_samples_csv(path, x: np.ndarray, t: float, fields: dict) -> None:
+    """Rows x1,x2,t,w,u1,u2,psi, one per sample, in csv.writer's dialect.
 
-
-def export_samples_csv(path, samples: Iterable[PhysicalSample]) -> None:
+    ``x`` is the (n, 2) array of sample points at the one time ``t`` and
+    ``fields`` the eval_fields_batch result for them.  Every value is written
+    as the repr of a Python float, which round-trips exactly and needs no
+    quoting, so the whole table is one % format.
+    """
+    cols = np.column_stack(
+        [x, np.full(len(x), t), fields["w"], fields["u1"], fields["u2"], fields["psi"]]
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "t", "w", "u1", "u2", "psi"])
-        for s in samples:
-            writer.writerow(_csv_numbers((s.x[0], s.x[1], s.t, s.w, s.u[0], s.u[1], s.psi)))
+        fh.write("x1,x2,t,w,u1,u2,psi\r\n")
+        fh.write("%r,%r,%r,%r,%r,%r,%r\r\n" * len(cols) % tuple(cols.reshape(-1).tolist()))
 
 
 def export_spirals_csv(path, curves: Sequence[SpiralCurve]) -> None:
@@ -761,13 +736,14 @@ def export_spirals_csv(path, curves: Sequence[SpiralCurve]) -> None:
             key = (c.beta.dtype, c.beta.shape, c.beta.tobytes())
             if key != beta_key:
                 beta_key, cells = key, list(map(repr, c.beta.tolist()))
-            head = ",".join(_csv_numbers((c.phi0, c.t))) + ","
+            head = "%r,%r," % (float(c.phi0), float(c.t))
             template = head + (tail + head).join(cells) + tail if cells else ""
             fh.write(template % tuple(c.points.reshape(-1).tolist()))
 
 
-def render_spirals_svg(path, curves: Sequence[SpiralCurve], size: int = 640) -> None:
-    """Standalone SVG with the sampled zero-set curves and annotated axes."""
+def render_spirals_svg(path, curves: Sequence[SpiralCurve]) -> None:
+    """Standalone 640 x 640 SVG with the sampled zero-set curves and annotated axes."""
+    size = 640
     if curves:
         all_pts = np.concatenate([c.points for c in curves], axis=0)
         lim = float(np.max(np.abs(all_pts))) * 1.05

@@ -92,15 +92,15 @@ _BOUND_TABLE = (
 )
 
 
-def bounds_check(stream: SpectralField, n_angles: int = 128) -> tuple[bool, dict]:
+def bounds_check(stream: SpectralField) -> tuple[bool, dict]:
     """Admissibility window for the stream profile's derivatives.
 
-    Samples all six bounded quantities on the (node, angle) lattice plus the
-    point at infinity and reports the worst margin of each (positive means
-    inside the window).
+    Samples all six bounded quantities on the lattice of nodes and at least
+    128 angles, plus the point at infinity, and reports the worst margin of
+    each (positive means inside the window).
     """
     params = stream.params
-    ws = NonlinearWorkspace(params, stream.grid, n_angles=max(n_angles, 4 * params.harmonics + 1))
+    ws = NonlinearWorkspace(params, stream.grid, n_angles=max(128, 4 * params.harmonics + 1))
     mu = params.mu
     fields = derived_fields(stream, ws.cuts)
     margins = {}
@@ -161,8 +161,11 @@ def newton_solve(
 
     backend "chord" freezes the base-state linearization; "fd" refreshes the
     Jacobian by finite differences each step (expensive, small grids only).
-    Raises ConvergenceError carrying the last iterate and report on failure.
+    Raises ConvergenceError carrying the last iterate and report on failure,
+    and ParameterError on a negative max_iter.
     """
+    if max_iter < 0:
+        raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
     if grid is None:
         grid = build_grid(params.grid_points, params.grid_scale)
     if ws is None:
@@ -297,8 +300,12 @@ def match_initial_data(
 
     g is normalized so its mean equals the base factor; the time-scaling
     ratio lambda = mean(g)/base is stored in the report, and the physical
-    solution for the original g is lambda * w(x, lambda * t).
+    solution for the original g is lambda * w(x, lambda * t).  A negative
+    max_outer or inner_max_iter raises ParameterError.
     """
+    for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
+        if cap < 0:
+            raise ParameterError(f"{name} must be non-negative, got {cap}")
     if grid is None:
         grid = build_grid(params.grid_points, params.grid_scale)
     g0_hat = g.coeff(0)

@@ -330,12 +330,29 @@ def test_help_exits_zero():
      "omega.coeffs: coefficients off the mode lattice: [3]"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 0:1:0,8:0.01:0,-8:0.5:0",
      "omega.coeffs mode -8 must be the conjugate of mode 8"),
+    ("certify", "seed = -1", "seed must be non-negative, got -1"),
+    ("verify", "seed = -1", "seed must be non-negative, got -1"),
+    ("reconstruct", "seed = -1", "seed must be non-negative, got -1"),
+    ("certify --seed -7", "", "seed must be non-negative, got -7"),
+    ("verify --seed -7", "", "seed must be non-negative, got -7"),
+    ("reconstruct --seed -7", "", "seed must be non-negative, got -7"),
+    ("reconstruct", "reconstruct.samples = 0", "reconstruct.samples must be positive, got 0"),
+    ("reconstruct", "reconstruct.samples = -3", "reconstruct.samples must be positive, got -3"),
+    ("reconstruct", "reconstruct.t = 0", "reconstruct.t must be positive, got 0.0"),
+    ("reconstruct", "reconstruct.t = -1", "reconstruct.t must be positive, got -1.0"),
+    ("reconstruct", "reconstruct.t = nan", "reconstruct.t must be positive, got nan"),
+    ("solve", "solver.max_iter = -1", "solver.max_iter must be non-negative, got -1"),
+    ("solve", "omega.kind = match\nsolver.max_iter = -1",
+     "solver.max_iter must be non-negative, got -1"),
+    ("solve", "omega.kind = match\nsolver.outer_max_iter = -1",
+     "solver.outer_max_iter must be non-negative, got -1"),
+    ("verify", "verify.suites = ", "verify.suites must name at least one suite"),
 ])
 def test_bad_config_value_exits_before_any_solve(tmp_path, command, lines, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mu = 1.0\nN = 8\ngrid.points = 96\n" + lines + "\n")
     out = tmp_path / "out"
-    proc = _cli(command, "--config", str(cfg), "--out", str(out))
+    proc = _cli(*command.split(), "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"configuration error: {message}")

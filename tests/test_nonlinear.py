@@ -204,11 +204,3 @@ def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_gr
 def test_workspace_rejects_too_few_angles(desk_params, desk_grid):
     with pytest.raises(ParameterError):
         NonlinearWorkspace(desk_params, desk_grid, n_angles=5)
-
-
-def test_residual_serialization(desk_solution):
-    stream, omega, _ = desk_solution
-    res = eval_residual(stream, omega)
-    doc = res.to_json()
-    assert "norm_report" in doc and "modes" in doc
-    assert doc["norm_report"]["aggregate"] == res.aggregate

@@ -11,7 +11,6 @@ from spiral_euler import (
     SingularOperatorError,
     SolverParams,
     SpectralField,
-    apply_bar_derivative,
     apply_linearization_inverse,
     apply_mode_operator,
     assemble_linearization,
@@ -38,23 +37,25 @@ def smooth_profile(grid, cuts, n=2, seed=1):
 
 
 def test_bar_derivative_on_base_constants(desk_params, desk_grid, desk_cuts):
+    # on the constant base profile c, dbeta_bar and dvarphi_bar are the
+    # constants (1 - 2 mu) c and (2 mu - 1) c at every node and at infinity
     mu = desk_params.mu
     base = SpectralField.base_state(desk_params, desk_grid)
     c = desk_params.base_stream_constant
-    db = apply_bar_derivative("dbeta_bar", base)
-    assert db.mode(0).cconst == pytest.approx((1 - 2 * mu) * c, abs=1e-14)
-    assert np.max(np.abs(db.mode(0).core)) < 1e-13
-    dv = apply_bar_derivative("dvarphi_bar", base)
-    assert dv.mode(0).cconst == pytest.approx((2 * mu - 1) * c, abs=1e-14)
+    fields = derived_fields(base, desk_cuts)
+    for key, value in (("db", (1 - 2 * mu) * c), ("dv", (2 * mu - 1) * c)):
+        prof = ModeProfile.from_values(0, fields[key][0, :-1], fields[key][0, -1], desk_cuts)
+        assert prof.cconst == pytest.approx(value, abs=1e-14)
+        assert np.max(np.abs(prof.core)) < 1e-13
+        assert np.max(np.abs(fields[key][1:])) == 0.0
 
 
 def test_bar_derivative_dphi_is_mode_multiplier(desk_params, desk_grid, desk_cuts):
     F = random_field(desk_params, desk_grid, desk_cuts, seed=3)
-    out = apply_bar_derivative("dphi", F)
-    n = desk_params.N
-    expected = F.mode(n).scaled(1j * n)
-    got = out.mode(n)
-    assert np.max(np.abs(got.extended(desk_cuts) - expected.extended(desk_cuts))) < 1e-12
+    dp = derived_fields(F, desk_cuts)["dp"]
+    for k, n in enumerate(int(n) for n in desk_params.mode_indices):
+        expected = F.mode(n).scaled(1j * n).extended(desk_cuts)
+        assert np.max(np.abs(dp[k] - expected)) < 1e-12
 
 
 def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid, desk_cuts):
@@ -79,12 +80,6 @@ def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid, desk_cu
         for name, ref in expected.items():
             err = np.max(np.abs(got[name][i] - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (n, name, err)
-
-
-def test_bar_derivative_unknown_kind(desk_params, desk_grid):
-    base = SpectralField.base_state(desk_params, desk_grid)
-    with pytest.raises(ParameterError):
-        apply_bar_derivative("nope", base)
 
 
 def test_apply_on_constant_mode_zero(desk_cuts):

@@ -14,7 +14,6 @@ from spiral_euler import (
     SpectralField,
     SpiralCurve,
     base_vorticity_factor,
-    eval_fields,
     eval_fields_batch,
     initial_data,
     newton_solve,
@@ -137,34 +136,35 @@ def test_chart_rejects_origin(base_setup):
 def test_base_fields_closed_form(base_setup, desk_params):
     base, omega, ev = base_setup
     mu = desk_params.mu
-    s = eval_fields(base, omega, np.array([0.3, 0.4]), 0.7)
+    f = eval_fields_batch(base, omega, np.array([[0.3, 0.4]]), np.array([0.7]), ev)
     C = base_vorticity_factor(mu)
-    assert s.w == pytest.approx(C * 0.5 ** (-1 / mu), rel=1e-12)
+    assert f["w"][0] == pytest.approx(C * 0.5 ** (-1 / mu), rel=1e-12)
     # velocity is tangential with the closed-form magnitude
-    assert s.u[0] * 0.3 + s.u[1] * 0.4 == pytest.approx(0.0, abs=1e-12)
-    assert np.hypot(*s.u) == pytest.approx(
+    u1, u2 = f["u1"][0], f["u2"][0]
+    assert u1 * 0.3 + u2 * 0.4 == pytest.approx(0.0, abs=1e-12)
+    assert np.hypot(u1, u2) == pytest.approx(
         mu ** (-1 / (2 * mu)) * 0.5 ** (1 - 1 / mu), rel=1e-12
     )
     # stream value matches the radial power law
     expected_psi = C * (2 - 1 / mu) ** (-2) * 0.5 ** (2 - 1 / mu)
-    assert s.psi == pytest.approx(expected_psi, rel=1e-12)
+    assert f["psi"][0] == pytest.approx(expected_psi, rel=1e-12)
 
 
 def test_base_vorticity_time_independent(base_setup):
     base, omega, ev = base_setup
-    s1 = eval_fields(base, omega, np.array([1.2, -0.5]), 0.3)
-    s2 = eval_fields(base, omega, np.array([1.2, -0.5]), 1.7)
-    assert s1.w == pytest.approx(s2.w, rel=1e-12)
+    x = np.array([[1.2, -0.5], [1.2, -0.5]])
+    w = eval_fields_batch(base, omega, x, np.array([0.3, 1.7]), ev)["w"]
+    assert w[0] == pytest.approx(w[1], rel=1e-12)
 
 
 def test_chart_vorticity_profile(base_setup, desk_params):
     # on the chart the base vorticity is (2 - 1/mu) * beta
     base, omega, ev = base_setup
     mu = desk_params.mu
-    for beta in (0.5, 1.0, 2.5):
-        z = to_plane(base, np.array([beta]), np.array([1.0]), ev)
-        s = eval_fields(base, omega, z[0], 1.0)
-        assert s.w == pytest.approx((2 - 1 / mu) * beta, rel=1e-10)
+    beta = np.array([0.5, 1.0, 2.5])
+    z = to_plane(base, beta, np.ones(3), ev)
+    w = eval_fields_batch(base, omega, z, np.ones(3), ev)["w"]
+    assert w == pytest.approx((2 - 1 / mu) * beta, rel=1e-10)
 
 
 def test_initial_data_base_factors(base_setup, desk_params):
@@ -191,15 +191,16 @@ def test_velocity_is_perp_gradient_of_stream(desk_solution):
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.4]
     t = 0.8
     h = 1e-6
-    for x in pts[:12]:
-        def psi_at(dx, dy):
-            return eval_fields(stream, omega, np.array([x[0] + dx, x[1] + dy]), t).psi
-
-        u1 = -(psi_at(0, h) - psi_at(0, -h)) / (2 * h)
-        u2 = (psi_at(h, 0) - psi_at(-h, 0)) / (2 * h)
-        s = eval_fields(stream, omega, x, t)
-        assert u1 == pytest.approx(s.u[0], rel=2e-6, abs=1e-8)
-        assert u2 == pytest.approx(s.u[1], rel=2e-6, abs=1e-8)
+    x = pts[:12]
+    # the points themselves, then their four offsets by h, one batch
+    steps = np.array([[0.0, 0.0], [0.0, h], [0.0, -h], [h, 0.0], [-h, 0.0]])
+    allx = (steps[:, None, :] + x[None, :, :]).reshape(-1, 2)
+    f = eval_fields_batch(stream, omega, allx, np.full(len(allx), t), ev)
+    psi = f["psi"].reshape(5, len(x))
+    u1 = -(psi[1] - psi[2]) / (2 * h)
+    u2 = (psi[3] - psi[4]) / (2 * h)
+    assert u1 == pytest.approx(f["u1"][: len(x)], rel=2e-6, abs=1e-8)
+    assert u2 == pytest.approx(f["u2"][: len(x)], rel=2e-6, abs=1e-8)
 
 
 def test_initial_data_convergence_in_l1(desk_solution, desk_params):
@@ -347,10 +348,11 @@ def test_verify_unknown_suite(base_setup, desk_params):
 
 def test_exports(tmp_path, desk_solution):
     stream, omega, _ = desk_solution
-    s = eval_fields(stream, omega, np.array([1.0, 0.2]), 0.5)
-    export_samples_csv(tmp_path / "s.csv", [s])
+    x = np.array([[1.0, 0.2]])
+    export_samples_csv(tmp_path / "s.csv", x, 0.5, eval_fields_batch(stream, omega, x, 0.5))
     text = (tmp_path / "s.csv").read_text()
     assert text.splitlines()[0] == "x1,x2,t,w,u1,u2,psi"
+    assert len(text.splitlines()) == 2
     render_spirals_svg(tmp_path / "c.svg", [])
     assert "<svg" in (tmp_path / "c.svg").read_text()
 
@@ -386,6 +388,32 @@ def test_field_on_broadcast_grid_equals_meshgrid(request, solution, names):
         assert g.shape == (160, 1000)
         assert g.flags.writeable
         assert np.array_equal(g, w)
+
+
+def _csv_writer_samples(path, x, t, fields):
+    # reference for export_samples_csv: one csv.writer row per sample
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "t", "w", "u1", "u2", "psi"])
+        for i in range(len(x)):
+            row = (x[i, 0], x[i, 1], t, *(fields[k][i] for k in ("w", "u1", "u2", "psi")))
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("t", [0.5, 1e-300, 1e300])
+@pytest.mark.parametrize("count", [0, 1, 16])
+def test_samples_writer_matches_csv_writer(tmp_path, count, t):
+    # extreme magnitudes, signed zeros and nonfinite values in every column
+    rng = np.random.default_rng(count)
+    odd = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, np.inf, -np.inf, np.nan])
+    cols = rng.standard_normal((6, count)) * 10.0 ** rng.integers(-5, 5, (6, count))
+    for j in range(6):
+        cols[j, : min(count, len(odd))] = np.roll(odd, j)[:count]
+    x = cols[:2].T.copy()
+    fields = dict(zip(("w", "u1", "u2", "psi"), cols[2:]))
+    export_samples_csv(tmp_path / "fast.csv", x, t, fields)
+    _csv_writer_samples(tmp_path / "slow.csv", x, t, fields)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def _csv_writer_spirals(path, curves):

@@ -163,3 +163,19 @@ def test_match_rejects_negative_mean(desk_params, desk_grid):
     g = AngularSignal(desk_params, {0: -base_vorticity_factor(desk_params.mu)})
     with pytest.raises(ParameterError):
         match_initial_data(g, desk_params, grid=desk_grid)
+
+
+@pytest.mark.parametrize("cap", [
+    {"max_outer": -1}, {"inner_max_iter": -1}, {"max_iter": -1},
+], ids=["outer", "inner", "newton"])
+def test_negative_iteration_cap_is_rejected(desk_params, desk_grid, cap):
+    # a negative cap would run no iteration and hand back the unsolved base
+    # state (or no report at all) as if it were a solution
+    from spiral_euler import ParameterError
+
+    omega = AngularSignal.constant_plus_cosine(desk_params, amplitude=0.01)
+    with pytest.raises(ParameterError, match="must be non-negative, got -1"):
+        if "max_iter" in cap:
+            newton_solve(omega, desk_params, grid=desk_grid, **cap)
+        else:
+            match_initial_data(omega, desk_params, grid=desk_grid, **cap)
