@@ -39,7 +39,6 @@ from .grid_space import (
     mollifier_bump_derivative,
     sample_cutoffs,
     xi_far,
-    xi_near,
 )
 from .operators import (
     apply_beta_mult,
@@ -134,8 +133,8 @@ def cutoff_norm_table(grid: RadialGrid) -> dict:
     C = cutoff_normalization()
     eta = C * mollifier_bump(beta)
     eta_p = C * mollifier_bump_derivative(beta)
-    x0 = xi_near(beta)
     xf = xi_far(beta)
+    x0 = 1.0 - xf  # xi_near
 
     computed = {
         "beta_dbeta_xi0": weighted_sup(beta * eta),

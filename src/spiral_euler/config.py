@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,6 +100,9 @@ class RunConfig:
         for key in ("reconstruct.samples", "reconstruct.t"):
             if not values[key] > 0:  # rejects a nan time too
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
+        if not math.isfinite(values["reconstruct.t"]):
+            # x * t^(-mu) would be the origin, which the chart does not cover
+            raise ConfigError(f"reconstruct.t must be finite, got {values['reconstruct.t']}")
         parse_formats(values["output.formats"], "output.formats")
         suites = [s for s in values["verify.suites"].split(",") if s]
         if not suites:

@@ -216,9 +216,10 @@ class RadialGrid:
 
         coeffs may carry leading batch axes; the result has shape
         coeffs.shape[:-1] + s.shape.  Each row's all-zero tail is skipped:
-        with the rows sorted by length, step k updates only the rows longer
-        than k.  The skipped updates would have kept exact zeros, so the
-        result is bit-identical to the dense recurrence.
+        the recurrence starts at the longest row's last nonzero coefficient,
+        and with the rows sorted by length, step k updates only the rows
+        longer than k.  The skipped updates would have kept exact zeros, so
+        the result is bit-identical to the dense recurrence.
         """
         y = 1.0 - 2.0 * np.asarray(s, dtype=float)
         rows = coeffs.reshape(-1, coeffs.shape[-1])
@@ -227,15 +228,16 @@ class RadialGrid:
             nonzero.any(axis=1), rows.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0
         )
         order = np.argsort(-length, kind="stable")
-        rows = rows[order]
-        active = np.count_nonzero(length[:, None] > np.arange(rows.shape[1]), axis=0).tolist()
+        longest = max(int(length.max(initial=0)), 1)
+        rows = rows[order, :longest]
+        active = np.count_nonzero(length[:, None] > np.arange(longest), axis=0).tolist()
         cols = rows.T[(...,) + (None,) * y.ndim]
         y2 = 2.0 * y
 
         # step k writes only the active prefix [:m], and m never shrinks as k
         # falls, so the rows past it stay zero in all three rotating buffers
         b1, b2, t = (np.zeros((len(rows),) + y.shape, dtype=coeffs.dtype) for _ in range(3))
-        for k in range(rows.shape[1] - 1, 0, -1):
+        for k in range(longest - 1, 0, -1):
             m = active[k]
             np.multiply(y2, b1[:m], out=t[:m])
             t[:m] += cols[k, :m]
@@ -362,11 +364,12 @@ class CutoffSamples:
 def sample_cutoffs(grid: RadialGrid) -> CutoffSamples:
     """Sample the cutoff pair, the bump and beta * xi_near at the nodes."""
     b = grid.nodes
-    x0 = xi_near(b)
+    xf = xi_far(b)
+    x0 = 1.0 - xf  # xi_near
     return CutoffSamples(
         grid=grid,
         xi0=x0,
-        xiinf=xi_far(b),
+        xiinf=xf,
         eta=cutoff_normalization() * mollifier_bump(b),
         beta_xi0=b * x0,
     )

@@ -69,8 +69,11 @@ __all__ = [
 class NonlinearWorkspace:
     """Cached angular transforms and preimage operators for one setup."""
 
-    def __init__(self, params: SolverParams, grid: RadialGrid, n_angles: int = 64):
+    def __init__(self, params: SolverParams, grid: RadialGrid, n_angles: int | None = None):
         K = params.harmonics
+        if n_angles is None:
+            # 64 covers K <= 15; beyond, the least power of two that dealiases
+            n_angles = max(64, 1 << (4 * K).bit_length())
         if n_angles < 4 * K + 1:
             raise ParameterError(f"need at least {4 * K + 1} angles for dealiasing")
         self.params = params

@@ -54,7 +54,6 @@ from .grid_space import (
     RadialGrid,
     SolverParams,
     SpectralField,
-    sample_cutoffs,
     xi_far,
     xi_near,
 )
@@ -539,9 +538,12 @@ def linearization_set(params: SolverParams, grid: RadialGrid) -> dict[int, Linea
 def apply_linearization_inverse(
     opset: Mapping[int, LinearModeOperator],
     rhs: SpectralField,
+    cuts: CutoffSamples,
     method: str = "direct",
 ) -> SpectralField:
     """Solve the block-diagonal linearized system for every mode.
+
+    cuts are the cutoff samples on rhs.grid, such as a workspace's.
 
     direct   dense LU per mode.
     neumann  x = 2 mu^2 * sum_k (-(M^-1 E))^k M^-1 z with M = D+ D- (Q+1)
@@ -552,7 +554,6 @@ def apply_linearization_inverse(
     """
     params = rhs.params
     grid = rhs.grid
-    cuts = sample_cutoffs(grid)
     mu = params.mu
 
     if method == "direct":

@@ -119,8 +119,9 @@ class FieldEvaluator:
     Chebyshev rows Re d_0, Re d_k, Im d_k (k = 1..K).  Each d_k is chopped at
     its plateau with the tolerance eps * max|field| / max|row|, that is eps
     relative to the whole field; the plateau rule also accepts a flat tail
-    up to about tol^(2/3), and a row without a plateau keeps every
-    coefficient.
+    up to about tol^(2/3).  A row without a plateau (differentiation noise)
+    ends after its last coefficient above the field's noise floor, the
+    largest coefficient the plateau chops of the same field discard.
     """
 
     # the keys of operators.derived_fields
@@ -135,6 +136,8 @@ class FieldEvaluator:
         self.mu = self.params.mu
         self.nvec = self.params.mode_indices
         values = derived_fields(stream, self.cuts)
+        # mode 0 of dbeta_bar psi at beta = inf: the chart inversion's start
+        self.db_inf = float(values["db"][0, -1].real)
         eps = np.finfo(float).eps
         self._rows = {}
         for name in self.FIELDS:
@@ -142,10 +145,20 @@ class FieldEvaluator:
             d = np.concatenate([arr[:1].real, 2.0 * arr[1:]])
             coef = self.grid.chebyshev_coefficients(d)
             scale = float(np.max(np.sum(np.abs(d), axis=0)))
+            floor, noise = 0.0, []
             for row in coef:
                 top = float(np.max(np.abs(row)))
-                if top > 0.0:
-                    row[_standard_chop(row, eps * scale / top) :] = 0.0
+                if top == 0.0:
+                    continue
+                keep = _standard_chop(row, eps * scale / top)
+                if keep == len(row):
+                    noise.append(row)
+                else:
+                    floor = max(floor, float(np.max(np.abs(row[keep:]))))
+                    row[keep:] = 0.0
+            for row in noise:
+                above = np.flatnonzero(np.abs(row) > floor)
+                row[above[-1] + 1 if above.size else 0 :] = 0.0
             self._rows[name] = np.concatenate([coef.real, coef[1:].imag])
 
     def field(self, names, beta, phi):
@@ -211,6 +224,10 @@ def to_chart(
     Along the line beta + phi = arg(z) the log-radius is strictly decreasing
     in beta, so a bracketed Newton iteration converges for every admissible
     profile; a point is done once its log-radius misfit |F| is below 1e-13.
+    Newton starts at beta0 = (-db_inf/mu)^(1/(2 mu)) |z|^(-1/mu), the exact
+    preimage for the base flow, where db_inf is mode 0 of dbeta_bar psi at
+    beta = inf; a point whose beta0 lies outside its bracket starts at the
+    bracket's geometric midpoint instead.
     Returns (beta, phi) arrays matching z[..., 2].
     """
     if ev is None:
@@ -243,8 +260,12 @@ def to_chart(
     if np.any(flo < 0) or np.any(fhi > 0):
         raise InversionError("failed to bracket the chart inversion")
 
+    beta = np.sqrt(lo * hi)
+    if ev.db_inf < 0.0:
+        start = (-ev.db_inf / mu) ** (1.0 / (2.0 * mu)) * base
+        beta = np.where((start > lo) & (start < hi), start, beta)
     shape = r.shape
-    beta = np.sqrt(lo * hi).ravel()
+    beta = beta.ravel()
     lo, hi, theta, target = lo.ravel(), hi.ravel(), theta.ravel(), target.ravel()
     # Newton on the unconverged points only; a converged point keeps its beta
     act = np.arange(beta.size)

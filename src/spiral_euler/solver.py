@@ -208,7 +208,7 @@ def newton_solve(
             report.message = f"no convergence in {max_iter} iterations"
             raise ConvergenceError(report.message, last_iterate=stream, report=report)
         if backend == "chord":
-            update = apply_linearization_inverse(operators, res.field, method="direct")
+            update = apply_linearization_inverse(operators, res.field, ws.cuts)
         else:
             update = _fd_newton_update(stream, omega, res, ws)
         stream = stream.plus(update.scaled(-1.0))

@@ -172,6 +172,18 @@ def test_artifacts_byte_identical_across_dirs(tmp_path):
     ).read_bytes()
 
 
+def test_solve_beyond_fifteen_harmonics(tmp_path):
+    # K = 16 needs 4K + 1 = 65 angles to dealias, one more than the 64 that
+    # serve K <= 15
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK + "harmonics = 16\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["bounds_ok"] is True
+
+
 def test_match_mode_solve(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -341,6 +353,7 @@ def test_help_exits_zero():
     ("reconstruct", "reconstruct.t = 0", "reconstruct.t must be positive, got 0.0"),
     ("reconstruct", "reconstruct.t = -1", "reconstruct.t must be positive, got -1.0"),
     ("reconstruct", "reconstruct.t = nan", "reconstruct.t must be positive, got nan"),
+    ("reconstruct", "reconstruct.t = inf", "reconstruct.t must be finite, got inf"),
     ("solve", "solver.max_iter = -1", "solver.max_iter must be non-negative, got -1"),
     ("solve", "omega.kind = match\nsolver.max_iter = -1",
      "solver.max_iter must be non-negative, got -1"),

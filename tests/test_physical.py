@@ -9,6 +9,7 @@ from spiral_euler import (
     AngularSignal,
     DroppedMassWarning,
     InversionError,
+    ModeProfile,
     ParameterError,
     SolverParams,
     SpectralField,
@@ -123,6 +124,60 @@ def test_fused_fields_match_full_mode_sum(request, solution):
         assert rel <= FAST_FIELD_BOUNDS[solution][name], name
         single = ev.field(name, beta, phi)
         assert np.max(np.abs(single - fast)) <= 1e-15 * np.max(np.abs(full))
+
+
+def test_reference_evaluator_chops_plateauless_rows(prod_solution):
+    # the six dp/dpdb rows of modes 2N and 3N are noise without a plateau;
+    # kept whole, as the plateau rule alone keeps them, they bring the
+    # count to 2005
+    stream, omega, _ = prod_solution
+    ev = FieldEvaluator(stream, omega)
+    kept = {name: int(np.count_nonzero(rows)) for name, rows in ev._rows.items()}
+    assert kept == {"psi": 47, "db": 52, "dv": 92, "dp": 120, "dpdb": 332, "lg": 100}
+    assert sum(kept.values()) == 743
+
+
+def test_chart_newton_starts_at_base_preimage(prod_solution, monkeypatch):
+    # past the bracket, one Newton step from the base flow's preimage and
+    # the evaluation that confirms |F| < 1e-13, each one fused (db, lg) call
+    stream, omega, _ = prod_solution
+    ev = FieldEvaluator(stream, omega)
+    z = np.random.default_rng(6).uniform(-2.0, 2.0, (2000, 2))
+    seen = []
+    field = FieldEvaluator.field
+
+    def counted(self, names, beta, phi):
+        if not isinstance(names, str):
+            seen.append(np.broadcast(np.asarray(beta), np.asarray(phi)).size)
+        return field(self, names, beta, phi)
+
+    monkeypatch.setattr(FieldEvaluator, "field", counted)
+    beta, phi = to_chart(stream, z, ev)
+    assert sum(seen) <= 2 * len(z)
+    monkeypatch.undo()
+    z2 = to_plane(stream, beta, phi, ev)
+    assert np.max(np.hypot(*(z - z2).T) / np.hypot(*z.T)) < 1e-12
+
+
+def test_chart_newton_falls_back_to_bracket_midpoint(desk_params, desk_grid):
+    # mode 0 is the base constant near the origin but a tenth of it at
+    # infinity, so dbeta_bar psi is about -1 on beta < 1 and -0.1 at
+    # infinity; for |z| > 1 the preimage lies near |z|^-1 < 1, and the start
+    # point sqrt(0.1) |z|^-1 from the far value falls below the bracket
+    base = SpectralField.base_state(desk_params, desk_grid)
+    modes = dict(base.modes)
+    modes[0] = ModeProfile(0, np.zeros(desk_grid.size), c0=0.9, cconst=0.1)
+    stream = SpectralField(params=desk_params, grid=desk_grid, modes=modes)
+    ev = FieldEvaluator(stream)
+    assert ev.db_inf == pytest.approx(-0.1, rel=1e-12)
+    rng = np.random.default_rng(5)
+    r, ang = rng.uniform(1.2, 3.0, 200), rng.uniform(0.0, 2 * np.pi, 200)
+    z = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    lowest = 0.5 * 0.5**0.5 / r  # the bracket's lower end before widening
+    assert np.all(0.1**0.5 / r < lowest)
+    beta, phi = to_chart(stream, z, ev)
+    z2 = to_plane(stream, beta, phi, ev)
+    assert np.max(np.hypot(*(z - z2).T) / r) < 1e-12
 
 
 def test_chart_rejects_origin(base_setup):
