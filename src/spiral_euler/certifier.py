@@ -320,7 +320,6 @@ def certify(
     params: SolverParams,
     grid: RadialGrid | None = None,
     seed: int = 42,
-    spot_check: bool = True,
 ) -> Certificate:
     """Assemble the full certificate for one parameter set."""
     mu, N = params.mu, params.N
@@ -357,7 +356,7 @@ def certify(
         notes.append("contraction constant evaluated at N=4, the smallest admissible value")
 
     spots: tuple = ()
-    if spot_check and N >= 4:
+    if N >= 4:
         spots = _perturbation_spot_check(params, grid, K, seed)
         for n, ratio, bound, ok in spots:
             if not ok:

@@ -249,4 +249,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"configuration file {path} does not exist")
-    return parse_config_text(p.read_text(), overrides)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the configuration file {path}: {exc}") from exc
+    return parse_config_text(text, overrides)

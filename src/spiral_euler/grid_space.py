@@ -504,6 +504,10 @@ class SpectralField:
         for n, prof in self.modes.items():
             if prof.n != n:
                 raise StructureError(f"profile at key {n} has index {prof.n}")
+            if prof.core.shape != (self.grid.size,):
+                raise StructureError(
+                    f"mode {n} core has {prof.core.size} values for {self.grid.size} grid points"
+                )
 
     @classmethod
     def base_state(cls, params: SolverParams, grid: RadialGrid) -> "SpectralField":

@@ -17,7 +17,7 @@ the preimage of z = x * t^(-mu):
                     / (2 dbeta_bar psi) * e_r  +  dvarphi_bar psi * e_theta )
 
 Inversion of the chart runs along the lines theta = const, where the map's
-radius is strictly monotone in beta, so a bracketed Newton iteration is
+radius is strictly monotone in beta, so a safeguarded Newton iteration is
 safe.  The vanishing set of the vorticity organizes into the curves
 t^mu * T(line phi = phi0) over the zeros phi0 of Omega; each is squeezed
 between algebraic spirals with radii sqrt(1/(2 mu)) and sqrt(3/(2 mu)) times
@@ -28,6 +28,7 @@ independent oracle for the spiral exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -214,21 +215,19 @@ def to_plane(stream: SpectralField, beta, phi, ev: FieldEvaluator | None = None)
 
 
 def to_chart(
-    stream: SpectralField,
-    z: np.ndarray,
-    ev: FieldEvaluator | None = None,
-    max_iter: int = 80,
+    stream: SpectralField, z: np.ndarray, ev: FieldEvaluator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the chart map at nonzero plane points.
 
     Along the line beta + phi = arg(z) the log-radius is strictly decreasing
-    in beta, so a bracketed Newton iteration converges for every admissible
+    in beta, so a safeguarded Newton iteration converges for every admissible
     profile; a point is done once its log-radius misfit |F| is below 1e-13.
     Newton starts at beta0 = (-db_inf/mu)^(1/(2 mu)) |z|^(-1/mu), the exact
-    preimage for the base flow, where db_inf is mode 0 of dbeta_bar psi at
-    beta = inf; a point whose beta0 lies outside its bracket starts at the
-    bracket's geometric midpoint instead.
-    Returns (beta, phi) arrays matching z[..., 2].
+    preimage for the base flow (db_inf is mode 0 of dbeta_bar psi at
+    beta = inf).  The safeguard, narrowed by the sign of F at every iterate,
+    starts as the admissibility envelope widened 2^9-fold at each end; a start
+    or step outside it goes to its geometric midpoint, and a root beyond it
+    stalls.  Returns (beta, phi) arrays matching z[..., 2].
     """
     if ev is None:
         ev = FieldEvaluator(stream)
@@ -236,40 +235,20 @@ def to_chart(
     r = np.hypot(z[..., 0], z[..., 1])
     if np.any(r == 0.0):
         raise ParameterError("the chart does not cover the origin")
-    theta = np.arctan2(z[..., 1], z[..., 0])
-    target = np.log(r)
+    shape = r.shape
+    theta = np.arctan2(z[..., 1], z[..., 0]).ravel()
+    target = np.log(r).ravel()
     mu = ev.mu
-    # bracket from the admissibility envelope, widened
-    base = r ** (-1.0 / mu)
-    lo = 0.5 * (1.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
-    hi = 2.0 * (3.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
-    flo = ev.log_radius(lo, theta - lo) - target
-    fhi = ev.log_radius(hi, theta - hi) - target
-    for _ in range(8):
-        bad = flo < 0
-        if not np.any(bad):
-            break
-        lo = np.where(bad, 0.5 * lo, lo)
-        flo = np.where(bad, ev.log_radius(lo, theta - lo) - target, flo)
-    for _ in range(8):
-        bad = fhi > 0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-        fhi = np.where(bad, ev.log_radius(hi, theta - hi) - target, fhi)
-    if np.any(flo < 0) or np.any(fhi > 0):
-        raise InversionError("failed to bracket the chart inversion")
-
+    base = r.ravel() ** (-1.0 / mu)
+    lo = 2.0**-9 * (1.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
+    hi = 2.0**9 * (3.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
     beta = np.sqrt(lo * hi)
     if ev.db_inf < 0.0:
         start = (-ev.db_inf / mu) ** (1.0 / (2.0 * mu)) * base
         beta = np.where((start > lo) & (start < hi), start, beta)
-    shape = r.shape
-    beta = beta.ravel()
-    lo, hi, theta, target = lo.ravel(), hi.ravel(), theta.ravel(), target.ravel()
     # Newton on the unconverged points only; a converged point keeps its beta
     act = np.arange(beta.size)
-    for _ in range(max_iter):
+    for _ in range(80):
         b, th = beta[act], theta[act]
         db, lg = ev.field(("db", "lg"), b, th - b)
         F = ev._log_radius(db, b) - target[act]
@@ -278,7 +257,7 @@ def to_chart(
         deriv = -lg / (2.0 * b * db)  # strictly negative on the window
         cand = b - F / deriv
         inside = (cand > lo_a) & (cand < hi_a)
-        cand = np.where(inside, cand, 0.5 * (lo_a + hi_a))
+        cand = np.where(inside, cand, np.sqrt(lo_a * hi_a))
         done = np.abs(F) < 1e-13
         lo[act], hi[act] = lo_a, hi_a
         beta[act] = np.where(done, b, cand)
@@ -364,31 +343,26 @@ def initial_data(
 
 
 def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
-    """All zeros of the angular factor on [0, 2 pi), by scan and bisection."""
+    """All zeros of the angular factor on [0, 2 pi), by scan and bisection.
+
+    A zero on a scan node is kept as it is; the sign changes between nodes
+    of one period (its end point takes the value at 0) are bisected at once.
+    """
     n_scan = 16384
     period = 2.0 * np.pi / params.N
-    phis = period * np.arange(n_scan) / n_scan
-    vals = omega.values(phis)
-    zeros = []
-    for i in range(n_scan):
-        a, b = phis[i], phis[(i + 1) % n_scan] if i + 1 < n_scan else period
-        fa, fb = vals[i], vals[(i + 1) % n_scan]
-        if fa == 0.0:
-            zeros.append(a)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = float(omega.values(np.array([m]))[0])
-                if fa * fm <= 0.0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            zeros.append(0.5 * (a + b))
-    if not zeros:
-        return np.array([])
-    base = np.array(zeros)
-    all_zeros = np.concatenate([base + j * period for j in range(params.N)])
+    phis = period * np.arange(n_scan + 1) / n_scan
+    vals = omega.values(phis[:-1])
+    vals = np.append(vals, vals[0])
+    on_node = phis[:-1][vals[:-1] == 0.0]
+    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    a, b, fa = phis[cross], phis[cross + 1], vals[cross]
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        fm = omega.values(m)
+        left = fa * fm <= 0.0
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    zeros = np.concatenate([on_node, 0.5 * (a + b)])
+    all_zeros = np.concatenate([zeros + j * period for j in range(params.N)])
     return np.sort(np.mod(all_zeros, 2.0 * np.pi))
 
 
@@ -473,19 +447,13 @@ def spiral_ode_oracle(mu: float, C: float, z0, theta_span) -> SpiralFit:
 
 
 def _bump(x, lo, hi):
-    y = np.zeros_like(x)
+    """The bump exp(-1/(q (1 - q))), q = (x - lo)/(hi - lo), on (lo, hi) and its derivative."""
+    y, yp = np.zeros_like(x), np.zeros_like(x)
     m = (x > lo) & (x < hi)
     q = (x[m] - lo) / (hi - lo)
     y[m] = np.exp(-1.0 / (q * (1.0 - q)))
-    return y
-
-
-def _bump_prime(x, lo, hi):
-    y = np.zeros_like(x)
-    m = (x > lo) & (x < hi)
-    q = (x[m] - lo) / (hi - lo)
-    y[m] = np.exp(-1.0 / (q * (1.0 - q))) * ((1.0 - 2.0 * q) / (q * (1.0 - q)) ** 2) / (hi - lo)
-    return y
+    yp[m] = y[m] * ((1.0 - 2.0 * q) / (q * (1.0 - q)) ** 2) / (hi - lo)
+    return y, yp
 
 
 def _gauss(n, a, b):
@@ -540,6 +508,27 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float)
         total *= t ** (2.0 * mu - p)
         norms.append(total ** (1.0 / p))
     return norms
+
+
+def _annulus(stream, omega, ev, r0, r1, nr, nth, tq, wt) -> SimpleNamespace:
+    """Fields, radial bump g and weights wq r dr dtheta dt on an annulus quadrature.
+
+    nr Gauss radii in [r0, r1] x times tq (weights wt) x nth angles on one
+    period: for radial test functions and 2 pi / N periodic fields the full
+    angular integral is N times the one-period integral.
+    """
+    rq, wr = _gauss(nr, r0, r1)
+    th = 2.0 * np.pi / ev.params.N * np.arange(nth) / nth
+    wth = 2.0 * np.pi / nth
+    R, T, H = np.meshgrid(rq, tq, th, indexing="ij")
+    X = np.stack([R * np.cos(H), R * np.sin(H)], axis=-1)
+    f = eval_fields_batch(stream, omega, X.reshape(-1, 2), T.reshape(-1), ev)
+    W, U1, U2 = (f[name].reshape(R.shape) for name in ("w", "u1", "u2"))
+    g, gp = _bump(R, r0, r1)
+    wq = wr[:, None, None] * wt[None, :, None] * wth * R
+    return SimpleNamespace(
+        rq=rq, wr=wr, th=th, wth=wth, T=T, H=H, W=W, U1=U1, U2=U2, g=g, gp=gp, wq=wq
+    )
 
 
 VERIFY_SUITES = ("selfsim", "lp", "weak", "divfree", "poisson")
@@ -641,27 +630,10 @@ def verify(
     if "weak" in suite:
         rows = []
         for r0, r1, a, b in tests:
-            nr, nth, nt = 32, 80, 20
-            rq, wr = _gauss(nr, r0, r1)
-            tq, wt = _gauss(nt, max(a, 0.0), b)
-            # radial test functions and 2 pi / N periodic fields: the full
-            # angular integral is N times the one-period integral
-            period = 2.0 * np.pi / params.N
-            th = period * np.arange(nth) / nth
-            wth = 2.0 * np.pi / nth
-            Rg, Tg, Hg = np.meshgrid(rq, tq, th, indexing="ij")
-            X = np.stack([Rg * np.cos(Hg), Rg * np.sin(Hg)], axis=-1)
-            flat_x = X.reshape(-1, 2)
-            flat_t = Tg.reshape(-1)
-            f = eval_fields_batch(stream, omega, flat_x, flat_t, ev)
-            g = _bump(Rg, r0, r1)
-            gp = _bump_prime(Rg, r0, r1)
-            h = _bump(Tg, a, b)
-            hp = _bump_prime(Tg, a, b)
-            W = f["w"].reshape(Rg.shape)
-            U1 = f["u1"].reshape(Rg.shape)
-            U2 = f["u2"].reshape(Rg.shape)
-            wq = wr[:, None, None] * wt[None, :, None] * wth * Rg
+            tq, wt = _gauss(20, max(a, 0.0), b)
+            q = _annulus(stream, omega, ev, r0, r1, 32, 80, tq, wt)
+            g, gp, Hg, W, U1, U2, wq = q.g, q.gp, q.H, q.W, q.U1, q.U2, q.wq
+            h, hp = _bump(q.T, a, b)
             grad1 = gp * np.cos(Hg) * h
             grad2 = gp * np.sin(Hg) * h
             term_t = float(np.sum(W * g * hp * wq))
@@ -670,10 +642,10 @@ def verify(
             mass_adv = float(np.sum(np.abs(W * (U1 * grad1 + U2 * grad2)) * wq))
             # initial term: w(., 0) = |x|^(-1/mu) w0(theta)
             if a < 0.0:
-                h0 = float(_bump(np.array([0.0]), a, b)[0])
-                w0 = initial_data(stream, omega, th, ev)["w0"]
-                rad = float(np.sum(wr * rq ** (1.0 - 1.0 / mu) * g[:, 0, 0]))
-                term_init = h0 * rad * float(np.sum(w0) * wth)
+                h0 = float(_bump(np.array([0.0]), a, b)[0][0])
+                w0 = initial_data(stream, omega, q.th, ev)["w0"]
+                rad = float(np.sum(q.wr * q.rq ** (1.0 - 1.0 / mu) * g[:, 0, 0]))
+                term_init = h0 * rad * float(np.sum(w0) * q.wth)
             else:
                 term_init = 0.0
             resid = term_init + term_t + term_adv
@@ -688,23 +660,9 @@ def verify(
         # both suites integrate the same batch at the window's mid time
         divfree, poisson = [], []
         for r0, r1, a, b in tests[:3]:
-            nr, nth = 48, 128
-            rq, wr = _gauss(nr, r0, r1)
-            period = 2.0 * np.pi / params.N
-            th = period * np.arange(nth) / nth
-            wth = 2.0 * np.pi / nth
-            Rg, Hg = np.meshgrid(rq, th, indexing="ij")
-            X = np.stack([Rg * np.cos(Hg), Rg * np.sin(Hg)], axis=-1)
             tval = 0.5 * (max(a, 0.05) + b)
-            f = eval_fields_batch(
-                stream, omega, X.reshape(-1, 2), np.full(Rg.size, tval), ev
-            )
-            g = _bump(Rg, r0, r1)
-            gp = _bump_prime(Rg, r0, r1)
-            W = f["w"].reshape(Rg.shape)
-            U1 = f["u1"].reshape(Rg.shape)
-            U2 = f["u2"].reshape(Rg.shape)
-            wq = wr[:, None] * wth * Rg
+            q = _annulus(stream, omega, ev, r0, r1, 48, 128, np.array([tval]), np.ones(1))
+            g, gp, Hg, W, U1, U2, wq = q.g, q.gp, q.H, q.W, q.U1, q.U2, q.wq
             val = float(np.sum((U1 * gp * np.cos(Hg) + U2 * gp * np.sin(Hg)) * wq))
             scale = float(np.sum(np.hypot(U1, U2) * np.abs(gp) * wq)) or 1.0
             divfree.append({"t": tval, "integral": val, "scale": scale, "rel": abs(val) / scale})

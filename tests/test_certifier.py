@@ -123,10 +123,11 @@ def test_certificate_verdict_invariant():
 
 
 def test_certificate_table_renders(prod_params, prod_grid):
-    cert = certify(prod_params, grid=prod_grid, spot_check=False)
+    cert = certify(prod_params, grid=prod_grid)
     text = cert.table()
     assert "PASS" in text
     assert "contraction" in text
+    assert "sampled perturbation norms" in text
 
 
 def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypatch):

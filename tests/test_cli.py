@@ -154,9 +154,18 @@ def test_solve_failure_exit_code(tmp_path):
     assert "error" in doc
 
 
-def test_missing_config_is_config_error(tmp_path):
+def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "none.cfg")]) == 1
     assert main(["solve"]) == 1
+    # a directory and a file that is not UTF-8 exist but cannot be read
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes("mu = 1.0  # \xb5\n".encode("latin-1"))
+    capsys.readouterr()
+    for path in (tmp_path, latin):
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read the configuration file {path}")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_artifacts_byte_identical_across_dirs(tmp_path):
@@ -281,15 +290,20 @@ def _add_conjugate_modes(doc):
             })
 
 
-@pytest.mark.parametrize("edit", [_drop_last_mode, _add_conjugate_modes])
+def _shorten_core(doc):
+    doc["modes"][0]["core"].pop()
+
+
+@pytest.mark.parametrize("edit", [_drop_last_mode, _add_conjugate_modes, _shorten_core])
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
+    detail = {_shorten_core: "mode 0 core has 95 values for 96 grid points"}.get(edit, "mode set")
     cfg, out = _saved_field(tmp_path, edit)
     for argv in (["verify", "--config", str(cfg)], ["render", "--config", str(cfg)]):
         proc = _cli(*argv, "--out", str(out))
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("configuration error: cannot load the saved field")
-        assert "mode set" in proc.stderr
+        assert detail in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
 

@@ -72,12 +72,22 @@ def test_chart_round_trip_random(base_setup):
     assert np.max(rel) < 1e-10
 
 
+class _SteepSlope(FieldEvaluator):
+    """A Newton slope 1000 times too steep: |F| shrinks by 0.1% a step."""
+
+    def field(self, names, beta, phi):
+        vals = super().field(names, beta, phi)
+        if names == ("db", "lg"):
+            db, lg = vals
+            return db, 1e3 * lg
+        return vals
+
+
 def test_chart_inversion_stall_raises(desk_solution):
     stream, omega, _ = desk_solution
-    ev = FieldEvaluator(stream, omega)
     z = np.random.default_rng(4).uniform(0.5, 2.0, (50, 2))
-    with pytest.raises(InversionError, match="stalled"):
-        to_chart(stream, z, ev, max_iter=1)
+    with pytest.raises(InversionError, match="chart inversion stalled"):
+        to_chart(stream, z, _SteepSlope(stream, omega))
 
 
 def test_chart_inversion_rejects_lost_sign(base_setup):
@@ -159,22 +169,33 @@ def test_chart_newton_starts_at_base_preimage(prod_solution, monkeypatch):
     assert np.max(np.hypot(*(z - z2).T) / np.hypot(*z.T)) < 1e-12
 
 
-def test_chart_newton_falls_back_to_bracket_midpoint(desk_params, desk_grid):
-    # mode 0 is the base constant near the origin but a tenth of it at
-    # infinity, so dbeta_bar psi is about -1 on beta < 1 and -0.1 at
-    # infinity; for |z| > 1 the preimage lies near |z|^-1 < 1, and the start
-    # point sqrt(0.1) |z|^-1 from the far value falls below the bracket
+# mode 0 of dbeta_bar psi is -(c0 xi_near + cconst); the safeguard reaches
+# down to 2^-9 sqrt(1/2) / |z| at mu = 1
+@pytest.mark.parametrize("c0, cconst, inverts", [
+    # about -1 near the origin, where the preimages of 1.2 < |z| < 3 lie,
+    # and -1e-7 at infinity: the start sqrt(1e-7) / |z| lies below the reach
+    # and Newton starts at the safeguard's geometric midpoint
+    pytest.param(1.0 - 1e-7, 1e-7, True, id="start-below-reach"),
+    # -0.05 everywhere: the root sqrt(0.05) / |z| lies below half the
+    # envelope's lower end sqrt(1/2) / |z|
+    pytest.param(0.0, 0.05, True, id="root-below-envelope"),
+    # -1e-8 everywhere: the root 1e-4 / |z| lies below the reach
+    pytest.param(0.0, 1e-8, False, id="root-past-reach"),
+])
+def test_chart_newton_safeguard_reach(desk_params, desk_grid, c0, cconst, inverts):
     base = SpectralField.base_state(desk_params, desk_grid)
     modes = dict(base.modes)
-    modes[0] = ModeProfile(0, np.zeros(desk_grid.size), c0=0.9, cconst=0.1)
+    modes[0] = ModeProfile(0, np.zeros(desk_grid.size), c0=c0, cconst=cconst)
     stream = SpectralField(params=desk_params, grid=desk_grid, modes=modes)
     ev = FieldEvaluator(stream)
-    assert ev.db_inf == pytest.approx(-0.1, rel=1e-12)
+    assert ev.db_inf == pytest.approx(-cconst, rel=1e-12)
     rng = np.random.default_rng(5)
     r, ang = rng.uniform(1.2, 3.0, 200), rng.uniform(0.0, 2 * np.pi, 200)
     z = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    lowest = 0.5 * 0.5**0.5 / r  # the bracket's lower end before widening
-    assert np.all(0.1**0.5 / r < lowest)
+    if not inverts:
+        with pytest.raises(InversionError, match="stalled"):
+            to_chart(stream, z, ev)
+        return
     beta, phi = to_chart(stream, z, ev)
     z2 = to_plane(stream, beta, phi, ev)
     assert np.max(np.hypot(*(z - z2).T) / r) < 1e-12
@@ -283,6 +304,20 @@ def test_spiral_extract_no_zeros_is_empty(desk_solution):
     assert spiral_extract(stream, omega, 1.0) == []
 
 
+def test_spiral_extract_sine_zero_set(base_setup, desk_params):
+    # sin(N phi) has its 2N zeros at k pi / N, and the one at phi = 0 lies on
+    # a scan node, where Omega is exactly zero
+    base, _, ev = base_setup
+    N = desk_params.N
+    omega = AngularSignal(desk_params, {N: -0.5j, -N: 0.5j})
+    assert omega.values(np.array([0.0]))[0] == 0.0
+    curves = spiral_extract(base, omega, 1.0, n_beta=8, ev=ev)
+    phi0 = np.array([c.phi0 for c in curves])
+    assert len(phi0) == 2 * N
+    assert phi0[0] == 0.0
+    assert np.max(np.abs(phi0 - np.pi * np.arange(2 * N) / N)) < 1e-14
+
+
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_spiral_extract_cosine_zero_set(desk_params, desk_grid):
     # an angular factor crossing zero yields 2N curves inside the envelope
@@ -366,16 +401,8 @@ def test_lp_radius_solve_that_stalls_raises(desk_solution):
     # 60-step radius solve ends far above its tolerance
     stream, omega, _ = desk_solution
 
-    class SteepSlope(FieldEvaluator):
-        def field(self, names, beta, phi):
-            vals = super().field(names, beta, phi)
-            if names == ("db", "lg"):
-                db, lg = vals
-                return db, 1e3 * lg
-            return vals
-
     with pytest.raises(InversionError, match="lp radius solve .* stalled"):
-        _lp_chart_norms(SteepSlope(stream, omega), [1.0], 1.0, 1.0)
+        _lp_chart_norms(_SteepSlope(stream, omega), [1.0], 1.0, 1.0)
 
 
 def test_verify_lp_base_closed_form(base_setup, desk_params):
