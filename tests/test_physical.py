@@ -389,6 +389,13 @@ def test_verify_selfsim_divfree_poisson(desk_solution, desk_params):
     assert all(row["rel"] <= 1e-5 for row in report["poisson"])
 
 
+def test_verify_test_windows_depend_on_the_seed_alone(desk_solution, desk_params):
+    stream, omega, _ = desk_solution
+    alone = verify(stream, omega, desk_params, suite=("divfree",))
+    after = verify(stream, omega, desk_params, suite=("selfsim", "divfree"))
+    assert after["divfree"] == alone["divfree"]
+
+
 def test_verify_lp_bound(desk_solution, desk_params):
     stream, omega, _ = desk_solution
     report = verify(stream, omega, desk_params, suite=("lp",))
