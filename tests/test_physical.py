@@ -28,6 +28,7 @@ from spiral_euler.operators import derived_fields
 from spiral_euler.physical import (
     FieldEvaluator,
     _lp_chart_norms,
+    _omega_zeros,
     export_samples_csv,
     export_spirals_csv,
     render_spirals_svg,
@@ -302,6 +303,47 @@ def test_initial_data_convergence_in_l1(desk_solution, desk_params):
 def test_spiral_extract_no_zeros_is_empty(desk_solution):
     stream, omega, _ = desk_solution
     assert spiral_extract(stream, omega, 1.0) == []
+
+
+def _scalar_omega_zeros(omega, params):
+    # reference for _omega_zeros: one scalar bisection per sign change
+    n_scan = 16384
+    period = 2.0 * np.pi / params.N
+    phis = period * np.arange(n_scan) / n_scan
+    vals = omega.values(phis)
+    zeros = []
+    for i in range(n_scan):
+        a, b = phis[i], phis[i + 1] if i + 1 < n_scan else period
+        fa, fb = vals[i], vals[(i + 1) % n_scan]
+        if fa == 0.0:
+            zeros.append(a)
+            continue
+        if fa * fb < 0.0:
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                fm = float(omega.values(np.array([m]))[0])
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            zeros.append(0.5 * (a + b))
+    all_zeros = [z + j * period for j in range(params.N) for z in zeros]
+    return np.sort(np.mod(np.array(all_zeros, dtype=float), 2.0 * np.pi))
+
+
+@pytest.mark.parametrize("harmonics", [
+    {0: 1.0},
+    {1: -0.5j, -1: 0.5j},
+    {0: 0.2, 1: 0.5, -1: 0.5, 2: 0.3j, -2: -0.3j, 3: 0.25, -3: 0.25},
+    {0: 0.5, 1: 0.25, -1: 0.25, 3: 0.1 + 0.05j, -3: 0.1 - 0.05j},
+], ids=["constant", "sine", "harmonics-1-2-3", "harmonics-1-3"])
+def test_omega_zeros_match_scalar_bisection(desk_params, harmonics):
+    N = desk_params.N
+    omega = AngularSignal(desk_params, {k * N: c for k, c in harmonics.items()})
+    want = _scalar_omega_zeros(omega, desk_params)
+    got = _omega_zeros(omega, desk_params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_spiral_extract_sine_zero_set(base_setup, desk_params):
