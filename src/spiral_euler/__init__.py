@@ -36,7 +36,6 @@ from .grid_space import (
     field_to_json,
     mode_norm,
     sample_cutoffs,
-    spectral_norm,
     xi_far,
     xi_near,
 )

@@ -43,7 +43,6 @@ from .grid_space import (
 from .operators import (
     apply_beta_mult,
     invert_mode_operator,
-    mode_operator,
     shift_minus,
     shift_plus,
 )
@@ -292,23 +291,18 @@ def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, s
     mu = params.mu
     delta = params.delta
     rng = np.random.default_rng(seed)
-    ops: dict = {}
-
-    def invert(n: int, shift: float, fs: list) -> list:
-        if (n, shift) not in ops:
-            ops[n, shift] = mode_operator(grid, n, shift)
-        return invert_mode_operator(n, shift, fs, cuts, op=ops[n, shift])
-
     rows = []
     for k in (1, 2, 3):
         n = k * params.N
         gs = [_random_core_profile(rng, n, cuts, delta) for _ in range(8)]
-        psis = invert(0, -1.0, invert(n, shift_minus(mu, n), gs))
+        psis = invert_mode_operator(
+            0, -1.0, invert_mode_operator(n, shift_minus(mu, n), gs, cuts), cuts
+        )
         perts = []
         for psi in psis:
             pert = (2.0 * mu - 1.0) * apply_beta_mult(grid, n, psi.extended(cuts))
             perts.append(ModeProfile.from_values(n, pert[:-1], pert[-1], cuts))
-        pres = invert(n, shift_plus(mu, n), perts)
+        pres = invert_mode_operator(n, shift_plus(mu, n), perts, cuts)
         worst = max(
             mode_norm(pre, delta, cuts) / mode_norm(g, delta, cuts) for g, pre in zip(gs, pres)
         )

@@ -66,8 +66,8 @@ _FLOAT_KEYS = {
 class RunConfig:
     """Validated run configuration with all defaults filled.
 
-    Construction validates every value, overrides included, and raises
-    ConfigError on the first that is out of range.
+    Construction validates every value and raises ConfigError on the first
+    that is out of range.
     """
 
     values: dict
@@ -97,12 +97,17 @@ class RunConfig:
         for key in ("seed", "solver.max_iter", "solver.outer_max_iter"):
             if values[key] < 0:
                 raise ConfigError(f"{key} must be non-negative, got {values[key]}")
-        for key in ("reconstruct.samples", "reconstruct.t"):
-            if not values[key] > 0:  # rejects a nan time too
+        for key in (
+            "reconstruct.samples", "reconstruct.t", "solver.tol", "solver.outer_tol",
+            "solver.epsilon_cap",
+        ):
+            if not values[key] > 0:  # rejects nan too
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
-        if not math.isfinite(values["reconstruct.t"]):
-            # x * t^(-mu) would be the origin, which the chart does not cover
-            raise ConfigError(f"reconstruct.t must be finite, got {values['reconstruct.t']}")
+        for key in sorted(_FLOAT_KEYS):
+            # an infinite reconstruct.t would put x * t^(-mu) at the origin,
+            # which the chart does not cover
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"{key} must be finite, got {values[key]}")
         parse_formats(values["output.formats"], "output.formats")
         suites = [s for s in values["verify.suites"].split(",") if s]
         if not suites:
@@ -128,9 +133,7 @@ class RunConfig:
             )
         if kind == "coeffs":
             return AngularSignal(self.params, _parse_coeffs(self.values["omega.coeffs"]))
-        if kind == "match":
-            raise ConfigError("omega.kind = match has no direct angular factor; use solve")
-        raise ConfigError(f"unknown omega.kind {kind!r}")
+        raise ConfigError("omega.kind = match has no direct angular factor; use solve")
 
     def target(self) -> AngularSignal:
         from .solver import base_vorticity_factor
@@ -191,7 +194,7 @@ def _parse_coeffs(text: str) -> dict:
     return coeffs
 
 
-def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -219,11 +222,6 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
                 values[key] = value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _DEFAULTS:
-                raise ConfigError(f"unknown override key {key!r}")
-            values[key] = val
 
     for required in ("mu", "N"):
         if values[required] is None:
@@ -244,7 +242,7 @@ def parse_formats(text: str, source: str) -> set:
     return formats
 
 
-def load_config(path, overrides: dict | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     """Read and validate a flat key = value configuration file."""
     p = Path(path)
     if not p.exists():
@@ -253,4 +251,4 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read the configuration file {path}: {exc}") from exc
-    return parse_config_text(text, overrides)
+    return parse_config_text(text)

@@ -62,7 +62,7 @@ class AccuracyError(RuntimeError):
 
 
 class InversionError(RuntimeError):
-    """The chart inversion failed to bracket or converge."""
+    """A chart inversion or radius solve stalled, or the radial derivative lost its sign."""
 
 
 class ConfigError(ValueError):

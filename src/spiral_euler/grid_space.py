@@ -52,7 +52,6 @@ __all__ = [
     "xi_far",
     "xi_near",
     "mode_norm",
-    "spectral_norm",
     "field_to_json",
     "field_from_json",
 ]
@@ -204,12 +203,6 @@ class RadialGrid:
         c[..., 0] *= 0.5
         c[..., -1] *= 0.5
         return c
-
-    def interpolate(self, ext: np.ndarray, beta_targets) -> np.ndarray:
-        """Evaluate the spectral interpolant at arbitrary beta >= 0."""
-        coeffs = self.chebyshev_coefficients(ext)
-        s = self.s_of_beta(beta_targets)
-        return self.evaluate_coefficients(coeffs, s)
 
     def evaluate_coefficients(self, coeffs: np.ndarray, s) -> np.ndarray:
         """Clenshaw evaluation at s in [0, 1] of DCT coefficients.
@@ -600,28 +593,6 @@ class AngularSignal:
 
     def scaled(self, a: complex) -> "AngularSignal":
         return AngularSignal(self.params, {n: a * c for n, c in self.coeffs.items()})
-
-
-def spectral_norm(obj, s: float, cuts: CutoffSamples | None = None) -> float:
-    """Weighted l1 norm over modes: sum of <n>^s times the mode norm.
-
-    For an AngularSignal the mode norm is the coefficient modulus.  For a
-    SpectralField it is mode_norm, the direct-sum norm of the structured
-    decomposition; each stored mode n != 0 counts twice, once for itself
-    and once for its conjugate mode -n.
-    """
-    if isinstance(obj, AngularSignal):
-        return obj.a_norm(s)
-    if not isinstance(obj, SpectralField):
-        raise ParameterError(f"cannot take a spectral norm of {type(obj)!r}")
-    if cuts is None:
-        cuts = sample_cutoffs(obj.grid)
-    delta = obj.params.delta
-    total = 0.0
-    for n in obj.params.mode_indices:
-        part = mode_norm(obj.modes[int(n)], delta, cuts)
-        total += mode_weight(n) * bracket(int(n)) ** s * part
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,10 @@ from .grid_space import (
 )
 from .operators import (
     LinearModeOperator,
-    assemble_linearization,
     beta_mult_matrix,
     derived_fields,
     dvarphi_bar_ext,
+    linearization_set,
     mode_operator,
     shift_minus,
     shift_plus,
@@ -304,10 +304,7 @@ def fd_derivative_check(
     fd_h = fd(h)
     if is_base:
         if operators is None:
-            operators = {
-                n: assemble_linearization(n, stream.params, stream.grid)
-                for n in ws.mode_list
-            }
+            operators = linearization_set(stream.params, stream.grid)
         ref = {n: operators[n].apply_function(dir_ext[n]) for n in ws.mode_list}
     else:
         ref = fd(0.5 * h)

@@ -161,7 +161,6 @@ def invert_mode_operator(
     f: ModeProfile | Sequence[ModeProfile],
     cuts: CutoffSamples,
     method: str = "matrix",
-    op: LinearModeOperator | None = None,
 ) -> ModeProfile | list[ModeProfile]:
     """Bounded inverse of D(n, shift) applied to a structured profile.
 
@@ -175,16 +174,9 @@ def invert_mode_operator(
     The matrix method solves a sequence as the columns of one solve, so its
     profiles share one factorization, and each result equals the one its
     profile gets alone, bit for bit.
-
-    ``op`` is D(n, shift) as a LinearModeOperator (``mode_operator``); a
-    caller inverting with one operator repeatedly passes it so that the
-    matrix is assembled once.  The matrix method builds its own when it is
-    omitted.
     """
     if shift == 0.0:
         raise DegenerateShiftError(f"mode operator with zero shift at n={n} is singular")
-    if op is not None and op.n != n:
-        raise ParameterError(f"operator for n={op.n} passed to invert at n={n}")
     batch = not isinstance(f, ModeProfile)
     profiles = list(f) if batch else [f]
     grid = cuts.grid
@@ -216,9 +208,8 @@ def invert_mode_operator(
         parts.append((rhs, rhs_inf, a_new, binf_new, c_new))
 
     if method == "matrix":
-        if op is None:
-            op = mode_operator(grid, n, shift)
-        sol = op.solve_function(np.stack([grid.extend(r[0], r[1]) for r in parts], axis=1))
+        rhs = np.stack([grid.extend(r[0], r[1]) for r in parts], axis=1)
+        sol = mode_operator(grid, n, shift).solve_function(rhs)
         cores = [(sol[:-1, j], sol[-1, j]) for j in range(len(parts))]
     elif method == "quadrature":
         cores = []
@@ -474,24 +465,23 @@ class LinearModeOperator:
         Raises NonFiniteError when the operator or the right-hand side holds
         an inf or NaN, and SingularOperatorError on an exactly zero pivot.
 
-        A single column is solved next to a zero column: with more than one
-        BLAS thread, OpenBLAS's gesv takes another kernel for one right-hand
-        side, which rounds differently from the multi-column one, and a
-        column must get the same bits alone as in a batch.
+        Every block of right-hand sides is solved next to one zero column:
+        with more than one BLAS thread, OpenBLAS's gesv takes another kernel
+        for one right-hand side, which rounds differently from the
+        multi-column one, and a column must get the same bits alone as in a
+        batch.
         """
         for name, a in (("operator", self.fun), ("right-hand side", ext_rhs)):
             if not np.isfinite(a).all():
                 raise NonFiniteError(f"mode operator at n={self.n}: non-finite {name}")
         cols = ext_rhs.reshape(len(ext_rhs), -1)
         try:
-            if cols.shape[1] == 1:
-                sol = np.linalg.solve(self.fun, np.column_stack([cols, np.zeros_like(cols)]))
-                return sol[:, :1].reshape(ext_rhs.shape)
-            return np.linalg.solve(self.fun, ext_rhs)
+            sol = np.linalg.solve(self.fun, np.column_stack([cols, np.zeros(len(cols))]))
         except np.linalg.LinAlgError:
             raise SingularOperatorError(
                 f"mode operator at n={self.n} is singular (exactly zero pivot)"
             ) from None
+        return sol[:, :-1].reshape(ext_rhs.shape)
 
     def solve_function(self, ext_rhs: np.ndarray) -> np.ndarray:
         """Solve with one step of iterative refinement.
@@ -501,11 +491,9 @@ class LinearModeOperator:
         and a multi-column solve must equal its columns solved one by one.
         """
         sol = self.lu_solve(ext_rhs)
-        if sol.ndim == 1:
-            resid = ext_rhs - self.fun @ sol
-        else:
-            resid = np.stack([b - self.fun @ x for b, x in zip(ext_rhs.T, sol.T)], axis=1)
-        sol += self.lu_solve(resid)
+        cols = zip(ext_rhs.reshape(len(ext_rhs), -1).T, sol.reshape(len(sol), -1).T)
+        resid = np.stack([b - self.fun @ x for b, x in cols], axis=1)
+        sol += self.lu_solve(resid.reshape(ext_rhs.shape))
         return sol
 
     def apply_function(self, ext: np.ndarray) -> np.ndarray:

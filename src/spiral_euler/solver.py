@@ -253,7 +253,9 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
     for j in range(len(x0)):
         xp = x0.copy()
         xp[j] += h
-        probe = eval_residual(unpack(xp), omega, ws, dropped_mass_warn=np.inf)
+        probe = eval_residual(
+            unpack(xp), omega, ws, dropped_mass_warn=np.inf, preimage_norms=False
+        )
         J[:, j] = (pack(probe.field) - f0) / h
     sol = np.linalg.solve(J, f0)
     return unpack(sol)

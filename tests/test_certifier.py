@@ -154,7 +154,7 @@ def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypat
     monkeypatch.setattr(
         certifier,
         "invert_mode_operator",
-        lambda n, shift, fs, cuts, op=None: [invert(n, shift, f, cuts) for f in fs],
+        lambda n, shift, fs, cuts: [invert(n, shift, f, cuts) for f in fs],
     )
     columns.clear()
     per_call = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)

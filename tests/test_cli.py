@@ -374,10 +374,21 @@ def test_help_exits_zero():
     ("solve", "omega.kind = match\nsolver.outer_max_iter = -1",
      "solver.outer_max_iter must be non-negative, got -1"),
     ("verify", "verify.suites = ", "verify.suites must name at least one suite"),
+    ("solve", "solver.epsilon_cap = nan", "solver.epsilon_cap must be positive, got nan"),
+    ("solve", "solver.tol = 0", "solver.tol must be positive, got 0.0"),
+    ("solve", "solver.tol = nan", "solver.tol must be positive, got nan"),
+    ("solve", "omega.kind = match\nsolver.outer_tol = -1e-10",
+     "solver.outer_tol must be positive, got -1e-10"),
+    ("solve", "mu = inf", "mu must be finite, got inf"),
+    ("solve", "grid.scale = inf", "grid.scale must be finite, got inf"),
+    ("solve", "omega.amplitude = nan", "omega.amplitude must be finite, got nan"),
+    ("solve", "solver.epsilon_cap = inf", "solver.epsilon_cap must be finite, got inf"),
 ])
 def test_bad_config_value_exits_before_any_solve(tmp_path, command, lines, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mu = 1.0\nN = 8\ngrid.points = 96\n" + lines + "\n")
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    base = [f"{k} = {v}" for k, v in (("mu", 1.0), ("N", 8), ("grid.points", 96)) if k not in keys]
+    cfg.write_text("\n".join(base + [lines]) + "\n")
     out = tmp_path / "out"
     proc = _cli(*command.split(), "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 1, proc.stderr

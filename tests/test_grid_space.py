@@ -18,7 +18,6 @@ from spiral_euler import (
     field_from_json,
     field_to_json,
     mode_norm,
-    spectral_norm,
     xi_far,
     xi_near,
 )
@@ -114,7 +113,8 @@ def test_mode_norm_weighted_core_against_dense_oracle(desk_cuts):
     # two sample sets may disagree by the documented 1% sampling factor
     sdense = np.linspace(1e-6, 1.0 - 1e-9, 20001)
     bdense = grid.map_scale * sdense / (1.0 - sdense)
-    vals = grid.interpolate(grid.extend(core, 0.0), bdense)
+    coeffs = grid.chebyshev_coefficients(grid.extend(core, 0.0))
+    vals = grid.evaluate_coefficients(coeffs, grid.s_of_beta(bdense))
     oracle = np.max(np.maximum(bdense**delta, bdense**-delta) * np.abs(vals))
     node_sup = np.max(
         np.maximum(b[1:] ** delta, b[1:] ** -delta) * np.abs(core[1:])
@@ -142,7 +142,8 @@ def test_mode_norm_refinement_invariant(desk_cuts):
         core = core * env
         f = ModeProfile(0, core.astype(complex))
         reported = mode_norm(f, delta, desk_cuts)
-        vals = grid.interpolate(grid.extend(core, 0.0), bref)
+        coeffs = grid.chebyshev_coefficients(grid.extend(core, 0.0))
+        vals = grid.evaluate_coefficients(coeffs, grid.s_of_beta(bref))
         refined = float(np.max(wref * np.abs(vals)))
         assert refined <= 1.01 * reported
 
@@ -152,10 +153,10 @@ def test_mode_profile_constant_slot_reserved():
         ModeProfile(8, np.zeros(4), cconst=1.0)
 
 
-def test_spectral_norm_angular_single_coefficient(desk_params):
+def test_a_norm_single_coefficient(desk_params):
     sig = AngularSignal(desk_params, {desk_params.N: 1.0})
     expected = bracket(desk_params.N) ** 0.5
-    assert spectral_norm(sig, 0.5) == pytest.approx(expected)
+    assert sig.a_norm(0.5) == pytest.approx(expected)
 
 
 def test_base_angular_seminorm_is_zero(desk_params):
@@ -168,18 +169,21 @@ def test_angular_l2_of_cosine(desk_params):
     assert sig.lp_norm(2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
-def test_spectral_norm_homogeneity_and_triangle(desk_params, desk_grid, desk_cuts):
+def test_mode_norm_homogeneity_and_triangle(desk_params, desk_grid, desk_cuts):
     from conftest import random_field
 
     rng = np.random.default_rng(11)
+    delta = desk_params.delta
     for trial in range(3):
         F = random_field(desk_params, desk_grid, desk_cuts, seed=trial)
         G = random_field(desk_params, desk_grid, desk_cuts, seed=trial + 50)
         a = float(rng.uniform(0.1, 3.0))
-        nF = spectral_norm(F, 0.5, desk_cuts)
-        nG = spectral_norm(G, 0.5, desk_cuts)
-        assert spectral_norm(F.scaled(a), 0.5, desk_cuts) == pytest.approx(a * nF, rel=1e-12)
-        assert spectral_norm(F.plus(G), 0.5, desk_cuts) <= (nF + nG) * (1 + 1e-12)
+        for n in F.modes:
+            nF = mode_norm(F.modes[n], delta, desk_cuts)
+            nG = mode_norm(G.modes[n], delta, desk_cuts)
+            scaled = mode_norm(F.scaled(a).modes[n], delta, desk_cuts)
+            assert scaled == pytest.approx(a * nF, rel=1e-12)
+            assert mode_norm(F.plus(G).modes[n], delta, desk_cuts) <= (nF + nG) * (1 + 1e-12)
 
 
 def test_serialization_round_trip(desk_params, desk_grid, desk_cuts):

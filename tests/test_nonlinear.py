@@ -119,6 +119,21 @@ def test_fd_second_order_richardson(desk_params, desk_grid, desk_cuts):
     assert 2.5 < e1 / e2 < 6.0
 
 
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_fd_second_order_off_the_base_state(desk_params, desk_grid, desk_cuts):
+    # off the base state the check returns the defect between the central
+    # differences at h and h/2, which falls as h^2
+    stream = SpectralField.base_state(desk_params, desk_grid).plus(
+        random_field(desk_params, desk_grid, desk_cuts, seed=25, amplitude=0.002)
+    )
+    omega = AngularSignal.constant_plus_cosine(desk_params, 0.05)
+    direction = random_field(desk_params, desk_grid, desk_cuts, seed=26)
+    ws = NonlinearWorkspace(desk_params, desk_grid)
+    errs = [fd_derivative_check(stream, omega, direction, h, ws) for h in (1e-3, 5e-4, 2.5e-4)]
+    assert all(3.5 < e1 / e2 < 4.5 for e1, e2 in zip(errs, errs[1:])), errs
+    assert fd_derivative_check(stream, omega, direction, 1e-5, ws) < 1e-5
+
+
 def test_fd_step_out_of_range(desk_params, desk_grid, desk_cuts):
     base = SpectralField.base_state(desk_params, desk_grid)
     omega = AngularSignal.base(desk_params)

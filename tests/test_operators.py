@@ -176,20 +176,6 @@ def test_multi_column_solve_equals_column_solves(point, request):
             assert np.array_equal(sol[:, j], op.solve_function(rhs[:, j].copy()))
 
 
-def test_invert_with_prefactored_operator(desk_cuts):
-    grid = desk_cuts.grid
-    f = smooth_profile(grid, desk_cuts, n=2, seed=4)
-    op = mode_operator(grid, 2, 1.3)
-    for seed in (4, 5):
-        g = smooth_profile(grid, desk_cuts, n=2, seed=seed)
-        shared = invert_mode_operator(2, 1.3, g, desk_cuts, op=op)
-        own = invert_mode_operator(2, 1.3, g, desk_cuts)
-        assert np.array_equal(shared.core, own.core)
-        assert (shared.c0, shared.cinf, shared.cconst) == (own.c0, own.cinf, own.cconst)
-    with pytest.raises(ParameterError):
-        invert_mode_operator(0, 1.3, f, desk_cuts, op=op)
-
-
 def test_invert_norm_bounds_random_suite():
     # sup-norm bound 1/|s| and weighted bound 1/dist([-d, d], s), measured
     # through the exact integral backend on random smooth data; the bounds
