@@ -168,7 +168,8 @@ def _parse_coeffs(text: str) -> dict:
     """The comma-separated omega.coeffs entries n:re:im as {n: re + i*im}.
 
     The angular factor is real: mode 0 must be real, and an entry at -n next
-    to one at n must be its complex conjugate.  Each mode appears once.
+    to one at n must be its complex conjugate.  Each mode appears once, with
+    finite re and im.
     """
     coeffs = {}
     for chunk in text.split(","):
@@ -180,6 +181,8 @@ def _parse_coeffs(text: str) -> dict:
             n, c = int(n_s), complex(float(re_s), float(im_s))
         except ValueError:
             raise ConfigError(f"omega.coeffs entry {chunk!r} is not n:re:im") from None
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ConfigError(f"omega.coeffs entry {chunk!r} must be finite")
         if n in coeffs:
             raise ConfigError(f"omega.coeffs lists mode {n} twice")
         coeffs[n] = c

@@ -42,7 +42,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AccuracyError,
-    ConvergenceError,
     DegenerateShiftError,
     NonFiniteError,
     ParameterError,
@@ -527,65 +526,14 @@ def apply_linearization_inverse(
     opset: Mapping[int, LinearModeOperator],
     rhs: SpectralField,
     cuts: CutoffSamples,
-    method: str = "direct",
 ) -> SpectralField:
-    """Solve the block-diagonal linearized system for every mode.
+    """Solve the block-diagonal linearized system by a dense solve per mode.
 
     cuts are the cutoff samples on rhs.grid, such as a workspace's.
-
-    direct   dense LU per mode.
-    neumann  x = 2 mu^2 * sum_k (-(M^-1 E))^k M^-1 z with M = D+ D- (Q+1)
-             inverted by three chained shifted-operator inversions and
-             E = (2 mu - 1) i n beta; stops once the increment falls below
-             1e-12 relative to the partial sum or after 64 terms, errors out
-             if it grows.
     """
-    params = rhs.params
-    grid = rhs.grid
-    mu = params.mu
-
-    if method == "direct":
-
-        def one(prof: ModeProfile) -> ModeProfile:
-            op = opset[prof.n]
-            sol = op.solve_function(prof.extended(cuts))
-            return ModeProfile.from_values(prof.n, sol[:-1], sol[-1], cuts)
-
-        return rhs.map_modes(one)
-
-    if method != "neumann":
-        raise ParameterError(f"unknown linear-solve method {method!r}")
-
-    def chained_inverse(prof: ModeProfile) -> ModeProfile:
-        n = prof.n
-        u = invert_mode_operator(n, shift_plus(mu, n), prof, cuts)
-        u = invert_mode_operator(n, shift_minus(mu, n), u, cuts)
-        # Q+1 carries no oscillation whatever the profile's mode label
-        return invert_mode_operator(0, -1.0, u, cuts)
 
     def one(prof: ModeProfile) -> ModeProfile:
-        n = prof.n
-        term = chained_inverse(prof)
-        acc = term
-        prev = np.inf
-        grew = 0
-        for _ in range(64):
-            inc = float(np.max(np.abs(term.extended(cuts))))
-            base = max(float(np.max(np.abs(acc.extended(cuts)))), 1e-300)
-            if inc <= 1e-12 * base:
-                break
-            grew = grew + 1 if inc > prev else 0
-            if grew >= 3:
-                raise ConvergenceError(
-                    "perturbation series for the linearized solve diverged; the "
-                    "contraction constant likely exceeds one at these parameters"
-                )
-            prev = inc
-            evals = (2.0 * mu - 1.0) * 1j * n * grid.nodes * term.values(cuts)
-            einf = (2.0 * mu - 1.0) * 1j * n * grid.limit_beta_times(term.extended(cuts))
-            eterm = ModeProfile.from_values(n, evals, einf, cuts)
-            term = chained_inverse(eterm).scaled(-1.0)
-            acc = acc.plus(term)
-        return acc.scaled(2.0 * mu * mu)
+        sol = opset[prof.n].solve_function(prof.extended(cuts))
+        return ModeProfile.from_values(prof.n, sol[:-1], sol[-1], cuts)
 
     return rhs.map_modes(one)

@@ -214,32 +214,27 @@ def to_plane(stream: SpectralField, beta, phi, ev: FieldEvaluator | None = None)
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-def to_chart(
-    stream: SpectralField, z: np.ndarray, ev: FieldEvaluator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the chart map at nonzero plane points.
+def _chart_newton(
+    ev: FieldEvaluator, r: np.ndarray, phi0: np.ndarray, slope: float, what: str
+) -> np.ndarray:
+    """Solve a(beta, phi0 - slope * beta) = log r for beta, point by point.
 
-    Along the line beta + phi = arg(z) the log-radius is strictly decreasing
-    in beta, so a safeguarded Newton iteration converges for every admissible
-    profile; a point is done once its log-radius misfit |F| is below 1e-13.
-    Newton starts at beta0 = (-db_inf/mu)^(1/(2 mu)) |z|^(-1/mu), the exact
-    preimage for the base flow (db_inf is mode 0 of dbeta_bar psi at
-    beta = inf).  The safeguard, narrowed by the sign of F at every iterate,
-    starts as the admissibility envelope widened 2^9-fold at each end; a start
-    or step outside it goes to its geometric midpoint, and a root beyond it
-    stalls.  Returns (beta, phi) arrays matching z[..., 2].
+    r and phi0 are flat arrays.  The Newton slope -lg / (2 beta db) is the
+    exact derivative along the lines theta = const (slope 1); along
+    phi = const (slope 0) it drops the angular term, which vanishes at the
+    base state.  Either way the log-radius is strictly decreasing in beta, so
+    the safeguard keeps the iteration safe.  Newton starts at
+    beta0 = (-db_inf/mu)^(1/(2 mu)) r^(-1/mu), the exact preimage for the
+    base flow (db_inf is mode 0 of dbeta_bar psi at beta = inf).  The
+    safeguard, narrowed by the sign of F at every iterate, starts as the
+    admissibility envelope widened 2^9-fold at each end; a start or step
+    outside it goes to its geometric midpoint.  A point is done once its
+    misfit |F| is below 1e-13; a root beyond the safeguard stalls, and a
+    stall above 1e-10 after 80 steps raises InversionError naming what.
     """
-    if ev is None:
-        ev = FieldEvaluator(stream)
-    z = np.asarray(z, dtype=float)
-    r = np.hypot(z[..., 0], z[..., 1])
-    if np.any(r == 0.0):
-        raise ParameterError("the chart does not cover the origin")
-    shape = r.shape
-    theta = np.arctan2(z[..., 1], z[..., 0]).ravel()
-    target = np.log(r).ravel()
+    target = np.log(r)
     mu = ev.mu
-    base = r.ravel() ** (-1.0 / mu)
+    base = r ** (-1.0 / mu)
     lo = 2.0**-9 * (1.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
     hi = 2.0**9 * (3.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
     beta = np.sqrt(lo * hi)
@@ -249,8 +244,8 @@ def to_chart(
     # Newton on the unconverged points only; a converged point keeps its beta
     act = np.arange(beta.size)
     for _ in range(80):
-        b, th = beta[act], theta[act]
-        db, lg = ev.field(("db", "lg"), b, th - b)
+        b = beta[act]
+        db, lg = ev.field(("db", "lg"), b, phi0[act] - slope * b)
         F = ev._log_radius(db, b) - target[act]
         lo_a = np.where(F > 0, b, lo[act])
         hi_a = np.where(F <= 0, b, hi[act])
@@ -266,10 +261,30 @@ def to_chart(
             break
     else:
         b = beta[act]
-        F = ev.log_radius(b, theta[act] - b) - target[act]
+        F = ev.log_radius(b, phi0[act] - slope * b) - target[act]
         if np.max(np.abs(F)) > 1e3 * 1e-13:
-            raise InversionError(f"chart inversion stalled at |F| = {np.max(np.abs(F)):.2e}")
-    beta = beta.reshape(shape)
+            raise InversionError(f"{what} stalled at |F| = {np.max(np.abs(F)):.2e}")
+    return beta
+
+
+def to_chart(
+    stream: SpectralField, z: np.ndarray, ev: FieldEvaluator | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the chart map at nonzero plane points.
+
+    Along the line beta + phi = arg(z) the log-radius is strictly decreasing
+    in beta; _chart_newton solves it to a misfit below 1e-13.  Returns
+    (beta, phi) arrays matching z[..., 2].
+    """
+    if ev is None:
+        ev = FieldEvaluator(stream)
+    z = np.asarray(z, dtype=float)
+    r = np.hypot(z[..., 0], z[..., 1])
+    if np.any(r == 0.0):
+        raise ParameterError("the chart does not cover the origin")
+    shape = r.shape
+    theta = np.arctan2(z[..., 1], z[..., 0]).ravel()
+    beta = _chart_newton(ev, r.ravel(), theta, 1.0, "chart inversion").reshape(shape)
     phi = np.mod(theta.reshape(shape) - beta, 2.0 * np.pi)
     return beta, phi
 
@@ -387,8 +402,7 @@ def spiral_extract(
     mu = ev.mu
     beta = np.geomspace(0.05, 40.0, n_beta)
     B, P = beta[:, None], zeros[None, :]
-    db = ev.field("db", B, P)
-    radii = t**mu * np.exp(ev._log_radius(db, B))
+    radii = t**mu * np.exp(ev.log_radius(B, P))
     theta = B + P
     # curve j's points are the contiguous block points[j]
     points = np.stack([(radii * np.cos(theta)).T, (radii * np.sin(theta)).T], axis=-1)
@@ -468,7 +482,7 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float)
     beta >= beta*(phi); the radial integral substitutes beta = beta*/v to
     land on a finite interval.  The chart solve and the field grids depend
     only on R * t^(-mu), so every p in ps shares them.  A radius solve that
-    does not reach |F| < 1e-12 in 60 steps raises InversionError.
+    stalls raises InversionError.
     """
     n_phi, n_rad = 512, 64
     mu = ev.mu
@@ -477,23 +491,10 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float)
     # trapezoid sum exact and immune to aliasing at high periodicity
     period = 2.0 * np.pi / ev.params.N
     phis = period * np.arange(n_phi) / n_phi
-    # solve |z(beta, phi)| = zr per angle: log radius strictly decreasing
-    beta = np.full(n_phi, (1.0 / np.sqrt(mu)) ** (1.0 / mu) * zr ** (-1.0 / mu))
-    target = np.log(zr)
-    for _ in range(60):
-        db, lg = ev.field(("db", "lg"), beta, phis)
-        F = ev._log_radius(db, beta) - target
-        # quasi-Newton slope; exact up to an angular-derivative term that
-        # vanishes at the base state
-        deriv = -lg / (2.0 * beta * db)
-        step = F / deriv
-        beta = np.maximum(beta - step, 1e-3 * beta)
-        if np.max(np.abs(F)) < 1e-12:
-            break
-    else:
-        raise InversionError(
-            f"lp radius solve at R = {R}, t = {t} stalled at |F| = {np.max(np.abs(F)):.2e}"
-        )
+    # solve |z(beta, phi)| = zr per angle along the lines phi = const
+    beta = _chart_newton(
+        ev, np.full(n_phi, zr), phis, 0.0, f"lp radius solve at R = {R}, t = {t}"
+    )
     om = ev.omega_values(phis)
     v, wv = _gauss(n_rad, 0.0, 1.0)
     Bgrid = beta[None, :] / v[:, None]

@@ -383,6 +383,12 @@ def test_help_exits_zero():
     ("solve", "grid.scale = inf", "grid.scale must be finite, got inf"),
     ("solve", "omega.amplitude = nan", "omega.amplitude must be finite, got nan"),
     ("solve", "solver.epsilon_cap = inf", "solver.epsilon_cap must be finite, got inf"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = 0:nan:0",
+     "omega.coeffs entry '0:nan:0' must be finite"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = 8:inf:0,-8:inf:0",
+     "omega.coeffs entry '8:inf:0' must be finite"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = 8:1e400:0,-8:1e400:0",
+     "omega.coeffs entry '8:1e400:0' must be finite"),
 ])
 def test_bad_config_value_exits_before_any_solve(tmp_path, command, lines, message):
     cfg = tmp_path / "run.cfg"

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from spiral_euler import (
     AngularSignal,
+    DroppedMassWarning,
     ModeProfile,
     ParameterError,
     SignConditionError,
@@ -17,6 +20,7 @@ from spiral_euler import (
     sample_cutoffs,
     shift_plus,
 )
+from spiral_euler import nonlinear
 from spiral_euler.nonlinear import NonlinearWorkspace
 from spiral_euler.operators import mode_operator
 from conftest import random_field
@@ -87,7 +91,6 @@ def test_linearization_mode_zero_scalar(desk_params, desk_grid):
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_fd_derivative_at_base(desk_params, desk_grid, desk_cuts):
     base = SpectralField.base_state(desk_params, desk_grid)
     omega = AngularSignal.base(desk_params)
@@ -109,17 +112,35 @@ def test_fd_second_order_richardson(desk_params, desk_grid, desk_cuts):
     omega = AngularSignal.base(desk_params)
     direction = random_field(desk_params, desk_grid, desk_cuts, seed=22)
     ops = linearization_set(desk_params, desk_grid)
-    with np.errstate(all="ignore"):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            e1 = fd_derivative_check(base, omega, direction, 1e-3, operators=ops)
-            e2 = fd_derivative_check(base, omega, direction, 5e-4, operators=ops)
+    e1 = fd_derivative_check(base, omega, direction, 1e-3, operators=ops)
+    e2 = fd_derivative_check(base, omega, direction, 5e-4, operators=ops)
     assert 2.5 < e1 / e2 < 6.0
 
 
-@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_fd_check_skips_the_gauge(desk_params, desk_grid, desk_cuts, monkeypatch):
+    # the check reads only the residual fields: residuals with the gauge give
+    # the same value, yet at h = 1e-3 they warn of dropped mass
+    base = SpectralField.base_state(desk_params, desk_grid)
+    omega = AngularSignal.base(desk_params)
+    direction = random_field(desk_params, desk_grid, desk_cuts, seed=22)
+    ops = linearization_set(desk_params, desk_grid)
+    ws = NonlinearWorkspace(desk_params, desk_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DroppedMassWarning)
+        got = fd_derivative_check(base, omega, direction, 1e-3, ws, ops)
+
+    def gauged(*args, **kwargs):
+        kwargs["preimage_norms"] = True
+        return eval_residual(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "eval_residual", gauged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DroppedMassWarning)
+        want = fd_derivative_check(base, omega, direction, 1e-3, ws, ops)
+    assert any(issubclass(w.category, DroppedMassWarning) for w in caught)
+    assert got == want
+
+
 def test_fd_second_order_off_the_base_state(desk_params, desk_grid, desk_cuts):
     # off the base state the check returns the defect between the central
     # differences at h and h/2, which falls as h^2

@@ -449,33 +449,6 @@ def test_linearization_inverse_round_trip(desk_params, desk_grid, desk_cuts):
     assert err < 1e-8
 
 
-def test_neumann_agrees_with_direct(desk_params, desk_grid, desk_cuts):
-    opset = linearization_set(desk_params, desk_grid)
-    X = random_field(desk_params, desk_grid, desk_cuts, seed=13)
-
-    def apply_op(p):
-        out = opset[p.n].apply_function(p.extended(desk_cuts))
-        return ModeProfile.from_values(p.n, out[:-1], out[-1], desk_cuts)
-
-    Y = X.map_modes(apply_op)
-    direct = apply_linearization_inverse(opset, Y, desk_cuts)
-    neumann = apply_linearization_inverse(opset, Y, desk_cuts, method="neumann")
-    scale = max(
-        np.max(np.abs(direct.mode(int(n)).extended(desk_cuts)))
-        for n in desk_params.mode_indices
-    )
-    err = max(
-        np.max(
-            np.abs(
-                neumann.mode(int(n)).extended(desk_cuts)
-                - direct.mode(int(n)).extended(desk_cuts)
-            )
-        )
-        for n in desk_params.mode_indices
-    )
-    assert err < 1e-8 * max(scale, 1.0)
-
-
 def test_shift_helpers():
     assert shift_plus(1.0, 4) == 5.0
     assert shift_minus(1.0, 4) == -3.0

@@ -24,6 +24,7 @@ from spiral_euler import (
     to_plane,
     verify,
 )
+from spiral_euler import physical
 from spiral_euler.operators import derived_fields
 from spiral_euler.physical import (
     FieldEvaluator,
@@ -445,9 +446,42 @@ def test_verify_lp_bound(desk_solution, desk_params):
     assert all(row["ok"] for row in report["lp"])
 
 
+def _fixed_phi_radii(ev, zr, phis):
+    # reference for the lp radius solve: the suite's former loop, a clamped
+    # quasi-Newton from beta = mu^(-1/(2 mu)) zr^(-1/mu), 60 steps to 1e-12
+    mu = ev.mu
+    beta = np.full(len(phis), (1.0 / np.sqrt(mu)) ** (1.0 / mu) * zr ** (-1.0 / mu))
+    target = np.log(zr)
+    for _ in range(60):
+        db, lg = ev.field(("db", "lg"), beta, phis)
+        F = ev._log_radius(db, beta) - target
+        deriv = -lg / (2.0 * beta * db)
+        beta = np.maximum(beta - F / deriv, 1e-3 * beta)
+        if np.max(np.abs(F)) < 1e-12:
+            return beta
+    raise AssertionError("reference radius solve stalled")
+
+
+@pytest.mark.parametrize("solution", ["desk_solution", "prod_solution"])
+def test_lp_chart_norms_match_fixed_phi_loop(request, solution, monkeypatch):
+    stream, omega, _ = request.getfixturevalue(solution)
+    ev = FieldEvaluator(stream, omega)
+    charts = [(R, t) for t in (0.01, 0.1, 1.0) for R in (0.5, 1.0, 2.0)]
+    got = [_lp_chart_norms(ev, [1.0, 1.5], R, t) for R, t in charts]
+
+    def fixed_phi(ev, r, phi0, slope, what):
+        assert slope == 0.0 and np.all(r == r[0])
+        return _fixed_phi_radii(ev, r[0], phi0)
+
+    monkeypatch.setattr(physical, "_chart_newton", fixed_phi)
+    want = [_lp_chart_norms(ev, [1.0, 1.5], R, t) for R, t in charts]
+    rel = np.abs(np.array(got) / np.array(want) - 1.0)
+    assert np.max(rel) < 1e-14, np.max(rel)
+
+
 def test_lp_radius_solve_that_stalls_raises(desk_solution):
     # a Newton slope 1000 times too steep shrinks |F| by 0.1% a step, so the
-    # 60-step radius solve ends far above its tolerance
+    # 80-step radius solve ends far above its tolerance
     stream, omega, _ = desk_solution
 
     with pytest.raises(InversionError, match="lp radius solve .* stalled"):
