@@ -284,27 +284,27 @@ def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, s
     solution-space element psi = (Q+1)^-1 D(n,s-)^-1 g, applies
     (2 mu - 1) i n beta, and measures
     the image back in the target space through the D(n,s+) preimage.  Every
-    sampled ratio must stay below K.  Each mode's samples pass every
-    inverse as one batch, one solve per operator and mode.
+    sampled ratio must stay below K.  Each mode's samples pass D(n,s-) and
+    D(n,s+) as one batch; (Q+1)^-1 = D(0,-1) does not depend on the mode,
+    so all modes' samples pass it as one batch.
     """
     cuts = sample_cutoffs(grid)
     mu = params.mu
     delta = params.delta
     rng = np.random.default_rng(seed)
+    modes = [k * params.N for k in (1, 2, 3)]
+    gs = {n: [_random_core_profile(rng, n, cuts, delta) for _ in range(8)] for n in modes}
+    stage1 = [h for n in modes for h in invert_mode_operator(n, shift_minus(mu, n), gs[n], cuts)]
+    psis = invert_mode_operator(0, -1.0, stage1, cuts)
     rows = []
-    for k in (1, 2, 3):
-        n = k * params.N
-        gs = [_random_core_profile(rng, n, cuts, delta) for _ in range(8)]
-        psis = invert_mode_operator(
-            0, -1.0, invert_mode_operator(n, shift_minus(mu, n), gs, cuts), cuts
-        )
+    for i, n in enumerate(modes):
         perts = []
-        for psi in psis:
+        for psi in psis[8 * i : 8 * (i + 1)]:
             pert = (2.0 * mu - 1.0) * apply_beta_mult(grid, n, psi.extended(cuts))
             perts.append(ModeProfile.from_values(n, pert[:-1], pert[-1], cuts))
         pres = invert_mode_operator(n, shift_plus(mu, n), perts, cuts)
         worst = max(
-            mode_norm(pre, delta, cuts) / mode_norm(g, delta, cuts) for g, pre in zip(gs, pres)
+            mode_norm(pre, delta, cuts) / mode_norm(g, delta, cuts) for g, pre in zip(gs[n], pres)
         )
         rows.append((int(n), float(worst), float(K), bool(worst <= K)))
     return tuple(rows)

@@ -135,6 +135,27 @@ class SolverParams:
 # ---------------------------------------------------------------------------
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I along the last axis.
+
+    For x_0..x_L it returns y_j = x_0 + (-1)^j x_L + 2 sum_{0<k<L} x_k
+    cos(pi k j / L), j = 0..L.  It is the real FFT of the even extension;
+    the real and imaginary parts of complex input are transformed
+    separately, which is what scipy.fft.dct(type=1) does, bit for bit.
+    """
+    x = np.asarray(x)
+
+    def real_dct1(v):
+        return np.fft.rfft(np.concatenate([v, v[..., -2:0:-1]], axis=-1), axis=-1).real
+
+    if not np.iscomplexobj(x):
+        return real_dct1(x)
+    y = np.empty(x.shape, dtype=complex)
+    y.real = real_dct1(x.real)
+    y.imag = real_dct1(x.imag)
+    return y
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Chebyshev-Lobatto grid for [0, inf) under beta = scale*s/(1-s).
@@ -183,23 +204,8 @@ class RadialGrid:
     def chebyshev_coefficients(self, ext: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients of the interpolant through the M+1 points."""
         # values ordered by s ascending correspond to y = 1 - 2s descending,
-        # i.e. y_j = cos(pi j / M); DCT-I gives T_k(y) coefficients directly.
-        # It is the real FFT of the even extension; the real and imaginary
-        # parts of complex input are transformed separately, which is what
-        # scipy.fft.dct(type=1) does, bit for bit.
-        M = self.size
-        ext = np.asarray(ext)
-
-        def dct1(x):
-            return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1), axis=-1).real
-
-        if np.iscomplexobj(ext):
-            c = np.empty(ext.shape, dtype=complex)
-            c.real = dct1(ext.real)
-            c.imag = dct1(ext.imag)
-        else:
-            c = dct1(ext)
-        c = c / M
+        # i.e. y_j = cos(pi j / M); DCT-I gives T_k(y) coefficients directly
+        c = _dct1(ext) / self.size
         c[..., 0] *= 0.5
         c[..., -1] *= 0.5
         return c
@@ -445,18 +451,30 @@ def _refined_s(grid: RadialGrid, factor: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * t))
 
 
+def _refined_values(grid: RadialGrid, ext: np.ndarray, factor: int) -> np.ndarray:
+    """The interpolant through ext at _refined_s(grid, factor), by one FFT.
+
+    The refined points are y_j = cos(pi j / L) with L = factor * M, so the
+    values sum_k c_k cos(pi k j / L) are (dct1_j + c_0) / 2 for the DCT-I of
+    the coefficients zero-padded from M+1 to L+1.
+    """
+    M = grid.size
+    padded = np.zeros(factor * M + 1, dtype=np.result_type(ext, float))
+    padded[: M + 1] = grid.chebyshev_coefficients(ext)
+    return 0.5 * (_dct1(padded)[1:-1] + padded[0])
+
+
 def mode_norm(f: ModeProfile, delta: float, cuts: CutoffSamples) -> float:
     """Direct-sum norm of a mode profile: the core in C_b^delta plus the slots.
 
     Returns sup max(beta^delta, beta^-delta) |core| + |c0| + |cinf| + |cconst|.
     The supremum is taken over the node values and a four-times denser
-    sample of the core's interpolant; a core that does not vanish at
-    beta = 0 has an infinite weighted norm.
+    sample of the core's interpolant, taken by one zero-padded DCT-I; a
+    core that does not vanish at beta = 0 has an infinite weighted norm.
     """
     grid = cuts.grid
-    ext = grid.extend(f.core, 0.0)
     sref = _refined_s(grid, 4)
-    core_ref = grid.evaluate_coefficients(grid.chebyshev_coefficients(ext), sref)
+    core_ref = _refined_values(grid, grid.extend(f.core, 0.0), 4)
     beta_ref = grid.map_scale * sref / (1.0 - sref)
     wgt = np.maximum(beta_ref**delta, beta_ref**-delta)
     sup = float(np.max(wgt * np.abs(core_ref)))

@@ -229,8 +229,10 @@ def _chart_newton(
     safeguard, narrowed by the sign of F at every iterate, starts as the
     admissibility envelope widened 2^9-fold at each end; a start or step
     outside it goes to its geometric midpoint.  A point is done once its
-    misfit |F| is below 1e-13; a root beyond the safeguard stalls, and a
-    stall above 1e-10 after 80 steps raises InversionError naming what.
+    misfit |F| is below 1e-13; it still takes the Newton step computed at
+    that iterate, unless the step leaves the safeguard.  A root beyond the
+    safeguard stalls, and a stall above 1e-10 after 80 steps raises
+    InversionError naming what.
     """
     target = np.log(r)
     mu = ev.mu
@@ -252,10 +254,12 @@ def _chart_newton(
         deriv = -lg / (2.0 * b * db)  # strictly negative on the window
         cand = b - F / deriv
         inside = (cand > lo_a) & (cand < hi_a)
-        cand = np.where(inside, cand, np.sqrt(lo_a * hi_a))
         done = np.abs(F) < 1e-13
+        # a done point keeps its last Newton step, or its iterate if that step
+        # leaves the safeguard; only an unfinished point takes the midpoint
+        fallback = np.where(done, b, np.sqrt(lo_a * hi_a))
         lo[act], hi[act] = lo_a, hi_a
-        beta[act] = np.where(done, b, cand)
+        beta[act] = np.where(inside, cand, fallback)
         act = act[~done]
         if act.size == 0:
             break

@@ -131,11 +131,13 @@ def test_certificate_table_renders(prod_params, prod_grid):
 
 
 def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypatch):
-    # one solve per inverse stage, D(n, s-), D(0, -1) and D(n, s+), and mode
-    # n = N, 2N, 3N, with all eight samples as its columns, twice for the
-    # refinement; the rows equal those of one solve per sample
+    # one solve per inverse stage and mode, with the mode's eight samples as
+    # its columns: D(n, s-) for n = N, 2N, 3N, then D(0, -1) once with all 24
+    # samples, then D(n, s+) per mode, each twice for the refinement; the
+    # rows equal those of one solve per sample
     # (each LinearModeOperator.lu_solve call is one gesv, one factorization)
     from spiral_euler import certifier
+    from spiral_euler.grid_space import RadialGrid
     from spiral_euler.operators import LinearModeOperator
 
     K, _ = contraction_and_threshold(desk_params.mu, desk_params.N)
@@ -146,9 +148,13 @@ def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypat
         columns.append(1 if b.ndim == 1 else b.shape[1])
         return solve(op, b)
 
+    def no_clenshaw(*args):
+        raise AssertionError("the spot check samples its norms by FFT")
+
     monkeypatch.setattr(LinearModeOperator, "lu_solve", counting)
+    monkeypatch.setattr(RadialGrid, "evaluate_coefficients", no_clenshaw)
     rows = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
-    assert columns == [8] * (3 * 3 * 2)
+    assert columns == [8] * (3 * 2) + [24] * 2 + [8] * (3 * 2)
 
     invert = certifier.invert_mode_operator
     monkeypatch.setattr(
@@ -160,6 +166,27 @@ def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypat
     per_call = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
     assert columns == [1] * (3 * 3 * 8 * 2)
     assert rows == per_call
+
+
+@pytest.mark.parametrize("mu", [0.7, 1.0, 2.0])
+def test_spot_check_ratios_match_clenshaw_route(prod_grid, mu, monkeypatch):
+    # the spot-check norms sampled by the zero-padded DCT-I against the
+    # Clenshaw recurrence at the same refined points
+    from spiral_euler import certifier, grid_space
+
+    params = SolverParams(mu=mu, N=4000, grid_points=257)
+    K, _ = contraction_and_threshold(mu, params.N)
+    rows = certifier._perturbation_spot_check(params, prod_grid, K, seed=42)
+
+    def clenshaw(grid, ext, factor):
+        coeffs = grid.chebyshev_coefficients(ext)
+        return grid.evaluate_coefficients(coeffs, grid_space._refined_s(grid, factor))
+
+    monkeypatch.setattr(grid_space, "_refined_values", clenshaw)
+    want = certifier._perturbation_spot_check(params, prod_grid, K, seed=42)
+    assert [r[0] for r in rows] == [r[0] for r in want]
+    for (_, ratio, _, _), (_, ref, _, _) in zip(rows, want):
+        assert ratio == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_cutoff_weighted_suprema_match_delta_scan(prod_grid):

@@ -293,3 +293,22 @@ def test_chebyshev_coefficients_equal_scipy_dct(M, lead, complex_values, seed):
     got = _DCT_GRIDS[M].chebyshev_coefficients(ext)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("M", [96, 257])
+def test_refined_values_match_clenshaw(M):
+    # the zero-padded DCT-I against the Clenshaw recurrence at the same
+    # four-times refined points, on the certificate's random cores
+    from spiral_euler.certifier import _random_core_profile
+    from spiral_euler.grid_space import _refined_s, _refined_values, sample_cutoffs
+
+    grid = build_grid(M, 1.0)
+    cuts = sample_cutoffs(grid)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        f = _random_core_profile(rng, 8, cuts, 0.5)
+        ext = grid.extend(f.core, 0.0)
+        want = grid.evaluate_coefficients(grid.chebyshev_coefficients(ext), _refined_s(grid, 4))
+        got = _refined_values(grid, ext, 4)
+        assert got.shape == want.shape == (4 * M - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

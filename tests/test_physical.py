@@ -171,6 +171,25 @@ def test_chart_newton_starts_at_base_preimage(prod_solution, monkeypatch):
     assert np.max(np.hypot(*(z - z2).T) / np.hypot(*z.T)) < 1e-12
 
 
+def test_chart_newton_keeps_its_last_step(spiral_solution):
+    # the reference takes three more plain Newton steps along theta = const
+    # from the returned radii; keeping the iterate that passed |F| < 1e-13
+    # instead of its Newton step left the radii up to 9.9e-14 relative away
+    stream, omega, _ = spiral_solution
+    ev = FieldEvaluator(stream, omega)
+    z = np.random.default_rng(6).uniform(-2.0, 2.0, (2000, 2))
+    beta, _ = to_chart(stream, z, ev)
+    theta = np.arctan2(z[:, 1], z[:, 0])
+    target = np.log(np.hypot(z[:, 0], z[:, 1]))
+    ref = beta.copy()
+    for _ in range(3):
+        db, lg = ev.field(("db", "lg"), ref, theta - ref)
+        F = ev._log_radius(db, ref) - target
+        ref = ref + F * (2.0 * ref * db) / lg
+    rel = np.max(np.abs(beta / ref - 1.0))
+    assert rel < 2e-15, rel
+
+
 # mode 0 of dbeta_bar psi is -(c0 xi_near + cconst); the safeguard reaches
 # down to 2^-9 sqrt(1/2) / |z| at mu = 1
 @pytest.mark.parametrize("c0, cconst, inverts", [
