@@ -32,11 +32,10 @@ from .grid_space import (
     SolverParams,
     bracket,
     build_grid,
+    bump,
     cutoff_normalization,
     delta_of,
     mode_norm,
-    mollifier_bump,
-    mollifier_bump_derivative,
     sample_cutoffs,
     xi_far,
 )
@@ -130,8 +129,8 @@ def cutoff_norm_table(grid: RadialGrid) -> dict:
         return float(np.max(weight * np.abs(values)))
 
     C = cutoff_normalization()
-    eta = C * mollifier_bump(beta)
-    eta_p = C * mollifier_bump_derivative(beta)
+    y, yp = bump(beta)
+    eta, eta_p = C * y, C * yp
     xf = xi_far(beta)
     x0 = 1.0 - xf  # xi_near
 
@@ -160,8 +159,7 @@ def contraction_and_threshold(mu: float, N: int) -> tuple[float, float]:
     substituted; it is evaluated directly for any N >= 4 (the simplified
     closed form assumes N > 2000 and is what the threshold encodes).
     """
-    if not mu > 2.0 / 3.0:
-        raise ParameterError(f"mu must exceed 2/3, got {mu}")
+    delta_of(mu)  # checks mu > 2/3
     if N < 4:
         raise ParameterError(f"contraction bound needs N >= 4, got {N}")
     Nb = float(bracket(N))

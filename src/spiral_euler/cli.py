@@ -225,13 +225,14 @@ def cmd_reconstruct(args) -> int:
     stream, omega = _load_solution(out / "field.json")
     ev = FieldEvaluator(stream, omega)
     t = cfg["reconstruct.t"]
-    n = cfg["reconstruct.samples"]
-    rng = np.random.default_rng(cfg["seed"])
-    r = rng.uniform(0.5, 2.0, n)
-    ang = rng.uniform(0.0, 2.0 * np.pi, n)
-    x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    fields = eval_fields_batch(stream, omega, x, np.full(n, t), ev)
+    n = 0  # the samples are evaluated only for samples.csv
     if "csv" in formats:
+        n = cfg["reconstruct.samples"]
+        rng = np.random.default_rng(cfg["seed"])
+        r = rng.uniform(0.5, 2.0, n)
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+        fields = eval_fields_batch(stream, omega, x, np.full(n, t), ev)
         export_samples_csv(out / "samples.csv", x, t, fields)
     curves = spiral_extract(stream, omega, t, ev=ev)
     if "csv" in formats:

@@ -42,10 +42,9 @@ class SignConditionError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to converge; carries the last iterate and report."""
+    """An iteration failed to converge; carries its SolveReport, if any."""
 
-    def __init__(self, message: str, last_iterate=None, report=None):
-        self.last_iterate = last_iterate
+    def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
 

@@ -47,8 +47,8 @@ __all__ = [
     "build_grid",
     "sample_cutoffs",
     "cutoff_normalization",
+    "bump",
     "mollifier_bump",
-    "mollifier_bump_derivative",
     "xi_far",
     "xi_near",
     "mode_norm",
@@ -95,8 +95,7 @@ class SolverParams:
     grid_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.mu > 2.0 / 3.0:
-            raise ParameterError(f"mu must exceed 2/3, got {self.mu}")
+        delta_of(self.mu)  # checks mu > 2/3
         if self.N < 2:
             raise ParameterError(f"N must be at least 2, got {self.N}")
         if self.harmonics < 1:
@@ -280,25 +279,36 @@ def build_grid(points: int, scale: float) -> RadialGrid:
 # ---------------------------------------------------------------------------
 
 
+def _bump_values(x, lo: float, hi: float):
+    """bump(x, lo, hi)[0], with the mask of (lo, hi) and u, q on it."""
+    x = np.asarray(x, dtype=float)
+    m = (x > lo) & (x < hi)
+    u = (x[m] - lo) / (hi - lo) - 0.5
+    q = u * u - 0.25
+    # exp(1/q) is formed in y's own buffer; xi_far hands the cutoff table's
+    # 500k quadrature nodes over at once, so a temporary shows in peak memory
+    y = np.zeros_like(x)
+    y[m] = q
+    np.divide(1.0, y, out=y, where=m)
+    np.exp(y, out=y, where=m)
+    return y, m, u, q
+
+
+def bump(x, lo: float = 1.0, hi: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    """The bump exp(1/q), q = u^2 - 1/4, u = (x - lo)/(hi - lo) - 1/2, and its derivative.
+
+    Both vanish outside (lo, hi).  On the default (1, 2), u is beta - 3/2
+    exactly, which makes this the bump the cutoffs integrate.
+    """
+    y, m, u, q = _bump_values(x, lo, hi)
+    yp = np.zeros_like(y)
+    yp[m] = y[m] * (-2.0 * u / (q * q)) / (hi - lo)
+    return y, yp
+
+
 def mollifier_bump(beta) -> np.ndarray:
-    """Unnormalized bump exp(1/((beta-3/2)^2 - 1/4)) on (1, 2), zero elsewhere."""
-    beta = np.asarray(beta, dtype=float)
-    out = np.zeros_like(beta)
-    m = (beta > 1.0) & (beta < 2.0)
-    q = (beta[m] - 1.5) ** 2 - 0.25
-    out[m] = np.exp(1.0 / q)
-    return out
-
-
-def mollifier_bump_derivative(beta) -> np.ndarray:
-    """d/dbeta of the unnormalized bump."""
-    beta = np.asarray(beta, dtype=float)
-    out = np.zeros_like(beta)
-    m = (beta > 1.0) & (beta < 2.0)
-    x = beta[m] - 1.5
-    q = x * x - 0.25
-    out[m] = np.exp(1.0 / q) * (-2.0 * x / (q * q))
-    return out
+    """The cutoffs' bump exp(1/((beta-3/2)^2 - 1/4)) on (1, 2), bump(beta)[0]."""
+    return _bump_values(beta, 1.0, 2.0)[0]
 
 
 def cutoff_normalization() -> float:
@@ -311,16 +321,19 @@ def cutoff_normalization() -> float:
     return 142.25037577709585
 
 
+# the 16-point Gauss-Legendre rule on [-1, 1]; operators uses it too
+_GX, _GW = leggauss(16)
+
+
 @lru_cache(maxsize=1)
 def _bump_cumulative_table():
     """Cumulative integral of the normalized bump on a fine grid over [1, 2]."""
     n_cells = 4096
-    gx, gw = leggauss(16)
     edges = 1.0 + np.arange(n_cells + 1) / n_cells
     half = 0.5 / n_cells
     mid = edges[:-1] + half
-    x = mid[:, None] + half * gx[None, :]
-    cell = half * np.sum(mollifier_bump(x) * gw[None, :], axis=1)
+    x = mid[:, None] + half * _GX[None, :]
+    cell = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
     cum = np.concatenate([[0.0], np.cumsum(cell)])
     return edges, cum * cutoff_normalization()
 
@@ -336,10 +349,9 @@ def xi_far(beta) -> np.ndarray:
         b = beta[m]
         idx = np.minimum(((b - 1.0) * 4096).astype(int), 4095)
         lo = edges[idx]
-        gx, gw = leggauss(16)
         half = 0.5 * (b - lo)
-        x = (lo + half)[:, None] + half[:, None] * gx[None, :]
-        rest = half * np.sum(mollifier_bump(x) * gw[None, :], axis=1)
+        x = (lo + half)[:, None] + half[:, None] * _GX[None, :]
+        rest = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
         out[m] = cum[idx] + rest * cutoff_normalization()
     return out
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AccuracyError,
@@ -48,6 +47,8 @@ from .errors import (
     SingularOperatorError,
 )
 from .grid_space import (
+    _GW,
+    _GX,
     CutoffSamples,
     ModeProfile,
     RadialGrid,
@@ -251,7 +252,6 @@ def profile_interpolant(f: ModeProfile, cuts: CutoffSamples) -> Callable:
     return fun
 
 
-_GX, _GW = leggauss(16)
 _HALVINGS = 48  # geometric panels below the smallest radius (shift < 0)
 _DOUBLINGS = 60  # candidate tail cut points above the largest radius (shift > 0)
 _MAX_DEPTH = 45  # bisections of an initial panel

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InversionError, ParameterError
-from .grid_space import AngularSignal, SolverParams, SpectralField, sample_cutoffs
+from .grid_space import AngularSignal, SolverParams, SpectralField, bump, sample_cutoffs
 from .operators import derived_fields
 
 __all__ = [
@@ -129,7 +129,6 @@ class FieldEvaluator:
     FIELDS = ("psi", "db", "dv", "dp", "dpdb", "lg")
 
     def __init__(self, stream: SpectralField, omega: AngularSignal | None = None):
-        self.stream = stream
         self.omega = omega
         self.params = stream.params
         self.grid = stream.grid
@@ -403,13 +402,10 @@ def spiral_extract(
     zeros = _omega_zeros(omega, stream.params)
     if len(zeros) == 0:
         return []
-    mu = ev.mu
     beta = np.geomspace(0.05, 40.0, n_beta)
-    B, P = beta[:, None], zeros[None, :]
-    radii = t**mu * np.exp(ev.log_radius(B, P))
-    theta = B + P
-    # curve j's points are the contiguous block points[j]
-    points = np.stack([(radii * np.cos(theta)).T, (radii * np.sin(theta)).T], axis=-1)
+    # the broadcast shapes keep one Clenshaw recurrence per beta, and put
+    # curve j's points in the contiguous block points[j]
+    points = t**ev.mu * to_plane(stream, beta[None, :], zeros[:, None], ev)
     return [
         SpiralCurve(phi0=float(phi0), beta=beta.copy(), points=points[j], t=float(t))
         for j, phi0 in enumerate(zeros)
@@ -462,16 +458,6 @@ def spiral_ode_oracle(mu: float, C: float, z0, theta_span) -> SpiralFit:
 # ---------------------------------------------------------------------------
 # Verification suites
 # ---------------------------------------------------------------------------
-
-
-def _bump(x, lo, hi):
-    """The bump exp(-1/(q (1 - q))), q = (x - lo)/(hi - lo), on (lo, hi) and its derivative."""
-    y, yp = np.zeros_like(x), np.zeros_like(x)
-    m = (x > lo) & (x < hi)
-    q = (x[m] - lo) / (hi - lo)
-    y[m] = np.exp(-1.0 / (q * (1.0 - q)))
-    yp[m] = y[m] * ((1.0 - 2.0 * q) / (q * (1.0 - q)) ** 2) / (hi - lo)
-    return y, yp
 
 
 def _gauss(n, a, b):
@@ -529,7 +515,7 @@ def _annulus(stream, omega, ev, r0, r1, nr, nth, tq, wt) -> SimpleNamespace:
     X = np.stack([R * np.cos(H), R * np.sin(H)], axis=-1)
     f = eval_fields_batch(stream, omega, X.reshape(-1, 2), T.reshape(-1), ev)
     W, U1, U2 = (f[name].reshape(R.shape) for name in ("w", "u1", "u2"))
-    g, gp = _bump(R, r0, r1)
+    g, gp = bump(R, r0, r1)
     wq = wr[:, None, None] * wt[None, :, None] * wth * R
     return SimpleNamespace(
         rq=rq, wr=wr, th=th, wth=wth, T=T, H=H, W=W, U1=U1, U2=U2, g=g, gp=gp, wq=wq
@@ -573,12 +559,16 @@ def verify(
     weak     weak form of the vorticity transport, initial term included
     divfree  weak divergence-freeness of the velocity
     poisson  weak form of the vorticity-stream coupling
+
+    params must be the field's own stream.params, else ParameterError.
     """
     unknown = set(suite) - set(VERIFY_SUITES)
     if unknown:
         raise ParameterError(f"unknown verification suites: {sorted(unknown)}")
+    if params != stream.params:
+        raise ParameterError(f"params {params} differ from the field's {stream.params}")
     ev = FieldEvaluator(stream, omega)
-    mu = params.mu
+    mu = ev.mu
     rng = np.random.default_rng(seed)
     report: dict = {"suite": list(suite), "seed": seed}
 
@@ -640,7 +630,7 @@ def verify(
             tq, wt = _gauss(20, max(a, 0.0), b)
             q = _annulus(stream, omega, ev, r0, r1, 32, 80, tq, wt)
             g, gp, Hg, W, U1, U2, wq = q.g, q.gp, q.H, q.W, q.U1, q.U2, q.wq
-            h, hp = _bump(q.T, a, b)
+            h, hp = bump(q.T, a, b)
             grad1 = gp * np.cos(Hg) * h
             grad2 = gp * np.sin(Hg) * h
             term_t = float(np.sum(W * g * hp * wq))
@@ -649,7 +639,7 @@ def verify(
             mass_adv = float(np.sum(np.abs(W * (U1 * grad1 + U2 * grad2)) * wq))
             # initial term: w(., 0) = |x|^(-1/mu) w0(theta)
             if a < 0.0:
-                h0 = float(_bump(np.array([0.0]), a, b)[0][0])
+                h0 = float(bump(0.0, a, b)[0])
                 w0 = initial_data(stream, omega, q.th, ev)["w0"]
                 rad = float(np.sum(q.wr * q.rq ** (1.0 - 1.0 / mu) * g[:, 0, 0]))
                 term_init = h0 * rad * float(np.sum(w0) * q.wth)

@@ -121,13 +121,13 @@ def bounds_check(stream: SpectralField) -> tuple[bool, dict]:
     return ok, margins
 
 
-def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) -> float:
+def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) -> None:
     """Enforce the smallness hypothesis on the angular factor.
 
-    Returns the weighted seminorm of the perturbation.  Raises when the mean
-    is far from the base value or the seminorm exceeds the trust cap, which
-    is the practical stand-in for the radius in which the fixed-point map is
-    known to contract.
+    Raises when the mean is far from the base value or the weighted seminorm
+    of the perturbation exceeds the trust cap, which is the practical
+    stand-in for the radius in which the fixed-point map is known to
+    contract.
     """
     mean = omega.coeff(0)
     base = params.base_omega
@@ -143,7 +143,6 @@ def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) 
             f"{epsilon_cap:.3g}*|mean| = {epsilon_cap * abs(mean):.3e}; "
             "reduce the amplitude"
         )
-    return semi
 
 
 def newton_solve(
@@ -161,8 +160,8 @@ def newton_solve(
 
     backend "chord" freezes the base-state linearization; "fd" refreshes the
     Jacobian by finite differences each step (expensive, small grids only).
-    Raises ConvergenceError carrying the last iterate and report on failure,
-    and ParameterError on a negative max_iter.
+    Raises ConvergenceError carrying the report on failure, and
+    ParameterError on a negative max_iter.
     """
     if max_iter < 0:
         raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
@@ -172,7 +171,7 @@ def newton_solve(
         ws = NonlinearWorkspace(params, grid)
     if backend not in ("chord", "fd"):
         raise ParameterError(f"unknown backend {backend!r}")
-    semi = _omega_gate(omega, params, epsilon_cap)
+    _omega_gate(omega, params, epsilon_cap)
     base = AngularSignal.base(params)
     eps_used = float(omega.plus(base.scaled(-1.0)).a_norm(-0.5))
     if operators is None:
@@ -192,7 +191,7 @@ def newton_solve(
             res = eval_residual(stream, omega, ws)
         except SignConditionError as exc:
             report.message = f"iterate left the admissible region: {exc}"
-            raise ConvergenceError(report.message, last_iterate=stream, report=report)
+            raise ConvergenceError(report.message, report=report)
         history.append(res.aggregate)
         report.iterations = it
         if res.aggregate < tol:
@@ -203,10 +202,10 @@ def newton_solve(
                 f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; "
                 "try a smaller angular amplitude"
             )
-            raise ConvergenceError(report.message, last_iterate=stream, report=report)
+            raise ConvergenceError(report.message, report=report)
         if it == max_iter:
             report.message = f"no convergence in {max_iter} iterations"
-            raise ConvergenceError(report.message, last_iterate=stream, report=report)
+            raise ConvergenceError(report.message, report=report)
         if backend == "chord":
             update = apply_linearization_inverse(operators, res.field, ws.cuts)
         else:
@@ -300,8 +299,10 @@ def match_initial_data(
 
     g is normalized so its mean equals the base factor; the time-scaling
     ratio lambda = mean(g)/base is stored in the report, and the physical
-    solution for the original g is lambda * w(x, lambda * t).  A negative
-    max_outer or inner_max_iter raises ParameterError.
+    solution for the original g is lambda * w(x, lambda * t).  The report's
+    history is the outer mismatch, and a failed match's ConvergenceError
+    carries that report too.  A negative max_outer or inner_max_iter raises
+    ParameterError.
     """
     for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
         if cap < 0:
@@ -336,10 +337,8 @@ def match_initial_data(
     omega = AngularSignal.base(params)
     step = mu ** (1.0 / (2.0 * mu))
     history: list[float] = []
-    stream = SpectralField.base_state(params, grid)
-    report = None
     for outer in range(max_outer + 1):
-        stream, report = newton_solve(
+        stream, inner = newton_solve(
             omega,
             params,
             grid=grid,
@@ -353,30 +352,26 @@ def match_initial_data(
         mismatch = g0.plus(h.scaled(-1.0))
         dist = mismatch.a_norm(-0.5)
         history.append(dist)
+        report = SolveReport(
+            converged=dist < tol,
+            iterations=len(history),
+            residual_history=history,
+            bounds_ok=inner.bounds_ok,
+            epsilon_used=inner.epsilon_used,
+            time_scale=lam,
+            margins=inner.margins,
+        )
         if dist < tol:
             break
         if outer >= 2 and history[-1] > history[-2] > history[-3]:
             raise ConvergenceError(
-                f"initial-data matching stagnated at {dist:.3e}",
-                last_iterate=omega,
-                report=report,
+                f"initial-data matching stagnated at {dist:.3e}", report=report
             )
         if outer == max_outer:
             raise ConvergenceError(
                 f"initial-data matching did not reach {tol:.1e} in {max_outer} steps "
                 f"(at {dist:.3e})",
-                last_iterate=omega,
                 report=report,
             )
         omega = omega.plus(mismatch.scaled(step))
-
-    out = SolveReport(
-        converged=True,
-        iterations=len(history),
-        residual_history=history,
-        bounds_ok=report.bounds_ok,
-        epsilon_used=report.epsilon_used,
-        time_scale=lam,
-        margins=report.margins,
-    )
-    return omega, stream, out
+    return omega, stream, report

@@ -192,20 +192,15 @@ def test_spot_check_ratios_match_clenshaw_route(prod_grid, mu, monkeypatch):
 def test_cutoff_weighted_suprema_match_delta_scan(prod_grid):
     # the weighted suprema, evaluated at delta = 1/2 alone, against the scan
     # over the whole delta range on the table's own sample
-    from spiral_euler.grid_space import (
-        cutoff_normalization,
-        mollifier_bump,
-        mollifier_bump_derivative,
-        xi_far,
-    )
+    from spiral_euler.grid_space import bump, cutoff_normalization, xi_far
 
     base = np.geomspace(1e-6, 1e6, 4096)
     support = np.linspace(0.5, 2.5, 16 * 4096)
     nodes = prod_grid.nodes
     beta = np.unique(np.concatenate([base, support, nodes[nodes > 0]]))
     C = cutoff_normalization()
-    eta = C * mollifier_bump(beta)
-    eta_p = C * mollifier_bump_derivative(beta)
+    y, yp = bump(beta)
+    eta, eta_p = C * y, C * yp
     values = {
         "beta_dbeta_xi0": beta * eta,
         "beta_xi0": beta * xi_near(beta),

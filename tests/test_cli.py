@@ -126,6 +126,22 @@ def test_solve_verify_render_pipeline(tmp_path):
     assert main(["render", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_reconstruct_without_csv_evaluates_no_samples(tmp_path, monkeypatch, capsys):
+    from spiral_euler import cli
+
+    def unwanted(*args, **kwargs):
+        raise AssertionError("samples evaluated for no samples.csv")
+
+    monkeypatch.setattr(cli, "eval_fields_batch", unwanted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out), "--format", "svg"]) == 0
+    assert (out / "spirals.svg").exists()
+    assert not (out / "samples.csv").exists()
+    assert "reconstructed 0 samples" in capsys.readouterr().out
+
+
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_reconstruct_spirals_csv_reads_back_as_numbers(tmp_path):
     # a zero-crossing angular factor gives 2N zero-set curves in spirals.csv
@@ -203,6 +219,21 @@ def test_match_mode_solve(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["time_scale"] == pytest.approx(1.0)
+
+
+def test_failed_match_reports_the_outer_history(tmp_path):
+    # no outer step allowed: the report holds the one outer mismatch the
+    # error names, not the residuals of the converged inner solve
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mu = 1.0\nN = 8\ngrid.points = 96\nomega.kind = match\nsolver.outer_max_iter = 0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    doc = json.loads((out / "report.json").read_text())
+    (dist,) = doc["residual_history"]
+    assert dist > 1e-10
+    assert f"in 0 steps (at {dist:.3e})" in doc["error"]
 
 
 def test_singular_linearization_exits_as_solve_failure(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from spiral_euler import (
     xi_far,
     xi_near,
 )
-from spiral_euler.grid_space import mollifier_bump
+from spiral_euler.grid_space import bump, mollifier_bump
 
 
 def test_grid_basic_shape():
@@ -78,6 +78,25 @@ def test_cutoff_normalization_literal_matches_quadrature():
 def test_cutoff_bump_maximum():
     peak = cutoff_normalization() * float(mollifier_bump(np.array([1.5]))[0])
     assert abs(peak - 2.60541) < 1e-4
+
+
+def test_bump_matches_former_closed_forms():
+    # the closed forms the cutoffs were built from before the one bump:
+    # exp(1/q) and its derivative, q = (beta - 3/2)^2 - 1/4 on (1, 2)
+    beta = np.concatenate(
+        [np.linspace(0.5, 2.5, 40001), np.nextafter([1.0, 1.0, 2.0, 2.0], [0.0, 2.0, 1.0, 3.0])]
+    )
+    assert np.any(beta == 1.0) and np.any(beta == 2.0)
+    m = (beta > 1.0) & (beta < 2.0)
+    x = beta[m] - 1.5
+    q = x * x - 0.25
+    value, deriv = np.zeros_like(beta), np.zeros_like(beta)
+    value[m] = np.exp(1.0 / q)
+    deriv[m] = np.exp(1.0 / q) * (-2.0 * x / (q * q))
+    y, yp = bump(beta)
+    assert np.array_equal(y, value)
+    assert np.array_equal(yp, deriv)
+    assert np.array_equal(mollifier_bump(beta), value)
 
 
 def test_cutoff_partition_of_unity(desk_cuts):

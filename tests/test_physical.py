@@ -25,6 +25,7 @@ from spiral_euler import (
     verify,
 )
 from spiral_euler import physical
+from spiral_euler.grid_space import bump
 from spiral_euler.operators import derived_fields
 from spiral_euler.physical import (
     FieldEvaluator,
@@ -415,6 +416,24 @@ def test_spiral_extract_cosine_zero_set(desk_params, desk_grid):
         assert abs((theta0 - c.phi0 - c.beta[0] + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
 
+@pytest.mark.parametrize("t, rel", [(1.0, 0.0), (0.37, 1e-15)])
+def test_spiral_extract_matches_former_formula(desk_solution, desk_params, t, rel):
+    # the points as spiral_extract formed them before it mapped through
+    # to_plane; at t = 1 the product is taken in the same order
+    stream, _, _ = desk_solution
+    N = desk_params.N
+    omega = AngularSignal(desk_params, {N: -0.5j, -N: 0.5j})
+    ev = FieldEvaluator(stream, omega)
+    curves = spiral_extract(stream, omega, t, n_beta=40, ev=ev)
+    B = curves[0].beta[:, None]
+    P = np.array([c.phi0 for c in curves])[None, :]
+    radii = t**ev.mu * np.exp(ev.log_radius(B, P))
+    want = np.stack([(radii * np.cos(B + P)).T, (radii * np.sin(B + P)).T], axis=-1)
+    got = np.stack([c.points for c in curves])
+    move = np.hypot(*np.moveaxis(got - want, -1, 0))
+    assert np.all(move <= rel * np.hypot(*np.moveaxis(want, -1, 0)))
+
+
 def test_spiral_ode_oracle_closed_form():
     # mu = 1, C = 1: the streamline radius is 1/(theta + 1/r0)
     fit = spiral_ode_oracle(1.0, 1.0, (0.5, 0.0), (0.0, 4 * np.pi))
@@ -522,6 +541,44 @@ def test_verify_weak_base_quadrature_floor(base_setup, desk_params):
     report = verify(base, omega, desk_params, suite=("weak",))
     for row in report["weak"]:
         assert abs(row["residual"]) <= 1e-6 * row["scale"]
+
+
+def test_bump_matches_former_verify_bump(base_setup, desk_params, monkeypatch):
+    # the test-function bump verify used before the one bump,
+    # exp(-1/(q (1 - q))) with q = (x - lo)/(hi - lo), compared on the
+    # intervals and at the points the weak suite evaluates
+    def former(x, lo, hi):
+        y, yp = np.zeros_like(x), np.zeros_like(x)
+        m = (x > lo) & (x < hi)
+        q = (x[m] - lo) / (hi - lo)
+        y[m] = np.exp(-1.0 / (q * (1.0 - q)))
+        yp[m] = y[m] * ((1.0 - 2.0 * q) / (q * (1.0 - q)) ** 2) / (hi - lo)
+        return y, yp
+
+    calls = []
+
+    def recording(x, lo, hi):
+        calls.append((np.asarray(x, dtype=float), lo, hi))
+        return bump(x, lo, hi)
+
+    monkeypatch.setattr(physical, "bump", recording)
+    base, omega, _ = base_setup
+    verify(base, omega, desk_params, suite=("weak",))
+    assert len(calls) == 12  # 5 annuli, 5 time windows, 2 initial terms
+    for x, lo, hi in calls:
+        dense = np.linspace(lo, hi, 4001)
+        # a few ulps of each function's maximum; near the ends the two forms
+        # of the exponent round differently, so pointwise relative errors grow
+        tops = [np.max(np.abs(f)) for f in former(dense, lo, hi)]
+        for pts in (x, dense):
+            for got, want, top in zip(bump(pts, lo, hi), former(pts, lo, hi), tops):
+                assert np.max(np.abs(got - want)) <= 2e-15 * top
+def test_verify_rejects_params_of_another_field(base_setup, desk_params):
+    # mu comes from the field; params that disagree with it are an error
+    base, omega, _ = base_setup
+    other = SolverParams(mu=1.5, N=desk_params.N, grid_points=desk_params.grid_points)
+    with pytest.raises(ParameterError, match="differ from the field's"):
+        verify(base, omega, other, suite=("selfsim",))
 
 
 def test_verify_unknown_suite(base_setup, desk_params):
