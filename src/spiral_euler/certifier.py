@@ -21,7 +21,7 @@ smallest admissible periodicities, and such rows are flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,6 +78,16 @@ class DistRow:
     quoted_lower: float
     quoted_upper: float
     flagged: bool
+
+
+@dataclass(frozen=True)
+class SpotRow:
+    """One sampled perturbation norm against the contraction bound."""
+
+    n: int
+    ratio: float
+    bound: float
+    ok: bool
 
 
 def dist_gap(mu: float, N: int, n: int, branch: str) -> DistRow:
@@ -201,31 +211,7 @@ class Certificate:
             raise ParameterError("certificate verdict must equal its two conditions")
 
     def to_json(self) -> dict:
-        return {
-            "mu": self.mu,
-            "N": self.N,
-            "delta": self.delta,
-            "contraction": self.contraction,
-            "threshold": self.threshold,
-            "passes": self.passes,
-            "dist_rows": [
-                {
-                    "n": r.n,
-                    "branch": r.branch,
-                    "exact": r.exact,
-                    "quoted_lower": r.quoted_lower,
-                    "quoted_upper": r.quoted_upper,
-                    "flagged": r.flagged,
-                }
-                for r in self.dist_rows
-            ],
-            "cutoff_norms": self.cutoff_norms,
-            "spot_checks": [
-                {"n": n, "ratio": ratio, "bound": bound, "ok": ok}
-                for (n, ratio, bound, ok) in self.spot_checks
-            ],
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
     def table(self) -> str:
         lines = [
@@ -251,10 +237,10 @@ class Certificate:
                 )
         if self.spot_checks:
             lines.append("  sampled perturbation norms (ratio <= K):")
-            for n, ratio, bound, ok in self.spot_checks:
+            for r in self.spot_checks:
                 lines.append(
-                    f"    n={n:<8} ratio={ratio:10.6f} <= {bound:10.6f}  "
-                    f"{'ok' if ok else 'VIOLATED'}"
+                    f"    n={r.n:<8} ratio={r.ratio:10.6f} <= {r.bound:10.6f}  "
+                    f"{'ok' if r.ok else 'VIOLATED'}"
                 )
         for note in self.notes:
             lines.append(f"  note: {note}")
@@ -304,7 +290,7 @@ def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, s
         worst = max(
             mode_norm(pre, delta, cuts) / mode_norm(g, delta, cuts) for g, pre in zip(gs[n], pres)
         )
-        rows.append((int(n), float(worst), float(K), bool(worst <= K)))
+        rows.append(SpotRow(int(n), float(worst), float(K), bool(worst <= K)))
     return tuple(rows)
 
 
@@ -350,10 +336,10 @@ def certify(
     spots: tuple = ()
     if N >= 4:
         spots = _perturbation_spot_check(params, grid, K, seed)
-        for n, ratio, bound, ok in spots:
-            if not ok:
+        for r in spots:
+            if not r.ok:
                 notes.append(
-                    f"sampled perturbation norm {ratio:.6f} at n={n} exceeds K={bound:.6f}"
+                    f"sampled perturbation norm {r.ratio:.6f} at n={r.n} exceeds K={r.bound:.6f}"
                 )
 
     passes = bool(N > threshold and K < 1.0)

@@ -20,6 +20,7 @@ import json
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -177,17 +178,7 @@ def cmd_solve(args) -> int:
     field_doc["omega"] = _omega_to_json(omega)
     _dump_json(out / "field.json", field_doc)
     report_doc = dict(stamp)
-    report_doc.update(
-        {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "residual_history": list(report.residual_history),
-            "bounds_ok": report.bounds_ok,
-            "epsilon_used": report.epsilon_used,
-            "time_scale": report.time_scale,
-            "margins": report.margins,
-        }
-    )
+    report_doc.update(asdict(report))
     _dump_json(out / "report.json", report_doc)
     print(
         f"solved: {report.iterations} iterations, residual "
@@ -234,7 +225,9 @@ def cmd_reconstruct(args) -> int:
         x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
         fields = eval_fields_batch(stream, omega, x, np.full(n, t), ev)
         export_samples_csv(out / "samples.csv", x, t, fields)
-    curves = spiral_extract(stream, omega, t, ev=ev)
+    curves = []  # the curves are extracted only for spirals.csv or spirals.svg
+    if formats & {"csv", "svg"}:
+        curves = spiral_extract(stream, omega, t, ev=ev)
     if "csv" in formats:
         export_spirals_csv(out / "spirals.csv", curves)
     if "svg" in formats:

@@ -13,52 +13,31 @@ from .physical import VERIFY_SUITES
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "parse_formats"]
 
-_DEFAULTS = {
-    "mu": None,  # required
-    "N": None,  # required
-    "harmonics": 3,
-    "grid.points": 257,
-    "grid.scale": 1.0,
-    "seed": 42,
-    "omega.kind": "constant_plus_cos",
-    "omega.amplitude": 0.01,
-    "omega.harmonic": None,  # defaults to N
-    "omega.coeffs": "",
-    "target.amplitude": 0.01,
-    "target.harmonic": None,
-    "solver.tol": 1e-10,
-    "solver.max_iter": 100,
-    "solver.backend": "chord",
-    "solver.epsilon_cap": 0.1,
-    "solver.outer_tol": 1e-10,
-    "solver.outer_max_iter": 50,
-    "output.dir": "out",
-    "output.formats": "json,csv,svg",
-    "verify.suites": "selfsim,lp,weak,divfree,poisson",
-    "reconstruct.t": 1.0,
-    "reconstruct.samples": 200,
-}
-
-_INT_KEYS = {
-    "N",
-    "harmonics",
-    "grid.points",
-    "seed",
-    "omega.harmonic",
-    "target.harmonic",
-    "solver.max_iter",
-    "solver.outer_max_iter",
-    "reconstruct.samples",
-}
-_FLOAT_KEYS = {
-    "mu",
-    "grid.scale",
-    "omega.amplitude",
-    "target.amplitude",
-    "solver.tol",
-    "solver.epsilon_cap",
-    "solver.outer_tol",
-    "reconstruct.t",
+# every key once: its type and its default (None: required, or filled from N)
+_KEYS = {
+    "mu": (float, None),
+    "N": (int, None),
+    "harmonics": (int, 3),
+    "grid.points": (int, 257),
+    "grid.scale": (float, 1.0),
+    "seed": (int, 42),
+    "omega.kind": (str, "constant_plus_cos"),
+    "omega.amplitude": (float, 0.01),
+    "omega.harmonic": (int, None),
+    "omega.coeffs": (str, ""),
+    "target.amplitude": (float, 0.01),
+    "target.harmonic": (int, None),
+    "solver.tol": (float, 1e-10),
+    "solver.max_iter": (int, 100),
+    "solver.backend": (str, "chord"),
+    "solver.epsilon_cap": (float, 0.1),
+    "solver.outer_tol": (float, 1e-10),
+    "solver.outer_max_iter": (int, 50),
+    "output.dir": (str, "out"),
+    "output.formats": (str, "json,csv,svg"),
+    "verify.suites": (str, "selfsim,lp,weak,divfree,poisson"),
+    "reconstruct.t": (float, 1.0),
+    "reconstruct.samples": (int, 200),
 }
 
 
@@ -103,7 +82,7 @@ class RunConfig:
         ):
             if not values[key] > 0:  # rejects nan too
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
-        for key in sorted(_FLOAT_KEYS):
+        for key in sorted(k for k, (kind, _) in _KEYS.items() if kind is float):
             # an infinite reconstruct.t would put x * t^(-mu) at the origin,
             # which the chart does not cover
             if not math.isfinite(values[key]):
@@ -157,10 +136,8 @@ class RunConfig:
         left out: identical settings give byte-identical artifacts wherever
         they land.
         """
-        lines = [
-            f"{k} = {self.values[k]}" for k in sorted(self.values) if k != "output.dir"
-        ]
-        text = "\n".join(lines) + "\n"
+        out_line = f"output.dir = {self.values['output.dir']}\n"
+        text = self.effective_text().replace(out_line, "", 1)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -208,21 +185,16 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = (lineno, value)
 
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default) in _KEYS.items()}
     for key, (lineno, value) in raw.items():
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 

@@ -25,7 +25,7 @@ them this is their norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -638,11 +638,7 @@ def _c(z: complex) -> list[float]:
 def field_to_json(field_: SpectralField) -> dict:
     """JSON document for a spectral field, grid nodes included."""
     return {
-        "mu": field_.params.mu,
-        "N": field_.params.N,
-        "harmonics": field_.params.harmonics,
-        "grid_points": field_.params.grid_points,
-        "grid_scale": field_.params.grid_scale,
+        **asdict(field_.params),
         "grid_nodes": [float(b) for b in field_.grid.nodes],
         "modes": [
             {
@@ -659,13 +655,7 @@ def field_to_json(field_: SpectralField) -> dict:
 
 def field_from_json(doc: dict) -> SpectralField:
     """The spectral field of a field_to_json document; other keys are ignored."""
-    params = SolverParams(
-        mu=doc["mu"],
-        N=doc["N"],
-        harmonics=doc["harmonics"],
-        grid_points=doc["grid_points"],
-        grid_scale=doc["grid_scale"],
-    )
+    params = SolverParams(**{f.name: doc[f.name] for f in fields(SolverParams)})
     grid = build_grid(params.grid_points, params.grid_scale)
     modes = {}
     for entry in doc["modes"]:

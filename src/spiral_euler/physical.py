@@ -231,13 +231,19 @@ def _chart_newton(
     misfit |F| is below 1e-13; it still takes the Newton step computed at
     that iterate, unless the step leaves the safeguard.  A root beyond the
     safeguard stalls, and a stall above 1e-10 after 80 steps raises
-    InversionError naming what.
+    InversionError naming what.  So does a point out of reach, before any
+    step: one whose safeguard's upper end squared, a bound on the product of
+    two iterates, overflows, or whose lower end underflows to zero.
     """
     target = np.log(r)
     mu = ev.mu
-    base = r ** (-1.0 / mu)
-    lo = 2.0**-9 * (1.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
-    hi = 2.0**9 * (3.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
+    with np.errstate(over="ignore", under="ignore"):  # out of reach raises below
+        base = r ** (-1.0 / mu)
+        lo = 2.0**-9 * (1.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
+        hi = 2.0**9 * (3.0 / (2.0 * mu)) ** (1.0 / (2.0 * mu)) * base
+        reach = np.isfinite(hi * hi) & (lo > 0.0)
+    if not np.all(reach):
+        raise InversionError(f"{what} cannot reach |z| = {r[~reach][0]:.3e}")
     beta = np.sqrt(lo * hi)
     if ev.db_inf < 0.0:
         start = (-ev.db_inf / mu) ** (1.0 / (2.0 * mu)) * base
@@ -265,7 +271,7 @@ def _chart_newton(
     else:
         b = beta[act]
         F = ev.log_radius(b, phi0[act] - slope * b) - target[act]
-        if np.max(np.abs(F)) > 1e3 * 1e-13:
+        if not np.max(np.abs(F)) <= 1e3 * 1e-13:  # a NaN misfit fails too
             raise InversionError(f"{what} stalled at |F| = {np.max(np.abs(F)):.2e}")
     return beta
 

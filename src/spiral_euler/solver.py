@@ -77,7 +77,6 @@ class SolveReport:
     bounds_ok: bool
     epsilon_used: float
     time_scale: float = 1.0
-    message: str = ""
     margins: dict = field(default_factory=dict)
 
 
@@ -190,22 +189,20 @@ def newton_solve(
         try:
             res = eval_residual(stream, omega, ws)
         except SignConditionError as exc:
-            report.message = f"iterate left the admissible region: {exc}"
-            raise ConvergenceError(report.message, report=report)
+            raise ConvergenceError(f"iterate left the admissible region: {exc}", report=report)
         history.append(res.aggregate)
         report.iterations = it
         if res.aggregate < tol:
             report.converged = True
             break
         if it >= 1 and history[-1] > history[-2]:
-            report.message = (
+            raise ConvergenceError(
                 f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; "
-                "try a smaller angular amplitude"
+                "try a smaller angular amplitude",
+                report=report,
             )
-            raise ConvergenceError(report.message, report=report)
         if it == max_iter:
-            report.message = f"no convergence in {max_iter} iterations"
-            raise ConvergenceError(report.message, report=report)
+            raise ConvergenceError(f"no convergence in {max_iter} iterations", report=report)
         if backend == "chord":
             update = apply_linearization_inverse(operators, res.field, ws.cuts)
         else:

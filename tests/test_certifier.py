@@ -89,7 +89,7 @@ def test_certify_reference_passes(prod_params, prod_grid):
     assert cert.threshold == 3792.0
     assert all(row["ok"] for row in cert.cutoff_norms.values())
     assert any(r.flagged for r in cert.dist_rows)  # the minus branch at n = N
-    assert all(ok for (_, _, _, ok) in cert.spot_checks)
+    assert all(r.ok for r in cert.spot_checks)
 
 
 def test_certify_below_threshold_fails_but_reports(prod_grid):
@@ -98,7 +98,7 @@ def test_certify_below_threshold_fails_but_reports(prod_grid):
     assert not cert.passes
     assert cert.contraction > 1.0
     # the sampled operator norms stay modest even though the bound is weak
-    assert all(ratio < 1.0 for (_, ratio, _, _) in cert.spot_checks)
+    assert all(r.ratio < 1.0 for r in cert.spot_checks)
 
 
 def test_certify_deterministic(desk_params, desk_grid):
@@ -184,9 +184,9 @@ def test_spot_check_ratios_match_clenshaw_route(prod_grid, mu, monkeypatch):
 
     monkeypatch.setattr(grid_space, "_refined_values", clenshaw)
     want = certifier._perturbation_spot_check(params, prod_grid, K, seed=42)
-    assert [r[0] for r in rows] == [r[0] for r in want]
-    for (_, ratio, _, _), (_, ref, _, _) in zip(rows, want):
-        assert ratio == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert [r.n for r in rows] == [r.n for r in want]
+    for r, ref in zip(rows, want):
+        assert r.ratio == pytest.approx(ref.ratio, rel=1e-13, abs=0.0)
 
 
 def test_cutoff_weighted_suprema_match_delta_scan(prod_grid):

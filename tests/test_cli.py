@@ -485,3 +485,78 @@ def test_reconstruct_rejects_unknown_format(tmp_path):
     assert proc.stderr == "configuration error: --format must be a subset of json,csv,svg\n"
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_config_digest_leaves_out_only_the_output_dir():
+    # the config_hash every artifact embeds; its value is pinned so that a
+    # change to the echo format or the key table shows here
+    cfg = parse_config_text(DESK)
+    assert cfg.digest() == "54be34ce88832b61"
+    assert parse_config_text(DESK + "output.dir = elsewhere\n").digest() == cfg.digest()
+    assert parse_config_text(DESK + "seed = 7\n").digest() != cfg.digest()
+
+
+def test_artifact_key_sets(tmp_path):
+    # the dataclasses SolveReport, Certificate (with DistRow and SpotRow) and
+    # SolverParams define these formats; a field added to one fails here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    stamp = {"config_hash", "seed"}
+
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == stamp | {
+        "converged", "iterations", "residual_history", "bounds_ok", "epsilon_used",
+        "time_scale", "margins",
+    }
+
+    doc = json.loads((out / "certificate.json").read_text())
+    assert set(doc) == stamp | {"certificate"}
+    cert = doc["certificate"]
+    assert set(cert) == {
+        "mu", "N", "delta", "dist_rows", "cutoff_norms", "contraction", "threshold",
+        "passes", "notes", "spot_checks",
+    }
+    assert len(cert["dist_rows"]) == 6 and len(cert["spot_checks"]) == 3
+    for row in cert["dist_rows"]:
+        assert set(row) == {"n", "branch", "exact", "quoted_lower", "quoted_upper", "flagged"}
+    for row in cert["spot_checks"]:
+        assert set(row) == {"n", "ratio", "bound", "ok"}
+
+    field = json.loads((out / "field.json").read_text())
+    params = set(field) - stamp - {"grid_nodes", "modes", "omega"}
+    assert params == {"mu", "N", "harmonics", "grid_points", "grid_scale"}
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_reconstruct_json_extracts_no_curves(tmp_path, monkeypatch, capsys):
+    # with neither csv nor svg selected nothing writes curves, so none are
+    # extracted; this factor has 16 zero-set curves
+    from spiral_euler import cli
+
+    def unwanted(*args, **kwargs):
+        raise AssertionError("curves extracted for no spirals.csv or spirals.svg")
+
+    monkeypatch.setattr(cli, "spiral_extract", unwanted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ZERO_CROSSING)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    assert "reconstructed 0 samples and 0 zero-set curves" in capsys.readouterr().out
+    assert not (out / "spirals.csv").exists() and not (out / "spirals.svg").exists()
+
+
+def test_reconstruct_out_of_reach_exits_as_verification_failure(tmp_path):
+    # at mu = 1, t = 1e300 maps the samples to |z| ~ 1e-300, where the chart
+    # inversion's safeguard leaves the float range
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK + "reconstruct.t = 1e300\n")
+    out = tmp_path / "out"
+    proc = _cli("reconstruct", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("chart inversion failed: chart inversion cannot reach |z| = ")
+    assert (out / "field.json").exists()
+    assert not (out / "samples.csv").exists()

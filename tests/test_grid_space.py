@@ -331,3 +331,15 @@ def test_refined_values_match_clenshaw(M):
         got = _refined_values(grid, ext, 4)
         assert got.shape == want.shape == (4 * M - 1,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_field_json_missing_parameter_names_the_first(desk_params, desk_grid, desk_cuts):
+    # the parameters load in SolverParams' field order: mu, N, harmonics,
+    # grid_points, grid_scale
+    from conftest import random_field
+
+    doc = field_to_json(random_field(desk_params, desk_grid, desk_cuts, seed=9))
+    for key in ("N", "grid_scale"):
+        del doc[key]
+    with pytest.raises(KeyError, match="'N'"):
+        field_from_json(doc)

@@ -223,6 +223,25 @@ def test_chart_newton_safeguard_reach(desk_params, desk_grid, c0, cconst, invert
     assert np.max(np.hypot(*(z - z2).T) / r) < 1e-12
 
 
+@pytest.mark.parametrize("radius", [1e-300, 1e-160, np.inf])
+def test_chart_rejects_points_out_of_reach(base_setup, radius):
+    # at mu = 1 the safeguard spans 1/|z| times [2^-9 sqrt(0.5), 2^9 sqrt(1.5)]:
+    # its upper end squared overflows below |z| ~ 5e-152, and its lower end
+    # is zero at |z| = inf; no step is taken there
+    base, omega, ev = base_setup
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(InversionError, match="chart inversion cannot reach"):
+            to_chart(base, np.array([[1.0, 0.0], [radius, 0.0]]), ev)
+
+
+@pytest.mark.parametrize("radius", [1e-150, 1e300, 1e308])
+def test_chart_inverts_near_its_reach(base_setup, radius):
+    # the base flow's radius is 1/beta at mu = 1
+    base, omega, ev = base_setup
+    beta, phi = to_chart(base, np.array([[radius, 0.0]]), ev)
+    assert beta[0] == pytest.approx(1.0 / radius, rel=1e-12)
+
+
 def test_chart_rejects_origin(base_setup):
     base, omega, ev = base_setup
     with pytest.raises(ParameterError):
