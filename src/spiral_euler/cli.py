@@ -1,13 +1,13 @@
-"""Command-line entry points: certify, solve, reconstruct, verify, render.
+"""Command-line entry points: certify, solve, reconstruct, verify.
 
 Every subcommand takes --config, --out and --seed; reconstruct also takes
---format and render also takes --field.
+--format and --field.
 
 Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
 subcommand, a --format entry outside json,csv,svg), configuration problem,
 an output directory that cannot be written or a saved field that does not load,
 2 certificate failure, 3 solve failure, 4 verification failure or a failed
-chart inversion (verify, reconstruct, render).  Codes 1 and 4 print one
+chart inversion (verify, reconstruct).  Codes 1 and 4 print one
 line to stderr.  Every JSON artifact embeds the configuration digest and
 the seed so runs can be traced; identical configurations produce
 byte-identical artifacts.
@@ -59,6 +59,8 @@ def _dump_json(path: Path, doc: dict) -> None:
 
 
 def _prepare(cfg: RunConfig, out_override=None, seed_override=None):
+    """The output directory (made, with config.echo), the stamp every artifact
+    embeds and the configuration, with the --out and --seed overrides."""
     values = dict(cfg.values)
     if out_override:
         values["output.dir"] = out_override
@@ -75,15 +77,7 @@ def _prepare(cfg: RunConfig, out_override=None, seed_override=None):
     return out, stamp, cfg
 
 
-def _load_cfg(args) -> RunConfig:
-    if not args.config:
-        raise ConfigError("--config PATH is required")
-    return load_config(args.config)
-
-
-def cmd_certify(args) -> int:
-    cfg = _load_cfg(args)
-    out, stamp, cfg = _prepare(cfg, args.out, args.seed)
+def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
     cert = certify(cfg.params, seed=cfg["seed"])
     doc = dict(stamp)
     doc["certificate"] = cert.to_json()
@@ -91,18 +85,6 @@ def cmd_certify(args) -> int:
     (out / "certificate.txt").write_text(cert.table() + "\n")
     print(cert.table())
     return EXIT_OK if cert.passes else EXIT_CERTIFICATE
-
-
-def _omega_to_json(omega: AngularSignal) -> list:
-    return [
-        [int(n), complex(c).real, complex(c).imag]
-        for n, c in sorted(omega.coeffs.items())
-        if c != 0.0
-    ]
-
-
-def _omega_from_json(params, entries) -> AngularSignal:
-    return AngularSignal(params, {int(n): complex(re, im) for n, re, im in entries})
 
 
 @contextmanager
@@ -134,9 +116,7 @@ def _dropped_mass_summary():
             )
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_cfg(args)
-    out, stamp, cfg = _prepare(cfg, args.out, args.seed)
+def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
     params = cfg.params
     grid = build_grid(params.grid_points, params.grid_scale)
     try:
@@ -175,7 +155,11 @@ def cmd_solve(args) -> int:
 
     field_doc = dict(stamp)
     field_doc.update(field_to_json(stream))
-    field_doc["omega"] = _omega_to_json(omega)
+    field_doc["omega"] = [
+        [int(n), complex(c).real, complex(c).imag]
+        for n, c in sorted(omega.coeffs.items())
+        if c != 0.0
+    ]
     _dump_json(out / "field.json", field_doc)
     report_doc = dict(stamp)
     report_doc.update(asdict(report))
@@ -187,33 +171,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_solution(path: Path):
-    """The stream profile and angular factor of a saved field.json.
+def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
+    """The exit code, stream profile and angular factor of a saved field.json.
 
-    A file that cannot be read or does not describe a field of this format
-    raises ConfigError.
+    The field is read from the path ``field`` if one is given.  Otherwise it
+    is out/field.json, solved there first if it is missing; a failed solve
+    returns its exit code and no field.  A file that cannot be read or does
+    not describe a field of this format raises ConfigError.
     """
+    path = Path(field) if field else out / "field.json"
+    if not field and not path.exists():
+        code = cmd_solve(cfg, out, stamp)
+        if code != EXIT_OK:
+            return code, None, None
     try:
         doc = json.loads(path.read_text())
         stream = field_from_json(doc)
-        omega = _omega_from_json(stream.params, doc["omega"])
+        omega = AngularSignal(
+            stream.params, {int(n): complex(re, im) for n, re, im in doc["omega"]}
+        )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc
-    return stream, omega
+    return EXIT_OK, stream, omega
 
 
-def cmd_reconstruct(args) -> int:
-    cfg = _load_cfg(args)
-    formats = parse_formats(cfg["output.formats"], "output.formats")
-    if args.format:
-        formats &= parse_formats(args.format, "--format")
-    out, stamp, cfg = _prepare(cfg, args.out, args.seed)
-    if not (out / "field.json").exists():
-        code = cmd_solve(args)
-        if code != EXIT_OK:
-            return code
-    stream, omega = _load_solution(out / "field.json")
+def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, field) -> int:
+    code, stream, omega = _solution(cfg, out, stamp, field)
+    if code != EXIT_OK:
+        return code
     ev = FieldEvaluator(stream, omega)
     t = cfg["reconstruct.t"]
     n = 0  # the samples are evaluated only for samples.csv
@@ -236,14 +222,10 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_cfg(args)
-    out, stamp, cfg = _prepare(cfg, args.out, args.seed)
-    if not (out / "field.json").exists():
-        code = cmd_solve(args)
-        if code != EXIT_OK:
-            return code
-    stream, omega = _load_solution(out / "field.json")
+def cmd_verify(cfg: RunConfig, out: Path, stamp: dict) -> int:
+    code, stream, omega = _solution(cfg, out, stamp)
+    if code != EXIT_OK:
+        return code
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
     report = run_verify(stream, omega, stream.params, suite=suites, seed=cfg["seed"])
     verdict = verdicts(report)
@@ -256,16 +238,6 @@ def cmd_verify(args) -> int:
     for name, ok in verdict.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if passed else EXIT_VERIFY
-
-
-def cmd_render(args) -> int:
-    cfg = _load_cfg(args)
-    out, stamp, cfg = _prepare(cfg, args.out, args.seed)
-    stream, omega = _load_solution(Path(args.field) if args.field else out / "field.json")
-    curves = spiral_extract(stream, omega, cfg["reconstruct.t"])
-    render_spirals_svg(out / "spirals.svg", curves)
-    print(f"rendered {len(curves)} curves to {out / 'spirals.svg'}")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,7 +258,6 @@ def main(argv=None) -> int:
         ("solve", cmd_solve),
         ("reconstruct", cmd_reconstruct),
         ("verify", cmd_verify),
-        ("render", cmd_render),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=False, help="path to the run configuration")
@@ -294,12 +265,22 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "reconstruct":
             p.add_argument("--format", default=None, help="comma list of json,csv,svg")
-        if name == "render":
-            p.add_argument("--field", default=None, help="path to a saved field JSON")
+            p.add_argument("--field", default=None, help="a saved field JSON; never solve")
         p.set_defaults(fn=fn)
     try:
+        # every check, reconstruct's --format included, before any directory is made
         args = parser.parse_args(argv)
-        return args.fn(args)
+        if not args.config:
+            raise ConfigError("--config PATH is required")
+        cfg = load_config(args.config)
+        options = {}
+        if args.command == "reconstruct":
+            formats = parse_formats(cfg["output.formats"], "output.formats")
+            if args.format:
+                formats &= parse_formats(args.format, "--format")
+            options = {"formats": formats, "field": args.field}
+        out, stamp, cfg = _prepare(cfg, args.out, args.seed)
+        return args.fn(cfg, out, stamp, **options)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -315,13 +315,21 @@ def eval_fields_batch(
     t: np.ndarray,
     ev: FieldEvaluator | None = None,
 ) -> dict:
-    """Reconstruct w, u, psi at arrays of space-time points (t > 0)."""
+    """Reconstruct w, u, psi at arrays of space-time points (t > 0).
+
+    A nonzero x that t^-mu scales to zero raises InversionError.
+    """
     if ev is None:
         ev = FieldEvaluator(stream, omega)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     mu = ev.mu
     z = x * (t ** (-mu))[..., None]
+    # a point the time scale takes to the origin is out of the chart's reach;
+    # the origin itself is not in its domain (to_chart raises ParameterError)
+    lost = ~np.any(z, axis=-1) & np.any(x, axis=-1)
+    if np.any(lost):
+        raise InversionError("chart inversion cannot reach |z| = 0: |x| t^-mu underflows")
     beta, phi = to_chart(stream, z, ev)
     psiv, db, dv, dp, dpdb, lg = ev.field(ev.FIELDS, beta, phi)
     om = ev.omega_values(phi)
@@ -401,7 +409,7 @@ def spiral_extract(
 
     One curve per zero of the angular factor, sampled at n_beta radii
     geometric in [0.05, 40]; an angular factor without zeros gives an
-    empty list.
+    empty list.  A curve point past the float range raises InversionError.
     """
     if ev is None:
         ev = FieldEvaluator(stream, omega)
@@ -410,8 +418,12 @@ def spiral_extract(
         return []
     beta = np.geomspace(0.05, 40.0, n_beta)
     # the broadcast shapes keep one Clenshaw recurrence per beta, and put
-    # curve j's points in the contiguous block points[j]
-    points = t**ev.mu * to_plane(stream, beta[None, :], zeros[:, None], ev)
+    # curve j's points in the contiguous block points[j]; a float64 scalar
+    # power is libm's pow, as Python's is (np.power's SIMD loop may differ)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point raises below
+        points = np.float64(t) ** ev.mu * to_plane(stream, beta[None, :], zeros[:, None], ev)
+    if not np.all(np.isfinite(points)):
+        raise InversionError(f"the zero-set curves at t = {t:.3e} leave the float range")
     return [
         SpiralCurve(phi0=float(phi0), beta=beta.copy(), points=points[j], t=float(t))
         for j, phi0 in enumerate(zeros)

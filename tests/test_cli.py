@@ -13,7 +13,7 @@ import spiral_euler
 
 from spiral_euler import ConfigError
 from spiral_euler.cli import main
-from spiral_euler.config import parse_config_text
+from spiral_euler.config import load_config, parse_config_text
 
 
 DESK = """
@@ -107,7 +107,7 @@ def test_certify_exit_codes(tmp_path):
     assert "config_hash" in doc
 
 
-def test_solve_verify_render_pipeline(tmp_path):
+def test_solve_reconstruct_verify_pipeline(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DESK)
     out = tmp_path / "out"
@@ -123,7 +123,53 @@ def test_solve_verify_render_pipeline(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     vdoc = json.loads((out / "verify.json").read_text())
     assert vdoc["passed"] is True
-    assert main(["render", "--config", str(cfg), "--out", str(out)]) == 0
+    again = tmp_path / "again"
+    field = str(out / "field.json")
+    assert main(["reconstruct", "--config", str(cfg), "--field", field, "--out", str(again)]) == 0
+    assert (again / "spirals.svg").exists() and not (again / "field.json").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+def test_auto_solve_reads_the_config_once(tmp_path, monkeypatch, command):
+    # a command that solves first hands its resolved config to cmd_solve
+    from spiral_euler import cli
+
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "field.json").exists()
+    assert calls == [str(cfg)]
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_reconstruct_field_from_elsewhere_matches_in_place(tmp_path, monkeypatch):
+    # --field loads a saved field from any path and never solves
+    from spiral_euler import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ZERO_CROSSING)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out), "--format", "svg"]) == 0
+
+    def unwanted(*args, **kwargs):
+        raise AssertionError("solved for a reconstruct with --field")
+
+    monkeypatch.setattr(cli, "cmd_solve", unwanted)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    argv = ["reconstruct", "--config", str(cfg), "--field", str(out / "field.json")]
+    assert main(argv + ["--out", "again", "--format", "svg"]) == 0
+    assert (elsewhere / "again" / "spirals.svg").read_bytes() == (out / "spirals.svg").read_bytes()
 
 
 def test_reconstruct_without_csv_evaluates_no_samples(tmp_path, monkeypatch, capsys):
@@ -329,8 +375,9 @@ def _shorten_core(doc):
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
     detail = {_shorten_core: "mode 0 core has 95 values for 96 grid points"}.get(edit, "mode set")
     cfg, out = _saved_field(tmp_path, edit)
-    for argv in (["verify", "--config", str(cfg)], ["render", "--config", str(cfg)]):
-        proc = _cli(*argv, "--out", str(out))
+    field = str(out / "field.json")
+    for argv in (["verify"], ["reconstruct", "--field", field]):
+        proc = _cli(*argv, "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("configuration error: cannot load the saved field")
@@ -343,12 +390,13 @@ def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
         # dbeta_bar psi then turns positive, and the chart map is undefined
         zero = next(entry for entry in doc["modes"] if entry["n"] == 0)
         zero["cconst"] = [-zero["cconst"][0], -zero["cconst"][1]]
-        # an angular factor with zeros, so that render has curves to map
+        # an angular factor with zeros, so that spirals.svg has curves to map
         doc["omega"] = [[-8, 0.6, 0.0], [0, 1.0, 0.0], [8, 0.6, 0.0]]
 
     cfg, out = _saved_field(tmp_path, negate_constant)
-    for command in ("verify", "reconstruct", "render"):
-        proc = _cli(command, "--config", str(cfg), "--out", str(out))
+    field = str(out / "field.json")
+    for argv in (["verify"], ["reconstruct"], ["reconstruct", "--field", field, "--format", "svg"]):
+        proc = _cli(*argv, "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == (
@@ -361,6 +409,7 @@ def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
     (["solve", "--format", "csv"], "unrecognized arguments: --format csv"),
     ([], "the following arguments are required: command"),
     (["frob"], "invalid choice: 'frob'"),
+    (["render", "--config", "run.cfg"], "invalid choice: 'render'"),
 ])
 def test_usage_error_exits_as_config_error(argv, message):
     proc = _cli(*argv)
@@ -548,15 +597,41 @@ def test_reconstruct_json_extracts_no_curves(tmp_path, monkeypatch, capsys):
     assert not (out / "spirals.csv").exists() and not (out / "spirals.svg").exists()
 
 
-def test_reconstruct_out_of_reach_exits_as_verification_failure(tmp_path):
+@pytest.mark.parametrize("text", [
     # at mu = 1, t = 1e300 maps the samples to |z| ~ 1e-300, where the chart
     # inversion's safeguard leaves the float range
+    DESK + "reconstruct.t = 1e300\n",
+    # at mu = 2, t^-mu underflows and would map every sample to the origin
+    "mu = 2.0\nN = 8\ngrid.points = 96\nreconstruct.t = 1e300\n",
+], ids=["safeguard-overflows", "time-scale-underflows"])
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_reconstruct_out_of_reach_exits_as_verification_failure(tmp_path, text):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(DESK + "reconstruct.t = 1e300\n")
+    cfg.write_text(text)
     out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     proc = _cli("reconstruct", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 4, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("chart inversion failed: chart inversion cannot reach |z| = ")
-    assert (out / "field.json").exists()
     assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "mu = 1.5\nN = 16\ngrid.points = 96\nomega.amplitude = 1.4\n"
+    "solver.epsilon_cap = 0.5\nreconstruct.t = 1e300\n",
+    ZERO_CROSSING + "reconstruct.t = 1e308\n",
+], ids=["power-overflows", "points-overflow"])
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_reconstruct_curves_past_float_range_exit_as_verification_failure(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    proc = _cli("reconstruct", "--config", str(cfg), "--out", str(out), "--format", "svg")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (
+        f"chart inversion failed: the zero-set curves at t = {float(text.split()[-1]):.3e} "
+        "leave the float range\n"
+    )
+    assert not (out / "spirals.svg").exists() and not (out / "spirals.csv").exists()

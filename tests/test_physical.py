@@ -345,6 +345,24 @@ def test_spiral_extract_no_zeros_is_empty(desk_solution):
     assert spiral_extract(stream, omega, 1.0) == []
 
 
+def test_spiral_extract_rejects_points_past_float_range(base_setup, desk_params):
+    base, _, ev = base_setup
+    omega = AngularSignal(desk_params, {desk_params.N: -0.5j, -desk_params.N: 0.5j})
+    assert len(spiral_extract(base, omega, 1e300, n_beta=8, ev=ev)) == 2 * desk_params.N
+    with pytest.raises(InversionError, match="leave the float range"):
+        spiral_extract(base, omega, 1e308, n_beta=8, ev=ev)
+
+
+def test_eval_fields_batch_rejects_points_scaled_to_the_origin(base_setup):
+    # |x| t^-mu = 1e-400 underflows to the origin, which the chart misses;
+    # the origin itself is no point of the chart's domain at all
+    base, omega, ev = base_setup
+    with pytest.raises(InversionError, match=r"cannot reach \|z\| = 0"):
+        eval_fields_batch(base, omega, np.array([[1.0, 0.0], [1e-100, 0.0]]), np.full(2, 1e300), ev)
+    with pytest.raises(ParameterError, match="origin"):
+        eval_fields_batch(base, omega, np.zeros((1, 2)), np.ones(1), ev)
+
+
 def _scalar_omega_zeros(omega, params):
     # reference for _omega_zeros: one scalar bisection per sign change
     n_scan = 16384
