@@ -28,10 +28,10 @@ independent oracle for the spiral exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InversionError, ParameterError
@@ -123,6 +123,8 @@ class FieldEvaluator:
     up to about tol^(2/3).  A row without a plateau (differentiation noise)
     ends after its last coefficient above the field's noise floor, the
     largest coefficient the plateau chops of the same field discard.
+    The rows db_y and db_phi are db's kept series differentiated in
+    y = 1 - 2 s and in phi, for the chart's area element (area_fields).
     """
 
     # the keys of operators.derived_fields
@@ -160,6 +162,9 @@ class FieldEvaluator:
                 above = np.flatnonzero(np.abs(row) > floor)
                 row[above[-1] + 1 if above.size else 0 :] = 0.0
             self._rows[name] = np.concatenate([coef.real, coef[1:].imag])
+        db, K, n = self._rows["db"], len(self.nvec) - 1, self.nvec[1:, None]
+        self._rows["db_y"] = np.pad(chebder(db, axis=1), ((0, 0), (0, 1)))
+        self._rows["db_phi"] = np.concatenate([0.0 * db[:1], -n * db[K + 1 :], n * db[1 : K + 1]])
 
     def field(self, names, beta, phi):
         """Synthesize derived fields at chart points (arrays broadcast).
@@ -182,6 +187,23 @@ class FieldEvaluator:
         weights = np.concatenate([np.ones((1,) + phi.shape), np.cos(ang), -np.sin(ang)])
         out = np.einsum("fr...,r...->f...", vals, weights)
         return out[0] if single else tuple(out)
+
+    def area_fields(self, names, beta, phi):
+        """Fields (one array per name), log radius a and area element at chart points.
+
+        dz = area dbeta dphi, where (beta, phi) -> (a, theta = beta + phi)
+        has the Jacobian a_beta - a_phi and dz = e^(2a) da dtheta; with
+        d_beta = -2 c / (c + beta)^2 d_y (c the map scale) on db's kept
+        series, area = e^(2a) |(d_beta db - d_phi db) / (2 db) - mu / beta|
+        is exact for the chart that log_radius defines.  One Clenshaw pass.
+        """
+        want = tuple(names) + tuple(n for n in ("db", "db_y", "db_phi") if n not in names)
+        vals = dict(zip(want, self.field(want, beta, phi)))
+        db, c = vals["db"], self.grid.map_scale
+        a = self._log_radius(db, beta)
+        db_beta = -2.0 * c / (c + beta) ** 2 * vals["db_y"]
+        area = np.exp(2.0 * a) * np.abs((db_beta - vals["db_phi"]) / (2.0 * db) - self.mu / beta)
+        return tuple(vals[n] for n in names), a, area
 
     def log_radius(self, beta, phi):
         """a(beta, phi) = 0.5 log(-beta^(-2 mu) dbeta_bar psi / mu)."""
@@ -483,61 +505,78 @@ def _gauss(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _gauss_power(n, g):
+    """Gauss rule for the weight v^g (g > -1) on [0, 1]: Golub & Welsch
+    (Math. Comp. 23, 1969) on the Jacobi weight (1 + x)^g, v = (1 + x) / 2."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + g
+    diag = np.concatenate([[g / (g + 2.0)], g * g / (s * (s + 2.0))])
+    off = 2.0 * k * (k + g) / (s * np.sqrt(s * s - 1.0))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), vec[0] ** 2 / (g + 1.0)
+
+
 def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float) -> list[float]:
     """L^p norms of w(., t) over the centered ball of radius R via the chart.
 
-    Pulls the integral back to the chart, where the ball becomes the region
-    beta >= beta*(phi); the radial integral substitutes beta = beta*/v to
-    land on a finite interval.  The chart solve and the field grids depend
-    only on R * t^(-mu), so every p in ps shares them.  A radius solve that
-    stalls raises InversionError.
+    The ball pulls back to beta >= beta*(phi); beta = beta*/v maps it to
+    v in [0, 1], where the integrand is v^(2 mu - p - 1) times a smooth
+    factor, integrated by the Gauss rule of that weight.  Every p in ps
+    shares the radius solve; one that stalls raises InversionError.
     """
-    n_phi, n_rad = 512, 64
+    n_phi, n_rad = 512, 32
     mu = ev.mu
-    zr = R * t ** (-mu)
     # the chart fields are 2 pi / N periodic; sampling one period makes the
     # trapezoid sum exact and immune to aliasing at high periodicity
-    period = 2.0 * np.pi / ev.params.N
-    phis = period * np.arange(n_phi) / n_phi
-    # solve |z(beta, phi)| = zr per angle along the lines phi = const
-    beta = _chart_newton(
-        ev, np.full(n_phi, zr), phis, 0.0, f"lp radius solve at R = {R}, t = {t}"
-    )
-    om = ev.omega_values(phis)
-    v, wv = _gauss(n_rad, 0.0, 1.0)
-    Bgrid = beta[None, :] / v[:, None]
-    Pgrid = np.broadcast_to(phis[None, :], Bgrid.shape)
-    lg, dv = ev.field(("lg", "dv"), Bgrid, Pgrid)
+    phis = 2.0 * np.pi / ev.params.N * np.arange(n_phi) / n_phi
+    # solve |z(beta, phi)| = R t^(-mu) per angle along the lines phi = const
+    what = f"lp radius solve at R = {R}, t = {t}"
+    beta = _chart_newton(ev, np.full(n_phi, R * t ** (-mu)), phis, 0.0, what)
+    om = np.abs(ev.omega_values(phis))
     norms = []
     for p in ps:
-        # chart Jacobian: dz = -beta^(-2 mu - 1) lg / (2 mu) dbeta dphi
-        integ = (lg / (-2.0 * mu)) * dv ** (-p / (2.0 * mu)) * np.abs(om[None, :]) ** p
-        radial = np.sum(wv[:, None] * v[:, None] ** (2.0 * mu - p - 1.0) * integ, axis=0)
-        total = float(np.sum(radial * beta ** (p - 2.0 * mu)) * (2.0 * np.pi / n_phi))
-        total *= t ** (2.0 * mu - p)
-        norms.append(total ** (1.0 / p))
+        v, wv = _gauss_power(n_rad, 2.0 * mu - p - 1.0)
+        B = beta[None, :] / v[:, None]
+        (dv,), _, area = ev.area_fields(("dv",), B, phis[None, :])
+        integ = area * B ** (2.0 * mu + 1.0) * dv ** (-p / (2.0 * mu)) * om**p
+        total = float(np.sum(wv[:, None] * integ * beta ** (p - 2.0 * mu)) * (2.0 * np.pi / n_phi))
+        norms.append((total * t ** (2.0 * mu - p)) ** (1.0 / p))
     return norms
 
 
-def _annulus(stream, omega, ev, r0, r1, nr, nth, tq, wt) -> SimpleNamespace:
-    """Fields, radial bump g and weights wq r dr dtheta dt on an annulus quadrature.
+def _columns(ev, r0, r1, t, phis):
+    """Per time t, the beta column [lo, hi] that holds r0 <= |x| <= r1 at every angle.
 
-    nr Gauss radii in [r0, r1] x times tq (weights wt) x nth angles on one
-    period: for radial test functions and 2 pi / N periodic fields the full
-    angular integral is N times the one-period integral.
+    |x| falls strictly in beta along phi = const, so lo and hi are the
+    extreme preimages of r1 and r0, all from one _chart_newton call.
     """
-    rq, wr = _gauss(nr, r0, r1)
-    th = 2.0 * np.pi / ev.params.N * np.arange(nth) / nth
-    wth = 2.0 * np.pi / nth
-    R, T, H = np.meshgrid(rq, tq, th, indexing="ij")
-    X = np.stack([R * np.cos(H), R * np.sin(H)], axis=-1)
-    f = eval_fields_batch(stream, omega, X.reshape(-1, 2), T.reshape(-1), ev)
-    W, U1, U2 = (f[name].reshape(R.shape) for name in ("w", "u1", "u2"))
-    g, gp = bump(R, r0, r1)
-    wq = wr[:, None, None] * wt[None, :, None] * wth * R
-    return SimpleNamespace(
-        rq=rq, wr=wr, th=th, wth=wth, T=T, H=H, W=W, U1=U1, U2=U2, g=g, gp=gp, wq=wq
-    )
+    zr = np.multiply.outer(t ** (-ev.mu), [r1, r0]).repeat(len(phis))
+    what = f"annulus solve at r = {r0:.3f}..{r1:.3f}"
+    pre = _chart_newton(ev, zr, np.tile(phis, 2 * len(t)), 0.0, what).reshape(len(t), 2, -1)
+    return pre[:, 0].min(axis=1), pre[:, 1].max(axis=1)
+
+
+def _annulus(ev, r0, r1, t, n_rad, n_phi):
+    """Fields and weights of a chart quadrature over r0 < |x| < r1 at times t.
+
+    Each time's column (_columns) carries n_rad Gauss nodes in v = lo / beta,
+    shared by n_phi angles of one 2 pi / N period: one Clenshaw recurrence
+    per beta, and the weight of N periods (the test functions are radial).
+    Returns |x|, w, u_r, u_theta and t^(2 mu) area dbeta dphi, each of shape
+    (len(t), n_rad, n_phi).
+    """
+    mu, tt = ev.mu, t[:, None, None]
+    phis = 2.0 * np.pi / ev.params.N * np.arange(n_phi) / n_phi
+    lo, hi = _columns(ev, r0, r1, t, phis)
+    v, wv = _gauss(n_rad, (lo / hi)[:, None], 1.0)
+    beta = (lo[:, None] / v)[..., None]
+    (db, dv, dp, dpdb, lg), a, area = ev.area_fields(("db", "dv", "dp", "dpdb", "lg"), beta, phis)
+    r = tt**mu * np.exp(a)
+    w = (beta / tt) * dv ** (-1.0 / (2.0 * mu)) * ev.omega_values(phis)
+    ur, uth = _velocity(r ** (1.0 - 1.0 / mu), mu, 0.0, db, dv, dp, dpdb, lg)
+    # dbeta = lo dv / v^2 = beta dv / v
+    wq = tt ** (2.0 * mu) * area * beta * (wv / v)[..., None] * (2.0 * np.pi / n_phi)
+    return r, w, ur, uth, wq
 
 
 VERIFY_SUITES = ("selfsim", "lp", "weak", "divfree", "poisson")
@@ -546,6 +585,7 @@ VERIFY_SUITES = ("selfsim", "lp", "weak", "divfree", "poisson")
 # weak/divfree/poisson residual.  Each lp row carries its own verdict
 # against the analytic bound.
 VERIFY_THRESHOLDS = {"selfsim": 1e-10, "weak": 1e-5, "divfree": 1e-5, "poisson": 1e-5}
+_WEAK_T_NODES = 40  # Gauss nodes in t per weak test window
 
 
 def verdicts(report: dict) -> dict:
@@ -613,16 +653,10 @@ def verify(
             for t in times:
                 for R in radii:
                     left = norms[t, R][i]
-                    bound = (
-                        (6.0 * mu / (2.0 * mu - p)) ** (1.0 / p)
-                        * mu ** (-1.0 / (2.0 * mu))
-                        * omega.lp_norm(p)
-                        * R ** (2.0 / p - 1.0 / mu)
-                    )
-                    rows.append(
-                        {"p": p, "t": t, "R": R, "norm": left, "bound": bound,
-                         "ok": bool(left <= bound * (1.0 + 1e-9))}
-                    )
+                    bound = ((6.0 * mu / (2.0 * mu - p)) ** (1.0 / p) * mu ** (-1.0 / (2.0 * mu))
+                             * omega.lp_norm(p) * R ** (2.0 / p - 1.0 / mu))
+                    rows.append({"p": p, "t": t, "R": R, "norm": left, "bound": bound,
+                                 "ok": bool(left <= bound * (1.0 + 1e-9))})
         report["lp"] = rows
 
     if "weak" in suite or "divfree" in suite or "poisson" in suite:
@@ -645,44 +679,41 @@ def verify(
     if "weak" in suite:
         rows = []
         for r0, r1, a, b in tests:
-            tq, wt = _gauss(20, max(a, 0.0), b)
-            q = _annulus(stream, omega, ev, r0, r1, 32, 80, tq, wt)
-            g, gp, Hg, W, U1, U2, wq = q.g, q.gp, q.H, q.W, q.U1, q.U2, q.wq
-            h, hp = bump(q.T, a, b)
-            grad1 = gp * np.cos(Hg) * h
-            grad2 = gp * np.sin(Hg) * h
-            term_t = float(np.sum(W * g * hp * wq))
-            term_adv = float(np.sum(W * (U1 * grad1 + U2 * grad2) * wq))
-            mass_t = float(np.sum(np.abs(W * g * hp) * wq))
-            mass_adv = float(np.sum(np.abs(W * (U1 * grad1 + U2 * grad2)) * wq))
-            # initial term: w(., 0) = |x|^(-1/mu) w0(theta)
+            tq, wt = _gauss(_WEAK_T_NODES, max(a, 0.0), b)
+            r, W, Ur, _, wq = _annulus(ev, r0, r1, tq, 32, 80)
+            g, gp = bump(r, r0, r1)
+            # h and h' carry the t rule's weights; u . grad(g h) = g' h u_r
+            h, hp = (f[:, None, None] * wt[:, None, None] for f in bump(tq, a, b))
+            dt, adv = W * g * hp, W * gp * Ur * h
+            term_t, term_adv = float(np.sum(dt * wq)), float(np.sum(adv * wq))
+            mass_t, mass_adv = float(np.sum(np.abs(dt) * wq)), float(np.sum(np.abs(adv) * wq))
+            term_init = 0.0
             if a < 0.0:
+                # initial term: w(., 0) = |x|^(-1/mu) w0(theta), radii by their own rule
                 h0 = float(bump(0.0, a, b)[0])
-                w0 = initial_data(stream, omega, q.th, ev)["w0"]
-                rad = float(np.sum(q.wr * q.rq ** (1.0 - 1.0 / mu) * g[:, 0, 0]))
-                term_init = h0 * rad * float(np.sum(w0) * q.wth)
-            else:
-                term_init = 0.0
+                rq, wr = _gauss(32, r0, r1)
+                th = 2.0 * np.pi / ev.params.N * np.arange(80) / 80
+                w0 = initial_data(stream, omega, th, ev)["w0"]
+                rad = float(np.sum(wr * rq ** (1.0 - 1.0 / mu) * bump(rq, r0, r1)[0]))
+                term_init = h0 * rad * float(np.sum(w0) * (2.0 * np.pi / 80))
             resid = term_init + term_t + term_adv
             scale = max(mass_t, mass_adv, abs(term_init), 1e-300)
-            rows.append(
-                {"support": (r0, r1, max(a, 0.0), b), "residual": resid,
-                 "scale": scale, "rel": abs(resid) / scale}
-            )
+            rows.append({"support": (r0, r1, max(a, 0.0), b), "residual": resid,
+                         "scale": scale, "rel": abs(resid) / scale})
         report["weak"] = rows
 
     if "divfree" in suite or "poisson" in suite:
-        # both suites integrate the same batch at the window's mid time
+        # both suites integrate the same quadrature at the window's mid time
         divfree, poisson = [], []
         for r0, r1, a, b in tests[:3]:
             tval = 0.5 * (max(a, 0.05) + b)
-            q = _annulus(stream, omega, ev, r0, r1, 48, 128, np.array([tval]), np.ones(1))
-            g, gp, Hg, W, U1, U2, wq = q.g, q.gp, q.H, q.W, q.U1, q.U2, q.wq
-            val = float(np.sum((U1 * gp * np.cos(Hg) + U2 * gp * np.sin(Hg)) * wq))
-            scale = float(np.sum(np.hypot(U1, U2) * np.abs(gp) * wq)) or 1.0
+            r, W, Ur, Uth, wq = _annulus(ev, r0, r1, np.array([tval]), 48, 128)
+            g, gp = bump(r, r0, r1)
+            val = float(np.sum(gp * Ur * wq))
+            scale = float(np.sum(np.hypot(Ur, Uth) * np.abs(gp) * wq)) or 1.0
             divfree.append({"t": tval, "integral": val, "scale": scale, "rel": abs(val) / scale})
-            # grad psi = (u2, -u1)
-            lhs = -float(np.sum((U2 * gp * np.cos(Hg) - U1 * gp * np.sin(Hg)) * wq))
+            # grad psi = u rotated by -pi/2, so grad psi . grad g = g' u_theta
+            lhs = -float(np.sum(gp * Uth * wq))
             rhs = float(np.sum(W * g * wq))
             scale = max(abs(lhs), abs(rhs), 1e-300)
             poisson.append({"t": tval, "lhs": lhs, "rhs": rhs, "rel": abs(lhs - rhs) / scale})

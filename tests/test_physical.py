@@ -1,4 +1,5 @@
 import csv
+import functools
 import warnings
 from itertools import repeat
 
@@ -15,6 +16,7 @@ from spiral_euler import (
     SpectralField,
     SpiralCurve,
     base_vorticity_factor,
+    build_grid,
     eval_fields_batch,
     initial_data,
     newton_solve,
@@ -142,12 +144,13 @@ def test_fused_fields_match_full_mode_sum(request, solution):
 def test_reference_evaluator_chops_plateauless_rows(prod_solution):
     # the six dp/dpdb rows of modes 2N and 3N are noise without a plateau;
     # kept whole, as the plateau rule alone keeps them, they bring the
-    # count to 2005
+    # count to 2005.  db_y and db_phi differentiate db's kept rows.
     stream, omega, _ = prod_solution
     ev = FieldEvaluator(stream, omega)
     kept = {name: int(np.count_nonzero(rows)) for name, rows in ev._rows.items()}
-    assert kept == {"psi": 47, "db": 52, "dv": 92, "dp": 120, "dpdb": 332, "lg": 100}
-    assert sum(kept.values()) == 743
+    assert kept == {"psi": 47, "db": 52, "dv": 92, "dp": 120, "dpdb": 332, "lg": 100,
+                    "db_y": 45, "db_phi": 44}
+    assert sum(kept[name] for name in ev.FIELDS) == 743
 
 
 def test_chart_newton_starts_at_base_preimage(prod_solution, monkeypatch):
@@ -601,7 +604,7 @@ def test_bump_matches_former_verify_bump(base_setup, desk_params, monkeypatch):
     monkeypatch.setattr(physical, "bump", recording)
     base, omega, _ = base_setup
     verify(base, omega, desk_params, suite=("weak",))
-    assert len(calls) == 12  # 5 annuli, 5 time windows, 2 initial terms
+    assert len(calls) == 14  # 5 annuli, 5 time windows, 2 initial terms of 2 each
     for x, lo, hi in calls:
         dense = np.linspace(lo, hi, 4001)
         # a few ulps of each function's maximum; near the ends the two forms
@@ -610,6 +613,153 @@ def test_bump_matches_former_verify_bump(base_setup, desk_params, monkeypatch):
         for pts in (x, dense):
             for got, want, top in zip(bump(pts, lo, hi), former(pts, lo, hi), tops):
                 assert np.max(np.abs(got - want)) <= 2e-15 * top
+
+
+@pytest.mark.parametrize("mu", [0.7, 1.0, 2.0])
+def test_verify_lp_base_closed_form_every_row(mu):
+    # ||w(t)||_{L^p(B_R)} = (2 pi c^p R^(2 - p/mu) / (2 - p/mu))^(1/p) on the
+    # base state; a Gauss-Legendre rule in v, blind to the v^(2 mu - p - 1)
+    # endpoint power, came out 1.9e-2 low at mu = 0.7, p = 1
+    params = SolverParams(mu=mu, N=8, grid_points=96)
+    base = SpectralField.base_state(params, build_grid(params.grid_points, params.grid_scale))
+    report = verify(base, AngularSignal.base(params), params, suite=("lp",))
+    c = base_vorticity_factor(mu)
+    assert {row["p"] for row in report["lp"]} == {p for p in (1.0, 1.5) if p < 2.0 * mu}
+    for row in report["lp"]:
+        p, e = row["p"], 2.0 - row["p"] / mu
+        want = (2.0 * np.pi * c**p * row["R"] ** e / e) ** (1.0 / p)
+        assert row["norm"] == pytest.approx(want, rel=1e-13)
+
+
+@functools.cache
+def _chart_solution(mu, N):
+    params = SolverParams(mu=mu, N=N, grid_points=96)
+    omega = AngularSignal.constant_plus_cosine(params, amplitude=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DroppedMassWarning)
+        stream, _ = newton_solve(omega, params)
+    return stream, omega
+
+
+def test_area_element_is_the_charts_jacobian():
+    # central difference of the log radius along theta = const; at N = 2 the
+    # form beta^(-2 mu - 1) |lg| / (2 mu) misses it by up to 1e-2
+    stream, omega = _chart_solution(1.0, 2)
+    ev = FieldEvaluator(stream, omega)
+    rng = np.random.default_rng(3)
+    beta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 400))
+    phi = rng.uniform(0.0, 2.0 * np.pi, 400)
+    _, a, area = ev.area_fields((), beta, phi)
+    h = 1e-5 * beta
+    slope = (ev.log_radius(beta + h, phi - h) - ev.log_radius(beta - h, phi + h)) / (2.0 * h)
+    want = np.exp(2.0 * a) * np.abs(slope)
+    assert np.max(np.abs(area / want - 1.0)) < 1e-8
+
+
+def _physical_rows(stream, omega, weak_rows, n_t=20):
+    """verify's weak, divfree and poisson rows by a quadrature in the plane.
+
+    Gauss radii x times x one period of angles, every point inverted by
+    eval_fields_batch, Cartesian velocity and gradients.  The windows are
+    read back from the weak rows: one that opens at t = 0 is (-b, b).
+    """
+    ev = FieldEvaluator(stream, omega)
+    mu, N = ev.mu, ev.params.N
+
+    def annulus(r0, r1, nr, nth, tq, wt):
+        rq, wr = physical._gauss(nr, r0, r1)
+        th = 2.0 * np.pi / N * np.arange(nth) / nth
+        R, T, H = np.meshgrid(rq, tq, th, indexing="ij")
+        X = np.stack([R * np.cos(H), R * np.sin(H)], axis=-1)
+        f = eval_fields_batch(stream, omega, X.reshape(-1, 2), T.reshape(-1), ev)
+        W, U1, U2 = (f[k].reshape(R.shape) for k in ("w", "u1", "u2"))
+        g, gp = bump(R, r0, r1)
+        wq = wr[:, None, None] * wt[None, :, None] * (2.0 * np.pi / nth) * R
+        return rq, wr, th, T, H, W, U1, U2, g, gp, wq
+
+    supports = [row["support"] for row in weak_rows]
+    windows = [(r0, r1, a if a > 0.0 else -b, b) for r0, r1, a, b in supports]
+    weak = []
+    for r0, r1, a, b in windows:
+        tq, wt = physical._gauss(n_t, max(a, 0.0), b)
+        rq, wr, th, T, H, W, U1, U2, g, gp, wq = annulus(r0, r1, 32, 80, tq, wt)
+        h, hp = bump(T, a, b)
+        adv = W * (U1 * np.cos(H) + U2 * np.sin(H)) * gp * h
+        init = 0.0
+        if a < 0.0:
+            w0 = initial_data(stream, omega, th, ev)["w0"]
+            rad = np.sum(wr * rq ** (1.0 - 1.0 / mu) * g[:, 0, 0])
+            init = bump(0.0, a, b)[0] * rad * np.sum(w0) * (2.0 * np.pi / 80)
+        resid = init + np.sum(W * g * hp * wq) + np.sum(adv * wq)
+        scale = max(np.sum(np.abs(W * g * hp) * wq), np.sum(np.abs(adv) * wq), abs(init))
+        weak.append({"residual": resid, "scale": scale})
+    divfree, poisson = [], []
+    for r0, r1, a, b in windows[:3]:
+        tval = 0.5 * (max(a, 0.05) + b)
+        *_, H, W, U1, U2, g, gp, wq = annulus(r0, r1, 48, 128, np.array([tval]), np.ones(1))
+        ur, uth = U1 * np.cos(H) + U2 * np.sin(H), U2 * np.cos(H) - U1 * np.sin(H)
+        divfree.append({"integral": np.sum(gp * ur * wq),
+                        "scale": np.sum(np.hypot(U1, U2) * np.abs(gp) * wq)})
+        poisson.append({"lhs": -np.sum(gp * uth * wq), "rhs": np.sum(W * g * wq)})
+    return {"weak": weak, "divfree": divfree, "poisson": poisson}
+
+
+@pytest.mark.parametrize("mu, N", [(0.7, 8), (1.0, 8), (2.0, 8), (1.5, 3)])
+def test_chart_suites_match_physical_quadrature(mu, N, monkeypatch):
+    # the chart's rows against the plane's, both with 20 Gauss nodes in t;
+    # divfree's scale integrates |g'|, whose kink at the bump's peak both
+    # rules resolve only to about 1e-3
+    stream, omega = _chart_solution(mu, N)
+    monkeypatch.setattr(physical, "_WEAK_T_NODES", 20)
+    report = verify(stream, omega, stream.params, suite=("weak", "divfree", "poisson"))
+    ref = _physical_rows(stream, omega, report["weak"])
+    for got, want in zip(report["weak"], ref["weak"], strict=True):
+        for key in ("residual", "scale"):
+            assert abs(got[key] - want[key]) <= 1e-9 * want["scale"], key
+    for got, want in zip(report["divfree"], ref["divfree"], strict=True):
+        assert abs(got["integral"] - want["integral"]) <= 1e-9 * want["scale"]
+        assert got["scale"] == pytest.approx(want["scale"], rel=1e-2)
+    for got, want in zip(report["poisson"], ref["poisson"], strict=True):
+        scale = max(abs(want["lhs"]), abs(want["rhs"]))
+        for key in ("lhs", "rhs"):
+            assert abs(got[key] - want[key]) <= 1e-9 * scale, key
+
+
+def test_annulus_columns_cover_the_annulus(monkeypatch):
+    # at mu = 2 a column guessed from the base flow's envelope can stop short
+    # of the annulus; every column must reach |x| >= r1 and |x| <= r0 at
+    # every angle, so that the radial bump vanishes at both of its ends
+    stream, omega = _chart_solution(2.0, 8)
+    ev = FieldEvaluator(stream, omega)
+    seen = []
+    columns = physical._columns
+
+    def recording(ev, r0, r1, t, phis):
+        lo, hi = columns(ev, r0, r1, t, phis)
+        seen.append((r0, r1, t, phis, lo, hi))
+        return lo, hi
+
+    monkeypatch.setattr(physical, "_columns", recording)
+    verify(stream, omega, stream.params, suite=("weak", "divfree", "poisson"))
+    assert len(seen) == 8  # 5 weak windows, 3 divfree/poisson times
+    for r0, r1, t, phis, lo, hi in seen:
+        tmu = t[:, None] ** ev.mu
+        assert np.all(tmu * np.exp(ev.log_radius(lo[:, None], phis)) >= r1 * (1.0 - 1e-12))
+        assert np.all(tmu * np.exp(ev.log_radius(hi[:, None], phis)) <= r0 * (1.0 + 1e-12))
+
+
+def test_integral_suites_invert_no_plane_points(desk_solution, monkeypatch):
+    stream, omega, _ = desk_solution
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integral suite inverted the chart point by point")
+
+    monkeypatch.setattr(physical, "to_chart", refuse)
+    monkeypatch.setattr(physical, "eval_fields_batch", refuse)
+    report = verify(stream, omega, stream.params, suite=("weak", "divfree", "poisson"))
+    assert len(report["weak"]) == 5 and len(report["divfree"]) == len(report["poisson"]) == 3
+
+
 def test_verify_rejects_params_of_another_field(base_setup, desk_params):
     # mu comes from the field; params that disagree with it are an error
     base, omega, _ = base_setup
