@@ -227,7 +227,7 @@ def cmd_verify(cfg: RunConfig, out: Path, stamp: dict) -> int:
     if code != EXIT_OK:
         return code
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
-    report = run_verify(stream, omega, stream.params, suite=suites, seed=cfg["seed"])
+    report = run_verify(stream, omega, suite=suites, seed=cfg["seed"])
     verdict = verdicts(report)
     passed = all(verdict.values())
     doc = dict(stamp)

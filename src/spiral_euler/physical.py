@@ -124,7 +124,8 @@ class FieldEvaluator:
     ends after its last coefficient above the field's noise floor, the
     largest coefficient the plateau chops of the same field discard.
     The rows db_y and db_phi are db's kept series differentiated in
-    y = 1 - 2 s and in phi, for the chart's area element (area_fields).
+    y = 1 - 2 s and in phi: chart_fields forms from them the exact slope of
+    the log radius, which the chart Newton and the area element share.
     """
 
     # the keys of operators.derived_fields
@@ -188,22 +189,22 @@ class FieldEvaluator:
         out = np.einsum("fr...,r...->f...", vals, weights)
         return out[0] if single else tuple(out)
 
-    def area_fields(self, names, beta, phi):
-        """Fields (one array per name), log radius a and area element at chart points.
+    def chart_fields(self, names, beta, phi, slope):
+        """Fields (one array per name), log radius a and its slope a' at chart points.
 
-        dz = area dbeta dphi, where (beta, phi) -> (a, theta = beta + phi)
-        has the Jacobian a_beta - a_phi and dz = e^(2a) da dtheta; with
-        d_beta = -2 c / (c + beta)^2 d_y (c the map scale) on db's kept
-        series, area = e^(2a) |(d_beta db - d_phi db) / (2 db) - mu / beta|
-        is exact for the chart that log_radius defines.  One Clenshaw pass.
+        a' = (d_beta db - slope d_phi db) / (2 db) - mu / beta, with d_beta =
+        -2 c / (c + beta)^2 d_y (c the map scale) on db's kept series, is the
+        exact derivative of a along phi = phi0 - slope * beta; at slope 1
+        (theta = const) the area element is dz = e^(2a) |a'| dbeta dphi.
+        One Clenshaw pass.
         """
         want = tuple(names) + tuple(n for n in ("db", "db_y", "db_phi") if n not in names)
         vals = dict(zip(want, self.field(want, beta, phi)))
         db, c = vals["db"], self.grid.map_scale
         a = self._log_radius(db, beta)
         db_beta = -2.0 * c / (c + beta) ** 2 * vals["db_y"]
-        area = np.exp(2.0 * a) * np.abs((db_beta - vals["db_phi"]) / (2.0 * db) - self.mu / beta)
-        return tuple(vals[n] for n in names), a, area
+        da = (db_beta - slope * vals["db_phi"]) / (2.0 * db) - self.mu / beta
+        return tuple(vals[n] for n in names), a, da
 
     def log_radius(self, beta, phi):
         """a(beta, phi) = 0.5 log(-beta^(-2 mu) dbeta_bar psi / mu)."""
@@ -240,11 +241,11 @@ def _chart_newton(
 ) -> np.ndarray:
     """Solve a(beta, phi0 - slope * beta) = log r for beta, point by point.
 
-    r and phi0 are flat arrays.  The Newton slope -lg / (2 beta db) is the
-    exact derivative along the lines theta = const (slope 1); along
-    phi = const (slope 0) it drops the angular term, which vanishes at the
-    base state.  Either way the log-radius is strictly decreasing in beta, so
-    the safeguard keeps the iteration safe.  Newton starts at
+    r and phi0 are flat arrays.  F and its Newton slope, the exact
+    derivative of the log radius along the line, come from one chart_fields
+    call a step.  Along theta = const (slope 1) and phi = const (slope 0)
+    alike the log radius is strictly decreasing in beta, so the safeguard
+    keeps the iteration safe.  Newton starts at
     beta0 = (-db_inf/mu)^(1/(2 mu)) r^(-1/mu), the exact preimage for the
     base flow (db_inf is mode 0 of dbeta_bar psi at beta = inf).  The
     safeguard, narrowed by the sign of F at every iterate, starts as the
@@ -274,12 +275,11 @@ def _chart_newton(
     act = np.arange(beta.size)
     for _ in range(80):
         b = beta[act]
-        db, lg = ev.field(("db", "lg"), b, phi0[act] - slope * b)
-        F = ev._log_radius(db, b) - target[act]
+        _, a, deriv = ev.chart_fields((), b, phi0[act] - slope * b, slope)
+        F = a - target[act]
         lo_a = np.where(F > 0, b, lo[act])
         hi_a = np.where(F <= 0, b, hi[act])
-        deriv = -lg / (2.0 * b * db)  # strictly negative on the window
-        cand = b - F / deriv
+        cand = b - F / deriv  # deriv is strictly negative on the window
         inside = (cand > lo_a) & (cand < hi_a)
         done = np.abs(F) < 1e-13
         # a done point keeps its last Newton step, or its iterate if that step
@@ -537,7 +537,8 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float)
     for p in ps:
         v, wv = _gauss_power(n_rad, 2.0 * mu - p - 1.0)
         B = beta[None, :] / v[:, None]
-        (dv,), _, area = ev.area_fields(("dv",), B, phis[None, :])
+        (dv,), a, da = ev.chart_fields(("dv",), B, phis[None, :], 1.0)
+        area = np.exp(2.0 * a) * np.abs(da)
         integ = area * B ** (2.0 * mu + 1.0) * dv ** (-p / (2.0 * mu)) * om**p
         total = float(np.sum(wv[:, None] * integ * beta ** (p - 2.0 * mu)) * (2.0 * np.pi / n_phi))
         norms.append((total * t ** (2.0 * mu - p)) ** (1.0 / p))
@@ -570,10 +571,11 @@ def _annulus(ev, r0, r1, t, n_rad, n_phi):
     lo, hi = _columns(ev, r0, r1, t, phis)
     v, wv = _gauss(n_rad, (lo / hi)[:, None], 1.0)
     beta = (lo[:, None] / v)[..., None]
-    (db, dv, dp, dpdb, lg), a, area = ev.area_fields(("db", "dv", "dp", "dpdb", "lg"), beta, phis)
+    (db, dv, dp, dpdb, lg), a, da = ev.chart_fields(ev.FIELDS[1:], beta, phis, 1.0)
     r = tt**mu * np.exp(a)
     w = (beta / tt) * dv ** (-1.0 / (2.0 * mu)) * ev.omega_values(phis)
     ur, uth = _velocity(r ** (1.0 - 1.0 / mu), mu, 0.0, db, dv, dp, dpdb, lg)
+    area = np.exp(2.0 * a) * np.abs(da)
     # dbeta = lo dv / v^2 = beta dv / v
     wq = tt ** (2.0 * mu) * area * beta * (wv / v)[..., None] * (2.0 * np.pi / n_phi)
     return r, w, ur, uth, wq
@@ -606,7 +608,6 @@ def verdicts(report: dict) -> dict:
 def verify(
     stream: SpectralField,
     omega: AngularSignal,
-    params: SolverParams,
     suite: Sequence[str] = VERIFY_SUITES,
     seed: int = 42,
 ) -> dict:
@@ -617,14 +618,10 @@ def verify(
     weak     weak form of the vorticity transport, initial term included
     divfree  weak divergence-freeness of the velocity
     poisson  weak form of the vorticity-stream coupling
-
-    params must be the field's own stream.params, else ParameterError.
     """
     unknown = set(suite) - set(VERIFY_SUITES)
     if unknown:
         raise ParameterError(f"unknown verification suites: {sorted(unknown)}")
-    if params != stream.params:
-        raise ParameterError(f"params {params} differ from the field's {stream.params}")
     ev = FieldEvaluator(stream, omega)
     mu = ev.mu
     rng = np.random.default_rng(seed)

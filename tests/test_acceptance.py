@@ -285,7 +285,7 @@ def test_criterion_7_physical_verification(prod_solved):
         np.max(np.hypot(z[:, 0] - z2[:, 0], z[:, 1] - z2[:, 1]) / np.hypot(z[:, 0], z[:, 1]))
     )
 
-    report = verify(stream, omega, params)
+    report = verify(stream, omega)
     selfsim = report["selfsim"]["max_rel_defect"]
     lp_ok = all(row["ok"] for row in report["lp"]) and len(report["lp"]) == 18
     weak = max(row["rel"] for row in report["weak"])
