@@ -31,7 +31,6 @@ from .grid_space import (
     RadialGrid,
     SolverParams,
     bracket,
-    build_grid,
     bump,
     cutoff_normalization,
     delta_of,
@@ -261,7 +260,7 @@ def _random_core_profile(rng: np.random.Generator, n: int, cuts, delta: float) -
     return ModeProfile(n, smooth * envelope)
 
 
-def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, seed: int) -> tuple:
+def _perturbation_spot_check(params: SolverParams, K: float, seed: int) -> tuple:
     """Sampled norm of the perturbation against the contraction bound.
 
     Draws eight random weighted-core profiles g per mode, forms the
@@ -272,7 +271,7 @@ def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, s
     D(n,s+) as one batch; (Q+1)^-1 = D(0,-1) does not depend on the mode,
     so all modes' samples pass it as one batch.
     """
-    cuts = sample_cutoffs(grid)
+    cuts = sample_cutoffs(params.grid)
     mu = params.mu
     delta = params.delta
     rng = np.random.default_rng(seed)
@@ -284,7 +283,7 @@ def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, s
     for i, n in enumerate(modes):
         perts = []
         for psi in psis[8 * i : 8 * (i + 1)]:
-            pert = (2.0 * mu - 1.0) * apply_beta_mult(grid, n, psi.extended(cuts))
+            pert = (2.0 * mu - 1.0) * apply_beta_mult(cuts.grid, n, psi.extended(cuts))
             perts.append(ModeProfile.from_values(n, pert[:-1], pert[-1], cuts))
         pres = invert_mode_operator(n, shift_plus(mu, n), perts, cuts)
         worst = max(
@@ -294,15 +293,9 @@ def _perturbation_spot_check(params: SolverParams, grid: RadialGrid, K: float, s
     return tuple(rows)
 
 
-def certify(
-    params: SolverParams,
-    grid: RadialGrid | None = None,
-    seed: int = 42,
-) -> Certificate:
+def certify(params: SolverParams, seed: int = 42) -> Certificate:
     """Assemble the full certificate for one parameter set."""
     mu, N = params.mu, params.N
-    if grid is None:
-        grid = build_grid(params.grid_points, params.grid_scale)
     delta = delta_of(mu)
     notes: list[str] = []
 
@@ -321,7 +314,7 @@ def certify(
     else:
         notes.append("interval-distance rows skipped: they require N >= 4")
 
-    cutoffs = cutoff_norm_table(grid)
+    cutoffs = cutoff_norm_table(params.grid)
     for name, row in cutoffs.items():
         if not row["ok"]:
             notes.append(
@@ -335,7 +328,7 @@ def certify(
 
     spots: tuple = ()
     if N >= 4:
-        spots = _perturbation_spot_check(params, grid, K, seed)
+        spots = _perturbation_spot_check(params, K, seed)
         for r in spots:
             if not r.ok:
                 notes.append(

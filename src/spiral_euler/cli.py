@@ -34,7 +34,8 @@ from .errors import (
     InversionError,
     ParameterError,
 )
-from .grid_space import AngularSignal, build_grid, field_from_json, field_to_json
+# cli calls no build_grid; the name stays bound for perfbench's tracing test
+from .grid_space import AngularSignal, build_grid, field_from_json, field_to_json  # noqa: F401
 from .physical import (
     FieldEvaluator,
     eval_fields_batch,
@@ -117,15 +118,12 @@ def _dropped_mass_summary():
 
 
 def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
-    params = cfg.params
-    grid = build_grid(params.grid_points, params.grid_scale)
     try:
         with _dropped_mass_summary():
             if cfg["omega.kind"] == "match":
                 omega, stream, report = match_initial_data(
                     cfg.target(),
-                    params,
-                    grid=grid,
+                    cfg.params,
                     tol=cfg["solver.outer_tol"],
                     max_outer=cfg["solver.outer_max_iter"],
                     inner_tol=cfg["solver.tol"],
@@ -136,8 +134,7 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
                 omega = cfg.omega()
                 stream, report = newton_solve(
                     omega,
-                    params,
-                    grid=grid,
+                    cfg.params,
                     tol=cfg["solver.tol"],
                     max_iter=cfg["solver.max_iter"],
                     backend=cfg["solver.backend"],

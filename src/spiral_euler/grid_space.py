@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -84,8 +84,8 @@ class SolverParams:
     grid_points number of finite radial nodes M
     grid_scale  scale of the algebraic map beta = scale*s/(1-s)
 
-    The weight exponent delta of the C_b^delta core norm follows from mu
-    (see delta_of) and is read-only.
+    The weight exponent delta of the core norm (see delta_of) and the radial
+    grid follow from these fields and are read-only.
     """
 
     mu: float
@@ -109,6 +109,11 @@ class SolverParams:
     def delta(self) -> float:
         """Weight exponent of the C_b^delta core norm, delta_of(mu)."""
         return delta_of(self.mu)
+
+    @cached_property
+    def grid(self) -> "RadialGrid":
+        """The radial grid of these parameters, built once per instance."""
+        return build_grid(self.grid_points, self.grid_scale)
 
     @property
     def mode_indices(self) -> np.ndarray:
@@ -516,7 +521,6 @@ class SpectralField:
     """
 
     params: SolverParams
-    grid: RadialGrid
     modes: Mapping[int, ModeProfile]
 
     def __post_init__(self):
@@ -532,15 +536,19 @@ class SpectralField:
                     f"mode {n} core has {prof.core.size} values for {self.grid.size} grid points"
                 )
 
+    @property
+    def grid(self) -> RadialGrid:
+        return self.params.grid
+
     @classmethod
-    def base_state(cls, params: SolverParams, grid: RadialGrid) -> "SpectralField":
+    def base_state(cls, params: SolverParams) -> "SpectralField":
         """The radial power-law base solution: constant profile at mode zero."""
-        M = grid.size
+        M = params.grid.size
         modes = {}
         for n in params.mode_indices:
             cconst = params.base_stream_constant if n == 0 else 0.0
             modes[int(n)] = ModeProfile(int(n), np.zeros(M, dtype=complex), 0.0, 0.0, cconst)
-        return cls(params=params, grid=grid, modes=modes)
+        return cls(params=params, modes=modes)
 
     def mode(self, n: int) -> ModeProfile:
         return self.modes[int(n)]
@@ -654,9 +662,17 @@ def field_to_json(field_: SpectralField) -> dict:
 
 
 def field_from_json(doc: dict) -> SpectralField:
-    """The spectral field of a field_to_json document; other keys are ignored."""
+    """The spectral field of a field_to_json document; other keys are ignored.
+
+    It raises ValueError when the saved grid_nodes are not its own grid's, to 1e-12 relative.
+    """
     params = SolverParams(**{f.name: doc[f.name] for f in fields(SolverParams)})
-    grid = build_grid(params.grid_points, params.grid_scale)
+    nodes, want = np.asarray(doc["grid_nodes"], dtype=float), params.grid.nodes
+    if nodes.shape != want.shape or not np.allclose(nodes, want, rtol=1e-12, atol=0.0):
+        raise ValueError(
+            f"grid_nodes are not those of grid.points = {params.grid_points}, "
+            f"grid.scale = {params.grid_scale}"
+        )
     modes = {}
     for entry in doc["modes"]:
         n = int(entry["n"])
@@ -668,4 +684,4 @@ def field_from_json(doc: dict) -> SpectralField:
             cinf=complex(*entry["cinf"]),
             cconst=complex(*entry["cconst"]),
         )
-    return SpectralField(params=params, grid=grid, modes=modes)
+    return SpectralField(params=params, modes=modes)

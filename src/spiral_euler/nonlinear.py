@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .errors import DroppedMassWarning, ParameterError, SignConditionError
 from .grid_space import (
     AngularSignal,
     ModeProfile,
-    RadialGrid,
     SolverParams,
     SpectralField,
     bracket,
@@ -67,9 +66,9 @@ __all__ = [
 
 
 class NonlinearWorkspace:
-    """Cached angular transforms and preimage operators for one setup."""
+    """Cached angular transforms, preimage operators and linearization for one setup."""
 
-    def __init__(self, params: SolverParams, grid: RadialGrid, n_angles: int | None = None):
+    def __init__(self, params: SolverParams, n_angles: int | None = None):
         K = params.harmonics
         if n_angles is None:
             # 64 covers K <= 15; beyond, the least power of two that dealiases
@@ -77,8 +76,8 @@ class NonlinearWorkspace:
         if n_angles < 4 * K + 1:
             raise ParameterError(f"need at least {4 * K + 1} angles for dealiasing")
         self.params = params
-        self.grid = grid
-        self.cuts = sample_cutoffs(grid)
+        self.grid = params.grid
+        self.cuts = sample_cutoffs(self.grid)
         self.n_angles = int(n_angles)
         self.mode_list = [int(n) for n in params.mode_indices]
         # reduced circle: fields are 2*pi/N periodic, so sample Phi = N*phi
@@ -111,6 +110,11 @@ class NonlinearWorkspace:
             twice = 2 * b != self.n_angles
             dropped += (2.0 if twice else 1.0) * float(np.max(np.abs(c[..., b])))
         return out, dropped
+
+    @cached_property
+    def linearization(self) -> dict[int, LinearModeOperator]:
+        """The base-state linearization, assembled at its first use."""
+        return linearization_set(self.params)
 
     def preimage_operator(self, n: int, shift: float) -> LinearModeOperator:
         """D(n, shift), assembled once per workspace."""
@@ -183,7 +187,7 @@ def eval_residual(
     norms are raw, and it never warns.
     """
     if ws is None:
-        ws = NonlinearWorkspace(stream.params, stream.grid)
+        ws = NonlinearWorkspace(stream.params)
     params = ws.params
     mu = params.mu
     fields = derived_fields(stream, ws.cuts)
@@ -230,12 +234,12 @@ def eval_residual(
         n: ModeProfile.from_values(n, res_ext[n][:-1], res_ext[n][-1], cuts)
         for n in ws.mode_list
     }
-    field_ = SpectralField(params=params, grid=grid, modes=modes)
+    field_ = SpectralField(params=params, modes=modes)
     report = {"raw": raw, "preimage": zmode, "aggregate": aggregate, "dropped_mass": dropped}
     return ResidualField(field=field_, norm_report=report)
 
 
-def linearization_at_base(params: SolverParams, grid: RadialGrid) -> dict[int, LinearModeOperator]:
+def linearization_at_base(params: SolverParams) -> dict[int, LinearModeOperator]:
     """Analytic linearization at the base state by the bar-derivative route.
 
     Composes (1/2 mu^2)((dvarphi_bar^2 + mu^2 dphi^2)(dbeta_bar + 2 mu)
@@ -243,7 +247,7 @@ def linearization_at_base(params: SolverParams, grid: RadialGrid) -> dict[int, L
     assemble_linearization, which multiplies out the shifted-operator form;
     the two code paths share only the grid primitives.
     """
-    mu = params.mu
+    mu, grid = params.mu, params.grid
     M = grid.size
     eye = np.eye(M + 1, dtype=complex)
     QM = grid.radial.astype(complex)
@@ -267,7 +271,6 @@ def fd_derivative_check(
     direction: SpectralField,
     h: float,
     ws: NonlinearWorkspace | None = None,
-    operators: Mapping[int, LinearModeOperator] | None = None,
 ) -> float:
     """Central-difference check of the linearization.
 
@@ -279,7 +282,7 @@ def fd_derivative_check(
     if not (1e-8 <= h <= 1e-3):
         raise ParameterError(f"step size h={h} outside [1e-8, 1e-3]")
     if ws is None:
-        ws = NonlinearWorkspace(stream.params, stream.grid)
+        ws = NonlinearWorkspace(stream.params)
     cuts = ws.cuts
     norm2 = lambda per_mode: float(
         np.sqrt(sum(mode_weight(n) * np.sum(np.abs(v) ** 2) for n, v in per_mode.items()))
@@ -300,7 +303,7 @@ def fd_derivative_check(
             for n in ws.mode_list
         }
 
-    base = SpectralField.base_state(stream.params, stream.grid)
+    base = SpectralField.base_state(stream.params)
     is_base = all(
         float(np.max(np.abs(stream.modes[n].extended(cuts) - base.modes[n].extended(cuts))))
         < 1e-14
@@ -308,9 +311,7 @@ def fd_derivative_check(
     )
     fd_h = fd(h)
     if is_base:
-        if operators is None:
-            operators = linearization_set(stream.params, stream.grid)
-        ref = {n: operators[n].apply_function(dir_ext[n]) for n in ws.mode_list}
+        ref = {n: ws.linearization[n].apply_function(dir_ext[n]) for n in ws.mode_list}
     else:
         ref = fd(0.5 * h)
     diff = {n: fd_h[n] - ref[n] for n in ws.mode_list}

@@ -499,7 +499,7 @@ class LinearModeOperator:
         return self.fun @ ext
 
 
-def assemble_linearization(n: int, params: SolverParams, grid: RadialGrid) -> LinearModeOperator:
+def assemble_linearization(n: int, params: SolverParams) -> LinearModeOperator:
     """Per-mode linearization at the base state.
 
     (1/2 mu^2) ( D(n,s+) D(n,s-) (Q+1) + (2 mu - 1) i n beta ) with shifts
@@ -510,16 +510,16 @@ def assemble_linearization(n: int, params: SolverParams, grid: RadialGrid) -> Li
     sm = shift_minus(mu, n)
     if sp == 0.0 or sm == 0.0:
         raise DegenerateShiftError(f"degenerate shift at (mu={mu}, n={n})")
-    M = grid.size
+    grid = params.grid
     Dp = mode_operator_matrix(grid, n, sp)
     Dm = mode_operator_matrix(grid, n, sm)
-    Q1 = grid.radial.astype(complex) + np.eye(M + 1)
+    Q1 = grid.radial.astype(complex) + np.eye(grid.size + 1)
     fun = (Dp @ Dm @ Q1 + (2.0 * mu - 1.0) * beta_mult_matrix(grid, n)) / (2.0 * mu * mu)
     return LinearModeOperator(n=n, fun=fun)
 
 
-def linearization_set(params: SolverParams, grid: RadialGrid) -> dict[int, LinearModeOperator]:
-    return {int(n): assemble_linearization(int(n), params, grid) for n in params.mode_indices}
+def linearization_set(params: SolverParams) -> dict[int, LinearModeOperator]:
+    return {int(n): assemble_linearization(int(n), params) for n in params.mode_indices}
 
 
 def apply_linearization_inverse(

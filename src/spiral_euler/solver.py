@@ -31,26 +31,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SignConditionError
-from .grid_space import (
-    AngularSignal,
-    ModeProfile,
-    RadialGrid,
-    SolverParams,
-    SpectralField,
-    build_grid,
-)
+from .grid_space import AngularSignal, ModeProfile, SolverParams, SpectralField
 from .nonlinear import NonlinearWorkspace, eval_residual
-from .operators import (
-    LinearModeOperator,
-    apply_linearization_inverse,
-    derived_fields,
-    linearization_set,
-)
+from .operators import apply_linearization_inverse, derived_fields
 
 __all__ = [
     "SolveReport",
@@ -99,7 +86,7 @@ def bounds_check(stream: SpectralField) -> tuple[bool, dict]:
     each (positive means inside the window).
     """
     params = stream.params
-    ws = NonlinearWorkspace(params, stream.grid, n_angles=max(128, 4 * params.harmonics + 1))
+    ws = NonlinearWorkspace(params, n_angles=max(128, 4 * params.harmonics + 1))
     mu = params.mu
     fields = derived_fields(stream, ws.cuts)
     margins = {}
@@ -147,36 +134,32 @@ def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) 
 def newton_solve(
     omega: AngularSignal,
     params: SolverParams,
-    grid: RadialGrid | None = None,
     tol: float = 1e-10,
     max_iter: int = 100,
     backend: str = "chord",
     epsilon_cap: float = 0.1,
-    operators: Mapping[int, LinearModeOperator] | None = None,
     ws: NonlinearWorkspace | None = None,
 ) -> tuple[SpectralField, SolveReport]:
     """Solve the nonlinear problem for the stream profile at fixed Omega.
 
-    backend "chord" freezes the base-state linearization; "fd" refreshes the
-    Jacobian by finite differences each step (expensive, small grids only).
+    backend "chord" freezes the base-state linearization, kept by ws; "fd"
+    refreshes the Jacobian by finite differences each step (small grids only).
     Raises ConvergenceError carrying the report on failure, and
     ParameterError on a negative max_iter.
     """
     if max_iter < 0:
         raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
-    if grid is None:
-        grid = build_grid(params.grid_points, params.grid_scale)
     if ws is None:
-        ws = NonlinearWorkspace(params, grid)
+        ws = NonlinearWorkspace(params)
     if backend not in ("chord", "fd"):
         raise ParameterError(f"unknown backend {backend!r}")
     _omega_gate(omega, params, epsilon_cap)
     base = AngularSignal.base(params)
     eps_used = float(omega.plus(base.scaled(-1.0)).a_norm(-0.5))
-    if operators is None:
-        operators = linearization_set(params, grid)
 
-    stream = SpectralField.base_state(params, grid)
+    # assembled ahead of the gauge's cached operators, which keeps the peak memory down
+    linearization = ws.linearization if backend == "chord" else None
+    stream = SpectralField.base_state(params)
     history: list[float] = []
     report = SolveReport(
         converged=False,
@@ -196,15 +179,16 @@ def newton_solve(
             report.converged = True
             break
         if it >= 1 and history[-1] > history[-2]:
+            hint = "try a smaller angular amplitude"
+            if history[-2] < 100.0 * tol:
+                hint = f"it stalled at its rounding floor, {history[-2]:.1e}, above tol {tol:.1e}"
             raise ConvergenceError(
-                f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; "
-                "try a smaller angular amplitude",
-                report=report,
+                f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; {hint}", report=report
             )
         if it == max_iter:
             raise ConvergenceError(f"no convergence in {max_iter} iterations", report=report)
         if backend == "chord":
-            update = apply_linearization_inverse(operators, res.field, ws.cuts)
+            update = apply_linearization_inverse(linearization, res.field, ws.cuts)
         else:
             update = _fd_newton_update(stream, omega, res, ws)
         stream = stream.plus(update.scaled(-1.0))
@@ -219,8 +203,8 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
     Builds the real-coordinate Jacobian column by column; meant for small
     grids where the frozen-Jacobian path needs a cross-check.
     """
-    params, grid, cuts = ws.params, ws.grid, ws.cuts
-    M1 = grid.size + 1
+    params, cuts = ws.params, ws.cuts
+    M1 = ws.grid.size + 1
 
     def pack(field_: SpectralField) -> np.ndarray:
         parts = []
@@ -240,7 +224,7 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
                 ext = vec[pos : pos + M1] + 1j * vec[pos + M1 : pos + 2 * M1]
                 pos += 2 * M1
             modes[n] = ModeProfile.from_values(n, ext[:-1], ext[-1], cuts)
-        return SpectralField(params=params, grid=grid, modes=modes)
+        return SpectralField(params=params, modes=modes)
 
     x0 = pack(stream)
     f0 = pack(res.field)
@@ -264,7 +248,7 @@ def angular_initial_vorticity(
     times Omega(theta), projected back onto the mode lattice.
     """
     if ws is None:
-        ws = NonlinearWorkspace(stream.params, stream.grid)
+        ws = NonlinearWorkspace(stream.params)
     mu = stream.params.mu
     fields = derived_fields(stream, ws.cuts)
     # the values at beta = 0, the first node
@@ -285,7 +269,6 @@ def angular_initial_vorticity(
 def match_initial_data(
     g: AngularSignal,
     params: SolverParams,
-    grid: RadialGrid | None = None,
     tol: float = 1e-10,
     max_outer: int = 50,
     inner_tol: float = 1e-12,
@@ -304,8 +287,6 @@ def match_initial_data(
     for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
         if cap < 0:
             raise ParameterError(f"{name} must be non-negative, got {cap}")
-    if grid is None:
-        grid = build_grid(params.grid_points, params.grid_scale)
     g0_hat = g.coeff(0)
     if g0_hat == 0.0:
         raise ParameterError("the target angular profile must have a nonzero mean")
@@ -329,8 +310,7 @@ def match_initial_data(
             stacklevel=2,
         )
 
-    ws = NonlinearWorkspace(params, grid)
-    operators = linearization_set(params, grid)
+    ws = NonlinearWorkspace(params)
     omega = AngularSignal.base(params)
     step = mu ** (1.0 / (2.0 * mu))
     history: list[float] = []
@@ -338,11 +318,9 @@ def match_initial_data(
         stream, inner = newton_solve(
             omega,
             params,
-            grid=grid,
             tol=inner_tol,
             max_iter=inner_max_iter,
             epsilon_cap=epsilon_cap,
-            operators=operators,
             ws=ws,
         )
         h = angular_initial_vorticity(stream, omega, ws)

@@ -14,7 +14,6 @@ from spiral_euler import (
     AngularSignal,
     SolverParams,
     SpectralField,
-    build_grid,
     newton_solve,
     sample_cutoffs,
 )
@@ -27,7 +26,7 @@ def desk_params():
 
 @pytest.fixture(scope="session")
 def desk_grid(desk_params):
-    return build_grid(desk_params.grid_points, desk_params.grid_scale)
+    return desk_params.grid
 
 
 @pytest.fixture(scope="session")
@@ -49,21 +48,23 @@ def prod_params():
 
 @pytest.fixture(scope="session")
 def prod_grid(prod_params):
-    return build_grid(prod_params.grid_points, prod_params.grid_scale)
+    return prod_params.grid
 
 
 @pytest.fixture(scope="session")
-def prod_solution(prod_params, prod_grid):
+def prod_solution(prod_params):
     omega = AngularSignal.constant_plus_cosine(prod_params, amplitude=0.01)
-    stream, report = newton_solve(omega, prod_params, grid=prod_grid)
+    stream, report = newton_solve(omega, prod_params)
     return stream, omega, report
 
 
-def random_field(params, grid, cuts, seed=0, amplitude=1.0, decay=0.7):
+def random_field(params, seed=0, amplitude=1.0, decay=0.7):
     """Smooth random real field on the mode lattice, vanishing at infinity."""
     from spiral_euler import ModeProfile
 
     rng = np.random.default_rng(seed)
+    grid = params.grid
+    cuts = sample_cutoffs(grid)
     b = grid.nodes
     modes = {}
     for n in [int(x) for x in params.mode_indices]:
@@ -76,4 +77,4 @@ def random_field(params, grid, cuts, seed=0, amplitude=1.0, decay=0.7):
         if n == 0:
             vals = vals.real.astype(complex)
         modes[n] = ModeProfile.from_values(n, vals, 0.0, cuts)
-    return SpectralField(params=params, grid=grid, modes=modes)
+    return SpectralField(params=params, modes=modes)

@@ -15,7 +15,6 @@ from spiral_euler import (
     SolverParams,
     SpectralField,
     base_vorticity_factor,
-    build_grid,
     certify,
     contraction_and_threshold,
     cutoff_normalization,
@@ -26,7 +25,6 @@ from spiral_euler import (
     fd_derivative_check,
     invert_mode_operator,
     apply_mode_operator,
-    linearization_set,
     match_initial_data,
     newton_solve,
     sample_cutoffs,
@@ -58,26 +56,24 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def prod():
     params = SolverParams(mu=1.0, N=4000, grid_points=257)
-    grid = build_grid(params.grid_points, params.grid_scale)
-    return params, grid
+    return params, params.grid
 
 
 @pytest.fixture(scope="module")
 def prod_solved(prod):
-    params, grid = prod
+    params, _ = prod
     omega = AngularSignal.constant_plus_cosine(params, amplitude=0.01)
     t0 = time.perf_counter()
-    stream, report = newton_solve(omega, params, grid=grid)
+    stream, report = newton_solve(omega, params)
     return stream, omega, report, time.perf_counter() - t0
 
 
 def test_criterion_1_trivial_annihilation():
     t0 = time.perf_counter()
-    grid = build_grid(257, 1.0)
     worst = 0.0
     for mu in (0.7, 0.8, 1.0, 1.5, 2.0):
         params = SolverParams(mu=mu, N=4000, grid_points=257)
-        base = SpectralField.base_state(params, grid)
+        base = SpectralField.base_state(params)
         res = eval_residual(base, AngularSignal.base(params), preimage_norms=False)
         worst = max(worst, res.raw_max)
     elapsed = time.perf_counter() - t0
@@ -86,23 +82,21 @@ def test_criterion_1_trivial_annihilation():
 
 
 def test_criterion_2_derivative_consistency(prod):
-    params, grid = prod
+    params, _ = prod
     t0 = time.perf_counter()
-    cuts = sample_cutoffs(grid)
-    base = SpectralField.base_state(params, grid)
+    base = SpectralField.base_state(params)
     omega = AngularSignal.base(params)
     # at this periodicity the angular coupling scales derivatives by N, so
     # the direction is kept small enough for the largest Richardson step
-    direction = random_field(params, grid, cuts, seed=77, amplitude=1e-3)
-    ops = linearization_set(params, grid)
-    ws = NonlinearWorkspace(params, grid)
-    err = fd_derivative_check(base, omega, direction, 1e-6, ws=ws, operators=ops)
+    direction = random_field(params, seed=77, amplitude=1e-3)
+    ws = NonlinearWorkspace(params)
+    err = fd_derivative_check(base, omega, direction, 1e-6, ws=ws)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        e1 = fd_derivative_check(base, omega, direction, 1e-3, ws=ws, operators=ops)
-        e2 = fd_derivative_check(base, omega, direction, 5e-4, ws=ws, operators=ops)
+        e1 = fd_derivative_check(base, omega, direction, 1e-3, ws=ws)
+        e2 = fd_derivative_check(base, omega, direction, 5e-4, ws=ws)
     ratio = e1 / e2
     elapsed = time.perf_counter() - t0
     ok = err < 1e-5 and 2.5 < ratio < 6.0 and elapsed < 30.0
@@ -116,7 +110,7 @@ def test_criterion_2_derivative_consistency(prod):
 
 def test_criterion_3_inverse_identities():
     params = SolverParams(mu=1.0, N=8, grid_points=96)
-    grid = build_grid(params.grid_points, params.grid_scale)
+    grid = params.grid
     cuts = sample_cutoffs(grid)
     b = grid.nodes
 
@@ -206,7 +200,7 @@ def test_criterion_4_certificate(prod):
     checks.append(("K(1,4000) < 1", K < 1.0))
     row = dist_gap(1.0, 4, 4, "minus")
     checks.append(("minus-branch discrepancy flagged", row.flagged))
-    cert = certify(params, grid=grid)
+    cert = certify(params)
     checks.append(("certificate passes", cert.passes))
     checks.append(("flag carried into notes", any("minus" in n for n in cert.notes)))
     elapsed = time.perf_counter() - t0
@@ -237,25 +231,24 @@ def test_criterion_5_nontrivial_solve(prod_solved):
 
 
 def test_criterion_6_initial_data_matching(prod):
-    params, grid = prod
+    params, _ = prod
     mu = params.mu
     w0 = base_vorticity_factor(mu)
     g = AngularSignal(
         params,
         {0: complex(w0), params.N: 0.005 * w0, -params.N: 0.005 * w0},
     )
-    omega, stream, report = match_initial_data(g, params, grid=grid, tol=1e-10)
+    omega, stream, report = match_initial_data(g, params, tol=1e-10)
     mismatch = report.residual_history[-1]
 
     # derivative of the initial-data map at the base point is mu^(-1/2mu) id
-    ws = NonlinearWorkspace(params, grid)
-    ops = linearization_set(params, grid)
+    ws = NonlinearWorkspace(params)
     direction = AngularSignal(params, {params.N: 0.5, -params.N: 0.5})
     eps = 1e-3
     h_vals = {}
     for sign in (+1, -1):
         om = AngularSignal.base(params).plus(direction.scaled(sign * eps))
-        s, _ = newton_solve(om, params, grid=grid, tol=1e-12, operators=ops, ws=ws)
+        s, _ = newton_solve(om, params, tol=1e-12, ws=ws)
         h_vals[sign] = angular_initial_vorticity(s, om, ws)
     fd = h_vals[+1].plus(h_vals[-1].scaled(-1.0)).scaled(1.0 / (2 * eps))
     expected = direction.scaled(mu ** (-1.0 / (2.0 * mu)))
@@ -332,7 +325,7 @@ def test_criterion_7_physical_verification(prod_solved):
 
 
 def test_criterion_8_spiral_oracle(prod):
-    params, grid = prod
+    params, _ = prod
     mu = params.mu
     # streamlines of the radial base flow fit an algebraic spiral over two turns
     fit = spiral_ode_oracle(mu, base_vorticity_factor(mu), (1.0, 0.0), (0.0, 4 * np.pi))
@@ -341,7 +334,7 @@ def test_criterion_8_spiral_oracle(prod):
     # spiral curves squeezed by the admissibility envelope
     amp = 1.05 * params.base_omega
     omega = AngularSignal.constant_plus_cosine(params, amp)
-    stream, report = newton_solve(omega, params, grid=grid)
+    stream, report = newton_solve(omega, params)
     t = 0.7
     curves = spiral_extract(stream, omega, t, n_beta=64)
     n_curves = len(curves)

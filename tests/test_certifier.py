@@ -82,8 +82,8 @@ def test_contraction_decreasing_in_periodicity():
     assert all(a > b for a, b in zip(Ks, Ks[1:]))
 
 
-def test_certify_reference_passes(prod_params, prod_grid):
-    cert = certify(prod_params, grid=prod_grid)
+def test_certify_reference_passes(prod_params):
+    cert = certify(prod_params)
     assert cert.passes
     assert cert.contraction < 1.0
     assert cert.threshold == 3792.0
@@ -92,18 +92,18 @@ def test_certify_reference_passes(prod_params, prod_grid):
     assert all(r.ok for r in cert.spot_checks)
 
 
-def test_certify_below_threshold_fails_but_reports(prod_grid):
+def test_certify_below_threshold_fails_but_reports():
     params = SolverParams(mu=1.0, N=100, grid_points=257)
-    cert = certify(params, grid=prod_grid)
+    cert = certify(params)
     assert not cert.passes
     assert cert.contraction > 1.0
     # the sampled operator norms stay modest even though the bound is weak
     assert all(r.ratio < 1.0 for r in cert.spot_checks)
 
 
-def test_certify_deterministic(desk_params, desk_grid):
-    a = certify(desk_params, grid=desk_grid, seed=42)
-    b = certify(desk_params, grid=desk_grid, seed=42)
+def test_certify_deterministic(desk_params):
+    a = certify(desk_params, seed=42)
+    b = certify(desk_params, seed=42)
     assert a.to_json() == b.to_json()
 
 
@@ -122,15 +122,15 @@ def test_certificate_verdict_invariant():
         )
 
 
-def test_certificate_table_renders(prod_params, prod_grid):
-    cert = certify(prod_params, grid=prod_grid)
+def test_certificate_table_renders(prod_params):
+    cert = certify(prod_params)
     text = cert.table()
     assert "PASS" in text
     assert "contraction" in text
     assert "sampled perturbation norms" in text
 
 
-def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypatch):
+def test_spot_check_factors_each_operator_once(desk_params, monkeypatch):
     # one solve per inverse stage and mode, with the mode's eight samples as
     # its columns: D(n, s-) for n = N, 2N, 3N, then D(0, -1) once with all 24
     # samples, then D(n, s+) per mode, each twice for the refinement; the
@@ -153,7 +153,7 @@ def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypat
 
     monkeypatch.setattr(LinearModeOperator, "lu_solve", counting)
     monkeypatch.setattr(RadialGrid, "evaluate_coefficients", no_clenshaw)
-    rows = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
+    rows = certifier._perturbation_spot_check(desk_params, K, seed=42)
     assert columns == [8] * (3 * 2) + [24] * 2 + [8] * (3 * 2)
 
     invert = certifier.invert_mode_operator
@@ -163,27 +163,27 @@ def test_spot_check_factors_each_operator_once(desk_params, desk_grid, monkeypat
         lambda n, shift, fs, cuts: [invert(n, shift, f, cuts) for f in fs],
     )
     columns.clear()
-    per_call = certifier._perturbation_spot_check(desk_params, desk_grid, K, seed=42)
+    per_call = certifier._perturbation_spot_check(desk_params, K, seed=42)
     assert columns == [1] * (3 * 3 * 8 * 2)
     assert rows == per_call
 
 
 @pytest.mark.parametrize("mu", [0.7, 1.0, 2.0])
-def test_spot_check_ratios_match_clenshaw_route(prod_grid, mu, monkeypatch):
+def test_spot_check_ratios_match_clenshaw_route(mu, monkeypatch):
     # the spot-check norms sampled by the zero-padded DCT-I against the
     # Clenshaw recurrence at the same refined points
     from spiral_euler import certifier, grid_space
 
     params = SolverParams(mu=mu, N=4000, grid_points=257)
     K, _ = contraction_and_threshold(mu, params.N)
-    rows = certifier._perturbation_spot_check(params, prod_grid, K, seed=42)
+    rows = certifier._perturbation_spot_check(params, K, seed=42)
 
     def clenshaw(grid, ext, factor):
         coeffs = grid.chebyshev_coefficients(ext)
         return grid.evaluate_coefficients(coeffs, grid_space._refined_s(grid, factor))
 
     monkeypatch.setattr(grid_space, "_refined_values", clenshaw)
-    want = certifier._perturbation_spot_check(params, prod_grid, K, seed=42)
+    want = certifier._perturbation_spot_check(params, K, seed=42)
     assert [r.n for r in rows] == [r.n for r in want]
     for r, ref in zip(rows, want):
         assert r.ratio == pytest.approx(ref.ratio, rel=1e-13, abs=0.0)

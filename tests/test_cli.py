@@ -285,13 +285,14 @@ def test_failed_match_reports_the_outer_history(tmp_path):
 def test_singular_linearization_exits_as_solve_failure(tmp_path, monkeypatch):
     # an exactly singular operator ends the solve at its first LU with the
     # solve-failure code, not with NaN iterates or a traceback
-    from spiral_euler import LinearModeOperator, solver
+    from spiral_euler import LinearModeOperator, nonlinear
 
-    def singular_set(params, grid):
-        zero = np.zeros((grid.size + 1, grid.size + 1), dtype=complex)
+    def singular_set(params):
+        size = params.grid.size + 1
+        zero = np.zeros((size, size), dtype=complex)
         return {int(n): LinearModeOperator(n=int(n), fun=zero) for n in params.mode_indices}
 
-    monkeypatch.setattr(solver, "linearization_set", singular_set)
+    monkeypatch.setattr(nonlinear, "linearization_set", singular_set)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DESK)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -371,9 +372,19 @@ def _shorten_core(doc):
     doc["modes"][0]["core"].pop()
 
 
-@pytest.mark.parametrize("edit", [_drop_last_mode, _add_conjugate_modes, _shorten_core])
+def _rescale_grid(doc):
+    # the parameters of another grid beside the nodes the field was solved on
+    doc["grid_scale"] = 2.0
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_last_mode, _add_conjugate_modes, _shorten_core, _rescale_grid]
+)
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
-    detail = {_shorten_core: "mode 0 core has 95 values for 96 grid points"}.get(edit, "mode set")
+    detail = {
+        _shorten_core: "mode 0 core has 95 values for 96 grid points",
+        _rescale_grid: "grid_nodes are not those of grid.points = 96, grid.scale = 2.0",
+    }.get(edit, "mode set")
     cfg, out = _saved_field(tmp_path, edit)
     field = str(out / "field.json")
     for argv in (["verify"], ["reconstruct", "--field", field]):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -188,14 +190,14 @@ def test_angular_l2_of_cosine(desk_params):
     assert sig.lp_norm(2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
-def test_mode_norm_homogeneity_and_triangle(desk_params, desk_grid, desk_cuts):
+def test_mode_norm_homogeneity_and_triangle(desk_params, desk_cuts):
     from conftest import random_field
 
     rng = np.random.default_rng(11)
     delta = desk_params.delta
     for trial in range(3):
-        F = random_field(desk_params, desk_grid, desk_cuts, seed=trial)
-        G = random_field(desk_params, desk_grid, desk_cuts, seed=trial + 50)
+        F = random_field(desk_params, seed=trial)
+        G = random_field(desk_params, seed=trial + 50)
         a = float(rng.uniform(0.1, 3.0))
         for n in F.modes:
             nF = mode_norm(F.modes[n], delta, desk_cuts)
@@ -205,10 +207,10 @@ def test_mode_norm_homogeneity_and_triangle(desk_params, desk_grid, desk_cuts):
             assert mode_norm(F.plus(G).modes[n], delta, desk_cuts) <= (nF + nG) * (1 + 1e-12)
 
 
-def test_serialization_round_trip(desk_params, desk_grid, desk_cuts):
+def test_serialization_round_trip(desk_params):
     from conftest import random_field
 
-    F = random_field(desk_params, desk_grid, desk_cuts, seed=9)
+    F = random_field(desk_params, seed=9)
     doc = field_to_json(F)
     G = field_from_json(doc)
     for n in desk_params.mode_indices:
@@ -219,12 +221,52 @@ def test_serialization_round_trip(desk_params, desk_grid, desk_cuts):
     assert doc["grid_nodes"][0] == 0.0
 
 
-def test_field_json_carrying_p_still_loads(desk_params, desk_grid, desk_cuts):
+def test_one_grid_per_parameter_set(desk_params, desk_grid, prod_params, prod_grid):
+    # the grid is built once per SolverParams; equality, hashing and asdict
+    # still see only the five fields
+    assert desk_grid is desk_params.grid and prod_grid is prod_params.grid
+    assert SpectralField.base_state(desk_params).grid is desk_params.grid
+    twin = SolverParams(mu=1.0, N=8, grid_points=96)
+    assert twin == desk_params and hash(twin) == hash(desk_params)
+    assert twin.grid is not desk_params.grid
+    assert np.array_equal(twin.grid.nodes, desk_params.grid.nodes)
+    assert set(asdict(desk_params)) == {"mu", "N", "harmonics", "grid_points", "grid_scale"}
+
+
+def test_field_json_round_trip_keeps_a_scaled_grid():
+    from conftest import random_field
+
+    params = SolverParams(mu=1.5, N=8, grid_points=64, grid_scale=2.0)
+    F = random_field(params, seed=4)
+    G = field_from_json(json.loads(json.dumps(field_to_json(F))))
+    assert G.params == params
+    assert np.array_equal(G.grid.nodes, F.grid.nodes)
+    for n in params.mode_indices:
+        a, b = F.modes[int(n)], G.modes[int(n)]
+        assert np.array_equal(a.core, b.core)
+        assert (a.c0, a.cinf, a.cconst) == (b.c0, b.cinf, b.cconst)
+
+
+def test_field_json_off_its_own_grid_is_rejected(desk_params):
+    # a field solved on one grid and saved with another grid's parameters
+    # would reload onto the wrong nodes
+    from conftest import random_field
+
+    doc = field_to_json(random_field(desk_params, seed=9))
+    with pytest.raises(ValueError, match="grid.points = 96, grid.scale = 2.0"):
+        field_from_json({**doc, "grid_scale": 2.0})
+    with pytest.raises(ValueError, match="grid_nodes"):
+        field_from_json({**doc, "grid_nodes": doc["grid_nodes"][:-1]})
+    # rounding below 1e-12 relative still loads
+    field_from_json({**doc, "grid_nodes": [b * (1.0 + 1e-14) for b in doc["grid_nodes"]]})
+
+
+def test_field_json_carrying_p_still_loads(desk_params):
     # field_to_json writes no integrability exponent "p"; a file that
     # carries one, even outside [1, 2 mu), loads the same field
     from conftest import random_field
 
-    F = random_field(desk_params, desk_grid, desk_cuts, seed=9)
+    F = random_field(desk_params, seed=9)
     doc = field_to_json(F)
     assert "p" not in doc
     G = field_from_json({**doc, "p": 2.5})
@@ -233,8 +275,8 @@ def test_field_json_carrying_p_still_loads(desk_params, desk_grid, desk_cuts):
         assert np.array_equal(G.modes[int(n)].core, F.modes[int(n)].core)
 
 
-def test_base_state_values(desk_params, desk_grid, desk_cuts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def test_base_state_values(desk_params, desk_cuts):
+    base = SpectralField.base_state(desk_params)
     prof = base.mode(0)
     assert prof.cconst == pytest.approx(1.0 / (2 * desk_params.mu - 1))
     assert np.all(prof.core == 0)
@@ -333,12 +375,12 @@ def test_refined_values_match_clenshaw(M):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_field_json_missing_parameter_names_the_first(desk_params, desk_grid, desk_cuts):
+def test_field_json_missing_parameter_names_the_first(desk_params):
     # the parameters load in SolverParams' field order: mu, N, harmonics,
     # grid_points, grid_scale
     from conftest import random_field
 
-    doc = field_to_json(random_field(desk_params, desk_grid, desk_cuts, seed=9))
+    doc = field_to_json(random_field(desk_params, seed=9))
     for key in ("N", "grid_scale"):
         del doc[key]
     with pytest.raises(KeyError, match="'N'"):

@@ -12,7 +12,6 @@ from spiral_euler import (
     SolverParams,
     SpectralField,
     bracket,
-    build_grid,
     eval_residual,
     fd_derivative_check,
     linearization_at_base,
@@ -29,8 +28,7 @@ from conftest import random_field
 @pytest.mark.parametrize("mu", [0.7, 0.8, 1.0, 1.5, 2.0])
 def test_base_state_annihilation(mu):
     params = SolverParams(mu=mu, N=8, grid_points=64)
-    grid = build_grid(params.grid_points, params.grid_scale)
-    base = SpectralField.base_state(params, grid)
+    base = SpectralField.base_state(params)
     res = eval_residual(base, AngularSignal.base(params))
     assert res.raw_max <= 1e-10
     assert res.aggregate <= 1e-10
@@ -40,7 +38,7 @@ def test_zero_angular_factor_gives_constant_residual(desk_params, desk_grid):
     # dropping the angular factor leaves the pure divergence part, which is
     # the constant (2 mu - 1)/mu
     mu = desk_params.mu
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     zero = AngularSignal(desk_params, {0: 0.0})
     res = eval_residual(base, zero)
     cuts = sample_cutoffs(desk_grid)
@@ -55,23 +53,23 @@ def test_zero_angular_factor_gives_constant_residual(desk_params, desk_grid):
 
 def test_sign_condition_error(desk_params, desk_grid, desk_cuts):
     # push the radial derivative positive somewhere
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     b = desk_grid.nodes
     bad_bump = -5.0 * b * np.exp(-b)  # pushes the radial derivative positive
     modes = dict(base.modes)
     modes[0] = ModeProfile.from_values(
         0, base.mode(0).values(desk_cuts) + bad_bump, base.mode(0).value_at_inf, desk_cuts
     )
-    bad = SpectralField(params=desk_params, grid=desk_grid, modes=modes)
+    bad = SpectralField(params=desk_params, modes=modes)
     with pytest.raises(SignConditionError) as err:
         eval_residual(bad, AngularSignal.base(desk_params))
     assert err.value.quantity
     assert np.isfinite(err.value.beta) or err.value.beta == np.inf
 
 
-def test_dual_path_linearization_equality(desk_params, desk_grid):
-    opsA = linearization_set(desk_params, desk_grid)
-    opsB = linearization_at_base(desk_params, desk_grid)
+def test_dual_path_linearization_equality(desk_params):
+    opsA = linearization_set(desk_params)
+    opsB = linearization_at_base(desk_params)
     for n in desk_params.mode_indices:
         n = int(n)
         scale = np.max(np.abs(opsA[n].fun))
@@ -83,7 +81,7 @@ def test_linearization_mode_zero_scalar(desk_params, desk_grid):
     # on constants the mode-zero operator multiplies by (2mu-1)^2/(2mu^2),
     # which is 1/2 at mu = 1 and in particular nonzero
     mu = desk_params.mu
-    ops = linearization_at_base(desk_params, desk_grid)
+    ops = linearization_at_base(desk_params)
     const = desk_grid.extend(np.ones(desk_grid.size), 1.0)
     out = ops[0].apply_function(const)
     expected = (2 * mu - 1) ** 2 / (2 * mu * mu)
@@ -91,43 +89,40 @@ def test_linearization_mode_zero_scalar(desk_params, desk_grid):
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
-def test_fd_derivative_at_base(desk_params, desk_grid, desk_cuts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def test_fd_derivative_at_base(desk_params):
+    base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
-    direction = random_field(desk_params, desk_grid, desk_cuts, seed=21)
-    ops = linearization_set(desk_params, desk_grid)
-    err = fd_derivative_check(base, omega, direction, 1e-6, operators=ops)
+    direction = random_field(desk_params, seed=21)
+    err = fd_derivative_check(base, omega, direction, 1e-6)
     assert err < 1e-5
 
 
-def test_fd_zero_direction(desk_params, desk_grid, desk_cuts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def test_fd_zero_direction(desk_params, desk_cuts):
+    base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
     zero = base.map_modes(lambda p: p.scaled(0.0))
     assert fd_derivative_check(base, omega, zero, 1e-6) == 0.0
 
 
-def test_fd_second_order_richardson(desk_params, desk_grid, desk_cuts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def test_fd_second_order_richardson(desk_params):
+    base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
-    direction = random_field(desk_params, desk_grid, desk_cuts, seed=22)
-    ops = linearization_set(desk_params, desk_grid)
-    e1 = fd_derivative_check(base, omega, direction, 1e-3, operators=ops)
-    e2 = fd_derivative_check(base, omega, direction, 5e-4, operators=ops)
+    direction = random_field(desk_params, seed=22)
+    e1 = fd_derivative_check(base, omega, direction, 1e-3)
+    e2 = fd_derivative_check(base, omega, direction, 5e-4)
     assert 2.5 < e1 / e2 < 6.0
 
 
-def test_fd_check_skips_the_gauge(desk_params, desk_grid, desk_cuts, monkeypatch):
+def test_fd_check_skips_the_gauge(desk_params, monkeypatch):
     # the check reads only the residual fields: residuals with the gauge give
     # the same value, yet at h = 1e-3 they warn of dropped mass
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
-    direction = random_field(desk_params, desk_grid, desk_cuts, seed=22)
-    ops = linearization_set(desk_params, desk_grid)
-    ws = NonlinearWorkspace(desk_params, desk_grid)
+    direction = random_field(desk_params, seed=22)
+    ws = NonlinearWorkspace(desk_params)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DroppedMassWarning)
-        got = fd_derivative_check(base, omega, direction, 1e-3, ws, ops)
+        got = fd_derivative_check(base, omega, direction, 1e-3, ws)
 
     def gauged(*args, **kwargs):
         kwargs["preimage_norms"] = True
@@ -136,42 +131,42 @@ def test_fd_check_skips_the_gauge(desk_params, desk_grid, desk_cuts, monkeypatch
     monkeypatch.setattr(nonlinear, "eval_residual", gauged)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DroppedMassWarning)
-        want = fd_derivative_check(base, omega, direction, 1e-3, ws, ops)
+        want = fd_derivative_check(base, omega, direction, 1e-3, ws)
     assert any(issubclass(w.category, DroppedMassWarning) for w in caught)
     assert got == want
 
 
-def test_fd_second_order_off_the_base_state(desk_params, desk_grid, desk_cuts):
+def test_fd_second_order_off_the_base_state(desk_params):
     # off the base state the check returns the defect between the central
     # differences at h and h/2, which falls as h^2
-    stream = SpectralField.base_state(desk_params, desk_grid).plus(
-        random_field(desk_params, desk_grid, desk_cuts, seed=25, amplitude=0.002)
+    stream = SpectralField.base_state(desk_params).plus(
+        random_field(desk_params, seed=25, amplitude=0.002)
     )
     omega = AngularSignal.constant_plus_cosine(desk_params, 0.05)
-    direction = random_field(desk_params, desk_grid, desk_cuts, seed=26)
-    ws = NonlinearWorkspace(desk_params, desk_grid)
+    direction = random_field(desk_params, seed=26)
+    ws = NonlinearWorkspace(desk_params)
     errs = [fd_derivative_check(stream, omega, direction, h, ws) for h in (1e-3, 5e-4, 2.5e-4)]
     assert all(3.5 < e1 / e2 < 4.5 for e1, e2 in zip(errs, errs[1:])), errs
     assert fd_derivative_check(stream, omega, direction, 1e-5, ws) < 1e-5
 
 
-def test_fd_step_out_of_range(desk_params, desk_grid, desk_cuts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def test_fd_step_out_of_range(desk_params):
+    base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
-    direction = random_field(desk_params, desk_grid, desk_cuts, seed=23)
+    direction = random_field(desk_params, seed=23)
     with pytest.raises(ParameterError):
         fd_derivative_check(base, omega, direction, 1e-2)
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_linearity_in_angular_factor(desk_params, desk_grid, desk_cuts):
+def test_linearity_in_angular_factor(desk_params, desk_cuts):
     # the angular factor enters the operator linearly
-    stream = random_field(desk_params, desk_grid, desk_cuts, seed=24, amplitude=0.004)
-    stream = SpectralField.base_state(desk_params, desk_grid).plus(stream)
+    stream = random_field(desk_params, seed=24, amplitude=0.004)
+    stream = SpectralField.base_state(desk_params).plus(stream)
     om1 = AngularSignal.constant_plus_cosine(desk_params, 0.3)
     om2 = AngularSignal.constant_plus_cosine(desk_params, -0.1, 2 * desk_params.N)
     alpha = 1.7
-    ws = NonlinearWorkspace(desk_params, desk_grid)
+    ws = NonlinearWorkspace(desk_params)
     r_combo = eval_residual(stream, om1.scaled(alpha).plus(om2), ws)
     r_2 = eval_residual(stream, om2, ws)
     r_1 = eval_residual(stream, om1, ws)
@@ -191,16 +186,16 @@ def test_linearity_in_angular_factor(desk_params, desk_grid, desk_cuts):
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_residual_mode_lattice_closure(desk_params, desk_grid, desk_cuts):
+def test_residual_mode_lattice_closure(desk_params, desk_cuts):
     # quadratic interactions of lattice modes stay on the lattice: residuals
     # computed with different angular sample counts agree on the retained
     # modes, so nothing aliases back in
-    stream = SpectralField.base_state(desk_params, desk_grid).plus(
-        random_field(desk_params, desk_grid, desk_cuts, seed=25, amplitude=0.002)
+    stream = SpectralField.base_state(desk_params).plus(
+        random_field(desk_params, seed=25, amplitude=0.002)
     )
     omega = AngularSignal.constant_plus_cosine(desk_params, 0.05)
-    res64 = eval_residual(stream, omega, NonlinearWorkspace(desk_params, desk_grid, 64))
-    res128 = eval_residual(stream, omega, NonlinearWorkspace(desk_params, desk_grid, 128))
+    res64 = eval_residual(stream, omega, NonlinearWorkspace(desk_params, 64))
+    res128 = eval_residual(stream, omega, NonlinearWorkspace(desk_params, 128))
     assert set(int(n) for n in res64.field.modes) == set(
         int(n) for n in desk_params.mode_indices
     )
@@ -223,7 +218,7 @@ def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_gr
     # Measured: n = 8 gives 5.555556e-04, n = -8 gives 7.142857e-04, and the
     # aggregate agrees with the reference to 1.2e-16 relative.
     mu, N = desk_params.mu, desk_params.N
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     res = eval_residual(base, AngularSignal.constant_plus_cosine(desk_params, 0.01))
     terms = {}
     for n in desk_params.mode_indices:
@@ -237,6 +232,6 @@ def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_gr
     assert abs(terms[-N] - terms[N]) > 0.2 * terms[N]
 
 
-def test_workspace_rejects_too_few_angles(desk_params, desk_grid):
+def test_workspace_rejects_too_few_angles(desk_params):
     with pytest.raises(ParameterError):
-        NonlinearWorkspace(desk_params, desk_grid, n_angles=5)
+        NonlinearWorkspace(desk_params, n_angles=5)

@@ -14,7 +14,6 @@ from spiral_euler import (
     apply_linearization_inverse,
     apply_mode_operator,
     assemble_linearization,
-    build_grid,
     derived_fields,
     invert_mode_operator,
     linearization_at_base,
@@ -36,11 +35,11 @@ def smooth_profile(grid, cuts, n=2, seed=1):
     return ModeProfile.from_values(n, vals.astype(complex), 0.0, cuts)
 
 
-def test_bar_derivative_on_base_constants(desk_params, desk_grid, desk_cuts):
+def test_bar_derivative_on_base_constants(desk_params, desk_cuts):
     # on the constant base profile c, dbeta_bar and dvarphi_bar are the
     # constants (1 - 2 mu) c and (2 mu - 1) c at every node and at infinity
     mu = desk_params.mu
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     c = desk_params.base_stream_constant
     fields = derived_fields(base, desk_cuts)
     for key, value in (("db", (1 - 2 * mu) * c), ("dv", (2 * mu - 1) * c)):
@@ -50,8 +49,8 @@ def test_bar_derivative_on_base_constants(desk_params, desk_grid, desk_cuts):
         assert np.max(np.abs(fields[key][1:])) == 0.0
 
 
-def test_bar_derivative_dphi_is_mode_multiplier(desk_params, desk_grid, desk_cuts):
-    F = random_field(desk_params, desk_grid, desk_cuts, seed=3)
+def test_bar_derivative_dphi_is_mode_multiplier(desk_params, desk_cuts):
+    F = random_field(desk_params, seed=3)
     dp = derived_fields(F, desk_cuts)["dp"]
     for k, n in enumerate(int(n) for n in desk_params.mode_indices):
         expected = F.mode(n).scaled(1j * n).extended(desk_cuts)
@@ -61,7 +60,7 @@ def test_bar_derivative_dphi_is_mode_multiplier(desk_params, desk_grid, desk_cut
 def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid, desk_cuts):
     # the matrix forms of linearization_at_base: dbeta_bar = Q + 1 - 2 mu,
     # dvarphi_bar = -(Q - i n beta) + 2 mu - 1
-    F = random_field(desk_params, desk_grid, desk_cuts, seed=5)
+    F = random_field(desk_params, seed=5)
     mu = desk_params.mu
     eye = np.eye(desk_grid.size + 1)
     dbeta = desk_grid.radial + (1.0 - 2.0 * mu) * eye
@@ -168,7 +167,7 @@ def test_multi_column_solve_equals_column_solves(point, request):
     grid = request.getfixturevalue("desk_grid" if point == "desk" else "prod_grid")
     mu, rng = params.mu, np.random.default_rng(7)
     ops = [mode_operator(grid, n, s) for n in (0, params.N) for s in (shift_plus(mu, n), -1.0)]
-    ops += list(linearization_set(params, grid).values())
+    ops += list(linearization_set(params).values())
     for op in ops:
         rhs = rng.standard_normal((grid.size + 1, 6)) + 1j * rng.standard_normal((grid.size + 1, 6))
         sol = op.solve_function(rhs)
@@ -381,7 +380,7 @@ def test_quadrature_inverse_reports_what_it_cannot_resolve():
 
 def test_assemble_linearization_constant_sector(desk_params, desk_grid, desk_cuts):
     mu = desk_params.mu
-    op = assemble_linearization(0, desk_params, desk_grid)
+    op = assemble_linearization(0, desk_params)
     const = desk_grid.extend(np.ones(desk_grid.size), 1.0)
     out = op.apply_function(const)
     expected = (2 * mu - 1) ** 2 / (2 * mu * mu)
@@ -401,40 +400,39 @@ def test_negative_mode_linearizations_are_conjugates():
     # -n is the conjugate of the one at n.  Measured at the reference point:
     # assemble_linearization <= 5.3e-21 relative, linearization_at_base 0.
     params = _FullLatticeParams(mu=1.0, N=4000, grid_points=257)
-    grid = build_grid(params.grid_points, params.grid_scale)
-    at_base = linearization_at_base(params, grid)
+    at_base = linearization_at_base(params)
     for n in params.N * np.arange(1, params.harmonics + 1):
         for plus, minus in (
-            (assemble_linearization(n, params, grid).fun, assemble_linearization(-n, params, grid).fun),
+            (assemble_linearization(n, params).fun, assemble_linearization(-n, params).fun),
             (at_base[n].fun, at_base[-n].fun),
         ):
             assert np.max(np.abs(minus - plus.conj())) <= 1e-18 * np.max(np.abs(plus)), n
 
 
-def test_assemble_linearization_degenerate_shift(desk_grid):
+def test_assemble_linearization_degenerate_shift():
     params = SolverParams(mu=1.0, N=8, grid_points=96)
     with pytest.raises(DegenerateShiftError):
-        assemble_linearization(1, params, desk_grid)  # (2-1)*1-1 = 0
+        assemble_linearization(1, params)  # (2-1)*1-1 = 0
 
 
 def test_linearization_inverse_constant_sector(desk_params, desk_grid, desk_cuts):
     mu = desk_params.mu
-    opset = linearization_set(desk_params, desk_grid)
+    opset = linearization_set(desk_params)
     modes = {
         int(n): ModeProfile(
             int(n), np.zeros(desk_grid.size), cconst=(1.0 if n == 0 else 0.0)
         )
         for n in desk_params.mode_indices
     }
-    rhs = SpectralField(params=desk_params, grid=desk_grid, modes=modes)
+    rhs = SpectralField(params=desk_params, modes=modes)
     sol = apply_linearization_inverse(opset, rhs, desk_cuts)
     expected = 2 * mu * mu / (2 * mu - 1) ** 2
     assert abs(sol.mode(0).cconst - expected) < 1e-9
 
 
-def test_linearization_inverse_round_trip(desk_params, desk_grid, desk_cuts):
-    opset = linearization_set(desk_params, desk_grid)
-    X = random_field(desk_params, desk_grid, desk_cuts, seed=12)
+def test_linearization_inverse_round_trip(desk_params, desk_cuts):
+    opset = linearization_set(desk_params)
+    X = random_field(desk_params, seed=12)
 
     def apply_op(p):
         out = opset[p.n].apply_function(p.extended(desk_cuts))

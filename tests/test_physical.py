@@ -16,7 +16,6 @@ from spiral_euler import (
     SpectralField,
     SpiralCurve,
     base_vorticity_factor,
-    build_grid,
     eval_fields_batch,
     initial_data,
     newton_solve,
@@ -40,8 +39,8 @@ from spiral_euler.physical import (
 
 
 @pytest.fixture(scope="module")
-def base_setup(desk_params, desk_grid):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def base_setup(desk_params):
+    base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
     return base, omega, FieldEvaluator(base, omega)
 
@@ -205,10 +204,10 @@ def test_chart_newton_keeps_its_last_step(spiral_solution):
     pytest.param(0.0, 1e-8, False, id="root-past-reach"),
 ])
 def test_chart_newton_safeguard_reach(desk_params, desk_grid, c0, cconst, inverts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     modes = dict(base.modes)
     modes[0] = ModeProfile(0, np.zeros(desk_grid.size), c0=c0, cconst=cconst)
-    stream = SpectralField(params=desk_params, grid=desk_grid, modes=modes)
+    stream = SpectralField(params=desk_params, modes=modes)
     ev = FieldEvaluator(stream)
     assert ev.db_inf == pytest.approx(-cconst, rel=1e-12)
     rng = np.random.default_rng(5)
@@ -419,13 +418,13 @@ def test_spiral_extract_sine_zero_set(base_setup, desk_params):
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_spiral_extract_cosine_zero_set(desk_params, desk_grid):
+def test_spiral_extract_cosine_zero_set(desk_params):
     # an angular factor crossing zero yields 2N curves inside the envelope
     amp = 1.05 * desk_params.base_omega
     omega = AngularSignal.constant_plus_cosine(desk_params, amp)
     # the default trust region is sized for high periodicity; widen it for
     # this small-N exercise
-    stream, report = newton_solve(omega, desk_params, grid=desk_grid, epsilon_cap=0.5)
+    stream, report = newton_solve(omega, desk_params, epsilon_cap=0.5)
     assert report.converged
     t = 0.8
     curves = spiral_extract(stream, omega, t, n_beta=96)
@@ -618,7 +617,7 @@ def test_verify_lp_base_closed_form_every_row(mu):
     # base state; a Gauss-Legendre rule in v, blind to the v^(2 mu - p - 1)
     # endpoint power, came out 1.9e-2 low at mu = 0.7, p = 1
     params = SolverParams(mu=mu, N=8, grid_points=96)
-    base = SpectralField.base_state(params, build_grid(params.grid_points, params.grid_scale))
+    base = SpectralField.base_state(params)
     report = verify(base, AngularSignal.base(params), suite=("lp",))
     c = base_vorticity_factor(mu)
     assert {row["p"] for row in report["lp"]} == {p for p in (1.0, 1.5) if p < 2.0 * mu}

@@ -9,7 +9,6 @@ from spiral_euler import (
     SpectralField,
     base_vorticity_factor,
     bounds_check,
-    build_grid,
     match_initial_data,
     newton_solve,
     sample_cutoffs,
@@ -27,19 +26,19 @@ def test_desk_solve_converges(desk_solution):
     assert hist[-1] < 1e-10
 
 
-def test_trivial_fixed_point(desk_params, desk_grid, desk_cuts):
+def test_trivial_fixed_point(desk_params, desk_cuts):
     omega = AngularSignal.base(desk_params)
-    stream, report = newton_solve(omega, desk_params, grid=desk_grid)
+    stream, report = newton_solve(omega, desk_params)
     assert report.iterations <= 1
     assert report.residual_history[-1] <= 1e-12
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     for n in desk_params.mode_indices:
         diff = stream.mode(int(n)).extended(desk_cuts) - base.mode(int(n)).extended(desk_cuts)
         assert np.max(np.abs(diff)) == 0.0
 
 
-def test_bounds_check_base(desk_params, desk_grid):
-    base = SpectralField.base_state(desk_params, desk_grid)
+def test_bounds_check_base(desk_params):
+    base = SpectralField.base_state(desk_params)
     ok, margins = bounds_check(base)
     assert ok
     row = margins["dbeta_bar(psi)"]
@@ -48,10 +47,10 @@ def test_bounds_check_base(desk_params, desk_grid):
 
 
 def test_bounds_check_violation(desk_params, desk_grid, desk_cuts):
-    base = SpectralField.base_state(desk_params, desk_grid)
+    base = SpectralField.base_state(desk_params)
     modes = dict(base.modes)
     modes[0] = ModeProfile(0, np.zeros(desk_grid.size), cconst=modes[0].cconst * 3.0)
-    bad = SpectralField(params=desk_params, grid=desk_grid, modes=modes)
+    bad = SpectralField(params=desk_params, modes=modes)
     ok, margins = bounds_check(bad)
     assert not ok
     assert margins["psi"]["margin"] < 0
@@ -67,6 +66,29 @@ def test_amplitude_gate_rejects_large_perturbation(desk_params):
     big = AngularSignal.constant_plus_cosine(desk_params, amplitude=10.0)
     with pytest.raises(ConvergenceError):
         newton_solve(big, desk_params)
+
+
+def test_stall_at_the_rounding_floor_names_the_floor_and_tol():
+    # match_initial_data's default inner_tol = 1e-12 lies under the residual's
+    # rounding floor at mu = 0.7; its inner history reads 6.45e-5, 1.74e-11,
+    # 2.26e-12, 4.31e-12, and the amplitude is not to blame
+    params = SolverParams(mu=0.7, N=4000)
+    w0 = base_vorticity_factor(params.mu)
+    g = AngularSignal(params, {0: w0, params.N: 0.0025 * w0, -params.N: 0.0025 * w0})
+    with pytest.raises(ConvergenceError) as err:
+        match_initial_data(g, params)
+    assert "rounding floor, 2.3e-12, above tol 1.0e-12" in str(err.value)
+    assert "amplitude" not in str(err.value)
+    assert len(err.value.report.residual_history) == 4
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_growth_far_above_tol_still_names_the_amplitude():
+    # a residual that grows from 0.239, far above 100 tol, is no rounding stall
+    params = SolverParams(mu=1.0, N=4, grid_points=96)
+    omega = AngularSignal.constant_plus_cosine(params, 1.0)
+    with pytest.raises(ConvergenceError, match="grew from 2.394e-01.*smaller angular amplitude"):
+        newton_solve(omega, params, epsilon_cap=100.0)
 
 
 def test_mean_gate_rejects_shifted_mean(desk_params):
@@ -86,7 +108,7 @@ def test_epsilon_used_records_perturbation_size(desk_solution, desk_params):
     assert report.epsilon_used == pytest.approx(expected, rel=1e-12)
 
 
-def test_converged_field_is_real(desk_params, desk_grid, desk_cuts):
+def test_converged_field_is_real(desk_params, desk_cuts):
     # a real angular factor gives a real stream profile, whose mode 0 is
     # real.  (A stronger phi-reflection symmetry fails here: the chart winds
     # the spiral one way, so the coordinates are chiral; an even factor
@@ -98,7 +120,7 @@ def test_converged_field_is_real(desk_params, desk_grid, desk_cuts):
         -N: 0.004 + 0.002j,
     }
     omega = AngularSignal(desk_params, coeffs)
-    stream, _ = newton_solve(omega, desk_params, grid=desk_grid)
+    stream, _ = newton_solve(omega, desk_params)
     # measured: mode 0 exactly real, mode N with imaginary parts up to 6.3e-05
     assert np.all(stream.mode(0).extended(desk_cuts).imag == 0.0)
     assert np.max(np.abs(stream.mode(N).extended(desk_cuts).imag)) > 1e-6
@@ -107,11 +129,10 @@ def test_converged_field_is_real(desk_params, desk_grid, desk_cuts):
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
 def test_fd_backend_matches_chord(desk_cuts):
     params = SolverParams(mu=1.0, N=8, grid_points=48)
-    grid = build_grid(params.grid_points, params.grid_scale)
-    cuts = sample_cutoffs(grid)
+    cuts = sample_cutoffs(params.grid)
     omega = AngularSignal.constant_plus_cosine(params, amplitude=0.01)
-    s_chord, r_chord = newton_solve(omega, params, grid=grid, backend="chord")
-    s_fd, r_fd = newton_solve(omega, params, grid=grid, backend="fd", tol=1e-9)
+    s_chord, r_chord = newton_solve(omega, params, backend="chord")
+    s_fd, r_fd = newton_solve(omega, params, backend="fd", tol=1e-9)
     assert r_fd.converged
     for n in params.mode_indices:
         n = int(n)
@@ -125,22 +146,22 @@ def test_base_vorticity_factor_at_unit_exponent():
     assert base_vorticity_factor(mu) == pytest.approx(mu ** (-1 / (2 * mu)) * (2 - 1 / mu))
 
 
-def test_match_constant_target_returns_base(desk_params, desk_grid):
+def test_match_constant_target_returns_base(desk_params):
     g = AngularSignal(desk_params, {0: base_vorticity_factor(desk_params.mu)})
-    omega, stream, report = match_initial_data(g, desk_params, grid=desk_grid)
+    omega, stream, report = match_initial_data(g, desk_params)
     base = AngularSignal.base(desk_params)
     assert abs(omega.coeff(0) - base.coeff(0)) < 1e-12
     assert omega.seminorm() < 1e-12
     assert report.time_scale == pytest.approx(1.0)
 
 
-def test_match_cosine_target(desk_params, desk_grid):
+def test_match_cosine_target(desk_params):
     w0 = base_vorticity_factor(desk_params.mu)
     g = AngularSignal.constant_plus_cosine(desk_params, 0.01 * w0).plus(
         AngularSignal(desk_params, {0: w0 - desk_params.base_omega})
     )
     assert g.coeff(0) == pytest.approx(w0)
-    omega, stream, report = match_initial_data(g, desk_params, grid=desk_grid, tol=1e-10)
+    omega, stream, report = match_initial_data(g, desk_params, tol=1e-10)
     assert report.converged
     assert report.residual_history[-1] < 1e-10
     # the attained initial vorticity matches the normalized target
@@ -149,26 +170,26 @@ def test_match_cosine_target(desk_params, desk_grid):
     assert mismatch.a_norm(-0.5) < 1e-8
 
 
-def test_match_rescales_amplitude(desk_params, desk_grid):
+def test_match_rescales_amplitude(desk_params):
     w0 = base_vorticity_factor(desk_params.mu)
     lam = 2.5
     g = AngularSignal(desk_params, {0: lam * w0, desk_params.N: 0.002, -desk_params.N: 0.002})
-    omega, stream, report = match_initial_data(g, desk_params, grid=desk_grid)
+    omega, stream, report = match_initial_data(g, desk_params)
     assert report.time_scale == pytest.approx(lam)
 
 
-def test_match_rejects_negative_mean(desk_params, desk_grid):
+def test_match_rejects_negative_mean(desk_params):
     from spiral_euler import ParameterError
 
     g = AngularSignal(desk_params, {0: -base_vorticity_factor(desk_params.mu)})
     with pytest.raises(ParameterError):
-        match_initial_data(g, desk_params, grid=desk_grid)
+        match_initial_data(g, desk_params)
 
 
 @pytest.mark.parametrize("cap", [
     {"max_outer": -1}, {"inner_max_iter": -1}, {"max_iter": -1},
 ], ids=["outer", "inner", "newton"])
-def test_negative_iteration_cap_is_rejected(desk_params, desk_grid, cap):
+def test_negative_iteration_cap_is_rejected(desk_params, cap):
     # a negative cap would run no iteration and hand back the unsolved base
     # state (or no report at all) as if it were a solution
     from spiral_euler import ParameterError
@@ -176,6 +197,6 @@ def test_negative_iteration_cap_is_rejected(desk_params, desk_grid, cap):
     omega = AngularSignal.constant_plus_cosine(desk_params, amplitude=0.01)
     with pytest.raises(ParameterError, match="must be non-negative, got -1"):
         if "max_iter" in cap:
-            newton_solve(omega, desk_params, grid=desk_grid, **cap)
+            newton_solve(omega, desk_params, **cap)
         else:
-            match_initial_data(omega, desk_params, grid=desk_grid, **cap)
+            match_initial_data(omega, desk_params, **cap)
