@@ -169,12 +169,13 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
 
 
 def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
-    """The exit code, stream profile and angular factor of a saved field.json.
+    """The exit code, field evaluator and angular factor of a saved field.json.
 
     The field is read from the path ``field`` if one is given.  Otherwise it
     is out/field.json, solved there first if it is missing; a failed solve
     returns its exit code and no field.  A file that cannot be read or does
-    not describe a field of this format raises ConfigError.
+    not describe a field of this format raises ConfigError.  The evaluator
+    is built once the field has loaded, so its own errors pass through.
     """
     path = Path(field) if field else out / "field.json"
     if not field and not path.exists():
@@ -190,14 +191,13 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc
-    return EXIT_OK, stream, omega
+    return EXIT_OK, FieldEvaluator(stream), omega
 
 
 def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, field) -> int:
-    code, stream, omega = _solution(cfg, out, stamp, field)
+    code, ev, omega = _solution(cfg, out, stamp, field)
     if code != EXIT_OK:
         return code
-    ev = FieldEvaluator(stream, omega)
     t = cfg["reconstruct.t"]
     n = 0  # the samples are evaluated only for samples.csv
     if "csv" in formats:
@@ -206,11 +206,11 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, field)
         r = rng.uniform(0.5, 2.0, n)
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
         x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-        fields = eval_fields_batch(stream, omega, x, np.full(n, t), ev)
+        fields = eval_fields_batch(ev, omega, x, np.full(n, t))
         export_samples_csv(out / "samples.csv", x, t, fields)
     curves = []  # the curves are extracted only for spirals.csv or spirals.svg
     if formats & {"csv", "svg"}:
-        curves = spiral_extract(stream, omega, t, ev=ev)
+        curves = spiral_extract(ev, omega, t)
     if "csv" in formats:
         export_spirals_csv(out / "spirals.csv", curves)
     if "svg" in formats:
@@ -220,11 +220,11 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, field)
 
 
 def cmd_verify(cfg: RunConfig, out: Path, stamp: dict) -> int:
-    code, stream, omega = _solution(cfg, out, stamp)
+    code, ev, omega = _solution(cfg, out, stamp)
     if code != EXIT_OK:
         return code
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
-    report = run_verify(stream, omega, suite=suites, seed=cfg["seed"])
+    report = run_verify(ev, omega, suite=suites, seed=cfg["seed"])
     verdict = verdicts(report)
     passed = all(verdict.values())
     doc = dict(stamp)

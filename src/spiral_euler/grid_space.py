@@ -124,6 +124,11 @@ class SolverParams:
         return self.N * np.arange(self.harmonics + 1)
 
     @property
+    def period(self) -> float:
+        """Angular period 2 pi / N of every field on the mode lattice."""
+        return 2.0 * np.pi / self.N
+
+    @property
     def base_omega(self) -> float:
         """Constant angular factor of the radial base solution, 2 - 1/mu."""
         return 2.0 - 1.0 / self.mu
@@ -577,10 +582,14 @@ class AngularSignal:
     coeffs: Mapping[int, complex]
 
     def __post_init__(self):
-        N, K = self.params.N, self.params.harmonics
-        extra = set(int(n) for n in self.coeffs if n % N != 0 or abs(n) > N * K)
+        extra = self.off_lattice(self.params)
         if extra:
-            raise StructureError(f"coefficients off the mode lattice: {sorted(extra)}")
+            raise StructureError(f"coefficients off the mode lattice: {extra}")
+
+    def off_lattice(self, params: SolverParams) -> list[int]:
+        """The modes n of this signal off params' lattice n = N k, |k| <= harmonics."""
+        N, K = params.N, params.harmonics
+        return sorted(int(n) for n in self.coeffs if n % N != 0 or abs(n) > N * K)
 
     @classmethod
     def base(cls, params: SolverParams) -> "AngularSignal":
@@ -618,8 +627,7 @@ class AngularSignal:
 
     def lp_norm(self, p: float) -> float:
         """L^p norm over the circle by dense quadrature on 4096 points of one period."""
-        period = 2.0 * np.pi / self.params.N
-        phi = period * np.arange(4096) / 4096
+        phi = self.params.period * np.arange(4096) / 4096
         vals = np.abs(self.values(phi)) ** p
         return float((2.0 * np.pi * np.mean(vals)) ** (1.0 / p))
 

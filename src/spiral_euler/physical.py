@@ -126,13 +126,15 @@ class FieldEvaluator:
     The rows db_y and db_phi are db's kept series differentiated in
     y = 1 - 2 s and in phi: chart_fields forms from them the exact slope of
     the log radius, which the chart Newton and the area element share.
+
+    The evaluator is the one handle on a solved stream: it holds no angular
+    factor, and each function that forms the vorticity takes Omega beside it.
     """
 
     # the keys of operators.derived_fields
     FIELDS = ("psi", "db", "dv", "dp", "dpdb", "lg")
 
-    def __init__(self, stream: SpectralField, omega: AngularSignal | None = None):
-        self.omega = omega
+    def __init__(self, stream: SpectralField):
         self.params = stream.params
         self.grid = stream.grid
         self.cuts = sample_cutoffs(stream.grid)
@@ -216,16 +218,9 @@ class FieldEvaluator:
             raise InversionError("the radial derivative lost its sign; run bounds_check")
         return 0.5 * np.log(-db / self.mu) - self.mu * np.log(beta)
 
-    def omega_values(self, phi) -> np.ndarray:
-        if self.omega is None:
-            raise ParameterError("this evaluator was built without an angular factor")
-        return self.omega.values(phi)
 
-
-def to_plane(stream: SpectralField, beta, phi, ev: FieldEvaluator | None = None) -> np.ndarray:
-    """Chart map: (beta, phi) with beta > 0 to the self-similar plane."""
-    if ev is None:
-        ev = FieldEvaluator(stream)
+def to_plane(ev: FieldEvaluator, beta, phi) -> np.ndarray:
+    """Chart map of the evaluator's stream: (beta, phi) with beta > 0 to the plane."""
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if np.any(beta <= 0):
@@ -298,17 +293,13 @@ def _chart_newton(
     return beta
 
 
-def to_chart(
-    stream: SpectralField, z: np.ndarray, ev: FieldEvaluator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the chart map at nonzero plane points.
+def to_chart(ev: FieldEvaluator, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the evaluator's chart map at nonzero plane points.
 
     Along the line beta + phi = arg(z) the log-radius is strictly decreasing
     in beta; _chart_newton solves it to a misfit below 1e-13.  Returns
     (beta, phi) arrays matching z[..., 2].
     """
-    if ev is None:
-        ev = FieldEvaluator(stream)
     z = np.asarray(z, dtype=float)
     r = np.hypot(z[..., 0], z[..., 1])
     if np.any(r == 0.0):
@@ -331,18 +322,13 @@ def _velocity(scale, mu, theta, db, dv, dp, dpdb, lg):
 
 
 def eval_fields_batch(
-    stream: SpectralField,
-    omega: AngularSignal,
-    x: np.ndarray,
-    t: np.ndarray,
-    ev: FieldEvaluator | None = None,
+    ev: FieldEvaluator, omega: AngularSignal, x: np.ndarray, t: np.ndarray
 ) -> dict:
     """Reconstruct w, u, psi at arrays of space-time points (t > 0).
 
-    A nonzero x that t^-mu scales to zero raises InversionError.
+    The evaluator's stream gives u and psi; w takes the angular factor omega
+    too.  A nonzero x that t^-mu scales to zero raises InversionError.
     """
-    if ev is None:
-        ev = FieldEvaluator(stream, omega)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     mu = ev.mu
@@ -352,9 +338,9 @@ def eval_fields_batch(
     lost = ~np.any(z, axis=-1) & np.any(x, axis=-1)
     if np.any(lost):
         raise InversionError("chart inversion cannot reach |z| = 0: |x| t^-mu underflows")
-    beta, phi = to_chart(stream, z, ev)
+    beta, phi = to_chart(ev, z)
     psiv, db, dv, dp, dpdb, lg = ev.field(ev.FIELDS, beta, phi)
-    om = ev.omega_values(phi)
+    om = omega.values(phi)
 
     w = (beta / t) * dv ** (-1.0 / (2.0 * mu)) * om
     psi = (beta / t) ** (1.0 - 2.0 * mu) * psiv
@@ -370,25 +356,21 @@ def eval_fields_batch(
     }
 
 
-def initial_data(
-    stream: SpectralField, omega: AngularSignal, theta, ev: FieldEvaluator | None = None
-) -> dict:
+def initial_data(ev: FieldEvaluator, omega: AngularSignal, theta) -> dict:
     """Angular factors of the time-zero limits.
 
     w(x, 0)   = |x|^(-1/mu) * w0(theta)
     u(x, 0)   = |x|^(1-1/mu) * u0(theta)           (2-vector factor)
     psi(x, 0) = |x|^(2-1/mu) * psi0(theta)
 
-    The boundary values at beta = 0 come straight from the structured
-    decomposition (the origin is the first grid node).
+    The values at beta = 0 are the evaluator's chopped series at s = 0, at
+    the angles theta; only w0 takes the angular factor omega.
     """
-    if ev is None:
-        ev = FieldEvaluator(stream, omega)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mu = ev.mu
     zero = np.zeros_like(theta)
     psi0, db0, dv0, dp0, dpdb0, lg0 = ev.field(ev.FIELDS, zero, theta)
-    om = ev.omega_values(theta)
+    om = omega.values(theta)
 
     w0 = (db0 / (-mu * dv0)) ** (1.0 / (2.0 * mu)) * om
     psi0_factor = (-db0 / mu) ** (1.0 / (2.0 * mu) - 1.0) * psi0
@@ -403,7 +385,7 @@ def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
     of one period (its end point takes the value at 0) are bisected at once.
     """
     n_scan = 16384
-    period = 2.0 * np.pi / params.N
+    period = params.period
     phis = period * np.arange(n_scan + 1) / n_scan
     vals = omega.values(phis[:-1])
     vals = np.append(vals, vals[0])
@@ -421,21 +403,16 @@ def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
 
 
 def spiral_extract(
-    stream: SpectralField,
-    omega: AngularSignal,
-    t: float,
-    n_beta: int = 160,
-    ev: FieldEvaluator | None = None,
+    ev: FieldEvaluator, omega: AngularSignal, t: float, n_beta: int = 160
 ) -> list[SpiralCurve]:
     """Zero-set curves of the vorticity at time t.
 
-    One curve per zero of the angular factor, sampled at n_beta radii
-    geometric in [0.05, 40]; an angular factor without zeros gives an
-    empty list.  A curve point past the float range raises InversionError.
+    One curve per zero of the angular factor omega, the evaluator's chart
+    image of the line phi = phi0, sampled at n_beta radii geometric in
+    [0.05, 40]; an angular factor without zeros gives an empty list.  A
+    curve point past the float range raises InversionError.
     """
-    if ev is None:
-        ev = FieldEvaluator(stream, omega)
-    zeros = _omega_zeros(omega, stream.params)
+    zeros = _omega_zeros(omega, ev.params)
     if len(zeros) == 0:
         return []
     beta = np.geomspace(0.05, 40.0, n_beta)
@@ -443,7 +420,7 @@ def spiral_extract(
     # curve j's points in the contiguous block points[j]; a float64 scalar
     # power is libm's pow, as Python's is (np.power's SIMD loop may differ)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point raises below
-        points = np.float64(t) ** ev.mu * to_plane(stream, beta[None, :], zeros[:, None], ev)
+        points = np.float64(t) ** ev.mu * to_plane(ev, beta[None, :], zeros[:, None])
     if not np.all(np.isfinite(points)):
         raise InversionError(f"the zero-set curves at t = {t:.3e} leave the float range")
     return [
@@ -516,7 +493,9 @@ def _gauss_power(n, g):
     return 0.5 * (1.0 + x), vec[0] ** 2 / (g + 1.0)
 
 
-def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float) -> list[float]:
+def _lp_chart_norms(
+    ev: FieldEvaluator, omega: AngularSignal, ps: Sequence[float], R: float, t: float
+) -> list[float]:
     """L^p norms of w(., t) over the centered ball of radius R via the chart.
 
     The ball pulls back to beta >= beta*(phi); beta = beta*/v maps it to
@@ -528,11 +507,11 @@ def _lp_chart_norms(ev: FieldEvaluator, ps: Sequence[float], R: float, t: float)
     mu = ev.mu
     # the chart fields are 2 pi / N periodic; sampling one period makes the
     # trapezoid sum exact and immune to aliasing at high periodicity
-    phis = 2.0 * np.pi / ev.params.N * np.arange(n_phi) / n_phi
+    phis = ev.params.period * np.arange(n_phi) / n_phi
     # solve |z(beta, phi)| = R t^(-mu) per angle along the lines phi = const
     what = f"lp radius solve at R = {R}, t = {t}"
     beta = _chart_newton(ev, np.full(n_phi, R * t ** (-mu)), phis, 0.0, what)
-    om = np.abs(ev.omega_values(phis))
+    om = np.abs(omega.values(phis))
     norms = []
     for p in ps:
         v, wv = _gauss_power(n_rad, 2.0 * mu - p - 1.0)
@@ -557,23 +536,23 @@ def _columns(ev, r0, r1, t, phis):
     return pre[:, 0].min(axis=1), pre[:, 1].max(axis=1)
 
 
-def _annulus(ev, r0, r1, t, n_rad, n_phi):
+def _annulus(ev, omega, r0, r1, t, n_rad, n_phi):
     """Fields and weights of a chart quadrature over r0 < |x| < r1 at times t.
 
     Each time's column (_columns) carries n_rad Gauss nodes in v = lo / beta,
     shared by n_phi angles of one 2 pi / N period: one Clenshaw recurrence
     per beta, and the weight of N periods (the test functions are radial).
-    Returns |x|, w, u_r, u_theta and t^(2 mu) area dbeta dphi, each of shape
-    (len(t), n_rad, n_phi).
+    Returns |x|, w (its angular factor omega), u_r, u_theta and t^(2 mu)
+    area dbeta dphi, each of shape (len(t), n_rad, n_phi).
     """
     mu, tt = ev.mu, t[:, None, None]
-    phis = 2.0 * np.pi / ev.params.N * np.arange(n_phi) / n_phi
+    phis = ev.params.period * np.arange(n_phi) / n_phi
     lo, hi = _columns(ev, r0, r1, t, phis)
     v, wv = _gauss(n_rad, (lo / hi)[:, None], 1.0)
     beta = (lo[:, None] / v)[..., None]
     (db, dv, dp, dpdb, lg), a, da = ev.chart_fields(ev.FIELDS[1:], beta, phis, 1.0)
     r = tt**mu * np.exp(a)
-    w = (beta / tt) * dv ** (-1.0 / (2.0 * mu)) * ev.omega_values(phis)
+    w = (beta / tt) * dv ** (-1.0 / (2.0 * mu)) * omega.values(phis)
     ur, uth = _velocity(r ** (1.0 - 1.0 / mu), mu, 0.0, db, dv, dp, dpdb, lg)
     area = np.exp(2.0 * a) * np.abs(da)
     # dbeta = lo dv / v^2 = beta dv / v
@@ -606,12 +585,10 @@ def verdicts(report: dict) -> dict:
 
 
 def verify(
-    stream: SpectralField,
-    omega: AngularSignal,
-    suite: Sequence[str] = VERIFY_SUITES,
-    seed: int = 42,
+    ev: FieldEvaluator, omega: AngularSignal, suite: Sequence[str] = VERIFY_SUITES, seed: int = 42
 ) -> dict:
-    """Run the physical-space verification suites; returns a value report.
+    """Run the physical-space verification suites on the evaluator's stream
+    and the angular factor omega; returns a value report.
 
     selfsim  scaling identity w(lambda^mu x, lambda t) = w(x, t)/lambda
     lp       time-independent L^p bound over centered balls
@@ -622,7 +599,6 @@ def verify(
     unknown = set(suite) - set(VERIFY_SUITES)
     if unknown:
         raise ParameterError(f"unknown verification suites: {sorted(unknown)}")
-    ev = FieldEvaluator(stream, omega)
     mu = ev.mu
     rng = np.random.default_rng(seed)
     report: dict = {"suite": list(suite), "seed": seed}
@@ -634,9 +610,9 @@ def verify(
         x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
         t = rng.uniform(0.2, 1.0, P)
         lam = rng.uniform(0.5, 2.0, P)
-        f1 = eval_fields_batch(stream, omega, x, t, ev)
+        f1 = eval_fields_batch(ev, omega, x, t)
         xs = x * (lam**mu)[:, None]
-        f2 = eval_fields_batch(stream, omega, xs, lam * t, ev)
+        f2 = eval_fields_batch(ev, omega, xs, lam * t)
         scale = np.max(np.abs(f1["w"]))
         defect = np.max(np.abs(lam * f2["w"] - f1["w"])) / scale
         report["selfsim"] = {"samples": P, "max_rel_defect": float(defect)}
@@ -644,7 +620,7 @@ def verify(
     if "lp" in suite:
         ps = [p for p in (1.0, 1.5) if p < 2.0 * mu]
         times, radii = (0.01, 0.1, 1.0), (0.5, 1.0, 2.0)
-        norms = {(t, R): _lp_chart_norms(ev, ps, R, t) for t in times for R in radii}
+        norms = {(t, R): _lp_chart_norms(ev, omega, ps, R, t) for t in times for R in radii}
         rows = []
         for i, p in enumerate(ps):
             for t in times:
@@ -677,7 +653,7 @@ def verify(
         rows = []
         for r0, r1, a, b in tests:
             tq, wt = _gauss(_WEAK_T_NODES, max(a, 0.0), b)
-            r, W, Ur, _, wq = _annulus(ev, r0, r1, tq, 32, 80)
+            r, W, Ur, _, wq = _annulus(ev, omega, r0, r1, tq, 32, 80)
             g, gp = bump(r, r0, r1)
             # h and h' carry the t rule's weights; u . grad(g h) = g' h u_r
             h, hp = (f[:, None, None] * wt[:, None, None] for f in bump(tq, a, b))
@@ -689,8 +665,8 @@ def verify(
                 # initial term: w(., 0) = |x|^(-1/mu) w0(theta), radii by their own rule
                 h0 = float(bump(0.0, a, b)[0])
                 rq, wr = _gauss(32, r0, r1)
-                th = 2.0 * np.pi / ev.params.N * np.arange(80) / 80
-                w0 = initial_data(stream, omega, th, ev)["w0"]
+                th = ev.params.period * np.arange(80) / 80
+                w0 = initial_data(ev, omega, th)["w0"]
                 rad = float(np.sum(wr * rq ** (1.0 - 1.0 / mu) * bump(rq, r0, r1)[0]))
                 term_init = h0 * rad * float(np.sum(w0) * (2.0 * np.pi / 80))
             resid = term_init + term_t + term_adv
@@ -704,7 +680,7 @@ def verify(
         divfree, poisson = [], []
         for r0, r1, a, b in tests[:3]:
             tval = 0.5 * (max(a, 0.05) + b)
-            r, W, Ur, Uth, wq = _annulus(ev, r0, r1, np.array([tval]), 48, 128)
+            r, W, Ur, Uth, wq = _annulus(ev, omega, r0, r1, np.array([tval]), 48, 128)
             g, gp = bump(r, r0, r1)
             val = float(np.sum(gp * Ur * wq))
             scale = float(np.sum(np.hypot(Ur, Uth) * np.abs(gp) * wq)) or 1.0

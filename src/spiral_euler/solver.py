@@ -107,6 +107,13 @@ def bounds_check(stream: SpectralField) -> tuple[bool, dict]:
     return ok, margins
 
 
+def _lattice_check(signal: AngularSignal, params: SolverParams, what: str) -> None:
+    """Raise ParameterError naming the modes of signal off params' lattice."""
+    off = signal.off_lattice(params)
+    if off:
+        raise ParameterError(f"{what} has modes {off} off the lattice of N={params.N}")
+
+
 def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) -> None:
     """Enforce the smallness hypothesis on the angular factor.
 
@@ -145,10 +152,12 @@ def newton_solve(
     backend "chord" freezes the base-state linearization, kept by ws; "fd"
     refreshes the Jacobian by finite differences each step (small grids only).
     Raises ConvergenceError carrying the report on failure, and
-    ParameterError on a negative max_iter.
+    ParameterError on a negative max_iter or an omega with modes off the
+    lattice of params.
     """
     if max_iter < 0:
         raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
+    _lattice_check(omega, params, "the angular factor")
     if ws is None:
         ws = NonlinearWorkspace(params)
     if backend not in ("chord", "fd"):
@@ -281,12 +290,13 @@ def match_initial_data(
     ratio lambda = mean(g)/base is stored in the report, and the physical
     solution for the original g is lambda * w(x, lambda * t).  The report's
     history is the outer mismatch, and a failed match's ConvergenceError
-    carries that report too.  A negative max_outer or inner_max_iter raises
-    ParameterError.
+    carries that report too.  A negative max_outer or inner_max_iter, or a
+    g with modes off the lattice of params, raises ParameterError.
     """
     for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
         if cap < 0:
             raise ParameterError(f"{name} must be non-negative, got {cap}")
+    _lattice_check(g, params, "the target angular profile")
     g0_hat = g.coeff(0)
     if g0_hat == 0.0:
         raise ParameterError("the target angular profile must have a nonzero mean")

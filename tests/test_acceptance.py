@@ -266,19 +266,19 @@ def test_criterion_6_initial_data_matching(prod):
 def test_criterion_7_physical_verification(prod_solved):
     stream, omega, _, _ = prod_solved
     params = stream.params
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
 
     rng = np.random.default_rng(5)
     beta = rng.uniform(0.2, 6.0, 1000)
     phi = rng.uniform(0.0, 2 * np.pi, 1000)
-    z = to_plane(stream, beta, phi, ev)
-    b2, p2 = to_chart(stream, z, ev)
-    z2 = to_plane(stream, b2, p2, ev)
+    z = to_plane(ev, beta, phi)
+    b2, p2 = to_chart(ev, z)
+    z2 = to_plane(ev, b2, p2)
     round_trip = float(
         np.max(np.hypot(z[:, 0] - z2[:, 0], z[:, 1] - z2[:, 1]) / np.hypot(z[:, 0], z[:, 1]))
     )
 
-    report = verify(stream, omega)
+    report = verify(ev, omega)
     selfsim = report["selfsim"]["max_rel_defect"]
     lp_ok = all(row["ok"] for row in report["lp"]) and len(report["lp"]) == 18
     weak = max(row["rel"] for row in report["weak"])
@@ -297,11 +297,11 @@ def test_criterion_7_physical_verification(prod_solved):
     X = np.stack([R * np.cos(TH), R * np.sin(TH)], axis=-1).reshape(-1, 2)
     w0 = (
         np.hypot(X[:, 0], X[:, 1]) ** (-1 / params.mu)
-        * initial_data(stream, omega, np.arctan2(X[:, 1], X[:, 0]), ev)["w0"]
+        * initial_data(ev, omega, np.arctan2(X[:, 1], X[:, 0]))["w0"]
     )
     dists = []
     for t in (0.1, 0.01, 0.001):
-        w = eval_fields_batch(stream, omega, X, np.full(len(X), t), ev)["w"]
+        w = eval_fields_batch(ev, omega, X, np.full(len(X), t))["w"]
         dists.append(float(np.mean(np.abs(w - w0))))
     monotone = dists[0] > dists[1] > dists[2]
 
@@ -336,7 +336,8 @@ def test_criterion_8_spiral_oracle(prod):
     omega = AngularSignal.constant_plus_cosine(params, amp)
     stream, report = newton_solve(omega, params)
     t = 0.7
-    curves = spiral_extract(stream, omega, t, n_beta=64)
+    ev = FieldEvaluator(stream)
+    curves = spiral_extract(ev, omega, t, n_beta=64)
     n_curves = len(curves)
     envelope_ok = True
     for c in curves:
@@ -349,7 +350,6 @@ def test_criterion_8_spiral_oracle(prod):
 
     # vorticity vanishes on the curves relative to the off-curve scale,
     # evaluated directly on the chart
-    ev = FieldEvaluator(stream, omega)
     zeros = np.array([c.phi0 for c in curves[:: max(1, n_curves // 16)]])
     betas = curves[0].beta[::8]
     B, P = np.meshgrid(betas, zeros, indexing="ij")

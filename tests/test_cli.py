@@ -415,6 +415,24 @@ def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
         )
 
 
+def test_evaluator_error_is_no_load_error(tmp_path, monkeypatch):
+    # the evaluator is built after the field has loaded: a ValueError of its
+    # own is not reported as a saved field that cannot be loaded
+    from spiral_euler import ParameterError, cli
+
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(DESK)
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def refuse(stream):
+        raise ParameterError("evaluator refused")
+
+    monkeypatch.setattr(cli, "FieldEvaluator", refuse)
+    for argv in (["verify"], ["reconstruct", "--field", str(out / "field.json")]):
+        with pytest.raises(ParameterError, match="evaluator refused"):
+            main([*argv, "--config", str(cfg), "--out", str(out)])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["certify", "--bogus"], "unrecognized arguments: --bogus"),
     (["solve", "--format", "csv"], "unrecognized arguments: --format csv"),

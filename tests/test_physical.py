@@ -42,16 +42,16 @@ from spiral_euler.physical import (
 def base_setup(desk_params):
     base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
-    return base, omega, FieldEvaluator(base, omega)
+    return base, omega, FieldEvaluator(base)
 
 
 def test_chart_map_base_values(base_setup):
     base, omega, ev = base_setup
-    z = to_plane(base, np.array([1.0]), np.array([0.0]), ev)
+    z = to_plane(ev, np.array([1.0]), np.array([0.0]))
     assert z[0, 0] == pytest.approx(np.cos(1.0), abs=1e-12)
     assert z[0, 1] == pytest.approx(np.sin(1.0), abs=1e-12)
     # radius follows the power law mu^(-1/2) beta^(-mu)
-    z2 = to_plane(base, np.array([2.0, 4.0]), np.array([0.7, 0.7]), ev)
+    z2 = to_plane(ev, np.array([2.0, 4.0]), np.array([0.7, 0.7]))
     r = np.hypot(z2[:, 0], z2[:, 1])
     assert r[0] == pytest.approx(0.5, abs=1e-12)
     assert r[0] / r[1] == pytest.approx(2.0, rel=1e-12)
@@ -59,7 +59,7 @@ def test_chart_map_base_values(base_setup):
 
 def test_chart_inversion_base_point(base_setup):
     base, omega, ev = base_setup
-    beta, phi = to_chart(base, np.array([[1.0, 0.0]]), ev)
+    beta, phi = to_chart(ev, np.array([[1.0, 0.0]]))
     assert beta[0] == pytest.approx(1.0, abs=1e-12)
     assert phi[0] == pytest.approx(2 * np.pi - 1.0, abs=1e-12)
 
@@ -69,9 +69,9 @@ def test_chart_round_trip_random(base_setup):
     rng = np.random.default_rng(3)
     b = rng.uniform(0.2, 6.0, 400)
     p = rng.uniform(0.0, 2 * np.pi, 400)
-    z = to_plane(base, b, p, ev)
-    b2, p2 = to_chart(base, z, ev)
-    z2 = to_plane(base, b2, p2, ev)
+    z = to_plane(ev, b, p)
+    b2, p2 = to_chart(ev, z)
+    z2 = to_plane(ev, b2, p2)
     rel = np.hypot(z[:, 0] - z2[:, 0], z[:, 1] - z2[:, 1]) / np.hypot(z[:, 0], z[:, 1])
     assert np.max(rel) < 1e-10
 
@@ -88,16 +88,16 @@ def test_chart_inversion_stall_raises(desk_solution):
     stream, omega, _ = desk_solution
     z = np.random.default_rng(4).uniform(0.5, 2.0, (50, 2))
     with pytest.raises(InversionError, match="chart inversion stalled"):
-        to_chart(stream, z, _SteepSlope(stream, omega))
+        to_chart(_SteepSlope(stream), z)
 
 
 def test_chart_inversion_rejects_lost_sign(base_setup):
     # the negated base stream has dbeta_bar psi > 0 everywhere
     base, omega, _ = base_setup
     flipped = base.scaled(-1.0)
-    ev = FieldEvaluator(flipped, omega)
+    ev = FieldEvaluator(flipped)
     with pytest.raises(InversionError, match="lost its sign"):
-        to_chart(flipped, np.array([[1.0, 0.5]]), ev)
+        to_chart(ev, np.array([[1.0, 0.5]]))
 
 
 # max |fast - full| / max |full| per field over the test's chart points; the
@@ -116,7 +116,7 @@ FAST_FIELD_BOUNDS = {
 @pytest.mark.parametrize("solution", sorted(FAST_FIELD_BOUNDS))
 def test_fused_fields_match_full_mode_sum(request, solution):
     stream, omega, _ = request.getfixturevalue(solution)
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     grid, params = stream.grid, stream.params
     rng = np.random.default_rng(12)
     beta = np.exp(rng.uniform(np.log(0.01), np.log(50.0), 5000))
@@ -142,7 +142,7 @@ def test_reference_evaluator_chops_plateauless_rows(prod_solution):
     # kept whole, as the plateau rule alone keeps them, they bring the
     # count to 2005.  db_y and db_phi differentiate db's kept rows.
     stream, omega, _ = prod_solution
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     kept = {name: int(np.count_nonzero(rows)) for name, rows in ev._rows.items()}
     assert kept == {"psi": 47, "db": 52, "dv": 92, "dp": 120, "dpdb": 332, "lg": 100,
                     "db_y": 45, "db_phi": 44}
@@ -154,7 +154,7 @@ def test_chart_newton_starts_at_base_preimage(prod_solution, monkeypatch):
     # the evaluation that confirms |F| < 1e-13, each one fused
     # (db, db_y, db_phi) call
     stream, omega, _ = prod_solution
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     z = np.random.default_rng(6).uniform(-2.0, 2.0, (2000, 2))
     seen = []
     field = FieldEvaluator.field
@@ -165,10 +165,10 @@ def test_chart_newton_starts_at_base_preimage(prod_solution, monkeypatch):
         return field(self, names, beta, phi)
 
     monkeypatch.setattr(FieldEvaluator, "field", counted)
-    beta, phi = to_chart(stream, z, ev)
+    beta, phi = to_chart(ev, z)
     assert sum(seen) <= 2 * len(z)
     monkeypatch.undo()
-    z2 = to_plane(stream, beta, phi, ev)
+    z2 = to_plane(ev, beta, phi)
     assert np.max(np.hypot(*(z - z2).T) / np.hypot(*z.T)) < 1e-12
 
 
@@ -177,9 +177,9 @@ def test_chart_newton_keeps_its_last_step(spiral_solution):
     # from the returned radii; keeping the iterate that passed |F| < 1e-13
     # instead of its Newton step left the radii up to 9.9e-14 relative away
     stream, omega, _ = spiral_solution
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     z = np.random.default_rng(6).uniform(-2.0, 2.0, (2000, 2))
-    beta, _ = to_chart(stream, z, ev)
+    beta, _ = to_chart(ev, z)
     theta = np.arctan2(z[:, 1], z[:, 0])
     target = np.log(np.hypot(z[:, 0], z[:, 1]))
     ref = beta.copy()
@@ -215,10 +215,10 @@ def test_chart_newton_safeguard_reach(desk_params, desk_grid, c0, cconst, invert
     z = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
     if not inverts:
         with pytest.raises(InversionError, match="stalled"):
-            to_chart(stream, z, ev)
+            to_chart(ev, z)
         return
-    beta, phi = to_chart(stream, z, ev)
-    z2 = to_plane(stream, beta, phi, ev)
+    beta, phi = to_chart(ev, z)
+    z2 = to_plane(ev, beta, phi)
     assert np.max(np.hypot(*(z - z2).T) / r) < 1e-12
 
 
@@ -230,29 +230,29 @@ def test_chart_rejects_points_out_of_reach(base_setup, radius):
     base, omega, ev = base_setup
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         with pytest.raises(InversionError, match="chart inversion cannot reach"):
-            to_chart(base, np.array([[1.0, 0.0], [radius, 0.0]]), ev)
+            to_chart(ev, np.array([[1.0, 0.0], [radius, 0.0]]))
 
 
 @pytest.mark.parametrize("radius", [1e-150, 1e300, 1e308])
 def test_chart_inverts_near_its_reach(base_setup, radius):
     # the base flow's radius is 1/beta at mu = 1
     base, omega, ev = base_setup
-    beta, phi = to_chart(base, np.array([[radius, 0.0]]), ev)
+    beta, phi = to_chart(ev, np.array([[radius, 0.0]]))
     assert beta[0] == pytest.approx(1.0 / radius, rel=1e-12)
 
 
 def test_chart_rejects_origin(base_setup):
     base, omega, ev = base_setup
     with pytest.raises(ParameterError):
-        to_chart(base, np.array([[0.0, 0.0]]), ev)
+        to_chart(ev, np.array([[0.0, 0.0]]))
     with pytest.raises(ParameterError):
-        to_plane(base, np.array([0.0]), np.array([0.0]), ev)
+        to_plane(ev, np.array([0.0]), np.array([0.0]))
 
 
 def test_base_fields_closed_form(base_setup, desk_params):
     base, omega, ev = base_setup
     mu = desk_params.mu
-    f = eval_fields_batch(base, omega, np.array([[0.3, 0.4]]), np.array([0.7]), ev)
+    f = eval_fields_batch(ev, omega, np.array([[0.3, 0.4]]), np.array([0.7]))
     C = base_vorticity_factor(mu)
     assert f["w"][0] == pytest.approx(C * 0.5 ** (-1 / mu), rel=1e-12)
     # velocity is tangential with the closed-form magnitude
@@ -269,7 +269,7 @@ def test_base_fields_closed_form(base_setup, desk_params):
 def test_base_vorticity_time_independent(base_setup):
     base, omega, ev = base_setup
     x = np.array([[1.2, -0.5], [1.2, -0.5]])
-    w = eval_fields_batch(base, omega, x, np.array([0.3, 1.7]), ev)["w"]
+    w = eval_fields_batch(ev, omega, x, np.array([0.3, 1.7]))["w"]
     assert w[0] == pytest.approx(w[1], rel=1e-12)
 
 
@@ -278,8 +278,8 @@ def test_chart_vorticity_profile(base_setup, desk_params):
     base, omega, ev = base_setup
     mu = desk_params.mu
     beta = np.array([0.5, 1.0, 2.5])
-    z = to_plane(base, beta, np.ones(3), ev)
-    w = eval_fields_batch(base, omega, z, np.ones(3), ev)["w"]
+    z = to_plane(ev, beta, np.ones(3))
+    w = eval_fields_batch(ev, omega, z, np.ones(3))["w"]
     assert w == pytest.approx((2 - 1 / mu) * beta, rel=1e-10)
 
 
@@ -287,7 +287,7 @@ def test_initial_data_base_factors(base_setup, desk_params):
     base, omega, ev = base_setup
     mu = desk_params.mu
     theta = np.linspace(0, 2 * np.pi, 9)
-    out = initial_data(base, omega, theta, ev)
+    out = initial_data(ev, omega, theta)
     w0 = base_vorticity_factor(mu)
     assert np.max(np.abs(out["w0"] - w0)) < 1e-12
     # the stream factor reduces to C (2 - 1/mu)^(-2)
@@ -297,11 +297,29 @@ def test_initial_data_base_factors(base_setup, desk_params):
     assert np.max(np.abs(out["psi0"] - expected)) < 1e-12
 
 
+def test_one_evaluator_serves_two_angular_factors(desk_solution):
+    # the evaluator holds no angular factor: w and w0 follow the omega passed
+    # beside it, and u and psi do not depend on it
+    stream, omega, _ = desk_solution
+    ev = FieldEvaluator(stream)
+    x = np.random.default_rng(7).uniform(-1.5, 1.5, (50, 2))
+    t = np.full(50, 0.8)
+    one, two = (eval_fields_batch(ev, om, x, t) for om in (omega, omega.scaled(2.0)))
+    assert np.array_equal(two["w"], 2.0 * one["w"])
+    for key in ("u1", "u2", "psi"):
+        assert np.array_equal(two[key], one[key]), key
+    theta = np.linspace(0.0, 2.0 * np.pi, 33)
+    one, two = (initial_data(ev, om, theta) for om in (omega, omega.scaled(2.0)))
+    assert np.array_equal(two["w0"], 2.0 * one["w0"])
+    for key in ("u0", "psi0"):
+        assert np.array_equal(two[key], one[key]), key
+
+
 def test_velocity_is_perp_gradient_of_stream(desk_solution):
     # the reconstructed velocity equals the rotated gradient of the stream,
     # checked by central differences at physical points
     stream, omega, _ = desk_solution
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1.5, 1.5, (40, 2))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.4]
@@ -311,7 +329,7 @@ def test_velocity_is_perp_gradient_of_stream(desk_solution):
     # the points themselves, then their four offsets by h, one batch
     steps = np.array([[0.0, 0.0], [0.0, h], [0.0, -h], [h, 0.0], [-h, 0.0]])
     allx = (steps[:, None, :] + x[None, :, :]).reshape(-1, 2)
-    f = eval_fields_batch(stream, omega, allx, np.full(len(allx), t), ev)
+    f = eval_fields_batch(ev, omega, allx, np.full(len(allx), t))
     psi = f["psi"].reshape(5, len(x))
     u1 = -(psi[1] - psi[2]) / (2 * h)
     u2 = (psi[3] - psi[4]) / (2 * h)
@@ -322,7 +340,7 @@ def test_velocity_is_perp_gradient_of_stream(desk_solution):
 def test_initial_data_convergence_in_l1(desk_solution, desk_params):
     # || w(., t) - w(., 0) ||_{L^1(annulus)} decreases as t drops
     stream, omega, _ = desk_solution
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     nr, nth = 24, 64
     r = np.linspace(0.6, 1.8, nr)
     th = (2 * np.pi / desk_params.N) * np.arange(nth) / nth
@@ -330,26 +348,26 @@ def test_initial_data_convergence_in_l1(desk_solution, desk_params):
     X = np.stack([R * np.cos(TH), R * np.sin(TH)], axis=-1).reshape(-1, 2)
     w0 = (
         np.hypot(X[:, 0], X[:, 1]) ** (-1 / desk_params.mu)
-        * initial_data(stream, omega, np.arctan2(X[:, 1], X[:, 0]), ev)["w0"]
+        * initial_data(ev, omega, np.arctan2(X[:, 1], X[:, 0]))["w0"]
     )
     dists = []
     for t in (0.1, 0.01, 0.001):
-        w = eval_fields_batch(stream, omega, X, np.full(len(X), t), ev)["w"]
+        w = eval_fields_batch(ev, omega, X, np.full(len(X), t))["w"]
         dists.append(np.mean(np.abs(w - w0)))
     assert dists[0] > dists[1] > dists[2]
 
 
 def test_spiral_extract_no_zeros_is_empty(desk_solution):
     stream, omega, _ = desk_solution
-    assert spiral_extract(stream, omega, 1.0) == []
+    assert spiral_extract(FieldEvaluator(stream), omega, 1.0) == []
 
 
 def test_spiral_extract_rejects_points_past_float_range(base_setup, desk_params):
     base, _, ev = base_setup
     omega = AngularSignal(desk_params, {desk_params.N: -0.5j, -desk_params.N: 0.5j})
-    assert len(spiral_extract(base, omega, 1e300, n_beta=8, ev=ev)) == 2 * desk_params.N
+    assert len(spiral_extract(ev, omega, 1e300, n_beta=8)) == 2 * desk_params.N
     with pytest.raises(InversionError, match="leave the float range"):
-        spiral_extract(base, omega, 1e308, n_beta=8, ev=ev)
+        spiral_extract(ev, omega, 1e308, n_beta=8)
 
 
 def test_eval_fields_batch_rejects_points_scaled_to_the_origin(base_setup):
@@ -357,9 +375,9 @@ def test_eval_fields_batch_rejects_points_scaled_to_the_origin(base_setup):
     # the origin itself is no point of the chart's domain at all
     base, omega, ev = base_setup
     with pytest.raises(InversionError, match=r"cannot reach \|z\| = 0"):
-        eval_fields_batch(base, omega, np.array([[1.0, 0.0], [1e-100, 0.0]]), np.full(2, 1e300), ev)
+        eval_fields_batch(ev, omega, np.array([[1.0, 0.0], [1e-100, 0.0]]), np.full(2, 1e300))
     with pytest.raises(ParameterError, match="origin"):
-        eval_fields_batch(base, omega, np.zeros((1, 2)), np.ones(1), ev)
+        eval_fields_batch(ev, omega, np.zeros((1, 2)), np.ones(1))
 
 
 def _scalar_omega_zeros(omega, params):
@@ -410,7 +428,7 @@ def test_spiral_extract_sine_zero_set(base_setup, desk_params):
     N = desk_params.N
     omega = AngularSignal(desk_params, {N: -0.5j, -N: 0.5j})
     assert omega.values(np.array([0.0]))[0] == 0.0
-    curves = spiral_extract(base, omega, 1.0, n_beta=8, ev=ev)
+    curves = spiral_extract(ev, omega, 1.0, n_beta=8)
     phi0 = np.array([c.phi0 for c in curves])
     assert len(phi0) == 2 * N
     assert phi0[0] == 0.0
@@ -427,10 +445,10 @@ def test_spiral_extract_cosine_zero_set(desk_params):
     stream, report = newton_solve(omega, desk_params, epsilon_cap=0.5)
     assert report.converged
     t = 0.8
-    curves = spiral_extract(stream, omega, t, n_beta=96)
+    ev = FieldEvaluator(stream)
+    curves = spiral_extract(ev, omega, t, n_beta=96)
     assert len(curves) == 2 * desk_params.N
     mu = desk_params.mu
-    ev = FieldEvaluator(stream, omega)
     for c in curves[:: len(curves) // 4]:
         radii = np.hypot(c.points[:, 0], c.points[:, 1])
         envelope = (t / c.beta) ** mu
@@ -438,13 +456,12 @@ def test_spiral_extract_cosine_zero_set(desk_params):
         assert np.all(radii <= np.sqrt(3 / (2 * mu)) * envelope * (1 + 1e-12))
         # vorticity vanishes along the curve relative to its local scale
         mid = slice(10, 60)
-        f = eval_fields_batch(stream, omega, c.points[mid], np.full(50, t), ev)
+        f = eval_fields_batch(ev, omega, c.points[mid], np.full(50, t))
         off = eval_fields_batch(
-            stream,
+            ev,
             omega,
             c.points[mid] * 1.0 + 1e-3,  # nudge off the curve
             np.full(50, t),
-            ev,
         )
         assert np.max(np.abs(f["w"])) <= 1e-8 * np.max(np.abs(off["w"]))
         # the curve leaves toward the ray theta = phi0 as beta -> 0
@@ -459,8 +476,8 @@ def test_spiral_extract_matches_former_formula(desk_solution, desk_params, t, re
     stream, _, _ = desk_solution
     N = desk_params.N
     omega = AngularSignal(desk_params, {N: -0.5j, -N: 0.5j})
-    ev = FieldEvaluator(stream, omega)
-    curves = spiral_extract(stream, omega, t, n_beta=40, ev=ev)
+    ev = FieldEvaluator(stream)
+    curves = spiral_extract(ev, omega, t, n_beta=40)
     B = curves[0].beta[:, None]
     P = np.array([c.phi0 for c in curves])[None, :]
     radii = t**ev.mu * np.exp(ev.log_radius(B, P))
@@ -500,7 +517,7 @@ def test_spiral_ode_oracle_rejects_bad_inputs():
 
 def test_verify_selfsim_divfree_poisson(desk_solution):
     stream, omega, _ = desk_solution
-    report = verify(stream, omega, suite=("selfsim", "divfree", "poisson"))
+    report = verify(FieldEvaluator(stream), omega, suite=("selfsim", "divfree", "poisson"))
     assert report["selfsim"]["max_rel_defect"] <= 1e-10
     assert all(row["rel"] <= 1e-5 for row in report["divfree"])
     assert all(row["rel"] <= 1e-5 for row in report["poisson"])
@@ -508,14 +525,15 @@ def test_verify_selfsim_divfree_poisson(desk_solution):
 
 def test_verify_test_windows_depend_on_the_seed_alone(desk_solution):
     stream, omega, _ = desk_solution
-    alone = verify(stream, omega, suite=("divfree",))
-    after = verify(stream, omega, suite=("selfsim", "divfree"))
+    ev = FieldEvaluator(stream)
+    alone = verify(ev, omega, suite=("divfree",))
+    after = verify(ev, omega, suite=("selfsim", "divfree"))
     assert after["divfree"] == alone["divfree"]
 
 
 def test_verify_lp_bound(desk_solution):
     stream, omega, _ = desk_solution
-    report = verify(stream, omega, suite=("lp",))
+    report = verify(FieldEvaluator(stream), omega, suite=("lp",))
     assert len(report["lp"]) == 18
     assert all(row["ok"] for row in report["lp"])
 
@@ -539,16 +557,16 @@ def _fixed_phi_radii(ev, zr, phis):
 @pytest.mark.parametrize("solution", ["desk_solution", "prod_solution"])
 def test_lp_chart_norms_match_fixed_phi_loop(request, solution, monkeypatch):
     stream, omega, _ = request.getfixturevalue(solution)
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     charts = [(R, t) for t in (0.01, 0.1, 1.0) for R in (0.5, 1.0, 2.0)]
-    got = [_lp_chart_norms(ev, [1.0, 1.5], R, t) for R, t in charts]
+    got = [_lp_chart_norms(ev, omega, [1.0, 1.5], R, t) for R, t in charts]
 
     def fixed_phi(ev, r, phi0, slope, what):
         assert slope == 0.0 and np.all(r == r[0])
         return _fixed_phi_radii(ev, r[0], phi0)
 
     monkeypatch.setattr(physical, "_chart_newton", fixed_phi)
-    want = [_lp_chart_norms(ev, [1.0, 1.5], R, t) for R, t in charts]
+    want = [_lp_chart_norms(ev, omega, [1.0, 1.5], R, t) for R, t in charts]
     rel = np.abs(np.array(got) / np.array(want) - 1.0)
     assert np.max(rel) < 1e-14, np.max(rel)
 
@@ -559,13 +577,13 @@ def test_lp_radius_solve_that_stalls_raises(desk_solution):
     stream, omega, _ = desk_solution
 
     with pytest.raises(InversionError, match="lp radius solve .* stalled"):
-        _lp_chart_norms(_SteepSlope(stream, omega), [1.0], 1.0, 1.0)
+        _lp_chart_norms(_SteepSlope(stream), omega, [1.0], 1.0, 1.0)
 
 
 def test_verify_lp_base_closed_form(base_setup):
     # trivial field at mu = 1, p = 1, R = 1: the integral is exactly 2 pi
     base, omega, ev = base_setup
-    report = verify(base, omega, suite=("lp",))
+    report = verify(ev, omega, suite=("lp",))
     row = next(r for r in report["lp"] if r["p"] == 1.0 and r["R"] == 1.0 and r["t"] == 1.0)
     assert row["norm"] == pytest.approx(2 * np.pi, rel=1e-8)
 
@@ -574,7 +592,7 @@ def test_verify_weak_base_quadrature_floor(base_setup):
     # on the closed-form base solution the weak residual is pure quadrature
     # error
     base, omega, ev = base_setup
-    report = verify(base, omega, suite=("weak",))
+    report = verify(ev, omega, suite=("weak",))
     for row in report["weak"]:
         assert abs(row["residual"]) <= 1e-6 * row["scale"]
 
@@ -598,8 +616,8 @@ def test_bump_matches_former_verify_bump(base_setup, monkeypatch):
         return bump(x, lo, hi)
 
     monkeypatch.setattr(physical, "bump", recording)
-    base, omega, _ = base_setup
-    verify(base, omega, suite=("weak",))
+    base, omega, ev = base_setup
+    verify(ev, omega, suite=("weak",))
     assert len(calls) == 14  # 5 annuli, 5 time windows, 2 initial terms of 2 each
     for x, lo, hi in calls:
         dense = np.linspace(lo, hi, 4001)
@@ -618,7 +636,7 @@ def test_verify_lp_base_closed_form_every_row(mu):
     # endpoint power, came out 1.9e-2 low at mu = 0.7, p = 1
     params = SolverParams(mu=mu, N=8, grid_points=96)
     base = SpectralField.base_state(params)
-    report = verify(base, AngularSignal.base(params), suite=("lp",))
+    report = verify(FieldEvaluator(base), AngularSignal.base(params), suite=("lp",))
     c = base_vorticity_factor(mu)
     assert {row["p"] for row in report["lp"]} == {p for p in (1.0, 1.5) if p < 2.0 * mu}
     for row in report["lp"]:
@@ -644,7 +662,7 @@ def test_area_element_is_the_charts_jacobian(slope):
     # phi = const (slope 0); at N = 2 the former area element
     # beta^(-2 mu - 1) |lg| / (2 mu) misses it by up to 1e-2
     stream, omega = _chart_solution(1.0, 2)
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     rng = np.random.default_rng(3)
     beta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 400))
     phi = rng.uniform(0.0, 2.0 * np.pi, 400)
@@ -660,7 +678,7 @@ def test_chart_newton_work_at_small_n(monkeypatch):
     # -lg / (2 beta db), which is not the derivative of db's own series,
     # the Newton took 5.83 and 5.90
     stream, omega = _chart_solution(1.0, 2)
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     seen = []
     field = FieldEvaluator.field
 
@@ -670,7 +688,7 @@ def test_chart_newton_work_at_small_n(monkeypatch):
 
     monkeypatch.setattr(FieldEvaluator, "field", counted)
     z = np.random.default_rng(6).uniform(-2.0, 2.0, (2000, 2))
-    to_chart(stream, z, ev)
+    to_chart(ev, z)
     assert sum(seen) / len(z) <= 4.0, sum(seen) / len(z)
     seen.clear()
     phis = 2.0 * np.pi / ev.params.N * np.arange(512) / 512
@@ -678,14 +696,13 @@ def test_chart_newton_work_at_small_n(monkeypatch):
     assert sum(seen) / 512 <= 4.0, sum(seen) / 512
 
 
-def _physical_rows(stream, omega, weak_rows, n_t=20):
+def _physical_rows(ev, omega, weak_rows, n_t=20):
     """verify's weak, divfree and poisson rows by a quadrature in the plane.
 
     Gauss radii x times x one period of angles, every point inverted by
     eval_fields_batch, Cartesian velocity and gradients.  The windows are
     read back from the weak rows: one that opens at t = 0 is (-b, b).
     """
-    ev = FieldEvaluator(stream, omega)
     mu, N = ev.mu, ev.params.N
 
     def annulus(r0, r1, nr, nth, tq, wt):
@@ -693,7 +710,7 @@ def _physical_rows(stream, omega, weak_rows, n_t=20):
         th = 2.0 * np.pi / N * np.arange(nth) / nth
         R, T, H = np.meshgrid(rq, tq, th, indexing="ij")
         X = np.stack([R * np.cos(H), R * np.sin(H)], axis=-1)
-        f = eval_fields_batch(stream, omega, X.reshape(-1, 2), T.reshape(-1), ev)
+        f = eval_fields_batch(ev, omega, X.reshape(-1, 2), T.reshape(-1))
         W, U1, U2 = (f[k].reshape(R.shape) for k in ("w", "u1", "u2"))
         g, gp = bump(R, r0, r1)
         wq = wr[:, None, None] * wt[None, :, None] * (2.0 * np.pi / nth) * R
@@ -709,7 +726,7 @@ def _physical_rows(stream, omega, weak_rows, n_t=20):
         adv = W * (U1 * np.cos(H) + U2 * np.sin(H)) * gp * h
         init = 0.0
         if a < 0.0:
-            w0 = initial_data(stream, omega, th, ev)["w0"]
+            w0 = initial_data(ev, omega, th)["w0"]
             rad = np.sum(wr * rq ** (1.0 - 1.0 / mu) * g[:, 0, 0])
             init = bump(0.0, a, b)[0] * rad * np.sum(w0) * (2.0 * np.pi / 80)
         resid = init + np.sum(W * g * hp * wq) + np.sum(adv * wq)
@@ -733,8 +750,9 @@ def test_chart_suites_match_physical_quadrature(mu, N, monkeypatch):
     # rules resolve only to about 1e-3
     stream, omega = _chart_solution(mu, N)
     monkeypatch.setattr(physical, "_WEAK_T_NODES", 20)
-    report = verify(stream, omega, suite=("weak", "divfree", "poisson"))
-    ref = _physical_rows(stream, omega, report["weak"])
+    ev = FieldEvaluator(stream)
+    report = verify(ev, omega, suite=("weak", "divfree", "poisson"))
+    ref = _physical_rows(ev, omega, report["weak"])
     for got, want in zip(report["weak"], ref["weak"], strict=True):
         for key in ("residual", "scale"):
             assert abs(got[key] - want[key]) <= 1e-9 * want["scale"], key
@@ -752,7 +770,7 @@ def test_annulus_columns_cover_the_annulus(monkeypatch):
     # of the annulus; every column must reach |x| >= r1 and |x| <= r0 at
     # every angle, so that the radial bump vanishes at both of its ends
     stream, omega = _chart_solution(2.0, 8)
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     seen = []
     columns = physical._columns
 
@@ -762,7 +780,7 @@ def test_annulus_columns_cover_the_annulus(monkeypatch):
         return lo, hi
 
     monkeypatch.setattr(physical, "_columns", recording)
-    verify(stream, omega, suite=("weak", "divfree", "poisson"))
+    verify(ev, omega, suite=("weak", "divfree", "poisson"))
     assert len(seen) == 8  # 5 weak windows, 3 divfree/poisson times
     for r0, r1, t, phis, lo, hi in seen:
         tmu = t[:, None] ** ev.mu
@@ -778,20 +796,21 @@ def test_integral_suites_invert_no_plane_points(desk_solution, monkeypatch):
 
     monkeypatch.setattr(physical, "to_chart", refuse)
     monkeypatch.setattr(physical, "eval_fields_batch", refuse)
-    report = verify(stream, omega, suite=("weak", "divfree", "poisson"))
+    report = verify(FieldEvaluator(stream), omega, suite=("weak", "divfree", "poisson"))
     assert len(report["weak"]) == 5 and len(report["divfree"]) == len(report["poisson"]) == 3
 
 
 def test_verify_unknown_suite(base_setup):
-    base, omega, _ = base_setup
+    base, omega, ev = base_setup
     with pytest.raises(ParameterError):
-        verify(base, omega, suite=("nope",))
+        verify(ev, omega, suite=("nope",))
 
 
 def test_exports(tmp_path, desk_solution):
     stream, omega, _ = desk_solution
     x = np.array([[1.0, 0.2]])
-    export_samples_csv(tmp_path / "s.csv", x, 0.5, eval_fields_batch(stream, omega, x, 0.5))
+    fields = eval_fields_batch(FieldEvaluator(stream), omega, x, 0.5)
+    export_samples_csv(tmp_path / "s.csv", x, 0.5, fields)
     text = (tmp_path / "s.csv").read_text()
     assert text.splitlines()[0] == "x1,x2,t,w,u1,u2,psi"
     assert len(text.splitlines()) == 2
@@ -817,7 +836,7 @@ def test_field_on_broadcast_grid_equals_meshgrid(request, solution, names):
     # the radial recurrence runs once per beta, the bits stay those of the
     # full grid
     stream, omega, _ = request.getfixturevalue(solution)
-    ev = FieldEvaluator(stream, omega)
+    ev = FieldEvaluator(stream)
     beta = np.geomspace(0.05, 40.0, 160)
     phi = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 1000)
     B, P = np.meshgrid(beta, phi, indexing="ij")

@@ -5,6 +5,7 @@ from spiral_euler import (
     AngularSignal,
     ConvergenceError,
     ModeProfile,
+    ParameterError,
     SolverParams,
     SpectralField,
     base_vorticity_factor,
@@ -13,6 +14,7 @@ from spiral_euler import (
     newton_solve,
     sample_cutoffs,
 )
+from spiral_euler import solver
 from spiral_euler.solver import angular_initial_vorticity
 
 
@@ -60,6 +62,37 @@ def test_solved_field_passes_bounds(desk_solution):
     stream, omega, report = desk_solution
     ok, _ = bounds_check(stream)
     assert ok
+
+
+P4 = SolverParams(mu=1.0, N=4, grid_points=64)
+P8 = SolverParams(mu=1.0, N=8, grid_points=64)
+
+
+@pytest.fixture
+def no_residual(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a residual was evaluated")
+
+    monkeypatch.setattr(solver, "eval_residual", refuse)
+
+
+def test_newton_solve_rejects_a_factor_off_the_lattice(no_residual, monkeypatch):
+    # an N = 4 factor with modes +-4 is no angular factor of an N = 8
+    # problem, and the solve must say so before it evaluates a residual
+    with pytest.raises(ParameterError, match=r"modes \[-4, 4\] off the lattice of N=8"):
+        newton_solve(AngularSignal.constant_plus_cosine(P4, 0.01), P8)
+    # an N = 4 factor whose modes all sit on the N = 8 lattice still solves
+    monkeypatch.undo()
+    on_lattice = AngularSignal.constant_plus_cosine(P4, 0.01, harmonic=8)
+    stream, report = newton_solve(on_lattice, P8)
+    assert report.converged
+    assert stream.params == P8
+
+
+def test_match_initial_data_rejects_a_target_off_the_lattice(no_residual):
+    # rejected before the first inner solve, as newton_solve rejects it
+    with pytest.raises(ParameterError, match=r"modes \[-4, 4\] off the lattice of N=8"):
+        match_initial_data(AngularSignal.constant_plus_cosine(P4, 0.01), P8)
 
 
 def test_amplitude_gate_rejects_large_perturbation(desk_params):
