@@ -54,11 +54,9 @@ from .operators import (
 from .physical import (
     FieldEvaluator,
     SpiralCurve,
-    SpiralFit,
     eval_fields_batch,
     initial_data,
     spiral_extract,
-    spiral_ode_oracle,
     to_chart,
     to_plane,
     verify,

@@ -591,6 +591,12 @@ class AngularSignal:
         N, K = params.N, params.harmonics
         return sorted(int(n) for n in self.coeffs if n % N != 0 or abs(n) > N * K)
 
+    def check_lattice(self, params: SolverParams, what: str) -> None:
+        """Raise ParameterError naming the modes of this signal off params' lattice."""
+        off = self.off_lattice(params)
+        if off:
+            raise ParameterError(f"{what} has modes {off} off the lattice of N={params.N}")
+
     @classmethod
     def base(cls, params: SolverParams) -> "AngularSignal":
         return cls(params, {0: complex(params.base_omega)})

@@ -55,7 +55,6 @@ from .grid_space import (
     SolverParams,
     SpectralField,
     xi_far,
-    xi_near,
 )
 
 __all__ = [
@@ -214,9 +213,7 @@ def invert_mode_operator(
     elif method == "quadrature":
         cores = []
         for g, (rhs, rhs_inf, *_) in zip(profiles, parts):
-            fun = profile_interpolant(
-                ModeProfile(g.n, rhs - rhs_inf * cuts.xiinf, cinf=rhs_inf), cuts
-            )
+            fun = profile_interpolant(rhs - rhs_inf * cuts.xiinf, rhs_inf, cuts)
             cores.append((_invert_by_quadrature(n, shift, fun, b, 1e-12), 0.0))
     else:
         raise ParameterError(f"unknown inversion method {method!r}")
@@ -233,20 +230,19 @@ def invert_mode_operator(
     return out if batch else out[0]
 
 
-def profile_interpolant(f: ModeProfile, cuts: CutoffSamples) -> Callable:
-    """Callable evaluating a structured profile at arbitrary beta >= 0."""
+def profile_interpolant(core: np.ndarray, far: complex, cuts: CutoffSamples) -> Callable:
+    """Callable evaluating core + far * xi_far at arbitrary beta >= 0.
+
+    ``core`` holds node values of a function that vanishes at infinity.
+    """
     grid = cuts.grid
-    coeffs = grid.chebyshev_coefficients(grid.extend(f.core, 0.0))
+    coeffs = grid.chebyshev_coefficients(grid.extend(core, 0.0))
 
     def fun(x):
         x = np.asarray(x, dtype=float)
         vals = grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
-        if f.c0 != 0.0:
-            vals = vals + f.c0 * xi_near(x)
-        if f.cinf != 0.0:
-            vals = vals + f.cinf * xi_far(x)
-        if f.cconst != 0.0:
-            vals = vals + f.cconst
+        if far != 0.0:
+            vals = vals + far * xi_far(x)
         return vals
 
     return fun

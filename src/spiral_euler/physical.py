@@ -21,8 +21,7 @@ radius is strictly monotone in beta, so a safeguarded Newton iteration is
 safe.  The vanishing set of the vorticity organizes into the curves
 t^mu * T(line phi = phi0) over the zeros phi0 of Omega; each is squeezed
 between algebraic spirals with radii sqrt(1/(2 mu)) and sqrt(3/(2 mu)) times
-(t/beta)^mu, and an explicit one-dimensional ODE integration provides an
-independent oracle for the spiral exponent.
+(t/beta)^mu.
 """
 
 from __future__ import annotations
@@ -40,14 +39,12 @@ from .operators import derived_fields
 
 __all__ = [
     "SpiralCurve",
-    "SpiralFit",
     "FieldEvaluator",
     "to_plane",
     "to_chart",
     "eval_fields_batch",
     "initial_data",
     "spiral_extract",
-    "spiral_ode_oracle",
     "verify",
     "VERIFY_SUITES",
     "VERIFY_THRESHOLDS",
@@ -66,15 +63,6 @@ class SpiralCurve:
     beta: np.ndarray
     points: np.ndarray  # (len(beta), 2)
     t: float
-
-
-@dataclass(frozen=True)
-class SpiralFit:
-    theta: np.ndarray
-    radius: np.ndarray
-    a: float
-    b: float
-    max_rel_error: float
 
 
 def _standard_chop(coeffs: np.ndarray, tol: float) -> int:
@@ -327,8 +315,10 @@ def eval_fields_batch(
     """Reconstruct w, u, psi at arrays of space-time points (t > 0).
 
     The evaluator's stream gives u and psi; w takes the angular factor omega
-    too.  A nonzero x that t^-mu scales to zero raises InversionError.
+    too.  A nonzero x that t^-mu scales to zero raises InversionError, and
+    an omega with modes off the evaluator's lattice ParameterError.
     """
+    omega.check_lattice(ev.params, "the angular factor")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     mu = ev.mu
@@ -364,8 +354,10 @@ def initial_data(ev: FieldEvaluator, omega: AngularSignal, theta) -> dict:
     psi(x, 0) = |x|^(2-1/mu) * psi0(theta)
 
     The values at beta = 0 are the evaluator's chopped series at s = 0, at
-    the angles theta; only w0 takes the angular factor omega.
+    the angles theta; only w0 takes the angular factor omega, whose modes
+    must lie on the evaluator's lattice (ParameterError otherwise).
     """
+    omega.check_lattice(ev.params, "the angular factor")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mu = ev.mu
     zero = np.zeros_like(theta)
@@ -410,8 +402,11 @@ def spiral_extract(
     One curve per zero of the angular factor omega, the evaluator's chart
     image of the line phi = phi0, sampled at n_beta radii geometric in
     [0.05, 40]; an angular factor without zeros gives an empty list.  A
-    curve point past the float range raises InversionError.
+    curve point past the float range raises InversionError, and an omega
+    with modes off the evaluator's lattice ParameterError: the zero scan
+    covers one period of the evaluator's N.
     """
+    omega.check_lattice(ev.params, "the angular factor")
     zeros = _omega_zeros(omega, ev.params)
     if len(zeros) == 0:
         return []
@@ -427,49 +422,6 @@ def spiral_extract(
         SpiralCurve(phi0=float(phi0), beta=beta.copy(), points=points[j], t=float(t))
         for j, phi0 in enumerate(zeros)
     ]
-
-
-def spiral_ode_oracle(mu: float, C: float, z0, theta_span) -> SpiralFit:
-    """Integrate the base-flow streamline ODE and fit an algebraic spiral.
-
-    d|z|/dtheta = -(mu/C) (2 - 1/mu) |z|^(1 + 1/mu); the solution must fit
-    |z| = (a theta + b)^(-mu) and the returned max_rel_error measures how
-    well it does over the span.
-    """
-    from scipy.integrate import solve_ivp
-
-    if C == 0.0:
-        raise ParameterError("the circulation constant must be nonzero")
-    r0 = float(np.hypot(z0[0], z0[1]))
-    if r0 == 0.0:
-        raise ParameterError("the starting point must be away from the origin")
-    t0, t1 = float(theta_span[0]), float(theta_span[1])
-    if t0 == t1:
-        a = (2.0 - 1.0 / mu) / C
-        b = r0 ** (-1.0 / mu) - a * t0
-        return SpiralFit(
-            theta=np.array([t0]), radius=np.array([r0]), a=a, b=b, max_rel_error=0.0
-        )
-
-    rate = -(mu / C) * (2.0 - 1.0 / mu)
-
-    def rhs(theta, y):
-        return rate * y ** (1.0 + 1.0 / mu)
-
-    thetas = np.linspace(t0, t1, 400)
-    sol = solve_ivp(
-        rhs, (t0, t1), [r0], t_eval=thetas, method="DOP853", rtol=1e-12, atol=1e-14
-    )
-    if not sol.success:
-        raise ParameterError(f"streamline integration failed: {sol.message}")
-    radius = sol.y[0]
-    # |z|^{-1/mu} is affine in theta; fit by linear least squares
-    g = radius ** (-1.0 / mu)
-    Amat = np.stack([thetas, np.ones_like(thetas)], axis=-1)
-    (a, b), *_ = np.linalg.lstsq(Amat, g, rcond=None)
-    fit = (a * thetas + b) ** (-mu)
-    max_rel = float(np.max(np.abs(fit - radius) / radius))
-    return SpiralFit(theta=thetas, radius=radius, a=float(a), b=float(b), max_rel_error=max_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +547,10 @@ def verify(
     weak     weak form of the vorticity transport, initial term included
     divfree  weak divergence-freeness of the velocity
     poisson  weak form of the vorticity-stream coupling
+
+    An omega with modes off the evaluator's lattice raises ParameterError.
     """
+    omega.check_lattice(ev.params, "the angular factor")
     unknown = set(suite) - set(VERIFY_SUITES)
     if unknown:
         raise ParameterError(f"unknown verification suites: {sorted(unknown)}")

@@ -107,13 +107,6 @@ def bounds_check(stream: SpectralField) -> tuple[bool, dict]:
     return ok, margins
 
 
-def _lattice_check(signal: AngularSignal, params: SolverParams, what: str) -> None:
-    """Raise ParameterError naming the modes of signal off params' lattice."""
-    off = signal.off_lattice(params)
-    if off:
-        raise ParameterError(f"{what} has modes {off} off the lattice of N={params.N}")
-
-
 def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) -> None:
     """Enforce the smallness hypothesis on the angular factor.
 
@@ -157,7 +150,7 @@ def newton_solve(
     """
     if max_iter < 0:
         raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
-    _lattice_check(omega, params, "the angular factor")
+    omega.check_lattice(params, "the angular factor")
     if ws is None:
         ws = NonlinearWorkspace(params)
     if backend not in ("chord", "fd"):
@@ -296,7 +289,7 @@ def match_initial_data(
     for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
         if cap < 0:
             raise ParameterError(f"{name} must be non-negative, got {cap}")
-    _lattice_check(g, params, "the target angular profile")
+    g.check_lattice(params, "the target angular profile")
     g0_hat = g.coeff(0)
     if g0_hat == 0.0:
         raise ParameterError("the target angular profile must have a nonzero mean")

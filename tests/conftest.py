@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from spiral_euler import (
     AngularSignal,
+    ParameterError,
     SolverParams,
     SpectralField,
     newton_solve,
@@ -78,3 +81,55 @@ def random_field(params, seed=0, amplitude=1.0, decay=0.7):
             vals = vals.real.astype(complex)
         modes[n] = ModeProfile.from_values(n, vals, 0.0, cuts)
     return SpectralField(params=params, modes=modes)
+
+
+@dataclass(frozen=True)
+class SpiralFit:
+    theta: np.ndarray
+    radius: np.ndarray
+    a: float
+    b: float
+    max_rel_error: float
+
+
+def spiral_ode_oracle(mu: float, C: float, z0, theta_span) -> SpiralFit:
+    """Integrate the base-flow streamline ODE and fit an algebraic spiral.
+
+    d|z|/dtheta = -(mu/C) (2 - 1/mu) |z|^(1 + 1/mu); the solution must fit
+    |z| = (a theta + b)^(-mu) and the returned max_rel_error measures how
+    well it does over the span.
+    """
+    from scipy.integrate import solve_ivp
+
+    if C == 0.0:
+        raise ParameterError("the circulation constant must be nonzero")
+    r0 = float(np.hypot(z0[0], z0[1]))
+    if r0 == 0.0:
+        raise ParameterError("the starting point must be away from the origin")
+    t0, t1 = float(theta_span[0]), float(theta_span[1])
+    if t0 == t1:
+        a = (2.0 - 1.0 / mu) / C
+        b = r0 ** (-1.0 / mu) - a * t0
+        return SpiralFit(
+            theta=np.array([t0]), radius=np.array([r0]), a=a, b=b, max_rel_error=0.0
+        )
+
+    rate = -(mu / C) * (2.0 - 1.0 / mu)
+
+    def rhs(theta, y):
+        return rate * y ** (1.0 + 1.0 / mu)
+
+    thetas = np.linspace(t0, t1, 400)
+    sol = solve_ivp(
+        rhs, (t0, t1), [r0], t_eval=thetas, method="DOP853", rtol=1e-12, atol=1e-14
+    )
+    if not sol.success:
+        raise ParameterError(f"streamline integration failed: {sol.message}")
+    radius = sol.y[0]
+    # |z|^{-1/mu} is affine in theta; fit by linear least squares
+    g = radius ** (-1.0 / mu)
+    Amat = np.stack([thetas, np.ones_like(thetas)], axis=-1)
+    (a, b), *_ = np.linalg.lstsq(Amat, g, rcond=None)
+    fit = (a * thetas + b) ** (-mu)
+    max_rel = float(np.max(np.abs(fit - radius) / radius))
+    return SpiralFit(theta=thetas, radius=radius, a=float(a), b=float(b), max_rel_error=max_rel)

@@ -29,7 +29,6 @@ from spiral_euler import (
     newton_solve,
     sample_cutoffs,
     spiral_extract,
-    spiral_ode_oracle,
     to_chart,
     to_plane,
     verify,
@@ -39,7 +38,7 @@ from spiral_euler.nonlinear import NonlinearWorkspace
 from spiral_euler.operators import _invert_by_quadrature
 from spiral_euler.physical import FieldEvaluator, eval_fields_batch, initial_data
 from spiral_euler.solver import angular_initial_vorticity
-from conftest import random_field
+from conftest import random_field, spiral_ode_oracle
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:

@@ -308,29 +308,50 @@ def _package_env():
     return env
 
 
+# runs the four commands on the config argv[1] into argv[2] and prints the
+# scipy modules loaded at import and after the run with the exit codes; with
+# argv[3] == "blocked" every import of scipy raises ImportError
+_FOUR_COMMANDS = (
+    "import json, sys\n"
+    "if sys.argv[3] == 'blocked':\n"
+    "    sys.modules['scipy'] = None\n"
+    "import spiral_euler\n"
+    "import spiral_euler.cli as cli\n"
+    "def loaded():\n"
+    "    return sorted(m for m, mod in sys.modules.items()\n"
+    "                  if m.split('.')[0] == 'scipy' and mod is not None)\n"
+    "at_import = loaded()\n"
+    "codes = [cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    "         for cmd in ('certify', 'solve', 'verify', 'reconstruct')]\n"
+    "print(json.dumps([at_import, codes, loaded()]))\n"
+)
+
+
+def _run_four_commands(tmp_path, scipy_import):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOUR_COMMANDS, str(cfg), str(tmp_path / "out"), scipy_import],
+        capture_output=True, text=True, env=_package_env(), timeout=300, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_cli_loads_no_scipy(tmp_path):
     # every command pays for what the package imports at start-up; no
     # command loads any scipy module, certify and solve with their dense
     # solves included
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(DESK)
-    script = (
-        "import json, sys\n"
-        "import spiral_euler.cli as cli\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "at_import = loaded()\n"
-        "cli.main(['certify', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(json.dumps([at_import, loaded()]))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-        capture_output=True, text=True, env=_package_env(), timeout=300, check=True,
-    )
-    at_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+    at_import, codes, after_run = _run_four_commands(tmp_path, "free")
     assert at_import == []
+    # the desk certificate fails (exit 2); solve, verify and reconstruct pass
+    assert codes == [2, 0, 0, 0]
     assert after_run == []
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # the package and every command run where scipy cannot be imported
+    _, codes, _ = _run_four_commands(tmp_path, "blocked")
+    assert codes == [2, 0, 0, 0]
 
 
 def _cli(*argv):

@@ -20,7 +20,6 @@ from spiral_euler import (
     initial_data,
     newton_solve,
     spiral_extract,
-    spiral_ode_oracle,
     to_chart,
     to_plane,
     verify,
@@ -36,6 +35,7 @@ from spiral_euler.physical import (
     export_spirals_csv,
     render_spirals_svg,
 )
+from conftest import spiral_ode_oracle
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +485,27 @@ def test_spiral_extract_matches_former_formula(desk_solution, desk_params, t, re
     got = np.stack([c.points for c in curves])
     move = np.hypot(*np.moveaxis(got - want, -1, 0))
     assert np.all(move <= rel * np.hypot(*np.moveaxis(want, -1, 0)))
+
+
+def test_physical_functions_reject_an_off_lattice_angular_factor():
+    # 0.5 + sin(4 phi) changes sign 8 times on [0, 2 pi), but an N=8
+    # evaluator scans one period 2 pi / 8 and found no zero in it
+    params = SolverParams(mu=1.0, N=8, grid_points=64)
+    ev = FieldEvaluator(SpectralField.base_state(params))
+    coarse = SolverParams(mu=1.0, N=4, grid_points=64)
+    off = AngularSignal(coarse, {0: 0.5, 4: -0.5j, -4: 0.5j})
+    calls = {
+        "eval_fields_batch": lambda: eval_fields_batch(ev, off, np.array([[1.0, 0.0]]), 1.0),
+        "initial_data": lambda: initial_data(ev, off, [0.0]),
+        "spiral_extract": lambda: spiral_extract(ev, off, 1.0),
+        "verify": lambda: verify(ev, off, suite=("selfsim",)),
+    }
+    for call in calls.values():
+        with pytest.raises(ParameterError, match=r"modes \[-4, 4\] off the lattice of N=8"):
+            call()
+    # the same factor on the evaluator's own lattice: 2N zero-set curves
+    on = AngularSignal(params, {0: 0.5, 8: -0.5j, -8: 0.5j})
+    assert len(spiral_extract(ev, on, 1.0)) == 16
 
 
 def test_spiral_ode_oracle_closed_form():
