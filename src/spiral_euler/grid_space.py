@@ -171,13 +171,13 @@ class RadialGrid:
 
     nodes       finite beta nodes, ascending, nodes[0] = 0
     map_scale   the scale of the algebraic map
-    diff_s      (M+1)^2 differentiation matrix in s
+    diff_s_inf  row of the s-differentiation matrix at s = 1
     radial      (M+1)^2 matrix of beta*d/dbeta = s(1-s) d/ds
     """
 
     nodes: np.ndarray
     map_scale: float
-    diff_s: np.ndarray
+    diff_s_inf: np.ndarray
     radial: np.ndarray
 
     @property
@@ -208,7 +208,7 @@ class RadialGrid:
 
         Equals -scale * f'(s) at s = 1 by l'Hopital on the algebraic map.
         """
-        return -self.map_scale * (self.diff_s[-1, :] @ (ext - ext[-1]))
+        return -self.map_scale * (self.diff_s_inf @ (ext - ext[-1]))
 
     def chebyshev_coefficients(self, ext: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients of the interpolant through the M+1 points."""
@@ -281,7 +281,7 @@ def build_grid(points: int, scale: float) -> RadialGrid:
     for _ in range(3):
         radial[j, j] -= radial @ np.ones(M + 1)
     nodes = scale * s[:-1] / (1.0 - s[:-1])
-    return RadialGrid(nodes=nodes, map_scale=float(scale), diff_s=D, radial=radial)
+    return RadialGrid(nodes=nodes, map_scale=float(scale), diff_s_inf=D[-1].copy(), radial=radial)
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +373,17 @@ def xi_near(beta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffSamples:
-    """Cutoffs and their weighted derivatives sampled at the grid nodes."""
+    """The cutoffs xi_near and xi_far sampled at the grid nodes."""
 
     grid: RadialGrid
     xi0: np.ndarray  # xi_near
     xiinf: np.ndarray  # xi_far
-    eta: np.ndarray  # d/dbeta xi_far, the normalized bump
-    beta_xi0: np.ndarray
 
 
 def sample_cutoffs(grid: RadialGrid) -> CutoffSamples:
-    """Sample the cutoff pair, the bump and beta * xi_near at the nodes."""
-    b = grid.nodes
-    xf = xi_far(b)
-    x0 = 1.0 - xf  # xi_near
-    return CutoffSamples(
-        grid=grid,
-        xi0=x0,
-        xiinf=xf,
-        eta=cutoff_normalization() * mollifier_bump(b),
-        beta_xi0=b * x0,
-    )
+    """Sample the cutoff pair at the nodes."""
+    xf = xi_far(grid.nodes)
+    return CutoffSamples(grid=grid, xi0=1.0 - xf, xiinf=xf)
 
 
 # ---------------------------------------------------------------------------

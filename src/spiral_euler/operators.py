@@ -11,14 +11,17 @@ The workhorse family is the shifted mode operator
     D(n, shift) = beta * (d/dbeta - i n) - shift,
 
 whose kernel beta^shift * exp(i n beta) never stays bounded on [0, inf) for
-a nonzero shift, so a bounded inverse is unique.  Two independent
-realizations of that inverse are kept: a collocation solve on the extended
-grid (the solver default) and direct evaluation of the explicit integral
+a nonzero shift, so a bounded inverse is unique.  Applied to a structured
+profile, D and its inverse act on the profile's extended values, the vector
+the solver works on.  Two independent realizations of the inverse are kept:
+a collocation solve on the extended grid (the solver default) and direct
+evaluation of the explicit integral
 
     u(beta) = -beta^s e^{i n beta} int_beta^inf  x^{-s-1} e^{-i n x} f(x) dx   (s > 0)
     u(beta) =  beta^s e^{i n beta} int_0^beta    x^{-s-1} e^{-i n x} f(x) dx   (s < 0)
 
-by Gauss panel quadrature on one shared panel set (the verification oracle).
+by Gauss panel quadrature on one shared panel set, with f the Chebyshev
+interpolant of the extended values (the verification oracle).
 
 On the extended vector [values at nodes; value at infinity], multiplication
 by beta uses the finite-part rule (beta*f)(inf) := -scale * f'(s=1), which is
@@ -54,7 +57,6 @@ from .grid_space import (
     RadialGrid,
     SolverParams,
     SpectralField,
-    xi_far,
 )
 
 __all__ = [
@@ -90,7 +92,7 @@ def beta_mult_matrix(grid: RadialGrid, n: int) -> np.ndarray:
     M = grid.size
     B = np.zeros((M + 1, M + 1), dtype=complex)
     B[np.arange(M), np.arange(M)] = 1j * n * grid.nodes
-    B[-1, :] = -1j * n * grid.map_scale * grid.diff_s[-1, :]
+    B[-1, :] = -1j * n * grid.map_scale * grid.diff_s_inf
     return B
 
 
@@ -117,11 +119,6 @@ def mode_operator(grid: RadialGrid, n: int, shift: float) -> LinearModeOperator:
     return LinearModeOperator(n=n, fun=mode_operator_matrix(grid, n, shift))
 
 
-def apply_shifted(grid: RadialGrid, n: int, shift: float, ext: np.ndarray) -> np.ndarray:
-    """Apply D(n, shift) to an extended vector."""
-    return grid.apply_radial(ext) - apply_beta_mult(grid, n, ext) - shift * ext
-
-
 # ---------------------------------------------------------------------------
 # apply / invert on structured profiles
 # ---------------------------------------------------------------------------
@@ -132,26 +129,15 @@ def apply_mode_operator(
 ) -> ModeProfile:
     """Apply D(n, shift) to a structured profile.
 
-    The cutoff and constant parts are differentiated analytically (their
-    derivative is a multiple of the bump), so only the core passes through
-    the collocation derivative.  The operator's oscillation index is ``n``;
-    the result keeps the profile's own mode label.
+    The operator acts on the profile's extended values through the
+    collocation primitives, as the solver's derived fields do.  The
+    operator's oscillation index is ``n``; the result keeps the profile's
+    own mode label.
     """
     grid = cuts.grid
-    b = grid.nodes
-    core_ext = grid.extend(f.core, 0.0)
-    core_out = apply_shifted(grid, n, shift, core_ext)
-    vals = core_out[:-1]
-    if f.c0 != 0.0:
-        vals = vals + f.c0 * (-b * cuts.eta - 1j * n * cuts.beta_xi0 - shift * cuts.xi0)
-    if f.cinf != 0.0:
-        vals = vals + f.cinf * (b * cuts.eta - 1j * n * b * cuts.xiinf - shift * cuts.xiinf)
-    if f.cconst != 0.0:
-        vals = vals + f.cconst * (-1j * n * b - shift)
-    # at infinity the bump terms vanish and i*n*beta contributes only its
-    # finite part, already carried by the core; the slots add -shift * f(inf)
-    v_inf = core_out[-1] - shift * (f.cinf + f.cconst)
-    return ModeProfile.from_values(f.n, vals, v_inf, cuts)
+    ext = f.extended(cuts)
+    out = grid.apply_radial(ext) - apply_beta_mult(grid, n, ext) - shift * ext
+    return ModeProfile.from_values(f.n, out[:-1], out[-1], cuts)
 
 
 def invert_mode_operator(
@@ -163,11 +149,11 @@ def invert_mode_operator(
 ) -> ModeProfile | list[ModeProfile]:
     """Bounded inverse of D(n, shift) applied to a structured profile.
 
-    Without oscillation every slot inverts diagonally to -1/shift times
-    itself (plus core corrections from the bump derivative).  With a nonzero
-    oscillation index a far component still has a bounded preimage, but one
-    that leaves the slot algebra, so it rides through the extended solve
-    with the core.
+    Both methods invert the profile's extended values.  At n = 0 the
+    operator maps a constant c to exactly -shift * c, so the far value is
+    split off first and inverted by division: constants invert exactly.  A
+    far value at n != 0 has a bounded preimage that vanishes at infinity,
+    and it goes through the solve with the rest.
 
     ``f`` is one profile or a sequence of them; a sequence returns a list.
     The matrix method solves a sequence as the columns of one solve, so its
@@ -179,71 +165,31 @@ def invert_mode_operator(
     batch = not isinstance(f, ModeProfile)
     profiles = list(f) if batch else [f]
     grid = cuts.grid
-    b = grid.nodes
-
-    # per profile: the core right-hand side, its value at infinity, and the
-    # slots (c0, cinf, cconst) of the result that invert diagonally
-    parts = []
-    for g in profiles:
-        a_new = -g.c0 / shift
-        if n == 0:
-            # every slot inverts diagonally; bump corrections go to the core rhs
-            binf_new = -g.cinf / shift
-            c_new = -g.cconst / shift
-            rhs = g.core.astype(complex) - a_new * (-b * cuts.eta) - binf_new * (b * cuts.eta)
-            rhs_inf = 0.0
-        else:
-            # the xi_near slot still inverts diagonally; a far component stays
-            # bounded under the inverse but leaves the slot algebra, so it
-            # rides along with the core through the extended solve
-            binf_new = c_new = 0.0
-            rhs = (
-                g.core.astype(complex)
-                + g.cinf * cuts.xiinf
-                + g.cconst
-                - a_new * (-b * cuts.eta - 1j * n * cuts.beta_xi0)
-            )
-            rhs_inf = g.cinf + g.cconst
-        parts.append((rhs, rhs_inf, a_new, binf_new, c_new))
+    ext = np.stack([g.extended(cuts) for g in profiles], axis=1)
+    far = ext[-1] if n == 0 else 0.0
+    rhs = ext - far
 
     if method == "matrix":
-        rhs = np.stack([grid.extend(r[0], r[1]) for r in parts], axis=1)
         sol = mode_operator(grid, n, shift).solve_function(rhs)
-        cores = [(sol[:-1, j], sol[-1, j]) for j in range(len(parts))]
     elif method == "quadrature":
-        cores = []
-        for g, (rhs, rhs_inf, *_) in zip(profiles, parts):
-            fun = profile_interpolant(rhs - rhs_inf * cuts.xiinf, rhs_inf, cuts)
-            cores.append((_invert_by_quadrature(n, shift, fun, b, 1e-12), 0.0))
+        sol = np.zeros_like(rhs)
+        for j, r in enumerate(rhs.T):
+            fun = profile_interpolant(grid, r)
+            sol[:-1, j] = _invert_by_quadrature(n, shift, fun, grid.nodes, 1e-12)
     else:
         raise ParameterError(f"unknown inversion method {method!r}")
 
-    out = [
-        ModeProfile.from_values(
-            g.n,
-            core_vals + a_new * cuts.xi0 + binf_new * cuts.xiinf + c_new,
-            core_inf + binf_new + c_new,
-            cuts,
-        )
-        for g, (core_vals, core_inf), (_, _, a_new, binf_new, c_new) in zip(profiles, cores, parts)
-    ]
+    sol -= far / shift
+    out = [ModeProfile.from_values(g.n, u[:-1], u[-1], cuts) for g, u in zip(profiles, sol.T)]
     return out if batch else out[0]
 
 
-def profile_interpolant(core: np.ndarray, far: complex, cuts: CutoffSamples) -> Callable:
-    """Callable evaluating core + far * xi_far at arbitrary beta >= 0.
-
-    ``core`` holds node values of a function that vanishes at infinity.
-    """
-    grid = cuts.grid
-    coeffs = grid.chebyshev_coefficients(grid.extend(core, 0.0))
+def profile_interpolant(grid: RadialGrid, ext: np.ndarray) -> Callable:
+    """Callable evaluating the interpolant of an extended vector at beta >= 0."""
+    coeffs = grid.chebyshev_coefficients(ext)
 
     def fun(x):
-        x = np.asarray(x, dtype=float)
-        vals = grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
-        if far != 0.0:
-            vals = vals + far * xi_far(x)
-        return vals
+        return grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
 
     return fun
 

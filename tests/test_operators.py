@@ -19,6 +19,7 @@ from spiral_euler import (
     linearization_at_base,
     linearization_set,
     mode_norm,
+    sample_cutoffs,
     shift_minus,
     shift_plus,
 )
@@ -125,33 +126,36 @@ def round_trip_error(f, n, s, cuts, method):
     return np.max(np.abs(back.values(cuts) - f.values(cuts)))
 
 
-UNIT_AT_ORIGIN_CASES = ((0, 1.3), (0, -0.9), (2, 1.3), (2, -0.9))
-
-
 def test_invert_round_trip_both_methods(desk_cuts):
-    f = smooth_profile(desk_cuts.grid, desk_cuts, n=2, seed=4)
-    for n, s in ((2, 1.3), (2, -0.9), (0, 1.0), (0, -1.0)):
-        for method in ("matrix", "quadrature"):
-            err = round_trip_error(f, n, s, desk_cuts, method)
-            assert err < 1e-8, (method, n, s, err)
-    # every smooth_profile vanishes at beta = 0; this input runs the c0 terms
-    # of apply_mode_operator and invert_mode_operator
-    f = unit_at_origin_profile(desk_cuts)
-    for n, s in UNIT_AT_ORIGIN_CASES:
-        err = round_trip_error(f, n, s, desk_cuts, "matrix")
-        assert err < 1e-8, (n, s, err)
+    # every smooth_profile vanishes at beta = 0; unit_at_origin_profile has f(0) = 1
+    smooth = smooth_profile(desk_cuts.grid, desk_cuts, n=2, seed=4)
+    for f, cases in (
+        (smooth, ((2, 1.3), (2, -0.9), (0, 1.0), (0, -1.0))),
+        (unit_at_origin_profile(desk_cuts), ((0, 1.3), (0, -0.9), (2, 1.3), (2, -0.9))),
+    ):
+        for n, s in cases:
+            for method in ("matrix", "quadrature"):
+                err = round_trip_error(f, n, s, desk_cuts, method)
+                assert err < 1e-8, (method, n, s, err)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="misses 1e-8 at f(0) = 1 on the desk grid: 8.1e-6 and 8.3e-6 at n=0, "
-    "3.8e-5 and 3.5e-5 at n=2 (1.2e-7 to 8.1e-7 at M=257)",
-)
-def test_invert_round_trip_quadrature_at_nonzero_origin_value(desk_cuts):
-    f = unit_at_origin_profile(desk_cuts)
-    for n, s in UNIT_AT_ORIGIN_CASES:
-        err = round_trip_error(f, n, s, desk_cuts, "quadrature")
-        assert err < 1e-8, (n, s, err)
+@pytest.mark.parametrize("point", ["desk", "reference"])
+def test_mode_operator_is_the_solvers_derivative(point, request):
+    # one discrete D(n, s): on a solved field, D(0, 2 mu - 1) is the solver's
+    # dbeta_bar row and -D(n, 2 mu - 1) its dvarphi_bar row, to rounding
+    stream, _, _ = request.getfixturevalue("desk_solution" if point == "desk" else "prod_solution")
+    cuts = sample_cutoffs(stream.grid)
+    s = 2.0 * stream.params.mu - 1.0
+    rows = derived_fields(stream, cuts)
+    for i, n in enumerate(int(n) for n in stream.params.mode_indices):
+        psi = stream.mode(n)
+        for name, got in (
+            ("db", apply_mode_operator(0, s, psi, cuts).extended(cuts)),
+            ("dv", -apply_mode_operator(n, s, psi, cuts).extended(cuts)),
+        ):
+            ref = rows[name][i]
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), (n, name, err)
 
 
 def test_invert_zero_shift_is_singular(desk_cuts):
