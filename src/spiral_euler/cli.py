@@ -5,12 +5,12 @@ Every subcommand takes --config, --out and --seed; reconstruct also takes
 
 Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
 subcommand, a --format entry outside json,csv,svg), configuration problem,
-an output directory that cannot be written or a saved field that does not load,
-2 certificate failure, 3 solve failure, 4 verification failure or a failed
-chart inversion (verify, reconstruct).  Codes 1 and 4 print one
-line to stderr.  Every JSON artifact embeds the configuration digest and
-the seed so runs can be traced; identical configurations produce
-byte-identical artifacts.
+an output directory that cannot be written, a saved field that does not load
+or an allocation that fails (out of memory), 2 certificate failure, 3 solve
+failure, 4 verification failure or a failed chart inversion (verify,
+reconstruct).  Codes 1 and 4 print one line to stderr.  Every JSON artifact
+embeds the configuration digest and the seed so runs can be traced;
+identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -264,6 +264,7 @@ def main(argv=None) -> int:
             p.add_argument("--format", default=None, help="comma list of json,csv,svg")
             p.add_argument("--field", default=None, help="a saved field JSON; never solve")
         p.set_defaults(fn=fn)
+    cfg = None
     try:
         # every check, reconstruct's --format included, before any directory is made
         args = parser.parse_args(argv)
@@ -284,6 +285,14 @@ def main(argv=None) -> int:
     except InversionError as exc:
         print(f"chart inversion failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except MemoryError:
+        # a mode operator takes (grid.points + 1)^2 complex entries, and the
+        # linearization holds one for each of the harmonics + 1 stored modes
+        at = ""
+        if cfg is not None:
+            at = f" at grid.points = {cfg['grid.points']}, harmonics = {cfg['harmonics']}"
+        print(f"out of memory{at}: lower grid.points or harmonics", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

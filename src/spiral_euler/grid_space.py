@@ -295,8 +295,7 @@ def _bump_values(x, lo: float, hi: float):
     m = (x > lo) & (x < hi)
     u = (x[m] - lo) / (hi - lo) - 0.5
     q = u * u - 0.25
-    # exp(1/q) is formed in y's own buffer; xi_far hands the cutoff table's
-    # 500k quadrature nodes over at once, so a temporary shows in peak memory
+    # exp(1/q) is formed in y's own buffer, with no temporary of x's size
     y = np.zeros_like(x)
     y[m] = q
     np.divide(1.0, y, out=y, where=m)
@@ -333,6 +332,7 @@ def cutoff_normalization() -> float:
 
 # the 16-point Gauss-Legendre rule on [-1, 1]; operators uses it too
 _GX, _GW = leggauss(16)
+_XI_BLOCK = 1 << 11  # points per bump quadrature in xi_far, which bounds memory
 
 
 @lru_cache(maxsize=1)
@@ -354,15 +354,18 @@ def xi_far(beta) -> np.ndarray:
     edges, cum = _bump_cumulative_table()
     out = np.zeros_like(beta)
     out[beta >= 2.0] = 1.0
-    m = (beta > 1.0) & (beta < 2.0)
-    if np.any(m):
-        b = beta[m]
-        idx = np.minimum(((b - 1.0) * 4096).astype(int), 4095)
+    inside = (beta > 1.0) & (beta < 2.0)
+    b = beta[inside]
+    vals = np.empty_like(b)
+    for i in range(0, len(b), _XI_BLOCK):
+        bb = b[i : i + _XI_BLOCK]
+        idx = np.minimum(((bb - 1.0) * 4096).astype(int), 4095)
         lo = edges[idx]
-        half = 0.5 * (b - lo)
+        half = 0.5 * (bb - lo)
         x = (lo + half)[:, None] + half[:, None] * _GX[None, :]
         rest = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
-        out[m] = cum[idx] + rest * cutoff_normalization()
+        vals[i : i + _XI_BLOCK] = cum[idx] + rest * cutoff_normalization()
+    out[inside] = vals
     return out
 
 

@@ -51,7 +51,7 @@ from .operators import (
     derived_fields,
     dvarphi_bar_ext,
     linearization_set,
-    mode_operator,
+    mode_operator_matrix,
     shift_minus,
     shift_plus,
 )
@@ -66,7 +66,11 @@ __all__ = [
 
 
 class NonlinearWorkspace:
-    """Cached angular transforms, preimage operators and linearization for one setup."""
+    """Angular transforms and the linearization for one setup.
+
+    The linearization is the one operator set a workspace holds: the
+    gauge forms each D(n, s+-) when it solves and lets it go.
+    """
 
     def __init__(self, params: SolverParams, n_angles: int | None = None):
         K = params.harmonics
@@ -86,7 +90,6 @@ class NonlinearWorkspace:
         self.synth_matrix = mode_weight(self.mode_list)[:, None] * np.exp(
             1j * np.outer(np.arange(K + 1), self.Phi)
         )
-        self._ops: dict[tuple[int, float], LinearModeOperator] = {}
 
     def synth(self, rows: np.ndarray) -> np.ndarray:
         """Real angular samples of stacked mode rows k = 0..K.
@@ -116,26 +119,30 @@ class NonlinearWorkspace:
         """The base-state linearization, assembled at its first use."""
         return linearization_set(self.params)
 
-    def preimage_operator(self, n: int, shift: float) -> LinearModeOperator:
-        """D(n, shift), assembled once per workspace."""
-        if (n, shift) not in self._ops:
-            self._ops[n, shift] = mode_operator(self.grid, n, shift)
-        return self._ops[n, shift]
-
-    def preimage_sup(self, n: int, ext: np.ndarray) -> float:
-        """The gauge's term for the stored mode n >= 0 of a real residual.
+    def preimage_sups(self, res_ext: dict[int, np.ndarray]) -> dict[int, float]:
+        """The gauge's terms for the stored modes n >= 0 of a real residual.
 
         Mode n contributes sup|D(n, s+(n))^-1 r_n|.  For n > 0 the implied
         mode -n contributes sup|D(-n, s+(-n))^-1 conj(r_n)|, which equals
         sup|D(n, s-(n))^-1 r_n| because D(-n, s) = conj(D(n, s)) for real s
         and s+(-n) = s-(n).
+
+        The 2K+1 operators are formed in turn in one buffer, which goes when
+        the call returns.  A fresh array for each operator would cost more
+        in page faults than forming it does.
         """
         mu = self.params.mu
-        shifts = (shift_plus(mu, n),) if n == 0 else (shift_plus(mu, n), shift_minus(mu, n))
-        # a single unrefined solve: the gauge is a norm, not a solution
-        return sum(
-            float(np.max(np.abs(self.preimage_operator(n, s).lu_solve(ext)))) for s in shifts
-        )
+        size = self.grid.size + 1
+        buf = np.empty((size, size), dtype=complex)
+        terms = {}
+        for n, ext in res_ext.items():
+            shifts = (shift_plus(mu, n),) if n == 0 else (shift_plus(mu, n), shift_minus(mu, n))
+            terms[n] = 0.0
+            for s in shifts:
+                op = LinearModeOperator(n, mode_operator_matrix(self.grid, n, s, out=buf))
+                # a single unrefined solve: the gauge is a norm, not a solution
+                terms[n] += float(np.max(np.abs(op.lu_solve(ext))))
+        return terms
 
 
 @dataclass(frozen=True)
@@ -214,7 +221,7 @@ def eval_residual(
 
     raw = {n: float(np.max(np.abs(res_ext[n][:-1]))) for n in ws.mode_list}
     if preimage_norms:
-        zmode = {n: ws.preimage_sup(n, res_ext[n]) for n in ws.mode_list}
+        zmode = ws.preimage_sups(res_ext)
     else:
         zmode = {n: float(mode_weight(n)) * raw[n] for n in ws.mode_list}
     aggregate = float(sum(bracket(n) ** 0.5 * zmode[n] for n in ws.mode_list))

@@ -37,6 +37,7 @@ with shifts s+- = (2 +- n) mu - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -87,12 +88,16 @@ def shift_minus(mu: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _beta_mult_parts(grid: RadialGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero parts of beta_mult_matrix: the diagonal above the last row, the last row."""
+    return 1j * n * grid.nodes, -1j * n * grid.map_scale * grid.diff_s_inf
+
+
 def beta_mult_matrix(grid: RadialGrid, n: int) -> np.ndarray:
     """Matrix of multiplication by i*n*beta with the finite-part last row."""
     M = grid.size
     B = np.zeros((M + 1, M + 1), dtype=complex)
-    B[np.arange(M), np.arange(M)] = 1j * n * grid.nodes
-    B[-1, :] = -1j * n * grid.map_scale * grid.diff_s_inf
+    B[np.arange(M), np.arange(M)], B[-1, :] = _beta_mult_parts(grid, n)
     return B
 
 
@@ -104,14 +109,28 @@ def apply_beta_mult(grid: RadialGrid, n: int, ext: np.ndarray) -> np.ndarray:
     return out
 
 
-def mode_operator_matrix(grid: RadialGrid, n: int, shift: float) -> np.ndarray:
-    """Collocation matrix of D(n, shift) on the extended vector."""
+def mode_operator_matrix(
+    grid: RadialGrid, n: int, shift: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Collocation matrix of D(n, shift) on the extended vector.
+
+    Formed in one buffer, ``out`` when given, entry by entry as
+    radial - beta_mult_matrix - shift * I: only the diagonal and the
+    finite-part last row take the i n beta and shift terms.
+    """
     M = grid.size
-    return (
-        grid.radial.astype(complex)
-        - beta_mult_matrix(grid, n)
-        - shift * np.eye(M + 1, dtype=complex)
-    )
+    j = np.arange(M)
+    b_diag, b_last = _beta_mult_parts(grid, n)
+    unit = np.zeros(M + 1, dtype=complex)  # the last row of I
+    unit[-1] = 1.0
+    diag = grid.radial[j, j] - b_diag - shift
+    last = grid.radial[-1] - b_last - shift * unit
+    # off the diagonal shift * I holds zeros signed as the shift, which turn
+    # radial's -0.0 entries into +0.0 when the shift is negative
+    out = np.subtract(grid.radial, math.copysign(0.0, shift), out=out, dtype=complex)
+    out[j, j] = diag
+    out[-1] = last
+    return out
 
 
 def mode_operator(grid: RadialGrid, n: int, shift: float) -> LinearModeOperator:
@@ -453,10 +472,24 @@ def assemble_linearization(n: int, params: SolverParams) -> LinearModeOperator:
     if sp == 0.0 or sm == 0.0:
         raise DegenerateShiftError(f"degenerate shift at (mu={mu}, n={n})")
     grid = params.grid
-    Dp = mode_operator_matrix(grid, n, sp)
-    Dm = mode_operator_matrix(grid, n, sm)
-    Q1 = grid.radial.astype(complex) + np.eye(grid.size + 1)
-    fun = (Dp @ Dm @ Q1 + (2.0 * mu - 1.0) * beta_mult_matrix(grid, n)) / (2.0 * mu * mu)
+    # (Dp Dm (Q + I) + (2 mu - 1) beta_mult_matrix) / (2 mu^2), entry by entry
+    # as that expression, with at most three operators alive at a time
+    fun = mode_operator_matrix(grid, n, sp) @ mode_operator_matrix(grid, n, sm)
+    q1 = np.add(grid.radial, 0.0, dtype=complex)  # adding I's zeros turns -0.0 into +0.0
+    k = np.arange(grid.size + 1)
+    q1[k, k] += 1.0
+    fun = fun @ q1
+    del q1
+    c = 2.0 * mu - 1.0
+    b_diag, b_last = _beta_mult_parts(grid, n)
+    j = k[:-1]
+    diag = fun[j, j] + c * b_diag
+    last = fun[-1] + c * b_last
+    # elsewhere c * beta_mult_matrix holds +0.0 (c > 0), which turns -0.0 into +0.0
+    fun += 0.0
+    fun[j, j] = diag
+    fun[-1] = last
+    fun /= 2.0 * mu * mu
     return LinearModeOperator(n=n, fun=fun)
 
 

@@ -159,7 +159,7 @@ def newton_solve(
     base = AngularSignal.base(params)
     eps_used = float(omega.plus(base.scaled(-1.0)).a_norm(-0.5))
 
-    # assembled ahead of the gauge's cached operators, which keeps the peak memory down
+    # the chord's operators, assembled once per workspace; the gauge keeps none
     linearization = ws.linearization if backend == "chord" else None
     stream = SpectralField.base_state(params)
     history: list[float] = []

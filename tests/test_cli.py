@@ -216,6 +216,23 @@ def test_solve_failure_exit_code(tmp_path):
     assert "error" in doc
 
 
+def test_allocation_failure_exits_as_config_error(tmp_path, monkeypatch, capsys):
+    # simulated: a real allocation failure would need a grid too large to test
+    from spiral_euler import operators
+
+    def exhausted(grid, n, shift):
+        raise MemoryError
+
+    monkeypatch.setattr(operators, "mode_operator_matrix", exhausted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    capsys.readouterr()
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    message = "out of memory at grid.points = 96, harmonics = 3: lower grid.points or harmonics"
+    assert err == message + "\n"
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "none.cfg")]) == 1
     assert main(["solve"]) == 1

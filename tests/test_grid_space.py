@@ -23,7 +23,14 @@ from spiral_euler import (
     xi_far,
     xi_near,
 )
-from spiral_euler.grid_space import bump, mollifier_bump
+from spiral_euler.grid_space import (
+    _GW,
+    _GX,
+    _XI_BLOCK,
+    _bump_cumulative_table,
+    bump,
+    mollifier_bump,
+)
 
 
 def test_grid_basic_shape():
@@ -99,6 +106,45 @@ def test_bump_matches_former_closed_forms():
     assert np.array_equal(y, value)
     assert np.array_equal(yp, deriv)
     assert np.array_equal(mollifier_bump(beta), value)
+
+
+def _xi_far_in_one_call(beta):
+    """The former xi_far: every point's bump quadrature in one call."""
+    beta = np.asarray(beta, dtype=float)
+    edges, cum = _bump_cumulative_table()
+    out = np.zeros_like(beta)
+    out[beta >= 2.0] = 1.0
+    m = (beta > 1.0) & (beta < 2.0)
+    if np.any(m):
+        b = beta[m]
+        idx = np.minimum(((b - 1.0) * 4096).astype(int), 4095)
+        lo = edges[idx]
+        half = 0.5 * (b - lo)
+        x = (lo + half)[:, None] + half[:, None] * _GX[None, :]
+        rest = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
+        out[m] = cum[idx] + rest * cutoff_normalization()
+    return out
+
+
+def test_blocked_xi_far_equals_one_call(prod_grid):
+    # the cutoff table's sample, whose support points span many blocks, and
+    # supports that end one point before, at and one point after a block edge
+    beta = np.unique(
+        np.concatenate(
+            [
+                np.geomspace(1e-6, 1e6, 4096),
+                np.linspace(0.5, 2.5, 16 * 4096),
+                prod_grid.nodes[prod_grid.nodes > 0],
+            ]
+        )
+    )
+    support = beta[(beta > 1.0) & (beta < 2.0)]
+    assert len(support) > 4 * _XI_BLOCK
+    edge = [support[: k * _XI_BLOCK + d] for k in (1, 2) for d in (-1, 0, 1)]
+    for sample in [beta] + edge:
+        new, old = xi_far(sample), _xi_far_in_one_call(sample)
+        assert np.array_equal(new, old)
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 def test_cutoff_partition_of_unity(desk_cuts):

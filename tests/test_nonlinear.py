@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,33 @@ def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_gr
     assert res.aggregate == pytest.approx(reference, rel=1e-12)
     # the implied mode's term is not a copy of the stored one's
     assert abs(terms[-N] - terms[N]) > 0.2 * terms[N]
+
+
+@pytest.mark.parametrize("harmonics", [3, 15])
+def test_residual_working_set_does_not_grow_with_harmonics(harmonics):
+    # the gauge forms each D(n, s+-) when it solves and lets it go: a
+    # residual peaked 8.4 operator sizes above its start at K = 3 and at
+    # K = 15, where caching the 2K + 1 operators took 15 and 40
+    params = SolverParams(mu=1.0, N=8, harmonics=harmonics, grid_points=96)
+    ws = NonlinearWorkspace(params)
+    kept = set(vars(ws)) | {"linearization"}
+    ws.linearization  # assembled before the start, as a chord solve does
+    stream = SpectralField.base_state(params)
+    omega = AngularSignal.constant_plus_cosine(params, 0.01)
+    # a first residual elsewhere leaves numpy's lazy imports out of the count
+    eval_residual(stream, omega, NonlinearWorkspace(params))
+    operator_bytes = (params.grid.size + 1) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert eval_residual(stream, omega, ws).aggregate > 0.0
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 10 * operator_bytes
+    # afterwards the workspace holds nothing new, operators least of all
+    assert set(vars(ws)) == kept
+    assert current - start < operator_bytes
 
 
 def test_workspace_rejects_too_few_angles(desk_params):

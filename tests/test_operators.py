@@ -23,7 +23,7 @@ from spiral_euler import (
     shift_minus,
     shift_plus,
 )
-from spiral_euler.operators import beta_mult_matrix, mode_operator
+from spiral_euler.operators import beta_mult_matrix, mode_operator, mode_operator_matrix
 from conftest import random_field
 
 
@@ -156,6 +156,32 @@ def test_mode_operator_is_the_solvers_derivative(point, request):
             ref = rows[name][i]
             err = np.max(np.abs(got - ref))
             assert err <= 1e-13 * np.max(np.abs(ref)), (n, name, err)
+
+
+def _same_bits(a, b):
+    # np.array_equal, and the float bits too, so that signed zeros match
+    return np.array_equal(a, b) and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("point", ["desk", "reference"])
+def test_in_place_operators_equal_their_former_expressions(point, request):
+    # both are formed in one buffer; the full-size expressions they replaced
+    # are kept here as the reference, entry for entry
+    params = request.getfixturevalue("desk_params" if point == "desk" else "prod_params")
+    grid, mu, N = params.grid, params.mu, params.N
+
+    def former_mode_operator(n, shift):
+        eye = np.eye(grid.size + 1, dtype=complex)
+        return grid.radial.astype(complex) - beta_mult_matrix(grid, n) - shift * eye
+
+    for n in (0, N, 3 * N):
+        sp, sm = shift_plus(mu, n), shift_minus(mu, n)
+        for shift in (sp, sm):
+            assert _same_bits(mode_operator_matrix(grid, n, shift), former_mode_operator(n, shift))
+        Dp, Dm = former_mode_operator(n, sp), former_mode_operator(n, sm)
+        Q1 = grid.radial.astype(complex) + np.eye(grid.size + 1)
+        former = (Dp @ Dm @ Q1 + (2.0 * mu - 1.0) * beta_mult_matrix(grid, n)) / (2.0 * mu * mu)
+        assert _same_bits(assemble_linearization(n, params).fun, former), n
 
 
 def test_invert_zero_shift_is_singular(desk_cuts):
