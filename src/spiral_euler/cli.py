@@ -173,9 +173,10 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
 
     The field is read from the path ``field`` if one is given.  Otherwise it
     is out/field.json, solved there first if it is missing; a failed solve
-    returns its exit code and no field.  A file that cannot be read or does
-    not describe a field of this format raises ConfigError.  The evaluator
-    is built once the field has loaded, so its own errors pass through.
+    returns its exit code and no field.  A file that cannot be read, does
+    not describe a field of this format or holds a non-finite number raises
+    ConfigError.  The evaluator is built once the field has loaded, so its
+    own errors pass through.
     """
     path = Path(field) if field else out / "field.json"
     if not field and not path.exists():
@@ -185,9 +186,11 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
     try:
         doc = json.loads(path.read_text())
         stream = field_from_json(doc)
-        omega = AngularSignal(
-            stream.params, {int(n): complex(re, im) for n, re, im in doc["omega"]}
-        )
+        coeffs = {int(n): complex(re, im) for n, re, im in doc["omega"]}
+        off = sorted(n for n, c in coeffs.items() if not np.isfinite(c))
+        if off:
+            raise ValueError(f"omega coefficients of modes {off} are not finite")
+        omega = AngularSignal(stream.params, coeffs)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc

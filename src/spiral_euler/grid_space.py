@@ -1,4 +1,4 @@
-"""Radial grids, cutoff functions, mode profiles and their layered norms.
+"""Radial grids, cutoff functions, fields and their layered norm.
 
 The radial coordinate beta lives on [0, inf).  We discretize it with
 Chebyshev-Lobatto points in the compactified variable s in [0, 1],
@@ -6,8 +6,12 @@ Chebyshev-Lobatto points in the compactified variable s in [0, 1],
     beta = scale * s / (1 - s),
 
 keeping the s = 1 endpoint as an explicit "point at infinity" slot rather
-than a grid node.  A scalar radial function is represented by its values at
-the finite nodes together with three structured coefficients: the cutoff
+than a grid node.  A field is its extended values: per stored mode, the
+values at the finite nodes followed by the value at infinity.  The operators
+and the solver act on these values and nothing else.
+
+Where a mode is measured or stored it splits into a ModeProfile: a core that
+vanishes at both ends plus the coefficients of three functions, the cutoff
 xi_near (equal to 1 near the origin), the cutoff xi_far (equal to 1 near
 infinity) and the constant function.  Constants therefore split exactly into
 xi_near + xi_far.
@@ -19,7 +23,7 @@ One norm is computed, the direct sum
 whose core term is the sup of max(beta^delta, beta^-delta) |core| and whose
 slot terms are the moduli of the three coefficients.  The paper's layered
 spaces W_-, W_0 and W_+ are the subspaces where some slots vanish, and on
-them this is their norm.
+them this is their norm.  field.json stores each mode in these slots.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -100,6 +104,11 @@ class SolverParams:
             raise ParameterError(f"N must be at least 2, got {self.N}")
         if self.harmonics < 1:
             raise ParameterError("harmonics must be positive")
+        if self.N * self.harmonics > np.iinfo(np.int64).max:
+            # the mode indices n = N*k are int64
+            raise ParameterError(
+                f"N * harmonics = {self.N * self.harmonics} exceeds the largest mode index 2^63 - 1"
+            )
         if self.grid_points < 16:
             raise ParameterError("grid_points must be at least 16")
         if not self.grid_scale > 0:
@@ -444,20 +453,6 @@ class ModeProfile:
     def extended(self, cuts: CutoffSamples) -> np.ndarray:
         return cuts.grid.extend(self.values(cuts), self.value_at_inf)
 
-    def scaled(self, a: complex) -> "ModeProfile":
-        return ModeProfile(self.n, a * self.core, a * self.c0, a * self.cinf, a * self.cconst)
-
-    def plus(self, other: "ModeProfile") -> "ModeProfile":
-        if other.n != self.n:
-            raise StructureError("cannot add profiles of different modes")
-        return ModeProfile(
-            self.n,
-            self.core + other.core,
-            self.c0 + other.c0,
-            self.cinf + other.cinf,
-            self.cconst + other.cconst,
-        )
-
 
 def _refined_s(grid: RadialGrid, factor: int) -> np.ndarray:
     """Cosine-uniform refinement of the s-points, endpoints excluded."""
@@ -511,28 +506,23 @@ def mode_weight(n):
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A real scalar field on the chart, stored as radial mode profiles.
+    """A real scalar field on the chart, stored as its extended mode values.
 
-    The field is Re sum_k w_k mode(n_k)(beta) e^{i n_k phi} over the stored
-    modes n_k = N*k, k = 0..harmonics, with w_0 = 1 and w_k = 2: the modes
-    -n = conj(mode n) of a real field are implied, not stored.
+    values has shape (harmonics + 1, M + 1): row k is mode n_k = N*k at the
+    M finite nodes followed by its value at infinity.  The field is
+    Re sum_k w_k row_k(beta) e^{i n_k phi} with w_0 = 1 and w_k = 2: the
+    modes -n = conj(mode n) of a real field are implied, not stored.
     """
 
     params: SolverParams
-    modes: Mapping[int, ModeProfile]
+    values: np.ndarray
 
     def __post_init__(self):
-        want = set(int(n) for n in self.params.mode_indices)
-        have = set(int(n) for n in self.modes)
-        if have != want:
-            raise StructureError(f"mode set {sorted(have)} != stored modes {sorted(want)}")
-        for n, prof in self.modes.items():
-            if prof.n != n:
-                raise StructureError(f"profile at key {n} has index {prof.n}")
-            if prof.core.shape != (self.grid.size,):
-                raise StructureError(
-                    f"mode {n} core has {prof.core.size} values for {self.grid.size} grid points"
-                )
+        values = np.asarray(self.values, dtype=complex)
+        want = (self.params.harmonics + 1, self.grid.size + 1)
+        if values.shape != want:
+            raise StructureError(f"field values have shape {values.shape}, not {want}")
+        object.__setattr__(self, "values", values)
 
     @property
     def grid(self) -> RadialGrid:
@@ -541,26 +531,15 @@ class SpectralField:
     @classmethod
     def base_state(cls, params: SolverParams) -> "SpectralField":
         """The radial power-law base solution: constant profile at mode zero."""
-        M = params.grid.size
-        modes = {}
-        for n in params.mode_indices:
-            cconst = params.base_stream_constant if n == 0 else 0.0
-            modes[int(n)] = ModeProfile(int(n), np.zeros(M, dtype=complex), 0.0, 0.0, cconst)
-        return cls(params=params, modes=modes)
-
-    def mode(self, n: int) -> ModeProfile:
-        return self.modes[int(n)]
-
-    def map_modes(self, fn: Callable[[ModeProfile], ModeProfile]) -> "SpectralField":
-        return replace(self, modes={n: fn(p) for n, p in self.modes.items()})
+        values = np.zeros((params.harmonics + 1, params.grid.size + 1), dtype=complex)
+        values[0] = params.base_stream_constant
+        return cls(params=params, values=values)
 
     def plus(self, other: "SpectralField") -> "SpectralField":
-        return replace(
-            self, modes={n: p.plus(other.modes[n]) for n, p in self.modes.items()}
-        )
+        return replace(self, values=self.values + other.values)
 
     def scaled(self, a: complex) -> "SpectralField":
-        return self.map_modes(lambda p: p.scaled(a))
+        return replace(self, values=a * self.values)
 
 
 @dataclass(frozen=True)
@@ -651,44 +630,67 @@ def _c(z: complex) -> list[float]:
 
 
 def field_to_json(field_: SpectralField) -> dict:
-    """JSON document for a spectral field, grid nodes included."""
+    """JSON document for a spectral field, grid nodes included.
+
+    Each mode's row is split once into its ModeProfile slots.
+    """
+    cuts = sample_cutoffs(field_.grid)
+    profiles = (
+        ModeProfile.from_values(int(n), row[:-1], row[-1], cuts)
+        for n, row in zip(field_.params.mode_indices, field_.values)
+    )
     return {
         **asdict(field_.params),
         "grid_nodes": [float(b) for b in field_.grid.nodes],
         "modes": [
             {
-                "n": int(n),
-                "core": [_c(z) for z in field_.modes[int(n)].core],
-                "c0": _c(field_.modes[int(n)].c0),
-                "cinf": _c(field_.modes[int(n)].cinf),
-                "cconst": _c(field_.modes[int(n)].cconst),
+                "n": p.n,
+                "core": [_c(z) for z in p.core],
+                "c0": _c(p.c0),
+                "cinf": _c(p.cinf),
+                "cconst": _c(p.cconst),
             }
-            for n in sorted(int(m) for m in field_.modes)
+            for p in profiles
         ],
     }
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds a non-finite number")
+    return values
 
 
 def field_from_json(doc: dict) -> SpectralField:
     """The spectral field of a field_to_json document; other keys are ignored.
 
-    It raises ValueError when the saved grid_nodes are not its own grid's, to 1e-12 relative.
+    Each mode's row is built back from its slots.  It raises ValueError when
+    the saved grid_nodes are not its own grid's, to 1e-12 relative, when the
+    modes are not the stored ones, or when a node, core entry or slot is not
+    finite.
     """
     params = SolverParams(**{f.name: doc[f.name] for f in fields(SolverParams)})
-    nodes, want = np.asarray(doc["grid_nodes"], dtype=float), params.grid.nodes
+    grid = params.grid
+    nodes, want = _finite(np.asarray(doc["grid_nodes"], dtype=float), "grid_nodes"), grid.nodes
     if nodes.shape != want.shape or not np.allclose(nodes, want, rtol=1e-12, atol=0.0):
         raise ValueError(
             f"grid_nodes are not those of grid.points = {params.grid_points}, "
             f"grid.scale = {params.grid_scale}"
         )
-    modes = {}
-    for entry in doc["modes"]:
-        n = int(entry["n"])
-        core = np.array([complex(re, im) for re, im in entry["core"]])
-        modes[n] = ModeProfile(
-            n=n,
-            core=core,
-            c0=complex(*entry["c0"]),
-            cinf=complex(*entry["cinf"]),
-            cconst=complex(*entry["cconst"]),
-        )
-    return SpectralField(params=params, modes=modes)
+    entries = {int(entry["n"]): entry for entry in doc["modes"]}
+    stored = [int(n) for n in params.mode_indices]
+    if sorted(entries) != stored:
+        raise StructureError(f"mode set {sorted(entries)} != stored modes {stored}")
+    cuts = sample_cutoffs(grid)
+    values = np.empty((len(stored), grid.size + 1), dtype=complex)
+    for k, n in enumerate(stored):
+        entry = entries[n]
+        core = _finite(np.array([complex(re, im) for re, im in entry["core"]]), f"mode {n} core")
+        if core.shape != (grid.size,):
+            raise StructureError(
+                f"mode {n} core has {core.size} values for {grid.size} grid points"
+            )
+        slots = [complex(*entry[key]) for key in ("c0", "cinf", "cconst")]
+        _finite(np.array(slots), f"mode {n} slots")
+        values[k] = ModeProfile(n, core, *slots).extended(cuts)
+    return SpectralField(params=params, values=values)

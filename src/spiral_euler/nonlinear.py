@@ -36,15 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DroppedMassWarning, ParameterError, SignConditionError
-from .grid_space import (
-    AngularSignal,
-    ModeProfile,
-    SolverParams,
-    SpectralField,
-    bracket,
-    mode_weight,
-    sample_cutoffs,
-)
+from .grid_space import AngularSignal, SolverParams, SpectralField, bracket, mode_weight
 from .operators import (
     LinearModeOperator,
     beta_mult_matrix,
@@ -81,7 +73,6 @@ class NonlinearWorkspace:
             raise ParameterError(f"need at least {4 * K + 1} angles for dealiasing")
         self.params = params
         self.grid = params.grid
-        self.cuts = sample_cutoffs(self.grid)
         self.n_angles = int(n_angles)
         self.mode_list = [int(n) for n in params.mode_indices]
         # reduced circle: fields are 2*pi/N periodic, so sample Phi = N*phi
@@ -119,8 +110,10 @@ class NonlinearWorkspace:
         """The base-state linearization, assembled at its first use."""
         return linearization_set(self.params)
 
-    def preimage_sups(self, res_ext: dict[int, np.ndarray]) -> dict[int, float]:
+    def preimage_sups(self, res: np.ndarray) -> dict[int, float]:
         """The gauge's terms for the stored modes n >= 0 of a real residual.
+
+        res holds the residual's extended values, one row per stored mode.
 
         Mode n contributes sup|D(n, s+(n))^-1 r_n|.  For n > 0 the implied
         mode -n contributes sup|D(-n, s+(-n))^-1 conj(r_n)|, which equals
@@ -135,7 +128,7 @@ class NonlinearWorkspace:
         size = self.grid.size + 1
         buf = np.empty((size, size), dtype=complex)
         terms = {}
-        for n, ext in res_ext.items():
+        for n, ext in zip(self.mode_list, res):
             shifts = (shift_plus(mu, n),) if n == 0 else (shift_plus(mu, n), shift_minus(mu, n))
             terms[n] = 0.0
             for s in shifts:
@@ -197,7 +190,7 @@ def eval_residual(
         ws = NonlinearWorkspace(stream.params)
     params = ws.params
     mu = params.mu
-    fields = derived_fields(stream, ws.cuts)
+    fields = derived_fields(stream)
     A = ws.synth(fields["db"])
     B = ws.synth(fields["dv"])
     C = ws.synth(fields["lg"])
@@ -214,14 +207,13 @@ def eval_residual(
     Sm, dropS = ws.project(S)
     Qm, dropQ = ws.project(source)
 
-    grid = ws.grid
-    res_ext: dict[int, np.ndarray] = {}
-    for n in ws.mode_list:
-        res_ext[n] = dvarphi_bar_ext(grid, mu, n, Rm[n]) + 1j * n * Sm[n] + Qm[n]
+    res = np.empty_like(fields["psi"])
+    for k, n in enumerate(ws.mode_list):
+        res[k] = dvarphi_bar_ext(ws.grid, mu, n, Rm[n]) + 1j * n * Sm[n] + Qm[n]
 
-    raw = {n: float(np.max(np.abs(res_ext[n][:-1]))) for n in ws.mode_list}
+    raw = {n: float(np.max(np.abs(row[:-1]))) for n, row in zip(ws.mode_list, res)}
     if preimage_norms:
-        zmode = ws.preimage_sups(res_ext)
+        zmode = ws.preimage_sups(res)
     else:
         zmode = {n: float(mode_weight(n)) * raw[n] for n in ws.mode_list}
     aggregate = float(sum(bracket(n) ** 0.5 * zmode[n] for n in ws.mode_list))
@@ -236,14 +228,8 @@ def eval_residual(
     if preimage_norms and dropped > gate * scale and dropped > 1e-10 * input_scale:
         warnings.warn(DroppedMassWarning(dropped, gate, scale), stacklevel=2)
 
-    cuts = ws.cuts
-    modes = {
-        n: ModeProfile.from_values(n, res_ext[n][:-1], res_ext[n][-1], cuts)
-        for n in ws.mode_list
-    }
-    field_ = SpectralField(params=params, modes=modes)
     report = {"raw": raw, "preimage": zmode, "aggregate": aggregate, "dropped_mass": dropped}
-    return ResidualField(field=field_, norm_report=report)
+    return ResidualField(field=SpectralField(params=params, values=res), norm_report=report)
 
 
 def linearization_at_base(params: SolverParams) -> dict[int, LinearModeOperator]:
@@ -290,36 +276,28 @@ def fd_derivative_check(
         raise ParameterError(f"step size h={h} outside [1e-8, 1e-3]")
     if ws is None:
         ws = NonlinearWorkspace(stream.params)
-    cuts = ws.cuts
-    norm2 = lambda per_mode: float(
-        np.sqrt(sum(mode_weight(n) * np.sum(np.abs(v) ** 2) for n, v in per_mode.items()))
+    weights = mode_weight(ws.mode_list)
+    norm2 = lambda rows: float(
+        np.sqrt(sum(w * np.sum(np.abs(row) ** 2) for w, row in zip(weights, rows)))
     )
-    dir_ext = {n: direction.modes[n].extended(cuts) for n in ws.mode_list}
-    if norm2(dir_ext) == 0.0:
+    if norm2(direction.values) == 0.0:
         return 0.0
 
-    def fd(step: float) -> dict[int, np.ndarray]:
+    def fd(step: float) -> np.ndarray:
         # only the residual fields enter the check, so skip the gauge
         plus, minus = (
             eval_residual(stream.plus(direction.scaled(s)), omega, ws, preimage_norms=False)
             for s in (step, -step)
         )
-        return {
-            n: (plus.field.modes[n].extended(cuts) - minus.field.modes[n].extended(cuts))
-            / (2.0 * step)
-            for n in ws.mode_list
-        }
+        return (plus.field.values - minus.field.values) / (2.0 * step)
 
     base = SpectralField.base_state(stream.params)
-    is_base = all(
-        float(np.max(np.abs(stream.modes[n].extended(cuts) - base.modes[n].extended(cuts))))
-        < 1e-14
-        for n in ws.mode_list
-    )
+    is_base = float(np.max(np.abs(stream.values - base.values))) < 1e-14
     fd_h = fd(h)
     if is_base:
-        ref = {n: ws.linearization[n].apply_function(dir_ext[n]) for n in ws.mode_list}
+        ref = np.array(
+            [ws.linearization[n].apply_function(d) for n, d in zip(ws.mode_list, direction.values)]
+        )
     else:
         ref = fd(0.5 * h)
-    diff = {n: fd_h[n] - ref[n] for n in ws.mode_list}
-    return norm2(diff) / norm2(ref)
+    return norm2(fd_h - ref) / norm2(ref)

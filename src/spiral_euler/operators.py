@@ -38,7 +38,7 @@ with shifts s+- = (2 +- n) mu - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -371,11 +371,11 @@ def dvarphi_bar_ext(
     return -(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext
 
 
-def derived_fields(field_: SpectralField, cuts: CutoffSamples) -> dict:
+def derived_fields(field_: SpectralField) -> dict:
     """The stream profile and its five adapted-coordinate derivatives.
 
     Returns (K+1, M+1) arrays of extended mode vectors, one row per stored
-    mode n = N k, k = 0..K, keyed by name:
+    mode n = N k, k = 0..K, like the field's values, keyed by name:
 
         psi   the profile itself
         db    dbeta_bar psi = (Q + 1 - 2 mu) psi
@@ -386,7 +386,7 @@ def derived_fields(field_: SpectralField, cuts: CutoffSamples) -> dict:
     """
     grid, mu = field_.grid, field_.params.mu
     nvec = [int(n) for n in field_.params.mode_indices]
-    psi = np.array([field_.modes[n].extended(cuts) for n in nvec])
+    psi = np.array(field_.values)
     db, dv, dp, dpdb, lg = (np.empty_like(psi) for _ in range(5))
     # row by row through the per-vector primitives, which a stacked matrix
     # product would not reproduce bit for bit
@@ -498,17 +498,8 @@ def linearization_set(params: SolverParams) -> dict[int, LinearModeOperator]:
 
 
 def apply_linearization_inverse(
-    opset: Mapping[int, LinearModeOperator],
-    rhs: SpectralField,
-    cuts: CutoffSamples,
+    opset: Mapping[int, LinearModeOperator], rhs: SpectralField
 ) -> SpectralField:
-    """Solve the block-diagonal linearized system by a dense solve per mode.
-
-    cuts are the cutoff samples on rhs.grid, such as a workspace's.
-    """
-
-    def one(prof: ModeProfile) -> ModeProfile:
-        sol = opset[prof.n].solve_function(prof.extended(cuts))
-        return ModeProfile.from_values(prof.n, sol[:-1], sol[-1], cuts)
-
-    return rhs.map_modes(one)
+    """Solve the block-diagonal linearized system by a dense solve per mode."""
+    rows = zip(rhs.params.mode_indices, rhs.values)
+    return replace(rhs, values=np.array([opset[int(n)].solve_function(r) for n, r in rows]))

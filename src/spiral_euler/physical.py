@@ -34,7 +34,7 @@ from numpy.polynomial.chebyshev import chebder
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InversionError, ParameterError
-from .grid_space import AngularSignal, SolverParams, SpectralField, bump, sample_cutoffs
+from .grid_space import AngularSignal, SolverParams, SpectralField, bump
 from .operators import derived_fields
 
 __all__ = [
@@ -125,10 +125,9 @@ class FieldEvaluator:
     def __init__(self, stream: SpectralField):
         self.params = stream.params
         self.grid = stream.grid
-        self.cuts = sample_cutoffs(stream.grid)
         self.mu = self.params.mu
         self.nvec = self.params.mode_indices
-        values = derived_fields(stream, self.cuts)
+        values = derived_fields(stream)
         # mode 0 of dbeta_bar psi at beta = inf: the chart inversion's start
         self.db_inf = float(values["db"][0, -1].real)
         eps = np.finfo(float).eps

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SignConditionError
-from .grid_space import AngularSignal, ModeProfile, SolverParams, SpectralField
+from .grid_space import AngularSignal, SolverParams, SpectralField
 from .nonlinear import NonlinearWorkspace, eval_residual
 from .operators import apply_linearization_inverse, derived_fields
 
@@ -88,7 +88,7 @@ def bounds_check(stream: SpectralField) -> tuple[bool, dict]:
     params = stream.params
     ws = NonlinearWorkspace(params, n_angles=max(128, 4 * params.harmonics + 1))
     mu = params.mu
-    fields = derived_fields(stream, ws.cuts)
+    fields = derived_fields(stream)
     margins = {}
     ok = True
     for name, key, lo_fn, hi_fn in _BOUND_TABLE:
@@ -190,7 +190,7 @@ def newton_solve(
         if it == max_iter:
             raise ConvergenceError(f"no convergence in {max_iter} iterations", report=report)
         if backend == "chord":
-            update = apply_linearization_inverse(linearization, res.field, ws.cuts)
+            update = apply_linearization_inverse(linearization, res.field)
         else:
             update = _fd_newton_update(stream, omega, res, ws)
         stream = stream.plus(update.scaled(-1.0))
@@ -200,43 +200,32 @@ def newton_solve(
 
 
 def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
-    """Full-Jacobian update by finite differences on the mode coefficients.
+    """Full-Jacobian update by finite differences on the field's values.
 
-    Builds the real-coordinate Jacobian column by column; meant for small
-    grids where the frozen-Jacobian path needs a cross-check.
+    The real coordinates are the real parts of the rows and, past mode 0 of
+    the real field, their imaginary parts, row by row.  Builds the Jacobian
+    column by column; meant for small grids where the frozen-Jacobian path
+    needs a cross-check.
     """
-    params, cuts = ws.params, ws.cuts
     M1 = ws.grid.size + 1
 
-    def pack(field_: SpectralField) -> np.ndarray:
-        parts = []
-        for n in ws.mode_list:
-            ext = field_.modes[n].extended(cuts)
-            parts.append(ext.real if n == 0 else np.concatenate([ext.real, ext.imag]))
-        return np.concatenate(parts)
+    def pack(values: np.ndarray) -> np.ndarray:
+        rest = np.stack([values[1:].real, values[1:].imag], axis=1)
+        return np.concatenate([values[0].real, rest.ravel()])
 
     def unpack(vec: np.ndarray) -> SpectralField:
-        modes = {}
-        pos = 0
-        for n in ws.mode_list:
-            if n == 0:
-                ext = vec[pos : pos + M1].astype(complex)
-                pos += M1
-            else:
-                ext = vec[pos : pos + M1] + 1j * vec[pos + M1 : pos + 2 * M1]
-                pos += 2 * M1
-            modes[n] = ModeProfile.from_values(n, ext[:-1], ext[-1], cuts)
-        return SpectralField(params=params, modes=modes)
+        pairs = vec[M1:].reshape(-1, 2, M1)
+        return SpectralField(ws.params, np.vstack([vec[:M1], pairs[:, 0] + 1j * pairs[:, 1]]))
 
-    x0 = pack(stream)
-    f0 = pack(res.field)
+    x0 = pack(stream.values)
+    f0 = pack(res.field.values)
     h = 1e-7 * max(1.0, float(np.max(np.abs(x0))))
     J = np.zeros((len(x0), len(x0)))
     for j in range(len(x0)):
         xp = x0.copy()
         xp[j] += h
         probe = eval_residual(unpack(xp), omega, ws, preimage_norms=False)
-        J[:, j] = (pack(probe.field) - f0) / h
+        J[:, j] = (pack(probe.field.values) - f0) / h
     sol = np.linalg.solve(J, f0)
     return unpack(sol)
 
@@ -252,7 +241,7 @@ def angular_initial_vorticity(
     if ws is None:
         ws = NonlinearWorkspace(stream.params)
     mu = stream.params.mu
-    fields = derived_fields(stream, ws.cuts)
+    fields = derived_fields(stream)
     # the values at beta = 0, the first node
     db_vals = ws.synth(fields["db"][:, 0])
     dv_vals = ws.synth(fields["dv"][:, 0])

@@ -63,14 +63,11 @@ def prod_solution(prod_params):
 
 def random_field(params, seed=0, amplitude=1.0, decay=0.7):
     """Smooth random real field on the mode lattice, vanishing at infinity."""
-    from spiral_euler import ModeProfile
-
     rng = np.random.default_rng(seed)
     grid = params.grid
-    cuts = sample_cutoffs(grid)
     b = grid.nodes
-    modes = {}
-    for n in [int(x) for x in params.mode_indices]:
+    values = np.zeros((len(params.mode_indices), grid.size + 1), dtype=complex)
+    for k, n in enumerate(int(x) for x in params.mode_indices):
         ncoef = 8
         co = (rng.standard_normal(ncoef) + 1j * rng.standard_normal(ncoef)) * np.exp(
             -decay * np.arange(ncoef)
@@ -79,8 +76,8 @@ def random_field(params, seed=0, amplitude=1.0, decay=0.7):
         vals = amplitude * smooth * b / (1.0 + b) * np.exp(-b / 4.0)
         if n == 0:
             vals = vals.real.astype(complex)
-        modes[n] = ModeProfile.from_values(n, vals, 0.0, cuts)
-    return SpectralField(params=params, modes=modes)
+        values[k, :-1] = vals
+    return SpectralField(params=params, values=values)
 
 
 @dataclass(frozen=True)

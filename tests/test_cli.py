@@ -415,13 +415,24 @@ def _rescale_grid(doc):
     doc["grid_scale"] = 2.0
 
 
+def _nan_core(doc):
+    next(entry for entry in doc["modes"] if entry["n"] == 8)["core"][5] = [float("nan"), 0.0]
+
+
+def _nan_omega(doc):
+    doc["omega"].append([8, float("nan"), 0.0])
+
+
 @pytest.mark.parametrize(
-    "edit", [_drop_last_mode, _add_conjugate_modes, _shorten_core, _rescale_grid]
+    "edit",
+    [_drop_last_mode, _add_conjugate_modes, _shorten_core, _rescale_grid, _nan_core, _nan_omega],
 )
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
     detail = {
         _shorten_core: "mode 0 core has 95 values for 96 grid points",
         _rescale_grid: "grid_nodes are not those of grid.points = 96, grid.scale = 2.0",
+        _nan_core: "mode 8 core holds a non-finite number",
+        _nan_omega: "omega coefficients of modes [8] are not finite",
     }.get(edit, "mode set")
     cfg, out = _saved_field(tmp_path, edit)
     field = str(out / "field.json")
@@ -432,6 +443,8 @@ def test_unloadable_field_exits_as_config_error(tmp_path, edit):
         assert proc.stderr.startswith("configuration error: cannot load the saved field")
         assert detail in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+    # no command wrote an artifact
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "field.json", "report.json"]
 
 
 def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
@@ -536,6 +549,11 @@ def test_help_exits_zero():
      "omega.coeffs entry '8:inf:0' must be finite"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 8:1e400:0,-8:1e400:0",
      "omega.coeffs entry '8:1e400:0' must be finite"),
+    # the mode indices N*k are int64: past 2^63 - 1 they overflow or wrap
+    ("solve", "N = 100000000000000000000",
+     "invalid parameters: N * harmonics = 300000000000000000000 exceeds"),
+    ("certify", "N = 3074457345618258603",
+     "invalid parameters: N * harmonics = 9223372036854775809 exceeds"),
 ])
 def test_bad_config_value_exits_before_any_solve(tmp_path, command, lines, message):
     cfg = tmp_path / "run.cfg"

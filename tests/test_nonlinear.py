@@ -7,7 +7,6 @@ import pytest
 from spiral_euler import (
     AngularSignal,
     DroppedMassWarning,
-    ModeProfile,
     ParameterError,
     SignConditionError,
     SolverParams,
@@ -17,7 +16,6 @@ from spiral_euler import (
     fd_derivative_check,
     linearization_at_base,
     linearization_set,
-    sample_cutoffs,
     shift_plus,
 )
 from spiral_euler import nonlinear
@@ -42,26 +40,22 @@ def test_zero_angular_factor_gives_constant_residual(desk_params, desk_grid):
     base = SpectralField.base_state(desk_params)
     zero = AngularSignal(desk_params, {0: 0.0})
     res = eval_residual(base, zero)
-    cuts = sample_cutoffs(desk_grid)
-    mode0 = res.field.mode(0)
+    mode0 = res.field.values[0]
     expected = (2 * mu - 1) / mu
-    assert np.max(np.abs(mode0.values(cuts) - expected)) < 1e-12
-    assert mode0.value_at_inf == pytest.approx(expected, abs=1e-12)
-    for n in desk_params.mode_indices:
-        if n != 0:
-            assert np.max(np.abs(res.field.mode(int(n)).values(cuts))) < 1e-12
+    assert np.max(np.abs(mode0[:-1] - expected)) < 1e-12
+    assert mode0[-1] == pytest.approx(expected, abs=1e-12)
+    for row in res.field.values[1:]:
+        assert np.max(np.abs(row[:-1])) < 1e-12
 
 
-def test_sign_condition_error(desk_params, desk_grid, desk_cuts):
+def test_sign_condition_error(desk_params, desk_grid):
     # push the radial derivative positive somewhere
     base = SpectralField.base_state(desk_params)
     b = desk_grid.nodes
     bad_bump = -5.0 * b * np.exp(-b)  # pushes the radial derivative positive
-    modes = dict(base.modes)
-    modes[0] = ModeProfile.from_values(
-        0, base.mode(0).values(desk_cuts) + bad_bump, base.mode(0).value_at_inf, desk_cuts
-    )
-    bad = SpectralField(params=desk_params, modes=modes)
+    values = base.values.copy()
+    values[0, :-1] += bad_bump
+    bad = SpectralField(params=desk_params, values=values)
     with pytest.raises(SignConditionError) as err:
         eval_residual(bad, AngularSignal.base(desk_params))
     assert err.value.quantity
@@ -98,10 +92,10 @@ def test_fd_derivative_at_base(desk_params):
     assert err < 1e-5
 
 
-def test_fd_zero_direction(desk_params, desk_cuts):
+def test_fd_zero_direction(desk_params):
     base = SpectralField.base_state(desk_params)
     omega = AngularSignal.base(desk_params)
-    zero = base.map_modes(lambda p: p.scaled(0.0))
+    zero = base.scaled(0.0)
     assert fd_derivative_check(base, omega, zero, 1e-6) == 0.0
 
 
@@ -160,7 +154,7 @@ def test_fd_step_out_of_range(desk_params):
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_linearity_in_angular_factor(desk_params, desk_cuts):
+def test_linearity_in_angular_factor(desk_params):
     # the angular factor enters the operator linearly
     stream = random_field(desk_params, seed=24, amplitude=0.004)
     stream = SpectralField.base_state(desk_params).plus(stream)
@@ -172,22 +166,14 @@ def test_linearity_in_angular_factor(desk_params, desk_cuts):
     r_2 = eval_residual(stream, om2, ws)
     r_1 = eval_residual(stream, om1, ws)
     r_0 = eval_residual(stream, om1.scaled(0.0), ws)
-    lhs = {}
-    rhs = {}
-    for n in desk_params.mode_indices:
-        n = int(n)
-        lhs[n] = r_combo.field.mode(n).extended(desk_cuts) - r_2.field.mode(n).extended(
-            desk_cuts
-        )
-        rhs[n] = alpha * (
-            r_1.field.mode(n).extended(desk_cuts) - r_0.field.mode(n).extended(desk_cuts)
-        )
-    worst = max(np.max(np.abs(lhs[n] - rhs[n])) for n in lhs)
+    lhs = r_combo.field.values - r_2.field.values
+    rhs = alpha * (r_1.field.values - r_0.field.values)
+    worst = np.max(np.abs(lhs - rhs))
     assert worst < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_residual_mode_lattice_closure(desk_params, desk_cuts):
+def test_residual_mode_lattice_closure(desk_params):
     # quadratic interactions of lattice modes stay on the lattice: residuals
     # computed with different angular sample counts agree on the retained
     # modes, so nothing aliases back in
@@ -197,22 +183,14 @@ def test_residual_mode_lattice_closure(desk_params, desk_cuts):
     omega = AngularSignal.constant_plus_cosine(desk_params, 0.05)
     res64 = eval_residual(stream, omega, NonlinearWorkspace(desk_params, 64))
     res128 = eval_residual(stream, omega, NonlinearWorkspace(desk_params, 128))
-    assert set(int(n) for n in res64.field.modes) == set(
-        int(n) for n in desk_params.mode_indices
-    )
+    assert len(res64.field.values) == len(desk_params.mode_indices)
     scale = max(res64.raw_max, 1.0)
-    for n in desk_params.mode_indices:
-        n = int(n)
-        d = np.max(
-            np.abs(
-                res64.field.mode(n).extended(desk_cuts)
-                - res128.field.mode(n).extended(desk_cuts)
-            )
-        )
+    for n, a, b in zip(desk_params.mode_indices, res64.field.values, res128.field.values):
+        d = np.max(np.abs(a - b))
         assert d < 1e-9 * scale, n
 
 
-def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_grid, desk_cuts):
+def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_grid):
     # off the solution: the base stream under a cosine factor, the desk
     # solve's first iterate.  The reference runs over the whole lattice, mode
     # -n being conj(mode n) inverted through its own D(-n, s+(-n)).
@@ -222,8 +200,7 @@ def test_gauge_counts_implied_modes_through_their_own_shift(desk_params, desk_gr
     base = SpectralField.base_state(desk_params)
     res = eval_residual(base, AngularSignal.constant_plus_cosine(desk_params, 0.01))
     terms = {}
-    for n in desk_params.mode_indices:
-        r = res.field.mode(int(n)).extended(desk_cuts)
+    for n, r in zip(desk_params.mode_indices, res.field.values):
         for m, rm in [(int(n), r)] + ([(-int(n), r.conj())] if n else []):
             op = mode_operator(desk_grid, m, shift_plus(mu, m))
             terms[m] = float(np.max(np.abs(op.lu_solve(rm))))

@@ -42,7 +42,7 @@ def test_bar_derivative_on_base_constants(desk_params, desk_cuts):
     mu = desk_params.mu
     base = SpectralField.base_state(desk_params)
     c = desk_params.base_stream_constant
-    fields = derived_fields(base, desk_cuts)
+    fields = derived_fields(base)
     for key, value in (("db", (1 - 2 * mu) * c), ("dv", (2 * mu - 1) * c)):
         prof = ModeProfile.from_values(0, fields[key][0, :-1], fields[key][0, -1], desk_cuts)
         assert prof.cconst == pytest.approx(value, abs=1e-14)
@@ -50,24 +50,24 @@ def test_bar_derivative_on_base_constants(desk_params, desk_cuts):
         assert np.max(np.abs(fields[key][1:])) == 0.0
 
 
-def test_bar_derivative_dphi_is_mode_multiplier(desk_params, desk_cuts):
+def test_bar_derivative_dphi_is_mode_multiplier(desk_params):
     F = random_field(desk_params, seed=3)
-    dp = derived_fields(F, desk_cuts)["dp"]
+    dp = derived_fields(F)["dp"]
     for k, n in enumerate(int(n) for n in desk_params.mode_indices):
-        expected = F.mode(n).scaled(1j * n).extended(desk_cuts)
+        expected = 1j * n * F.values[k]
         assert np.max(np.abs(dp[k] - expected)) < 1e-12
 
 
-def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid, desk_cuts):
+def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid):
     # the matrix forms of linearization_at_base: dbeta_bar = Q + 1 - 2 mu,
     # dvarphi_bar = -(Q - i n beta) + 2 mu - 1
     F = random_field(desk_params, seed=5)
     mu = desk_params.mu
     eye = np.eye(desk_grid.size + 1)
     dbeta = desk_grid.radial + (1.0 - 2.0 * mu) * eye
-    got = derived_fields(F, desk_cuts)
+    got = derived_fields(F)
     for i, n in enumerate(int(n) for n in desk_params.mode_indices):
-        ext = F.mode(n).extended(desk_cuts)
+        ext = F.values[i]
         dvarphi = -(desk_grid.radial - beta_mult_matrix(desk_grid, n)) + (2.0 * mu - 1.0) * eye
         expected = {
             "psi": ext,
@@ -146,9 +146,9 @@ def test_mode_operator_is_the_solvers_derivative(point, request):
     stream, _, _ = request.getfixturevalue("desk_solution" if point == "desk" else "prod_solution")
     cuts = sample_cutoffs(stream.grid)
     s = 2.0 * stream.params.mu - 1.0
-    rows = derived_fields(stream, cuts)
+    rows = derived_fields(stream)
     for i, n in enumerate(int(n) for n in stream.params.mode_indices):
-        psi = stream.mode(n)
+        psi = ModeProfile.from_values(n, stream.values[i, :-1], stream.values[i, -1], cuts)
         for name, got in (
             ("db", apply_mode_operator(0, s, psi, cuts).extended(cuts)),
             ("dv", -apply_mode_operator(n, s, psi, cuts).extended(cuts)),
@@ -473,35 +473,24 @@ def test_assemble_linearization_degenerate_shift():
         assemble_linearization(1, params)  # (2-1)*1-1 = 0
 
 
-def test_linearization_inverse_constant_sector(desk_params, desk_grid, desk_cuts):
+def test_linearization_inverse_constant_sector(desk_params, desk_grid):
     mu = desk_params.mu
     opset = linearization_set(desk_params)
-    modes = {
-        int(n): ModeProfile(
-            int(n), np.zeros(desk_grid.size), cconst=(1.0 if n == 0 else 0.0)
-        )
-        for n in desk_params.mode_indices
-    }
-    rhs = SpectralField(params=desk_params, modes=modes)
-    sol = apply_linearization_inverse(opset, rhs, desk_cuts)
+    values = np.zeros((len(desk_params.mode_indices), desk_grid.size + 1))
+    values[0] = 1.0
+    rhs = SpectralField(params=desk_params, values=values)
+    sol = apply_linearization_inverse(opset, rhs)
     expected = 2 * mu * mu / (2 * mu - 1) ** 2
-    assert abs(sol.mode(0).cconst - expected) < 1e-9
+    assert abs(sol.values[0, -1] - expected) < 1e-9
 
 
-def test_linearization_inverse_round_trip(desk_params, desk_cuts):
+def test_linearization_inverse_round_trip(desk_params):
     opset = linearization_set(desk_params)
     X = random_field(desk_params, seed=12)
-
-    def apply_op(p):
-        out = opset[p.n].apply_function(p.extended(desk_cuts))
-        return ModeProfile.from_values(p.n, out[:-1], out[-1], desk_cuts)
-
-    Y = X.map_modes(apply_op)
-    X2 = apply_linearization_inverse(opset, Y, desk_cuts)
-    err = max(
-        np.max(np.abs(X2.mode(int(n)).extended(desk_cuts) - X.mode(int(n)).extended(desk_cuts)))
-        for n in desk_params.mode_indices
-    )
+    rows = zip(desk_params.mode_indices, X.values)
+    Y = SpectralField(desk_params, np.array([opset[int(n)].apply_function(x) for n, x in rows]))
+    X2 = apply_linearization_inverse(opset, Y)
+    err = np.max(np.abs(X2.values - X.values))
     assert err < 1e-8
 
 

@@ -126,7 +126,7 @@ def test_fused_fields_match_full_mode_sum(request, solution):
     nvec = np.concatenate([-params.mode_indices[:0:-1], params.mode_indices])
     phases = np.exp(1j * nvec[:, None] * phi[None, :])
     fused = ev.field(ev.FIELDS, beta, phi)
-    derived = derived_fields(stream, ev.cuts)
+    derived = derived_fields(stream)
     for name, fast in zip(ev.FIELDS, fused):
         arr = np.concatenate([derived[name][:0:-1].conj(), derived[name]])
         vals = grid.evaluate_coefficients(grid.chebyshev_coefficients(arr), grid.s_of_beta(beta))
@@ -203,11 +203,11 @@ def test_chart_newton_keeps_its_last_step(spiral_solution):
     # -1e-8 everywhere: the root 1e-4 / |z| lies below the reach
     pytest.param(0.0, 1e-8, False, id="root-past-reach"),
 ])
-def test_chart_newton_safeguard_reach(desk_params, desk_grid, c0, cconst, inverts):
+def test_chart_newton_safeguard_reach(desk_params, desk_grid, desk_cuts, c0, cconst, inverts):
     base = SpectralField.base_state(desk_params)
-    modes = dict(base.modes)
-    modes[0] = ModeProfile(0, np.zeros(desk_grid.size), c0=c0, cconst=cconst)
-    stream = SpectralField(params=desk_params, modes=modes)
+    values = base.values.copy()
+    values[0] = ModeProfile(0, np.zeros(desk_grid.size), c0=c0, cconst=cconst).extended(desk_cuts)
+    stream = SpectralField(params=desk_params, values=values)
     ev = FieldEvaluator(stream)
     assert ev.db_inf == pytest.approx(-cconst, rel=1e-12)
     rng = np.random.default_rng(5)
