@@ -96,6 +96,9 @@ class RunConfig:
             raise ConfigError(
                 f"verify.suites: unknown suites {unknown}; known: {','.join(VERIFY_SUITES)}"
             )
+        repeated = sorted({s for s in suites if suites.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"verify.suites names {repeated} more than once")
         try:
             AngularSignal(params, _parse_coeffs(values["omega.coeffs"]))
         except StructureError as exc:

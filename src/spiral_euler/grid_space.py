@@ -7,10 +7,10 @@ Chebyshev-Lobatto points in the compactified variable s in [0, 1],
 
 keeping the s = 1 endpoint as an explicit "point at infinity" slot rather
 than a grid node.  A field is its extended values: per stored mode, the
-values at the finite nodes followed by the value at infinity.  The operators
-and the solver act on these values and nothing else.
+values at the finite nodes followed by the value at infinity.  The operators,
+the solver and field.json hold these values and nothing else.
 
-Where a mode is measured or stored it splits into a ModeProfile: a core that
+Where a mode is measured it splits into a ModeProfile: a core that
 vanishes at both ends plus the coefficients of three functions, the cutoff
 xi_near (equal to 1 near the origin), the cutoff xi_far (equal to 1 near
 infinity) and the constant function.  Constants therefore split exactly into
@@ -23,7 +23,7 @@ One norm is computed, the direct sum
 whose core term is the sup of max(beta^delta, beta^-delta) |core| and whose
 slot terms are the moduli of the three coefficients.  The paper's layered
 spaces W_-, W_0 and W_+ are the subspaces where some slots vanish, and on
-them this is their norm.  field.json stores each mode in these slots.
+them this is their norm.
 """
 
 from __future__ import annotations
@@ -624,50 +624,35 @@ class AngularSignal:
 # ---------------------------------------------------------------------------
 
 
-def _c(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def field_to_json(field_: SpectralField) -> dict:
     """JSON document for a spectral field, grid nodes included.
 
-    Each mode's row is split once into its ModeProfile slots.
+    Each stored mode n carries its row of extended values as [re, im] pairs:
+    the M finite nodes, then the value at infinity.
     """
-    cuts = sample_cutoffs(field_.grid)
-    profiles = (
-        ModeProfile.from_values(int(n), row[:-1], row[-1], cuts)
-        for n, row in zip(field_.params.mode_indices, field_.values)
-    )
     return {
         **asdict(field_.params),
         "grid_nodes": [float(b) for b in field_.grid.nodes],
         "modes": [
-            {
-                "n": p.n,
-                "core": [_c(z) for z in p.core],
-                "c0": _c(p.c0),
-                "cinf": _c(p.cinf),
-                "cconst": _c(p.cconst),
-            }
-            for p in profiles
+            {"n": int(n), "values": np.stack([row.real, row.imag], axis=-1).tolist()}
+            for n, row in zip(field_.params.mode_indices, field_.values)
         ],
     }
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
-        raise ValueError(f"{what} holds a non-finite number")
+        raise ValueError(f"{what} hold a non-finite number")
     return values
 
 
 def field_from_json(doc: dict) -> SpectralField:
     """The spectral field of a field_to_json document; other keys are ignored.
 
-    Each mode's row is built back from its slots.  It raises ValueError when
-    the saved grid_nodes are not its own grid's, to 1e-12 relative, when the
-    modes are not the stored ones, or when a node, core entry or slot is not
-    finite.
+    The rows are read back unchanged.  It raises ValueError when the saved
+    grid_nodes are not its own grid's, to 1e-12 relative, when the modes are
+    not the stored ones, each listed once, or when a row is not M+1 finite
+    [re, im] pairs.
     """
     params = SolverParams(**{f.name: doc[f.name] for f in fields(SolverParams)})
     grid = params.grid
@@ -677,20 +662,18 @@ def field_from_json(doc: dict) -> SpectralField:
             f"grid_nodes are not those of grid.points = {params.grid_points}, "
             f"grid.scale = {params.grid_scale}"
         )
-    entries = {int(entry["n"]): entry for entry in doc["modes"]}
+    listed = sorted(int(entry["n"]) for entry in doc["modes"])
     stored = [int(n) for n in params.mode_indices]
-    if sorted(entries) != stored:
-        raise StructureError(f"mode set {sorted(entries)} != stored modes {stored}")
-    cuts = sample_cutoffs(grid)
+    if listed != stored:
+        raise StructureError(f"mode set {listed} is not the stored modes {stored}, each once")
     values = np.empty((len(stored), grid.size + 1), dtype=complex)
-    for k, n in enumerate(stored):
-        entry = entries[n]
-        core = _finite(np.array([complex(re, im) for re, im in entry["core"]]), f"mode {n} core")
-        if core.shape != (grid.size,):
+    for entry in doc["modes"]:
+        n = int(entry["n"])
+        pairs = np.array(entry["values"], dtype=float)
+        if pairs.shape != (grid.size + 1, 2):
             raise StructureError(
-                f"mode {n} core has {core.size} values for {grid.size} grid points"
+                f"mode {n} values are not {grid.size + 1} [re, im] pairs, "
+                f"one per grid point and one at infinity"
             )
-        slots = [complex(*entry[key]) for key in ("c0", "cinf", "cconst")]
-        _finite(np.array(slots), f"mode {n} slots")
-        values[k] = ModeProfile(n, core, *slots).extended(cuts)
+        values[n // params.N] = _finite(pairs, f"mode {n} values").view(complex)[:, 0]
     return SpectralField(params=params, values=values)

@@ -11,7 +11,7 @@ import pytest
 
 import spiral_euler
 
-from spiral_euler import ConfigError
+from spiral_euler import ConfigError, ModeProfile, SolverParams, grid_space, sample_cutoffs
 from spiral_euler.cli import main
 from spiral_euler.config import load_config, parse_config_text
 
@@ -127,6 +127,25 @@ def test_solve_reconstruct_verify_pipeline(tmp_path):
     field = str(out / "field.json")
     assert main(["reconstruct", "--config", str(cfg), "--field", field, "--out", str(again)]) == 0
     assert (again / "spirals.svg").exists() and not (again / "field.json").exists()
+
+
+def test_field_json_round_trip_samples_no_cutoffs(tmp_path, monkeypatch):
+    # field.json holds each row's extended values: writing and reloading it
+    # neither samples the cutoffs nor splits a row into ModeProfile slots
+    def refuse(*args, **kwargs):
+        raise AssertionError("field.json went through the cutoffs or ModeProfile slots")
+
+    monkeypatch.setattr(grid_space, "sample_cutoffs", refuse)
+    monkeypatch.setattr(ModeProfile, "from_values", refuse)
+    monkeypatch.setattr(ModeProfile, "extended", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    for command in ("solve", "verify", "reconstruct"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert {"field.json", "verify.json", "samples.csv", "spirals.svg"} <= {
+        p.name for p in out.iterdir()
+    }
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "verify"])
@@ -396,18 +415,33 @@ def _drop_last_mode(doc):
 
 def _add_conjugate_modes(doc):
     # the format before the implied modes -n were dropped
-    conj = lambda z: [z[0], -z[1]]
     for entry in list(doc["modes"]):
         if entry["n"] > 0:
-            doc["modes"].append({
-                "n": -entry["n"],
-                "core": [conj(z) for z in entry["core"]],
-                **{key: conj(entry[key]) for key in ("c0", "cinf", "cconst")},
-            })
+            conj = [[re, -im] for re, im in entry["values"]]
+            doc["modes"].append({"n": -entry["n"], "values": conj})
 
 
-def _shorten_core(doc):
-    doc["modes"][0]["core"].pop()
+def _repeat_mode(doc):
+    # a second, all-zero entry for mode 8 after the solved one
+    doc["modes"].append({"n": 8, "values": [[0.0, 0.0]] * (doc["grid_points"] + 1)})
+
+
+def _shorten_values(doc):
+    doc["modes"][0]["values"].pop()
+
+
+def _slot_form(doc):
+    # the format before the rows were stored whole: each row split into its
+    # ModeProfile slots; such a file must be solved again
+    keys = ("mu", "N", "harmonics", "grid_points", "grid_scale")
+    params = SolverParams(**{key: doc[key] for key in keys})
+    cuts = sample_cutoffs(params.grid)
+    pair = lambda z: [complex(z).real, complex(z).imag]
+    for entry in doc["modes"]:
+        row = np.array([complex(re, im) for re, im in entry.pop("values")])
+        prof = ModeProfile.from_values(entry["n"], row[:-1], row[-1], cuts)
+        entry["core"] = [pair(z) for z in prof.core]
+        entry.update({key: pair(getattr(prof, key)) for key in ("c0", "cinf", "cconst")})
 
 
 def _rescale_grid(doc):
@@ -415,8 +449,8 @@ def _rescale_grid(doc):
     doc["grid_scale"] = 2.0
 
 
-def _nan_core(doc):
-    next(entry for entry in doc["modes"] if entry["n"] == 8)["core"][5] = [float("nan"), 0.0]
+def _nan_values(doc):
+    next(entry for entry in doc["modes"] if entry["n"] == 8)["values"][5] = [float("nan"), 0.0]
 
 
 def _nan_omega(doc):
@@ -425,13 +459,18 @@ def _nan_omega(doc):
 
 @pytest.mark.parametrize(
     "edit",
-    [_drop_last_mode, _add_conjugate_modes, _shorten_core, _rescale_grid, _nan_core, _nan_omega],
+    [
+        _drop_last_mode, _add_conjugate_modes, _repeat_mode, _shorten_values, _slot_form,
+        _rescale_grid, _nan_values, _nan_omega,
+    ],
 )
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
     detail = {
-        _shorten_core: "mode 0 core has 95 values for 96 grid points",
+        _repeat_mode: "mode set [0, 8, 8, 16, 24] is not the stored modes [0, 8, 16, 24]",
+        _shorten_values: "mode 0 values are not 97 [re, im] pairs",
+        _slot_form: "missing key 'values'",
         _rescale_grid: "grid_nodes are not those of grid.points = 96, grid.scale = 2.0",
-        _nan_core: "mode 8 core holds a non-finite number",
+        _nan_values: "mode 8 values hold a non-finite number",
         _nan_omega: "omega coefficients of modes [8] are not finite",
     }.get(edit, "mode set")
     cfg, out = _saved_field(tmp_path, edit)
@@ -449,9 +488,12 @@ def test_unloadable_field_exits_as_config_error(tmp_path, edit):
 
 def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
     def negate_constant(doc):
-        # dbeta_bar psi then turns positive, and the chart map is undefined
+        # mode 0's constant slot turns to its negative, which takes twice the
+        # row's far value off every entry; dbeta_bar psi then turns positive,
+        # and the chart map is undefined
         zero = next(entry for entry in doc["modes"] if entry["n"] == 0)
-        zero["cconst"] = [-zero["cconst"][0], -zero["cconst"][1]]
+        far_re, far_im = zero["values"][-1]
+        zero["values"] = [[re - 2 * far_re, im - 2 * far_im] for re, im in zero["values"]]
         # an angular factor with zeros, so that spirals.svg has curves to map
         doc["omega"] = [[-8, 0.6, 0.0], [0, 1.0, 0.0], [8, 0.6, 0.0]]
 
@@ -508,6 +550,7 @@ def test_help_exits_zero():
 
 @pytest.mark.parametrize("command, lines, message", [
     ("verify", "verify.suites = selfsim,bogus", "verify.suites: unknown suites ['bogus']"),
+    ("verify", "verify.suites = selfsim,selfsim", "verify.suites names ['selfsim'] more than once"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 8:0.01",
      "omega.coeffs entry '8:0.01' is not n:re:im"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = x:1:0",

@@ -265,19 +265,18 @@ def test_serialization_round_trip(desk_params):
     F = random_field(desk_params, seed=9)
     doc = field_to_json(F)
     G = field_from_json(doc)
-    assert np.allclose(F.values, G.values, atol=0, rtol=0)
+    assert np.array_equal(F.values, G.values)
     assert field_to_json(G) == doc
     assert doc["grid_nodes"][0] == 0.0
 
 
 @pytest.mark.parametrize("solution", ["desk_solution", "prod_solution"])
 def test_field_json_round_trip_of_a_solved_field(request, solution):
-    # field.json stores each row in its slots and the reader builds the row
-    # back: a solved field comes back within 4 eps of its largest value
+    # field.json stores each row's extended values: a solved field comes
+    # back bit for bit
     F = request.getfixturevalue(solution)[0]
     G = field_from_json(json.loads(json.dumps(field_to_json(F))))
-    scale = float(np.max(np.abs(F.values)))
-    assert np.max(np.abs(G.values - F.values)) <= 4 * np.finfo(float).eps * scale
+    assert np.array_equal(G.values, F.values)
 
 
 def test_one_grid_per_parameter_set(desk_params, desk_grid, prod_params, prod_grid):
