@@ -143,17 +143,21 @@ def cutoff_norm_table(grid: RadialGrid) -> dict:
     xf = xi_far(beta)
     x0 = 1.0 - xf  # xi_near
 
-    computed = {
-        "beta_dbeta_xi0": weighted_sup(beta * eta),
-        "beta_xi0": weighted_sup(beta * x0),
-        "dbeta_xiinf": weighted_sup(eta),
-        "xiinf_over_beta": weighted_sup(xf / beta),
-        "beta2_dbeta_xi0": weighted_sup(beta * beta * eta),
-        "beta2_dbeta2_xi0": weighted_sup(beta * beta * eta_p),
-        "plain_sup_mixed": max(
-            max(float(np.max(beta**d * x0)), float(np.max(beta**-d * xf))) for d in deltas
-        ),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite supremum raises below
+        computed = {
+            "beta_dbeta_xi0": weighted_sup(beta * eta),
+            "beta_xi0": weighted_sup(beta * x0),
+            "dbeta_xiinf": weighted_sup(eta),
+            "xiinf_over_beta": weighted_sup(xf / beta),
+            "beta2_dbeta_xi0": weighted_sup(beta * beta * eta),
+            "beta2_dbeta2_xi0": weighted_sup(beta * beta * eta_p),
+            "plain_sup_mixed": max(
+                max(float(np.max(beta**d * x0)), float(np.max(beta**-d * xf))) for d in deltas
+            ),
+        }
+    off = [name for name, val in computed.items() if not np.isfinite(val)]
+    if off:  # beta^2 overflows at the nodes of a wide grid
+        raise ParameterError(f"cutoff suprema {off} overflow on the grid of scale {grid.map_scale}")
     table = {}
     for name, bound in CUTOFF_BOUNDS.items():
         val = computed[name]
@@ -183,9 +187,12 @@ def contraction_and_threshold(mu: float, N: int) -> tuple[float, float]:
         10.33 * Nb / denom + 52.0 / denom + 6.0
     ) + 2.83 * Nb / denom
     K = (2.0 * mu - 1.0) / Nb * first * second
-    threshold = (2.0 * mu - 1.0) * (
-        397.0 + 1090.0 / mu + 1264.0 / mu**2 + 999.0 / mu**3 + 42.0 / mu**4
-    )
+    try:  # mu**2 overflows before 2 mu - 1 in K does
+        threshold = (2.0 * mu - 1.0) * (
+            397.0 + 1090.0 / mu + 1264.0 / mu**2 + 999.0 / mu**3 + 42.0 / mu**4
+        )
+    except OverflowError as exc:
+        raise ParameterError(f"the periodicity threshold at mu = {mu} overflows") from exc
     return float(K), float(threshold)
 
 
@@ -277,6 +284,8 @@ def _perturbation_spot_check(params: SolverParams, K: float, seed: int) -> tuple
     rng = np.random.default_rng(seed)
     modes = [k * params.N for k in (1, 2, 3)]
     gs = {n: [_random_core_profile(rng, n, cuts, delta) for _ in range(8)] for n in modes}
+    if not all(g.core.any() for n in modes for g in gs[n]):  # exp(-beta/20) underflowed
+        raise ParameterError(f"spot-check profiles vanish on the grid of scale {params.grid_scale}")
     stage1 = [h for n in modes for h in invert_mode_operator(n, shift_minus(mu, n), gs[n], cuts)]
     psis = invert_mode_operator(0, -1.0, stage1, cuts)
     rows = []

@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
 subcommand, a --format entry outside json,csv,svg), configuration problem,
 an output directory that cannot be written, a saved field that does not load
 or an allocation that fails (out of memory), 2 certificate failure, 3 solve
-failure, 4 verification failure or a failed chart inversion (verify,
-reconstruct).  Codes 1 and 4 print one line to stderr.  Every JSON artifact
-embeds the configuration digest and the seed so runs can be traced;
-identical configurations produce byte-identical artifacts.
+failure, 4 verification failure, a failed chart inversion or a field that
+does not evaluate (verify, reconstruct).  Codes 1, 4 and a certificate that
+cannot be formed (2) print one line to stderr.  Every JSON artifact embeds
+the config digest and the seed; identical configs give identical bytes.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .certifier import certify
 from .config import RunConfig, load_config, parse_formats
 from .errors import (
     ConfigError,
     ConvergenceError,
     DroppedMassWarning,
     InversionError,
+    NonFiniteError,
     ParameterError,
 )
 # cli calls no build_grid; the name stays bound for perfbench's tracing test
@@ -46,7 +46,6 @@ from .physical import (
     verdicts,
     verify as run_verify,
 )
-from .solver import match_initial_data, newton_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,7 +78,13 @@ def _prepare(cfg: RunConfig, out_override=None, seed_override=None):
 
 
 def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
-    cert = certify(cfg.params, seed=cfg["seed"])
+    from .certifier import certify
+
+    try:
+        cert = certify(cfg.params, seed=cfg["seed"])
+    except ParameterError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     doc = dict(stamp)
     doc["certificate"] = cert.to_json()
     _dump_json(out / "certificate.json", doc)
@@ -118,6 +123,8 @@ def _dropped_mass_summary():
 
 
 def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
+    from .solver import match_initial_data, newton_solve
+
     try:
         with _dropped_mass_summary():
             if cfg["omega.kind"] == "match":
@@ -287,6 +294,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InversionError as exc:
         print(f"chart inversion failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except NonFiniteError as exc:
+        # raised here only by verify and reconstruct: solve and certify report their own
+        print(f"field evaluation failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except MemoryError:
         # a mode operator takes (grid.points + 1)^2 complex entries, and the

@@ -20,7 +20,7 @@ class SingularOperatorError(ParameterError):
 
 
 class NonFiniteError(ParameterError):
-    """A dense solve was handed an operator or right-hand side holding inf or NaN."""
+    """A dense solve, the field evaluator or the vorticity met inf or NaN."""
 
 
 class SignConditionError(RuntimeError):

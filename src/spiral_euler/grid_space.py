@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, StructureError
 
@@ -53,6 +52,7 @@ __all__ = [
     "cutoff_normalization",
     "bump",
     "mollifier_bump",
+    "gauss_legendre_16",
     "xi_far",
     "xi_near",
     "mode_norm",
@@ -339,9 +339,13 @@ def cutoff_normalization() -> float:
     return 142.25037577709585
 
 
-# the 16-point Gauss-Legendre rule on [-1, 1]; operators uses it too
-_GX, _GW = leggauss(16)
 _XI_BLOCK = 1 << 11  # points per bump quadrature in xi_far, which bounds memory
+
+
+@lru_cache(maxsize=1)
+def gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1], formed once."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 @lru_cache(maxsize=1)
@@ -351,8 +355,9 @@ def _bump_cumulative_table():
     edges = 1.0 + np.arange(n_cells + 1) / n_cells
     half = 0.5 / n_cells
     mid = edges[:-1] + half
-    x = mid[:, None] + half * _GX[None, :]
-    cell = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
+    gx, gw = gauss_legendre_16()
+    x = mid[:, None] + half * gx[None, :]
+    cell = half * np.sum(mollifier_bump(x) * gw[None, :], axis=1)
     cum = np.concatenate([[0.0], np.cumsum(cell)])
     return edges, cum * cutoff_normalization()
 
@@ -361,6 +366,7 @@ def xi_far(beta) -> np.ndarray:
     """Cutoff equal to 0 on [0, 1] and 1 on [2, inf); integral of the bump."""
     beta = np.asarray(beta, dtype=float)
     edges, cum = _bump_cumulative_table()
+    gx, gw = gauss_legendre_16()
     out = np.zeros_like(beta)
     out[beta >= 2.0] = 1.0
     inside = (beta > 1.0) & (beta < 2.0)
@@ -371,8 +377,8 @@ def xi_far(beta) -> np.ndarray:
         idx = np.minimum(((bb - 1.0) * 4096).astype(int), 4095)
         lo = edges[idx]
         half = 0.5 * (bb - lo)
-        x = (lo + half)[:, None] + half[:, None] * _GX[None, :]
-        rest = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
+        x = (lo + half)[:, None] + half[:, None] * gx[None, :]
+        rest = half * np.sum(mollifier_bump(x) * gw[None, :], axis=1)
         vals[i : i + _XI_BLOCK] = cum[idx] + rest * cutoff_normalization()
     out[inside] = vals
     return out

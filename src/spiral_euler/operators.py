@@ -51,13 +51,7 @@ from .errors import (
     SingularOperatorError,
 )
 from .grid_space import (
-    _GW,
-    _GX,
-    CutoffSamples,
-    ModeProfile,
-    RadialGrid,
-    SolverParams,
-    SpectralField,
+    CutoffSamples, ModeProfile, RadialGrid, SolverParams, SpectralField, gauss_legendre_16
 )
 
 __all__ = [
@@ -222,15 +216,16 @@ _CHUNK = 1 << 13  # panels per integrand evaluation, which bounds memory
 
 def _gauss_sums(n: int, shift: float, fun, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """16-point Gauss-Legendre integral of x^(-shift-1) e^(-i n x) f(x) on each panel."""
+    gx, gw = gauss_legendre_16()
     out = np.empty(len(a), dtype=complex)
     for i in range(0, len(a), _CHUNK):
         lo, hi = a[i : i + _CHUNK], b[i : i + _CHUNK]
-        t = 0.5 * (hi - lo)[:, None] * (_GX + 1.0)
+        t = 0.5 * (hi - lo)[:, None] * (gx + 1.0)
         x = lo[:, None] + t
         # the phase is split at the left edge, so that rounding a node far
         # out does not shift its phase by |n| ulp(x)
         kern = x ** (-shift - 1.0) * np.exp(-1j * n * t) * fun(x.ravel()).reshape(x.shape)
-        out[i : i + _CHUNK] = 0.5 * (hi - lo) * np.exp(-1j * n * lo) * (kern @ _GW)
+        out[i : i + _CHUNK] = 0.5 * (hi - lo) * np.exp(-1j * n * lo) * (kern @ gw)
     return out
 
 

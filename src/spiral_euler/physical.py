@@ -30,10 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder
-from numpy.polynomial.legendre import leggauss
 
-from .errors import InversionError, ParameterError
+from .errors import InversionError, NonFiniteError, ParameterError
 from .grid_space import AngularSignal, SolverParams, SpectralField, bump
 from .operators import derived_fields
 
@@ -117,6 +115,7 @@ class FieldEvaluator:
 
     The evaluator is the one handle on a solved stream: it holds no angular
     factor, and each function that forms the vorticity takes Omega beside it.
+    A stream whose derived fields overflow raises NonFiniteError.
     """
 
     # the keys of operators.derived_fields
@@ -127,14 +126,18 @@ class FieldEvaluator:
         self.grid = stream.grid
         self.mu = self.params.mu
         self.nvec = self.params.mode_indices
-        values = derived_fields(stream)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises below
+            values = derived_fields(stream)
+            rows = {k: np.concatenate([v[:1].real, 2.0 * v[1:]]) for k, v in values.items()}
         # mode 0 of dbeta_bar psi at beta = inf: the chart inversion's start
         self.db_inf = float(values["db"][0, -1].real)
         eps = np.finfo(float).eps
         self._rows = {}
         for name in self.FIELDS:
-            arr = values[name]
-            d = np.concatenate([arr[:1].real, 2.0 * arr[1:]])
+            d = rows[name]
+            off = self.nvec[~np.isfinite(d).all(axis=1)]
+            if off.size:
+                raise NonFiniteError(f"derived field {name} of modes {off.tolist()} is not finite")
             coef = self.grid.chebyshev_coefficients(d)
             scale = float(np.max(np.sum(np.abs(d), axis=0)))
             floor, noise = 0.0, []
@@ -153,7 +156,7 @@ class FieldEvaluator:
                 row[above[-1] + 1 if above.size else 0 :] = 0.0
             self._rows[name] = np.concatenate([coef.real, coef[1:].imag])
         db, K, n = self._rows["db"], len(self.nvec) - 1, self.nvec[1:, None]
-        self._rows["db_y"] = np.pad(chebder(db, axis=1), ((0, 0), (0, 1)))
+        self._rows["db_y"] = np.pad(np.polynomial.chebyshev.chebder(db, axis=1), ((0, 0), (0, 1)))
         self._rows["db_phi"] = np.concatenate([0.0 * db[:1], -n * db[K + 1 :], n * db[1 : K + 1]])
 
     def field(self, names, beta, phi):
@@ -314,8 +317,9 @@ def eval_fields_batch(
     """Reconstruct w, u, psi at arrays of space-time points (t > 0).
 
     The evaluator's stream gives u and psi; w takes the angular factor omega
-    too.  A nonzero x that t^-mu scales to zero raises InversionError, and
-    an omega with modes off the evaluator's lattice ParameterError.
+    too.  A nonzero x that t^-mu scales to zero raises InversionError, an
+    omega with modes off the evaluator's lattice ParameterError and a w that
+    overflows NonFiniteError.
     """
     omega.check_lattice(ev.params, "the angular factor")
     x = np.asarray(x, dtype=float)
@@ -329,9 +333,10 @@ def eval_fields_batch(
         raise InversionError("chart inversion cannot reach |z| = 0: |x| t^-mu underflows")
     beta, phi = to_chart(ev, z)
     psiv, db, dv, dp, dpdb, lg = ev.field(ev.FIELDS, beta, phi)
-    om = omega.values(phi)
-
-    w = (beta / t) * dv ** (-1.0 / (2.0 * mu)) * om
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite w raises below
+        w = (beta / t) * dv ** (-1.0 / (2.0 * mu)) * omega.values(phi)
+    if bad := np.count_nonzero(~np.isfinite(w)):
+        raise NonFiniteError(f"the vorticity overflows at {bad} of {w.size} points")
     psi = (beta / t) ** (1.0 - 2.0 * mu) * psiv
     rmag = np.hypot(x[..., 0], x[..., 1])
     u1, u2 = _velocity(rmag ** (1.0 - 1.0 / mu), mu, beta + phi, db, dv, dp, dpdb, lg)
@@ -429,7 +434,7 @@ def spiral_extract(
 
 
 def _gauss(n, a, b):
-    x, w = leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

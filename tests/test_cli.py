@@ -105,6 +105,21 @@ def test_certify_exit_codes(tmp_path):
     doc = json.loads((tmp_path / "o2" / "certificate.json").read_text())
     assert doc["certificate"]["passes"] is True
     assert "config_hash" in doc
+    # a certificate whose constants or samples leave the float range is not
+    # written: exit 2 with one line
+    for lines, message in (
+        ("mu = 1e308", "the periodicity threshold at mu = 1e+308 overflows"),
+        ("mu = 1.0\ngrid.scale = 1e300", "cutoff suprema ['beta2_dbeta_xi0', 'beta2_dbeta2_xi0'] "
+         "overflow on the grid of scale 1e+300"),
+        ("mu = 1.0\ngrid.scale = 1e10",
+         "spot-check profiles vanish on the grid of scale 10000000000.0"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{lines}\nN = 8\ngrid.points = 24\n")
+        proc = _cli("certify", "--config", str(bad), "--out", str(tmp_path / "o3"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"certificate failed: {message}\n"
+        assert not (tmp_path / "o3" / "certificate.json").exists()
 
 
 def test_solve_reconstruct_verify_pipeline(tmp_path):
@@ -390,6 +405,81 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert codes == [2, 0, 0, 0]
 
 
+# the names the package exported when its __init__ imported every module
+_EXPORTED = """
+AccuracyError AngularSignal Certificate ConfigError ConvergenceError CutoffSamples
+DegenerateShiftError DroppedMassWarning FieldEvaluator InversionError LinearModeOperator
+ModeProfile NonFiniteError NonlinearWorkspace ParameterError RadialGrid ResidualField RunConfig
+SignConditionError SingularOperatorError SolveReport SolverParams SpectralField SpiralCurve
+StructureError angular_initial_vorticity apply_linearization_inverse apply_mode_operator
+assemble_linearization base_vorticity_factor bounds_check bracket build_grid certify
+contraction_and_threshold cutoff_norm_table cutoff_normalization delta_of derived_fields dist_gap
+eval_fields_batch eval_residual fd_derivative_check field_from_json field_to_json initial_data
+invert_mode_operator linearization_at_base linearization_set load_config match_initial_data
+mode_norm newton_solve parse_config_text sample_cutoffs shift_minus shift_plus spiral_extract
+to_chart to_plane verify xi_far xi_near
+""".split()
+
+# prints, as JSON, the package modules loaded by `import spiral_euler`, then
+# the watched modules loaded once the CLI is imported and the config argv[1]
+# read, and again after each command of argv[3:] has run into argv[2]
+_IMPORT_SETS = (
+    "import json, sys\n"
+    "import spiral_euler\n"
+    "bare = sorted(m for m in sys.modules if m.startswith('spiral_euler.'))\n"
+    "import spiral_euler.cli as cli\n"
+    "from spiral_euler.config import load_config\n"
+    "watch = ('spiral_euler.certifier', 'spiral_euler.nonlinear', 'spiral_euler.solver',\n"
+    "         'numpy.polynomial')\n"
+    "load_config(sys.argv[1])\n"
+    "sets = [[m for m in watch if m in sys.modules]]\n"
+    "for cmd in sys.argv[3:]:\n"
+    "    cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    "    sets.append([m for m in watch if m in sys.modules])\n"
+    "print(json.dumps([bare, sets]))\n"
+)
+
+
+def test_each_command_loads_only_the_code_it_runs(tmp_path):
+    match = tmp_path / "match.cfg"
+    match.write_text("mu = 1.0\nN = 8\ngrid.points = 24\nomega.kind = match\n")
+    desk = tmp_path / "desk.cfg"
+    desk.write_text("mu = 1.0\nN = 8\ngrid.points = 24\n")
+
+    def import_sets(cfg, *commands):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SETS, str(cfg), str(tmp_path / "out"), *commands],
+            capture_output=True, text=True, env=_package_env(), timeout=300, check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    bare, (probe, solved) = import_sets(desk, "solve")
+    assert bare == []
+    # the CLI and a config, the benchmark's set-up probe, load none of them
+    assert probe == []
+    assert solved == ["spiral_euler.nonlinear", "spiral_euler.solver"]
+    assert import_sets(match, "solve")[1][1] == ["spiral_euler.nonlinear", "spiral_euler.solver"]
+    assert import_sets(desk, "certify")[1][1] == ["spiral_euler.certifier", "numpy.polynomial"]
+
+
+def test_every_exported_name_imports_from_the_package():
+    code = (
+        "import importlib, sys, spiral_euler\n"
+        "for name in sys.argv[1:]:\n"
+        "    exec(f'from spiral_euler import {name} as value')\n"
+        "    home = importlib.import_module(value.__module__)\n"
+        "    assert getattr(home, name) is value, name\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *_EXPORTED],
+        capture_output=True, text=True, env=_package_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+    assert sorted(spiral_euler.__all__) == sorted(_EXPORTED)
+
+
 def _cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "spiral_euler.cli", *argv],
@@ -483,6 +573,34 @@ def test_unloadable_field_exits_as_config_error(tmp_path, edit):
         assert detail in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
     # no command wrote an artifact
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "field.json", "report.json"]
+
+
+def _overflow_mode(doc):
+    # every entry of mode 8 at 1e308: its derived fields overflow
+    rows = next(entry for entry in doc["modes"] if entry["n"] == 8)
+    rows["values"] = [[1e308, 1e308]] * len(rows["values"])
+
+
+def _overflow_omega(doc):
+    # finite coefficients whose sum, the angular factor, overflows
+    doc["omega"] = [[-8, 1e308, 0.0], [0, 1e308, 0.0], [8, 1e308, 0.0]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_overflow_mode, "derived field psi of modes [8] is not finite"),
+    (_overflow_omega, "the vorticity overflows at "),
+])
+def test_overflowing_field_exits_as_verification_failure(tmp_path, edit, message):
+    # a saved field whose derived fields or vorticity leave the float range
+    # is refused, not evaluated with the overflowing part lost
+    cfg, out = _saved_field(tmp_path, edit)
+    field = str(out / "field.json")
+    for argv in (["verify"], ["reconstruct", "--field", field]):
+        proc = _cli(*argv, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith(f"field evaluation failed: {message}")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert sorted(p.name for p in out.iterdir()) == ["config.echo", "field.json", "report.json"]
 
 

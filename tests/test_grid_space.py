@@ -24,11 +24,10 @@ from spiral_euler import (
     xi_near,
 )
 from spiral_euler.grid_space import (
-    _GW,
-    _GX,
     _XI_BLOCK,
     _bump_cumulative_table,
     bump,
+    gauss_legendre_16,
     mollifier_bump,
 )
 
@@ -112,6 +111,7 @@ def _xi_far_in_one_call(beta):
     """The former xi_far: every point's bump quadrature in one call."""
     beta = np.asarray(beta, dtype=float)
     edges, cum = _bump_cumulative_table()
+    gx, gw = gauss_legendre_16()
     out = np.zeros_like(beta)
     out[beta >= 2.0] = 1.0
     m = (beta > 1.0) & (beta < 2.0)
@@ -120,8 +120,8 @@ def _xi_far_in_one_call(beta):
         idx = np.minimum(((b - 1.0) * 4096).astype(int), 4095)
         lo = edges[idx]
         half = 0.5 * (b - lo)
-        x = (lo + half)[:, None] + half[:, None] * _GX[None, :]
-        rest = half * np.sum(mollifier_bump(x) * _GW[None, :], axis=1)
+        x = (lo + half)[:, None] + half[:, None] * gx[None, :]
+        rest = half * np.sum(mollifier_bump(x) * gw[None, :], axis=1)
         out[m] = cum[idx] + rest * cutoff_normalization()
     return out
 
