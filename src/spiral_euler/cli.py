@@ -181,9 +181,9 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
     The field is read from the path ``field`` if one is given.  Otherwise it
     is out/field.json, solved there first if it is missing; a failed solve
     returns its exit code and no field.  A file that cannot be read, does
-    not describe a field of this format or holds a non-finite number raises
-    ConfigError.  The evaluator is built once the field has loaded, so its
-    own errors pass through.
+    not describe a field of this format, holds a non-finite number or an
+    identically zero omega raises ConfigError.  The evaluator is built once
+    the field has loaded, so its own errors pass through.
     """
     path = Path(field) if field else out / "field.json"
     if not field and not path.exists():
@@ -197,6 +197,8 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
         off = sorted(n for n, c in coeffs.items() if not np.isfinite(c))
         if off:
             raise ValueError(f"omega coefficients of modes {off} are not finite")
+        if not any(coeffs.values()):
+            raise ValueError("omega is identically zero")
         omega = AngularSignal(stream.params, coeffs)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

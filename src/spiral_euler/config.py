@@ -65,10 +65,13 @@ class RunConfig:
         except ParameterError as exc:
             raise ConfigError(f"invalid parameters: {exc}") from exc
         object.__setattr__(self, "params", params)
+        top = params.N * params.harmonics
         for key in ("omega.harmonic", "target.harmonic"):
             h = values[key]
             if h % values["N"] != 0 or h == 0:
                 raise ConfigError(f"{key} = {h} is not a nonzero multiple of N = {values['N']}")
+            if abs(h) > top:
+                raise ConfigError(f"{key} = {h} lies past N * harmonics = {top}")
         if values["omega.kind"] not in ("constant_plus_cos", "coeffs", "match"):
             raise ConfigError(f"omega.kind must be constant_plus_cos, coeffs or match")
         if values["solver.backend"] not in ("chord", "fd"):

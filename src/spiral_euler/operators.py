@@ -183,7 +183,7 @@ def invert_mode_operator(
     rhs = ext - far
 
     if method == "matrix":
-        sol = mode_operator(grid, n, shift).solve_function(rhs)
+        sol = mode_operator(grid, n, shift).solve(rhs)
     elif method == "quadrature":
         sol = np.zeros_like(rhs)
         for j, r in enumerate(rhs.T):
@@ -413,8 +413,8 @@ class LinearModeOperator:
     n: int
     fun: np.ndarray
 
-    def lu_solve(self, ext_rhs: np.ndarray) -> np.ndarray:
-        """Solve by LU with partial pivoting, without refinement.
+    def solve(self, ext_rhs: np.ndarray) -> np.ndarray:
+        """Solve by LU with partial pivoting, one gesv call.
 
         ``ext_rhs`` is one extended vector or a matrix of them as columns.
         Raises NonFiniteError when the operator or the right-hand side holds
@@ -437,22 +437,6 @@ class LinearModeOperator:
                 f"mode operator at n={self.n} is singular (exactly zero pivot)"
             ) from None
         return sol[:, :-1].reshape(ext_rhs.shape)
-
-    def solve_function(self, ext_rhs: np.ndarray) -> np.ndarray:
-        """Solve with one step of iterative refinement.
-
-        The refinement residual is formed one column at a time: a
-        matrix-matrix product rounds differently from a matrix-vector one,
-        and a multi-column solve must equal its columns solved one by one.
-        """
-        sol = self.lu_solve(ext_rhs)
-        cols = zip(ext_rhs.reshape(len(ext_rhs), -1).T, sol.reshape(len(sol), -1).T)
-        resid = np.stack([b - self.fun @ x for b, x in cols], axis=1)
-        sol += self.lu_solve(resid.reshape(ext_rhs.shape))
-        return sol
-
-    def apply_function(self, ext: np.ndarray) -> np.ndarray:
-        return self.fun @ ext
 
 
 def assemble_linearization(n: int, params: SolverParams) -> LinearModeOperator:
@@ -497,4 +481,4 @@ def apply_linearization_inverse(
 ) -> SpectralField:
     """Solve the block-diagonal linearized system by a dense solve per mode."""
     rows = zip(rhs.params.mode_indices, rhs.values)
-    return replace(rhs, values=np.array([opset[int(n)].solve_function(r) for n, r in rows]))
+    return replace(rhs, values=np.array([opset[int(n)].solve(r) for n, r in rows]))

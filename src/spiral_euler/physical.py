@@ -26,7 +26,8 @@ between algebraic spirals with radii sqrt(1/(2 mu)) and sqrt(3/(2 mu)) times
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -379,7 +380,18 @@ def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
 
     A zero on a scan node is kept as it is; the sign changes between nodes
     of one period (its end point takes the value at 0) are bisected at once.
+    The scan runs on omega scaled by the power of two that brings its
+    largest coefficient part into [1/2, 1): the scaling is exact, so the
+    signs and zeros are omega's own, and a huge or tiny omega neither
+    overflows nor underflows in the sign tests.
     """
+    coeffs = {n: complex(c) for n, c in omega.coeffs.items()}
+    top = max((max(abs(c.real), abs(c.imag)) for c in coeffs.values()), default=0.0)
+    if top > 0.0:
+        e = -math.frexp(top)[1]
+        omega = replace(omega, coeffs={
+            n: complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for n, c in coeffs.items()
+        })
     n_scan = 16384
     period = params.period
     phis = period * np.arange(n_scan + 1) / n_scan

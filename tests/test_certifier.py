@@ -148,16 +148,15 @@ def test_certificate_table_renders(prod_params):
 def test_spot_check_factors_each_operator_once(desk_params, monkeypatch):
     # one solve per inverse stage and mode, with the mode's eight samples as
     # its columns: D(n, s-) for n = N, 2N, 3N, then D(0, -1) once with all 24
-    # samples, then D(n, s+) per mode, each twice for the refinement; the
-    # rows equal those of one solve per sample
-    # (each LinearModeOperator.lu_solve call is one gesv, one factorization)
+    # samples, then D(n, s+) per mode; the rows equal those of one solve per
+    # sample (each LinearModeOperator.solve call is one gesv, one factorization)
     from spiral_euler import certifier
     from spiral_euler.grid_space import RadialGrid
     from spiral_euler.operators import LinearModeOperator
 
     K, _ = contraction_and_threshold(desk_params.mu, desk_params.N)
     columns = []
-    solve = LinearModeOperator.lu_solve
+    solve = LinearModeOperator.solve
 
     def counting(op, b):
         columns.append(1 if b.ndim == 1 else b.shape[1])
@@ -166,10 +165,10 @@ def test_spot_check_factors_each_operator_once(desk_params, monkeypatch):
     def no_clenshaw(*args):
         raise AssertionError("the spot check samples its norms by FFT")
 
-    monkeypatch.setattr(LinearModeOperator, "lu_solve", counting)
+    monkeypatch.setattr(LinearModeOperator, "solve", counting)
     monkeypatch.setattr(RadialGrid, "evaluate_coefficients", no_clenshaw)
     rows = certifier._perturbation_spot_check(desk_params, K, seed=42)
-    assert columns == [8] * (3 * 2) + [24] * 2 + [8] * (3 * 2)
+    assert columns == [8, 8, 8, 24, 8, 8, 8]
 
     invert = certifier.invert_mode_operator
     monkeypatch.setattr(
@@ -179,7 +178,7 @@ def test_spot_check_factors_each_operator_once(desk_params, monkeypatch):
     )
     columns.clear()
     per_call = certifier._perturbation_spot_check(desk_params, K, seed=42)
-    assert columns == [1] * (3 * 3 * 8 * 2)
+    assert columns == [1] * (3 * 3 * 8)
     assert rows == per_call
 
 

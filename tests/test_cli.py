@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spiral_euler
 
 from spiral_euler import ConfigError, ModeProfile, SolverParams, grid_space, sample_cutoffs
 from spiral_euler.cli import main
-from spiral_euler.config import load_config, parse_config_text
+from spiral_euler.config import _KEYS, load_config, parse_config_text
 
 
 DESK = """
@@ -85,6 +87,53 @@ def test_config_accepts_conjugate_coeffs():
         "omega.coeffs = 0:1:0,8:0.01:0.02,-8:0.01:-0.02,16:0.001:0\n"
     )
     assert cfg.omega().coeffs == {0: 1.0, 8: 0.01 + 0.02j, -8: 0.01 - 0.02j, 16: 0.001}
+
+
+# the edge values every config key is drawn from, and a few values of the
+# string keys that pass or fail their own checks
+_EDGE_VALUES = (
+    "0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", "5e-324", "-1", str(2**62), str(2**63),
+)
+_STRING_VALUES = {
+    "omega.kind": ("constant_plus_cos", "coeffs", "match"),
+    "omega.coeffs": ("0:1:0,8:0.01:0,-8:0.01:0", "8:1e308:0,-8:1e308:0", "32:1:0,-32:1:0"),
+    "solver.backend": ("chord", "fd"),
+    "output.formats": ("json", "csv,svg"),
+    "verify.suites": ("selfsim", "lp,weak"),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    """Desk config text with some keys set to edge values."""
+    lines = {"mu": "1.0", "N": "8", "grid.points": "24"}
+    for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), max_size=6)):
+        lines[key] = draw(st.sampled_from(_EDGE_VALUES + _STRING_VALUES.get(key, ())))
+    try:
+        past = int(lines["N"]) * (int(lines.get("harmonics", "3")) + 1)  # past N * harmonics
+    except ValueError:
+        past = None
+    for key in ("omega.harmonic", "target.harmonic"):
+        if past is not None and draw(st.booleans()):
+            lines[key] = str(draw(st.sampled_from((1, -1))) * past)
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_config_texts())
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\nomega.harmonic = 32\n")
+def test_config_text_gives_a_config_or_a_config_error(text):
+    # every config that loads builds its angular factors; anything else is
+    # refused as a ConfigError, before any command starts
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    try:
+        cfg.omega()
+    except ConfigError:
+        assert cfg["omega.kind"] == "match"
+    cfg.target()
 
 
 def test_config_comments_and_echo():
@@ -547,11 +596,16 @@ def _nan_omega(doc):
     doc["omega"].append([8, float("nan"), 0.0])
 
 
+def _empty_omega(doc):
+    # an angular factor that is identically zero has no zero set to trace
+    doc["omega"] = []
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         _drop_last_mode, _add_conjugate_modes, _repeat_mode, _shorten_values, _slot_form,
-        _rescale_grid, _nan_values, _nan_omega,
+        _rescale_grid, _nan_values, _nan_omega, _empty_omega,
     ],
 )
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
@@ -562,6 +616,7 @@ def test_unloadable_field_exits_as_config_error(tmp_path, edit):
         _rescale_grid: "grid_nodes are not those of grid.points = 96, grid.scale = 2.0",
         _nan_values: "mode 8 values hold a non-finite number",
         _nan_omega: "omega coefficients of modes [8] are not finite",
+        _empty_omega: "omega is identically zero",
     }.get(edit, "mode set")
     cfg, out = _saved_field(tmp_path, edit)
     field = str(out / "field.json")
@@ -602,6 +657,18 @@ def test_overflowing_field_exits_as_verification_failure(tmp_path, edit, message
         assert proc.stderr.startswith(f"field evaluation failed: {message}")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert sorted(p.name for p in out.iterdir()) == ["config.echo", "field.json", "report.json"]
+
+
+def test_overflowing_omega_traces_its_zero_set_without_warnings(tmp_path):
+    # the zero scan runs on omega scaled by a power of two, so the angular
+    # factor's own overflow costs no curve and prints no warning
+    cfg, out = _saved_field(tmp_path, _overflow_omega)
+    field = str(out / "field.json")
+    proc = _cli("reconstruct", "--config", str(cfg), "--field", field, "--out", str(out),
+                "--format", "svg")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "16 zero-set curves" in proc.stdout
 
 
 def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):
@@ -710,6 +777,12 @@ def test_help_exits_zero():
      "omega.coeffs entry '8:inf:0' must be finite"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 8:1e400:0,-8:1e400:0",
      "omega.coeffs entry '8:1e400:0' must be finite"),
+    ("solve", "omega.harmonic = 32", "omega.harmonic = 32 lies past N * harmonics = 24"),
+    ("verify", "omega.harmonic = -32", "omega.harmonic = -32 lies past N * harmonics = 24"),
+    ("solve", "omega.kind = match\ntarget.harmonic = 32",
+     "target.harmonic = 32 lies past N * harmonics = 24"),
+    ("reconstruct", "harmonics = 1\ntarget.harmonic = 16",
+     "target.harmonic = 16 lies past N * harmonics = 8"),
     # the mode indices N*k are int64: past 2^63 - 1 they overflow or wrap
     ("solve", "N = 100000000000000000000",
      "invalid parameters: N * harmonics = 300000000000000000000 exceeds"),

@@ -194,9 +194,7 @@ def test_singular_operator_raises_instead_of_nan():
     # LU with partial pivoting leaves an exactly zero last pivot here
     op = LinearModeOperator(n=8, fun=np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
     with pytest.raises(SingularOperatorError):
-        op.solve_function(np.ones(2, dtype=complex))
-    with pytest.raises(SingularOperatorError):
-        op.lu_solve(np.ones(2, dtype=complex))
+        op.solve(np.ones(2, dtype=complex))
     # a ParameterError, so the solve command exits with its failure code
     assert issubclass(SingularOperatorError, ParameterError)
 
@@ -210,17 +208,17 @@ def test_non_finite_operator_or_rhs_raises(bad):
     broken = fun.copy()
     broken[1, 1] = bad
     with pytest.raises(NonFiniteError, match="non-finite operator"):
-        LinearModeOperator(n=8, fun=broken).solve_function(rhs)
+        LinearModeOperator(n=8, fun=broken).solve(rhs)
     with pytest.raises(NonFiniteError, match="non-finite right-hand side"):
-        LinearModeOperator(n=8, fun=fun).lu_solve(np.array([1.0, bad], dtype=complex))
+        LinearModeOperator(n=8, fun=fun).solve(np.array([1.0, bad], dtype=complex))
     # a ParameterError, so the solve command exits with its failure code
     assert issubclass(NonFiniteError, ParameterError)
 
 
 @pytest.mark.parametrize("point", ["desk", "reference"])
 def test_multi_column_solve_equals_column_solves(point, request):
-    # the columns of one solve_function call equal one call per column, bit
-    # for bit: the refinement residual must not become a matrix product
+    # the columns of one solve call equal one call per column, bit for bit:
+    # each block is solved next to the same zero column
     params = request.getfixturevalue("desk_params" if point == "desk" else "prod_params")
     grid = request.getfixturevalue("desk_grid" if point == "desk" else "prod_grid")
     mu, rng = params.mu, np.random.default_rng(7)
@@ -228,9 +226,9 @@ def test_multi_column_solve_equals_column_solves(point, request):
     ops += list(linearization_set(params).values())
     for op in ops:
         rhs = rng.standard_normal((grid.size + 1, 6)) + 1j * rng.standard_normal((grid.size + 1, 6))
-        sol = op.solve_function(rhs)
+        sol = op.solve(rhs)
         for j in range(rhs.shape[1]):
-            assert np.array_equal(sol[:, j], op.solve_function(rhs[:, j].copy()))
+            assert np.array_equal(sol[:, j], op.solve(rhs[:, j].copy()))
 
 
 def test_invert_norm_bounds_random_suite():
@@ -440,7 +438,7 @@ def test_assemble_linearization_constant_sector(desk_params, desk_grid, desk_cut
     mu = desk_params.mu
     op = assemble_linearization(0, desk_params)
     const = desk_grid.extend(np.ones(desk_grid.size), 1.0)
-    out = op.apply_function(const)
+    out = op.fun @ const
     expected = (2 * mu - 1) ** 2 / (2 * mu * mu)
     assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -488,10 +486,25 @@ def test_linearization_inverse_round_trip(desk_params):
     opset = linearization_set(desk_params)
     X = random_field(desk_params, seed=12)
     rows = zip(desk_params.mode_indices, X.values)
-    Y = SpectralField(desk_params, np.array([opset[int(n)].apply_function(x) for n, x in rows]))
+    Y = SpectralField(desk_params, np.array([opset[int(n)].fun @ x for n, x in rows]))
     X2 = apply_linearization_inverse(opset, Y)
     err = np.max(np.abs(X2.values - X.values))
     assert err < 1e-8
+
+
+def test_chord_step_solves_once_per_mode(desk_params, monkeypatch):
+    # one gesv per stored mode and chord step: K+1 solves, each of one row
+    opset = linearization_set(desk_params)
+    calls = []
+    solve = LinearModeOperator.solve
+
+    def counting(op, b):
+        calls.append(op.n)
+        return solve(op, b)
+
+    monkeypatch.setattr(LinearModeOperator, "solve", counting)
+    apply_linearization_inverse(opset, random_field(desk_params, seed=12))
+    assert calls == [int(n) for n in desk_params.mode_indices]
 
 
 def test_shift_helpers():

@@ -421,6 +421,23 @@ def test_omega_zeros_match_scalar_bisection(desk_params, harmonics):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale", [2.0**1000, 2.0**-600, 2.0**-1000], ids=["2^1000", "2^-600", "2^-1000"]
+)
+def test_omega_zeros_of_a_huge_or_tiny_omega(desk_params, scale):
+    # an exact power-of-two multiple of omega has omega's zeros, bit for
+    # bit, even where its values (2^1000) or their sign-test products
+    # (2^-600, 2^-1000) leave the float range
+    N = desk_params.N
+    coeffs = {0: 0.5, N: 0.3 + 0.1j, -N: 0.3 - 0.1j, 2 * N: 0.05, -2 * N: 0.05}
+    want = _omega_zeros(AngularSignal(desk_params, coeffs), desk_params)
+    scaled = {n: c * scale for n, c in coeffs.items()}
+    got = _omega_zeros(AngularSignal(desk_params, scaled), desk_params)
+    assert len(want) == 2 * N
+    assert np.array_equal(got, want)
+
+
 def test_spiral_extract_sine_zero_set(base_setup, desk_params):
     # sin(N phi) has its 2N zeros at k pi / N, and the one at phi = 0 lies on
     # a scan node, where Omega is exactly zero

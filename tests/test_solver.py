@@ -102,15 +102,15 @@ def test_amplitude_gate_rejects_large_perturbation(desk_params):
 def test_stall_at_the_rounding_floor_names_the_floor_and_tol():
     # match_initial_data's default inner_tol = 1e-12 lies under the residual's
     # rounding floor at mu = 0.7; its inner history reads 6.45e-5, 1.74e-11,
-    # 2.72e-12, 2.21e-12, 2.78e-12, and the amplitude is not to blame
+    # 2.71e-12, 2.51e-12, 1.74e-12, 2.51e-12, and the amplitude is not to blame
     params = SolverParams(mu=0.7, N=4000)
     w0 = base_vorticity_factor(params.mu)
     g = AngularSignal(params, {0: w0, params.N: 0.0025 * w0, -params.N: 0.0025 * w0})
     with pytest.raises(ConvergenceError) as err:
         match_initial_data(g, params)
-    assert "rounding floor, 2.2e-12, above tol 1.0e-12" in str(err.value)
+    assert "rounding floor, 1.7e-12, above tol 1.0e-12" in str(err.value)
     assert "amplitude" not in str(err.value)
-    assert len(err.value.report.residual_history) == 5
+    assert len(err.value.report.residual_history) == 6
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
