@@ -1,4 +1,10 @@
+import os
 from dataclasses import dataclass
+
+# Digits pinned at the rounding floor are stated with one BLAS thread: with
+# more, OpenBLAS splits gemm and getrf differently and their last bits move.
+# This must run before numpy loads OpenBLAS, and CLI subprocesses inherit it.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import pytest
