@@ -24,9 +24,8 @@ _EXPORTS = {
     "sample_cutoffs xi_far xi_near",
     "nonlinear": "NonlinearWorkspace ResidualField eval_residual fd_derivative_check "
     "linearization_at_base",
-    "operators": "LinearModeOperator apply_linearization_inverse apply_mode_operator "
-    "assemble_linearization derived_fields invert_mode_operator linearization_set shift_minus "
-    "shift_plus",
+    "operators": "apply_linearization_inverse apply_mode_operator assemble_linearization "
+    "dense_solve derived_fields invert_mode_operator linearization_set shift_minus shift_plus",
     "physical": "FieldEvaluator SpiralCurve eval_fields_batch initial_data spiral_extract to_chart "
     "to_plane verify",
     "solver": "SolveReport angular_initial_vorticity base_vorticity_factor bounds_check "

@@ -200,7 +200,7 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
         if not any(coeffs.values()):
             raise ValueError("omega is identically zero")
         omega = AngularSignal(stream.params, coeffs)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc
     return EXIT_OK, FieldEvaluator(stream), omega

@@ -274,6 +274,10 @@ def build_grid(points: int, scale: float) -> RadialGrid:
     M = points
     j = np.arange(M + 1)
     s = 0.5 * (1.0 - np.cos(np.pi * j / M))
+    with np.errstate(over="ignore"):
+        nodes = scale * s[:-1] / (1.0 - s[:-1])
+    if not np.isfinite(nodes[-1]):
+        raise ParameterError(f"grid scale {scale} overflows the largest radial node")
     # pairwise differences via the product identity keeps corner entries exact
     ii, kk = np.meshgrid(j, j, indexing="ij")
     diff = np.sin((ii + kk) * (np.pi / (2 * M))) * np.sin((ii - kk) * (np.pi / (2 * M)))
@@ -289,7 +293,6 @@ def build_grid(points: int, scale: float) -> RadialGrid:
     radial = (s * (1.0 - s))[:, None] * D
     for _ in range(3):
         radial[j, j] -= radial @ np.ones(M + 1)
-    nodes = scale * s[:-1] / (1.0 - s[:-1])
     return RadialGrid(nodes=nodes, map_scale=float(scale), diff_s_inf=D[-1].copy(), radial=radial)
 
 
@@ -658,22 +661,37 @@ def field_from_json(doc: dict) -> SpectralField:
     The rows are read back unchanged.  It raises ValueError when the saved
     grid_nodes are not its own grid's, to 1e-12 relative, when the modes are
     not the stored ones, each listed once, or when a row is not M+1 finite
-    [re, im] pairs.
+    [re, im] pairs.  The node and mode counts are checked against the
+    document's sizes before anything of those sizes is formed.
     """
+    for key in ("N", "harmonics", "grid_points"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} is not an integer")
     params = SolverParams(**{f.name: doc[f.name] for f in fields(SolverParams)})
+    nodes = _finite(np.asarray(doc["grid_nodes"], dtype=float), "grid_nodes")
+    if nodes.shape != (params.grid_points,):
+        raise ValueError(f"{nodes.size} grid_nodes for grid.points = {params.grid_points}")
+    modes = doc["modes"]
+    if len(modes) != params.harmonics + 1:
+        raise StructureError(
+            f"{len(modes)} modes for harmonics = {params.harmonics}, "
+            f"which stores {params.harmonics + 1}"
+        )
     grid = params.grid
-    nodes, want = _finite(np.asarray(doc["grid_nodes"], dtype=float), "grid_nodes"), grid.nodes
-    if nodes.shape != want.shape or not np.allclose(nodes, want, rtol=1e-12, atol=0.0):
+    if not np.allclose(nodes, grid.nodes, rtol=1e-12, atol=0.0):
         raise ValueError(
             f"grid_nodes are not those of grid.points = {params.grid_points}, "
             f"grid.scale = {params.grid_scale}"
         )
-    listed = sorted(int(entry["n"]) for entry in doc["modes"])
-    stored = [int(n) for n in params.mode_indices]
-    if listed != stored:
-        raise StructureError(f"mode set {listed} is not the stored modes {stored}, each once")
-    values = np.empty((len(stored), grid.size + 1), dtype=complex)
-    for entry in doc["modes"]:
+    # with len(modes) entries, none is missing only if each is listed once
+    missing = len(set(params.mode_indices.tolist()) - {int(entry["n"]) for entry in modes})
+    if missing:
+        raise StructureError(
+            f"the modes are not the stored n = N k, k = 0..{params.harmonics}, each once: "
+            f"{missing} of them are missing"
+        )
+    values = np.empty((len(modes), grid.size + 1), dtype=complex)
+    for entry in modes:
         n = int(entry["n"])
         pairs = np.array(entry["values"], dtype=float)
         if pairs.shape != (grid.size + 1, 2):

@@ -38,8 +38,8 @@ import numpy as np
 from .errors import DroppedMassWarning, ParameterError, SignConditionError
 from .grid_space import AngularSignal, SolverParams, SpectralField, bracket, mode_weight
 from .operators import (
-    LinearModeOperator,
     beta_mult_matrix,
+    dense_solve,
     derived_fields,
     dvarphi_bar_ext,
     linearization_set,
@@ -60,7 +60,7 @@ __all__ = [
 class NonlinearWorkspace:
     """Angular transforms and the linearization for one setup.
 
-    The linearization is the one operator set a workspace holds: the
+    The linearization is the one operator stack a workspace holds: the
     gauge forms each D(n, s+-) when it solves and lets it go.
     """
 
@@ -106,8 +106,8 @@ class NonlinearWorkspace:
         return out, dropped
 
     @cached_property
-    def linearization(self) -> dict[int, LinearModeOperator]:
-        """The base-state linearization, assembled at its first use."""
+    def linearization(self) -> np.ndarray:
+        """The base-state linearization stack, assembled at its first use."""
         return linearization_set(self.params)
 
     def preimage_sups(self, res: np.ndarray) -> dict[int, float]:
@@ -132,8 +132,8 @@ class NonlinearWorkspace:
             shifts = (shift_plus(mu, n),) if n == 0 else (shift_plus(mu, n), shift_minus(mu, n))
             terms[n] = 0.0
             for s in shifts:
-                op = LinearModeOperator(n, mode_operator_matrix(self.grid, n, s, out=buf))
-                terms[n] += float(np.max(np.abs(op.solve(ext))))
+                sol = dense_solve(mode_operator_matrix(self.grid, n, s, out=buf), ext)
+                terms[n] += float(np.max(np.abs(sol)))
         return terms
 
 
@@ -231,11 +231,12 @@ def eval_residual(
     return ResidualField(field=SpectralField(params=params, values=res), norm_report=report)
 
 
-def linearization_at_base(params: SolverParams) -> dict[int, LinearModeOperator]:
+def linearization_at_base(params: SolverParams) -> np.ndarray:
     """Analytic linearization at the base state by the bar-derivative route.
 
     Composes (1/2 mu^2)((dvarphi_bar^2 + mu^2 dphi^2)(dbeta_bar + 2 mu)
-    + (2 mu - 1)(dbeta_bar + dvarphi_bar)) mode by mode.  Must agree with
+    + (2 mu - 1)(dbeta_bar + dvarphi_bar)) mode by mode into a stack shaped
+    like linearization_set's, row k for mode n = N k.  Must agree with
     assemble_linearization, which multiplies out the shifted-operator form;
     the two code paths share only the grid primitives.
     """
@@ -243,18 +244,16 @@ def linearization_at_base(params: SolverParams) -> dict[int, LinearModeOperator]
     M = grid.size
     eye = np.eye(M + 1, dtype=complex)
     QM = grid.radial.astype(complex)
-    out = {}
-    for n in params.mode_indices:
-        n = int(n)
+    ops = np.empty((len(params.mode_indices), M + 1, M + 1), dtype=complex)
+    for k, n in enumerate(params.mode_indices.tolist()):
         Bm = beta_mult_matrix(grid, n)
         dbeta = QM + (1.0 - 2.0 * mu) * eye
         dvarphi = -(QM - Bm) + (2.0 * mu - 1.0) * eye
-        fun = (
+        ops[k] = (
             (dvarphi @ dvarphi + mu * mu * (1j * n) ** 2 * eye) @ (dbeta + 2.0 * mu * eye)
             + (2.0 * mu - 1.0) * (dbeta + dvarphi)
         ) / (2.0 * mu * mu)
-        out[n] = LinearModeOperator(n=n, fun=fun)
-    return out
+    return ops
 
 
 def fd_derivative_check(
@@ -294,8 +293,7 @@ def fd_derivative_check(
     is_base = float(np.max(np.abs(stream.values - base.values))) < 1e-14
     fd_h = fd(h)
     if is_base:
-        rows = zip(ws.mode_list, direction.values)
-        ref = np.array([ws.linearization[n].fun @ d for n, d in rows])
+        ref = (ws.linearization @ direction.values[..., None])[..., 0]
     else:
         ref = fd(0.5 * h)
     return norm2(fd_h - ref) / norm2(ref)

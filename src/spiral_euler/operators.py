@@ -32,14 +32,17 @@ is
 
     (1/2 mu^2) * ( D(n, s+) D(n, s-) (Q + 1) + (2 mu - 1) * i n beta ),
 
-with shifts s+- = (2 +- n) mu - 1.
+with shifts s+- = (2 +- n) mu - 1.  linearization_set stacks these operators
+over the stored modes n = N k into one (K+1, M+1, M+1) array, row k the
+operator of the field's row k, and every dense solve, the whole stack's
+included, is one dense_solve call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,11 +58,10 @@ from .grid_space import (
 )
 
 __all__ = [
-    "LinearModeOperator",
+    "dense_solve",
     "shift_plus",
     "shift_minus",
     "mode_operator_matrix",
-    "mode_operator",
     "apply_mode_operator",
     "invert_mode_operator",
     "derived_fields",
@@ -127,9 +129,30 @@ def mode_operator_matrix(
     return out
 
 
-def mode_operator(grid: RadialGrid, n: int, shift: float) -> LinearModeOperator:
-    """D(n, shift) as a dense operator; every solve factors it afresh."""
-    return LinearModeOperator(n=n, fun=mode_operator_matrix(grid, n, shift))
+def dense_solve(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with one dense operator or a stack of them, in one numpy.linalg.solve call.
+
+    ``ops`` is one (m, m) operator or a stack (..., m, m); ``rhs`` holds one
+    vector per operator, shape ops.shape[:-1], or a block of them as columns,
+    shape ops.shape[:-1] + (c,), which share their operator's LU
+    factorization (LAPACK gesv, afresh on every call).  Raises NonFiniteError
+    on an inf or NaN in an operator or the right-hand side, and
+    SingularOperatorError on an exactly zero pivot.
+
+    Each block is solved next to one zero column: with more than one BLAS
+    thread OpenBLAS's gesv rounds a lone right-hand side differently, and a
+    column must get the same bits alone as in a batch.
+    """
+    for name, a in (("operator", ops), ("right-hand side", rhs)):
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"dense solve: non-finite {name}")
+    cols = rhs.reshape(ops.shape[:-1] + (-1,))
+    zero = np.zeros(cols.shape[:-1] + (1,), dtype=cols.dtype)
+    try:
+        sol = np.linalg.solve(ops, np.concatenate([cols, zero], axis=-1))
+    except np.linalg.LinAlgError:
+        raise SingularOperatorError("dense operator is singular (exactly zero pivot)") from None
+    return sol[..., :-1].reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +206,7 @@ def invert_mode_operator(
     rhs = ext - far
 
     if method == "matrix":
-        sol = mode_operator(grid, n, shift).solve(rhs)
+        sol = dense_solve(mode_operator_matrix(grid, n, shift), rhs)
     elif method == "quadrature":
         sol = np.zeros_like(rhs)
         for j, r in enumerate(rhs.T):
@@ -400,46 +423,7 @@ def derived_fields(field_: SpectralField) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearModeOperator:
-    """Dense per-mode operator ``fun`` on [values at nodes; value at inf].
-
-    Every solve with a mode operator goes through here.  Each solve factors
-    ``fun`` afresh (LAPACK gesv through numpy), so a caller with several
-    right-hand sides for one operator passes them as the columns of one
-    array, which share the factorization.
-    """
-
-    n: int
-    fun: np.ndarray
-
-    def solve(self, ext_rhs: np.ndarray) -> np.ndarray:
-        """Solve by LU with partial pivoting, one gesv call.
-
-        ``ext_rhs`` is one extended vector or a matrix of them as columns.
-        Raises NonFiniteError when the operator or the right-hand side holds
-        an inf or NaN, and SingularOperatorError on an exactly zero pivot.
-
-        Every block of right-hand sides is solved next to one zero column:
-        with more than one BLAS thread, OpenBLAS's gesv takes another kernel
-        for one right-hand side, which rounds differently from the
-        multi-column one, and a column must get the same bits alone as in a
-        batch.
-        """
-        for name, a in (("operator", self.fun), ("right-hand side", ext_rhs)):
-            if not np.isfinite(a).all():
-                raise NonFiniteError(f"mode operator at n={self.n}: non-finite {name}")
-        cols = ext_rhs.reshape(len(ext_rhs), -1)
-        try:
-            sol = np.linalg.solve(self.fun, np.column_stack([cols, np.zeros(len(cols))]))
-        except np.linalg.LinAlgError:
-            raise SingularOperatorError(
-                f"mode operator at n={self.n} is singular (exactly zero pivot)"
-            ) from None
-        return sol[:, :-1].reshape(ext_rhs.shape)
-
-
-def assemble_linearization(n: int, params: SolverParams) -> LinearModeOperator:
+def assemble_linearization(n: int, params: SolverParams) -> np.ndarray:
     """Per-mode linearization at the base state.
 
     (1/2 mu^2) ( D(n,s+) D(n,s-) (Q+1) + (2 mu - 1) i n beta ) with shifts
@@ -469,16 +453,22 @@ def assemble_linearization(n: int, params: SolverParams) -> LinearModeOperator:
     fun[j, j] = diag
     fun[-1] = last
     fun /= 2.0 * mu * mu
-    return LinearModeOperator(n=n, fun=fun)
+    return fun
 
 
-def linearization_set(params: SolverParams) -> dict[int, LinearModeOperator]:
-    return {int(n): assemble_linearization(int(n), params) for n in params.mode_indices}
+def linearization_set(params: SolverParams) -> np.ndarray:
+    """The linearization at the base state as one stack of operators.
+
+    Row k of the (K+1, M+1, M+1) array is the operator of stored mode
+    n = N k, as row k of a field's values is that mode's extended vector.
+    """
+    size = params.grid.size + 1
+    ops = np.empty((len(params.mode_indices), size, size), dtype=complex)
+    for k, n in enumerate(params.mode_indices):
+        ops[k] = assemble_linearization(int(n), params)
+    return ops
 
 
-def apply_linearization_inverse(
-    opset: Mapping[int, LinearModeOperator], rhs: SpectralField
-) -> SpectralField:
-    """Solve the block-diagonal linearized system by a dense solve per mode."""
-    rows = zip(rhs.params.mode_indices, rhs.values)
-    return replace(rhs, values=np.array([opset[int(n)].solve(r) for n, r in rows]))
+def apply_linearization_inverse(ops: np.ndarray, rhs: SpectralField) -> SpectralField:
+    """Solve the block-diagonal linearized system, one gesv per mode in one call."""
+    return replace(rhs, values=dense_solve(ops, rhs.values))

@@ -29,7 +29,6 @@ the time-scaling symmetry factor recorded in the report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError, SignConditionError
 from .grid_space import AngularSignal, SolverParams, SpectralField
 from .nonlinear import NonlinearWorkspace, eval_residual
-from .operators import apply_linearization_inverse, derived_fields
+from .operators import apply_linearization_inverse, dense_solve, derived_fields
 
 __all__ = [
     "SolveReport",
@@ -226,8 +225,7 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
         xp[j] += h
         probe = eval_residual(unpack(xp), omega, ws, preimage_norms=False)
         J[:, j] = (pack(probe.field.values) - f0) / h
-    sol = np.linalg.solve(J, f0)
-    return unpack(sol)
+    return unpack(dense_solve(J, f0))
 
 
 def angular_initial_vorticity(
@@ -294,13 +292,6 @@ def match_initial_data(
             "which this solver does not construct"
         )
     g0 = g.scaled(1.0 / lam)
-    semi_rel = g0.seminorm() / w_base
-    if semi_rel > epsilon_cap:
-        warnings.warn(
-            f"target seminorm {semi_rel:.3e} relative to its mean exceeds the "
-            f"trust region {epsilon_cap:.3g}; matching may fail",
-            stacklevel=2,
-        )
 
     ws = NonlinearWorkspace(params)
     omega = AngularSignal.base(params)

@@ -149,23 +149,23 @@ def test_spot_check_factors_each_operator_once(desk_params, monkeypatch):
     # one solve per inverse stage and mode, with the mode's eight samples as
     # its columns: D(n, s-) for n = N, 2N, 3N, then D(0, -1) once with all 24
     # samples, then D(n, s+) per mode; the rows equal those of one solve per
-    # sample (each LinearModeOperator.solve call is one gesv, one factorization)
-    from spiral_euler import certifier
+    # sample (each dense_solve call of one operator is one gesv, one factorization)
+    from spiral_euler import certifier, operators
     from spiral_euler.grid_space import RadialGrid
-    from spiral_euler.operators import LinearModeOperator
 
     K, _ = contraction_and_threshold(desk_params.mu, desk_params.N)
     columns = []
-    solve = LinearModeOperator.solve
+    solve = operators.dense_solve
 
     def counting(op, b):
+        assert op.ndim == 2  # one operator, not a stack
         columns.append(1 if b.ndim == 1 else b.shape[1])
         return solve(op, b)
 
     def no_clenshaw(*args):
         raise AssertionError("the spot check samples its norms by FFT")
 
-    monkeypatch.setattr(LinearModeOperator, "solve", counting)
+    monkeypatch.setattr(operators, "dense_solve", counting)
     monkeypatch.setattr(RadialGrid, "evaluate_coefficients", no_clenshaw)
     rows = certifier._perturbation_spot_check(desk_params, K, seed=42)
     assert columns == [8, 8, 8, 24, 8, 8, 8]

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,14 +387,13 @@ def test_failed_match_reports_the_outer_history(tmp_path):
 
 
 def test_singular_linearization_exits_as_solve_failure(tmp_path, monkeypatch):
-    # an exactly singular operator ends the solve at its first LU with the
-    # solve-failure code, not with NaN iterates or a traceback
-    from spiral_euler import LinearModeOperator, nonlinear
+    # an exactly singular operator stack ends the solve at its first LU with
+    # the solve-failure code, not with NaN iterates or a traceback
+    from spiral_euler import nonlinear
 
     def singular_set(params):
         size = params.grid.size + 1
-        zero = np.zeros((size, size), dtype=complex)
-        return {int(n): LinearModeOperator(n=int(n), fun=zero) for n in params.mode_indices}
+        return np.zeros((len(params.mode_indices), size, size), dtype=complex)
 
     monkeypatch.setattr(nonlinear, "linearization_set", singular_set)
     cfg = tmp_path / "run.cfg"
@@ -454,15 +457,16 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert codes == [2, 0, 0, 0]
 
 
-# the names the package exported when its __init__ imported every module
+# the names the package exports, each bound in the module that defines it
 _EXPORTED = """
 AccuracyError AngularSignal Certificate ConfigError ConvergenceError CutoffSamples
-DegenerateShiftError DroppedMassWarning FieldEvaluator InversionError LinearModeOperator
+DegenerateShiftError DroppedMassWarning FieldEvaluator InversionError
 ModeProfile NonFiniteError NonlinearWorkspace ParameterError RadialGrid ResidualField RunConfig
 SignConditionError SingularOperatorError SolveReport SolverParams SpectralField SpiralCurve
 StructureError angular_initial_vorticity apply_linearization_inverse apply_mode_operator
 assemble_linearization base_vorticity_factor bounds_check bracket build_grid certify
-contraction_and_threshold cutoff_norm_table cutoff_normalization delta_of derived_fields dist_gap
+contraction_and_threshold cutoff_norm_table cutoff_normalization delta_of dense_solve
+derived_fields dist_gap
 eval_fields_batch eval_residual fd_derivative_check field_from_json field_to_json initial_data
 invert_mode_operator linearization_at_base linearization_set load_config match_initial_data
 mode_norm newton_solve parse_config_text sample_cutoffs shift_minus shift_plus spiral_extract
@@ -565,6 +569,11 @@ def _repeat_mode(doc):
     doc["modes"].append({"n": 8, "values": [[0.0, 0.0]] * (doc["grid_points"] + 1)})
 
 
+def _off_lattice_mode(doc):
+    # four entries, one of them off the lattice N Z
+    doc["modes"][-1]["n"] = 25
+
+
 def _shorten_values(doc):
     doc["modes"][0]["values"].pop()
 
@@ -604,20 +613,22 @@ def _empty_omega(doc):
 @pytest.mark.parametrize(
     "edit",
     [
-        _drop_last_mode, _add_conjugate_modes, _repeat_mode, _shorten_values, _slot_form,
-        _rescale_grid, _nan_values, _nan_omega, _empty_omega,
+        _drop_last_mode, _add_conjugate_modes, _repeat_mode, _off_lattice_mode, _shorten_values,
+        _slot_form, _rescale_grid, _nan_values, _nan_omega, _empty_omega,
     ],
 )
 def test_unloadable_field_exits_as_config_error(tmp_path, edit):
     detail = {
-        _repeat_mode: "mode set [0, 8, 8, 16, 24] is not the stored modes [0, 8, 16, 24]",
+        _repeat_mode: "5 modes for harmonics = 3, which stores 4",
+        _off_lattice_mode: "the modes are not the stored n = N k, k = 0..3, each once: "
+        "1 of them are missing",
         _shorten_values: "mode 0 values are not 97 [re, im] pairs",
         _slot_form: "missing key 'values'",
         _rescale_grid: "grid_nodes are not those of grid.points = 96, grid.scale = 2.0",
         _nan_values: "mode 8 values hold a non-finite number",
         _nan_omega: "omega coefficients of modes [8] are not finite",
         _empty_omega: "omega is identically zero",
-    }.get(edit, "mode set")
+    }.get(edit, "modes for harmonics = 3, which stores 4")
     cfg, out = _saved_field(tmp_path, edit)
     field = str(out / "field.json")
     for argv in (["verify"], ["reconstruct", "--field", field]):
@@ -669,6 +680,103 @@ def test_overflowing_omega_traces_its_zero_set_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "16 zero-set curves" in proc.stdout
+
+
+# a desk field at M = 24 and the keys of its field.json that mutations reach
+_MUTATED = "mu = 1.0\nN = 8\ngrid.points = 24\nomega.amplitude = 0.01\n"
+_FIELD_PATHS = (
+    ("mu",), ("N",), ("harmonics",), ("grid_points",), ("grid_scale",), ("grid_nodes",),
+    ("grid_nodes", 0), ("grid_nodes", -1), ("modes",), ("modes", 0), ("modes", 0, "n"),
+    ("modes", 3, "n"), ("modes", 1, "values"), ("modes", 2, "values", 0),
+    ("modes", 3, "values", -1, 1), ("omega",), ("omega", 0), ("omega", 1, 0), ("omega", 2, 1),
+    ("config_digest",),
+)
+_DELETE = "delete"
+# drawn sizes stay at or below those of the explicit examples, so that a
+# loader that allocates what a size asks for stays within a few hundred MB
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", [], [1.0], {}, _DELETE]),
+    st.integers(-3, 100),
+    st.sampled_from([8, 24, 25, 96, 3000]),
+    st.sampled_from(
+        [0.0, -0.0, 0.5, 0.7, 1.0, 2.0, 8.5, 1e-300, 1e308, -1e308, 5e-324,
+         float("inf"), float("-inf"), float("nan")]
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def mutated_field_run(tmp_path_factory):
+    """A desk field.json at M = 24, its config and an output directory."""
+    tmp = tmp_path_factory.mktemp("mutated")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(_MUTATED)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp / "solved")]) == 0
+    return json.loads((tmp / "solved" / "field.json").read_text()), cfg, tmp
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.sampled_from(_FIELD_PATHS), _FIELD_VALUES), min_size=1,
+                      max_size=3))
+@example(edits=[(("grid_points",), 3000)])
+@example(edits=[(("harmonics",), 2_000_000)])
+@example(edits=[(("modes", 0, "n"), float("inf"))])
+@example(edits=[(("omega", 0, 0), float("inf"))])
+@example(edits=[(("N",), 8.0)])
+@example(edits=[(("grid_scale",), 1e308)])
+def test_mutated_field_loads_or_exits_with_one_line(mutated_field_run, edits):
+    # a saved field with any key replaced or deleted reconstructs (0) or is
+    # refused with one short line and no artifact: a field that does not
+    # load (1) or does not evaluate (4).  The sizes are checked before
+    # anything of the size they claim is formed, so no run comes near the
+    # 394 MB a 3000-point grid takes or the 18.6 MB line that listed two
+    # million modes.
+    doc, cfg, tmp = mutated_field_run
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        owner = doc
+        try:
+            for key in path[:-1]:
+                owner = owner[key]
+            if value == _DELETE:
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the path
+    field = tmp / "field.json"
+    field.write_text(json.dumps(doc))
+    svg = tmp / "out" / "spirals.svg"
+    svg.unlink(missing_ok=True)
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["reconstruct", "--config", str(cfg), "--field", str(field),
+                         "--out", str(tmp / "out"), "--format", "svg"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 4), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert len(lines) <= 1 and all(len(line) <= 500 for line in lines), err.getvalue()[:1000]
+    assert code == 0 or lines
+    assert svg.exists() == (code == 0)
+    assert peak < 50e6, peak
+
+
+def test_match_past_the_trust_region_fails_with_one_line(tmp_path):
+    # the trust-region check fails the match with the solve's own message;
+    # no warning is printed before it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = 1.0\nN = 8\ngrid.points = 24\nomega.kind = match\n"
+                   "target.amplitude = 0.3\n")
+    proc = _cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("solve failed: angular perturbation seminorm")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_failed_chart_inversion_exits_as_verification_failure(tmp_path):

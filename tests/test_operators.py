@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import spiral_euler
 
 from spiral_euler import (
     AccuracyError,
     DegenerateShiftError,
-    LinearModeOperator,
     ModeProfile,
     NonFiniteError,
     ParameterError,
@@ -14,6 +20,7 @@ from spiral_euler import (
     apply_linearization_inverse,
     apply_mode_operator,
     assemble_linearization,
+    dense_solve,
     derived_fields,
     invert_mode_operator,
     linearization_at_base,
@@ -23,7 +30,8 @@ from spiral_euler import (
     shift_minus,
     shift_plus,
 )
-from spiral_euler.operators import beta_mult_matrix, mode_operator, mode_operator_matrix
+from spiral_euler import operators
+from spiral_euler.operators import beta_mult_matrix, mode_operator_matrix
 from conftest import random_field
 
 
@@ -181,7 +189,7 @@ def test_in_place_operators_equal_their_former_expressions(point, request):
         Dp, Dm = former_mode_operator(n, sp), former_mode_operator(n, sm)
         Q1 = grid.radial.astype(complex) + np.eye(grid.size + 1)
         former = (Dp @ Dm @ Q1 + (2.0 * mu - 1.0) * beta_mult_matrix(grid, n)) / (2.0 * mu * mu)
-        assert _same_bits(assemble_linearization(n, params).fun, former), n
+        assert _same_bits(assemble_linearization(n, params), former), n
 
 
 def test_invert_zero_shift_is_singular(desk_cuts):
@@ -192,9 +200,13 @@ def test_invert_zero_shift_is_singular(desk_cuts):
 
 def test_singular_operator_raises_instead_of_nan():
     # LU with partial pivoting leaves an exactly zero last pivot here
-    op = LinearModeOperator(n=8, fun=np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
+    op = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SingularOperatorError):
-        op.solve(np.ones(2, dtype=complex))
+        dense_solve(op, np.ones(2, dtype=complex))
+    # one singular operator in a stack fails the whole solve
+    stack = np.stack([np.eye(2, dtype=complex), op])
+    with pytest.raises(SingularOperatorError):
+        dense_solve(stack, np.ones((2, 2), dtype=complex))
     # a ParameterError, so the solve command exits with its failure code
     assert issubclass(SingularOperatorError, ParameterError)
 
@@ -208,9 +220,14 @@ def test_non_finite_operator_or_rhs_raises(bad):
     broken = fun.copy()
     broken[1, 1] = bad
     with pytest.raises(NonFiniteError, match="non-finite operator"):
-        LinearModeOperator(n=8, fun=broken).solve(rhs)
+        dense_solve(broken, rhs)
     with pytest.raises(NonFiniteError, match="non-finite right-hand side"):
-        LinearModeOperator(n=8, fun=fun).solve(np.array([1.0, bad], dtype=complex))
+        dense_solve(fun, np.array([1.0, bad], dtype=complex))
+    # in a stack, one broken operator or row fails the whole solve
+    with pytest.raises(NonFiniteError, match="non-finite operator"):
+        dense_solve(np.stack([fun, broken]), np.ones((2, 2), dtype=complex))
+    with pytest.raises(NonFiniteError, match="non-finite right-hand side"):
+        dense_solve(np.stack([fun, fun]), np.array([[1.0, 1.0], [1.0, bad]], dtype=complex))
     # a ParameterError, so the solve command exits with its failure code
     assert issubclass(NonFiniteError, ParameterError)
 
@@ -222,13 +239,14 @@ def test_multi_column_solve_equals_column_solves(point, request):
     params = request.getfixturevalue("desk_params" if point == "desk" else "prod_params")
     grid = request.getfixturevalue("desk_grid" if point == "desk" else "prod_grid")
     mu, rng = params.mu, np.random.default_rng(7)
-    ops = [mode_operator(grid, n, s) for n in (0, params.N) for s in (shift_plus(mu, n), -1.0)]
-    ops += list(linearization_set(params).values())
+    shifts = [(n, s) for n in (0, params.N) for s in (shift_plus(mu, n), -1.0)]
+    ops = [mode_operator_matrix(grid, n, s) for n, s in shifts]
+    ops += list(linearization_set(params))
     for op in ops:
         rhs = rng.standard_normal((grid.size + 1, 6)) + 1j * rng.standard_normal((grid.size + 1, 6))
-        sol = op.solve(rhs)
+        sol = dense_solve(op, rhs)
         for j in range(rhs.shape[1]):
-            assert np.array_equal(sol[:, j], op.solve(rhs[:, j].copy()))
+            assert np.array_equal(sol[:, j], dense_solve(op, rhs[:, j].copy()))
 
 
 def test_invert_norm_bounds_random_suite():
@@ -438,7 +456,7 @@ def test_assemble_linearization_constant_sector(desk_params, desk_grid, desk_cut
     mu = desk_params.mu
     op = assemble_linearization(0, desk_params)
     const = desk_grid.extend(np.ones(desk_grid.size), 1.0)
-    out = op.fun @ const
+    out = op @ const
     expected = (2 * mu - 1) ** 2 / (2 * mu * mu)
     assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -456,11 +474,13 @@ def test_negative_mode_linearizations_are_conjugates():
     # -n is the conjugate of the one at n.  Measured at the reference point:
     # assemble_linearization <= 5.3e-21 relative, linearization_at_base 0.
     params = _FullLatticeParams(mu=1.0, N=4000, grid_points=257)
-    at_base = linearization_at_base(params)
-    for n in params.N * np.arange(1, params.harmonics + 1):
+    K = params.harmonics
+    at_base = linearization_at_base(params)  # row K + k for mode n = N k
+    for k in range(1, K + 1):
+        n = params.N * k
         for plus, minus in (
-            (assemble_linearization(n, params).fun, assemble_linearization(-n, params).fun),
-            (at_base[n].fun, at_base[-n].fun),
+            (assemble_linearization(n, params), assemble_linearization(-n, params)),
+            (at_base[K + k], at_base[K - k]),
         ):
             assert np.max(np.abs(minus - plus.conj())) <= 1e-18 * np.max(np.abs(plus)), n
 
@@ -473,38 +493,68 @@ def test_assemble_linearization_degenerate_shift():
 
 def test_linearization_inverse_constant_sector(desk_params, desk_grid):
     mu = desk_params.mu
-    opset = linearization_set(desk_params)
+    ops = linearization_set(desk_params)
     values = np.zeros((len(desk_params.mode_indices), desk_grid.size + 1))
     values[0] = 1.0
     rhs = SpectralField(params=desk_params, values=values)
-    sol = apply_linearization_inverse(opset, rhs)
+    sol = apply_linearization_inverse(ops, rhs)
     expected = 2 * mu * mu / (2 * mu - 1) ** 2
     assert abs(sol.values[0, -1] - expected) < 1e-9
 
 
 def test_linearization_inverse_round_trip(desk_params):
-    opset = linearization_set(desk_params)
+    ops = linearization_set(desk_params)
     X = random_field(desk_params, seed=12)
-    rows = zip(desk_params.mode_indices, X.values)
-    Y = SpectralField(desk_params, np.array([opset[int(n)].fun @ x for n, x in rows]))
-    X2 = apply_linearization_inverse(opset, Y)
+    Y = SpectralField(desk_params, np.array([op @ x for op, x in zip(ops, X.values)]))
+    X2 = apply_linearization_inverse(ops, Y)
     err = np.max(np.abs(X2.values - X.values))
     assert err < 1e-8
 
 
 def test_chord_step_solves_once_per_mode(desk_params, monkeypatch):
-    # one gesv per stored mode and chord step: K+1 solves, each of one row
-    opset = linearization_set(desk_params)
+    # one gesv per stored mode and chord step: one dense_solve of the K+1
+    # operator stack, each operator with one row of the field
+    ops = linearization_set(desk_params)
     calls = []
-    solve = LinearModeOperator.solve
 
-    def counting(op, b):
-        calls.append(op.n)
-        return solve(op, b)
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return dense_solve(a, b)
 
-    monkeypatch.setattr(LinearModeOperator, "solve", counting)
-    apply_linearization_inverse(opset, random_field(desk_params, seed=12))
-    assert calls == [int(n) for n in desk_params.mode_indices]
+    monkeypatch.setattr(operators, "dense_solve", counting)
+    apply_linearization_inverse(ops, random_field(desk_params, seed=12))
+    K1, M1 = len(desk_params.mode_indices), desk_params.grid.size + 1
+    assert calls == [((K1, M1, M1), (K1, M1))]
+
+
+_STACK_VS_MODES = (
+    "import numpy as np\n"
+    "from spiral_euler import SolverParams, dense_solve, linearization_set\n"
+    "for K in (3, 12):\n"
+    "    params = SolverParams(mu=1.0, N=8, harmonics=K, grid_points=96)\n"
+    "    ops = linearization_set(params)\n"
+    "    rng = np.random.default_rng(K)\n"
+    "    rhs = rng.standard_normal(ops.shape[:2]) + 1j * rng.standard_normal(ops.shape[:2])\n"
+    "    sol = dense_solve(ops, rhs)\n"
+    "    per_mode = np.array([dense_solve(op, r) for op, r in zip(ops, rhs)])\n"
+    "    assert sol.tobytes() == per_mode.tobytes(), K  # the bits, signed zeros included\n"
+    "print('same bits')\n"
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stacked_solve_equals_one_solve_per_mode(threads):
+    # the chord step's one stacked solve gives each mode the bits of its own
+    # solve, at K = 3 and 12, whatever the BLAS thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    src = str(Path(spiral_euler.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STACK_VS_MODES], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "same bits\n"
 
 
 def test_shift_helpers():
