@@ -159,11 +159,7 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
 
     field_doc = dict(stamp)
     field_doc.update(field_to_json(stream))
-    field_doc["omega"] = [
-        [int(n), complex(c).real, complex(c).imag]
-        for n, c in sorted(omega.coeffs.items())
-        if c != 0.0
-    ]
+    field_doc["omega"] = [[n, c.real, c.imag] for n, c in omega.entries()]
     _dump_json(out / "field.json", field_doc)
     report_doc = dict(stamp)
     report_doc.update(asdict(report))
@@ -180,10 +176,10 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
 
     The field is read from the path ``field`` if one is given.  Otherwise it
     is out/field.json, solved there first if it is missing; a failed solve
-    returns its exit code and no field.  A file that cannot be read, does
-    not describe a field of this format, holds a non-finite number or an
-    identically zero omega raises ConfigError.  The evaluator is built once
-    the field has loaded, so its own errors pass through.
+    returns its exit code and no field.  A file that cannot be read, is no
+    field of this format (a non-finite number included) or whose omega
+    from_entries refuses or is identically zero raises ConfigError.  The
+    evaluator is built once the field has loaded, so its errors pass through.
     """
     path = Path(field) if field else out / "field.json"
     if not field and not path.exists():
@@ -193,13 +189,10 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
     try:
         doc = json.loads(path.read_text())
         stream = field_from_json(doc)
-        coeffs = {int(n): complex(re, im) for n, re, im in doc["omega"]}
-        off = sorted(n for n, c in coeffs.items() if not np.isfinite(c))
-        if off:
-            raise ValueError(f"omega coefficients of modes {off} are not finite")
-        if not any(coeffs.values()):
+        entries = [(n, complex(re, im)) for n, re, im in doc["omega"]]
+        omega = AngularSignal.from_entries(stream.params, entries)
+        if not omega.modes.any():
             raise ValueError("omega is identically zero")
-        omega = AngularSignal(stream.params, coeffs)
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc

@@ -102,10 +102,7 @@ class RunConfig:
         repeated = sorted({s for s in suites if suites.count(s) > 1})
         if repeated:
             raise ConfigError(f"verify.suites names {repeated} more than once")
-        try:
-            AngularSignal(params, _parse_coeffs(values["omega.coeffs"]))
-        except StructureError as exc:
-            raise ConfigError(f"omega.coeffs: {exc}") from exc
+        _coeffs_factor(params, values["omega.coeffs"])
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -117,7 +114,7 @@ class RunConfig:
                 self.params, self.values["omega.amplitude"], self.values["omega.harmonic"]
             )
         if kind == "coeffs":
-            return AngularSignal(self.params, _parse_coeffs(self.values["omega.coeffs"]))
+            return _coeffs_factor(self.params, self.values["omega.coeffs"])
         raise ConfigError("omega.kind = match has no direct angular factor; use solve")
 
     def target(self) -> AngularSignal:
@@ -127,7 +124,7 @@ class RunConfig:
         h = self.values["target.harmonic"]
         amp = self.values["target.amplitude"] * w0
         return AngularSignal.constant_plus_cosine(self.params, amp, h).plus(
-            AngularSignal(self.params, {0: w0 - self.params.base_omega})
+            AngularSignal.from_entries(self.params, [(0, w0 - self.params.base_omega)])
         )
 
     def effective_text(self) -> str:
@@ -147,37 +144,19 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _parse_coeffs(text: str) -> dict:
-    """The comma-separated omega.coeffs entries n:re:im as {n: re + i*im}.
-
-    The angular factor is real: mode 0 must be real, and an entry at -n next
-    to one at n must be its complex conjugate.  Each mode appears once, with
-    finite re and im.
-    """
-    coeffs = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _coeffs_factor(params: SolverParams, text: str) -> AngularSignal:
+    """The angular factor of the comma-separated omega.coeffs entries n:re:im."""
+    entries = []
+    for chunk in filter(None, (chunk.strip() for chunk in text.split(","))):
         try:
             n_s, re_s, im_s = chunk.split(":")
-            n, c = int(n_s), complex(float(re_s), float(im_s))
+            entries.append((int(n_s), complex(float(re_s), float(im_s))))
         except ValueError:
             raise ConfigError(f"omega.coeffs entry {chunk!r} is not n:re:im") from None
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ConfigError(f"omega.coeffs entry {chunk!r} must be finite")
-        if n in coeffs:
-            raise ConfigError(f"omega.coeffs lists mode {n} twice")
-        coeffs[n] = c
-    if coeffs.get(0, 0.0).imag != 0.0:
-        raise ConfigError(f"omega.coeffs mode 0 must be real, got {coeffs[0]}")
-    for n, c in coeffs.items():
-        if n > 0 and -n in coeffs and coeffs[-n] != c.conjugate():
-            raise ConfigError(
-                f"omega.coeffs mode {-n} must be the conjugate of mode {n} "
-                f"for a real angular factor: {coeffs[-n]} != {c.conjugate()}"
-            )
-    return coeffs
+    try:
+        return AngularSignal.from_entries(params, entries, "omega.coeffs")
+    except StructureError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_text(text: str) -> RunConfig:

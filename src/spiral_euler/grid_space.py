@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -551,81 +550,125 @@ class SpectralField:
         return replace(self, values=a * self.values)
 
 
+def _few(indices: list) -> str:
+    """indices as a list of at most five, with the count of the rest."""
+    return f"{indices[:5]} and {len(indices) - 5} more" if len(indices) > 5 else f"{indices}"
+
+
 @dataclass(frozen=True)
 class AngularSignal:
-    """Angular function on the mode lattice N*Z, e.g. the vorticity factor.
+    """A real angular function on the mode lattice N*Z, e.g. the vorticity factor.
 
-    Coefficients may sit at any n = N*k with |k| <= harmonics; a real
-    function carries both n and -n.
+    modes has shape (harmonics + 1,): entry k is mode n_k = N*k, and the
+    function is Re sum_k w_k a_k e^{i n_k phi} with w_0 = 1 and w_k = 2, as
+    for a SpectralField row.  The modes -n = conj(mode n) are implied:
+    from_entries reads the two-sided coefficients c_n, entries writes them.
     """
 
     params: SolverParams
-    coeffs: Mapping[int, complex]
+    modes: np.ndarray
 
     def __post_init__(self):
-        extra = self.off_lattice(self.params)
-        if extra:
-            raise StructureError(f"coefficients off the mode lattice: {extra}")
+        modes = np.array(self.modes, dtype=complex)  # its own contiguous copy
+        want = (self.params.harmonics + 1,)
+        if modes.shape != want:
+            raise StructureError(f"angular modes have shape {modes.shape}, not {want}")
+        object.__setattr__(self, "modes", modes)
 
-    def off_lattice(self, params: SolverParams) -> list[int]:
-        """The modes n of this signal off params' lattice n = N k, |k| <= harmonics."""
-        N, K = params.N, params.harmonics
-        return sorted(int(n) for n in self.coeffs if n % N != 0 or abs(n) > N * K)
+    @classmethod
+    def from_entries(cls, params: SolverParams, entries, what: str = "omega") -> "AngularSignal":
+        """The factor Re sum c_n e^{i n phi} of two-sided entries (n, c_n).
 
-    def check_lattice(self, params: SolverParams, what: str) -> None:
-        """Raise ParameterError naming the modes of this signal off params' lattice."""
-        off = self.off_lattice(params)
-        if off:
-            raise ParameterError(f"{what} has modes {off} off the lattice of N={params.N}")
+        A pair n, -n gives a_k = c_n, a lone n c_n / 2 and a lone -n
+        conj(c_-n) / 2; no pair is summed.  StructureError, naming `what`,
+        refuses a mode off the lattice n = N k, |k| <= harmonics, a non-finite
+        coefficient, a mode listed twice, an imaginary mode 0 or a -n entry
+        that is not the conjugate of the n entry.
+        """
+        N = params.N
+        entries = [(n, complex(c)) for n, c in entries]
+        if off := sorted(n for n, _ in entries if n % N != 0 or abs(n) > N * params.harmonics):
+            raise StructureError(f"{what} has modes {_few(off)} off the lattice of N={N}")
+        if bad := sorted(n for n, c in entries if not np.isfinite(c)):
+            raise StructureError(f"{what} has non-finite coefficients at modes {_few(bad)}")
+        coeffs: dict[int, complex] = {}
+        for n, c in entries:
+            if int(n) in coeffs:
+                raise StructureError(f"{what} lists mode {int(n)} twice")
+            coeffs[int(n)] = c
+        if coeffs.get(0, 0j).imag != 0.0:
+            raise StructureError(f"{what} mode 0 must be real, got {coeffs[0]}")
+        modes = np.zeros(params.harmonics + 1, dtype=complex)
+        for n, c in coeffs.items():
+            if -n not in coeffs:  # a lone entry is half of its real part
+                modes[abs(n) // N] = (c if n > 0 else c.conjugate()) / 2
+            elif n > 0 and coeffs[-n] != c.conjugate():
+                raise StructureError(f"{what} mode {-n} must be the conjugate of mode {n} for a "
+                                     f"real angular factor: {coeffs[-n]} != {c.conjugate()}")
+            elif n >= 0:
+                modes[n // N] = c
+        return cls(params, modes + 0.0)  # + 0.0 drops the sign of a zero, as from a conjugate
+
+    def entries(self) -> list[tuple[int, complex]]:
+        """The nonzero two-sided coefficients (n, c_n) ascending in n, c_0 = Re a_0,
+        c_n = a_k and c_-n = conj(a_k): from_entries gives the factor back."""
+        pos = [(n, a) for n, a in zip(self.params.mode_indices.tolist(), self.modes.tolist()) if a]
+        # 0.0 - im, not -im: the conjugate of a real mode is written with +0.0
+        neg = [(-n, complex(a.real, 0.0 - a.imag)) for n, a in reversed(pos) if n]
+        return neg + [(n, complex(a.real) if n == 0 else a) for n, a in pos]
+
+    def on(self, params: SolverParams, what: str) -> "AngularSignal":
+        """This factor on params' lattice, or ParameterError naming its modes off it."""
+        n = self.params.mode_indices[self.modes != 0]
+        if off := n[(n % params.N != 0) | (n > params.N * params.harmonics)].tolist():
+            both = sorted([-m for m in off] + off)
+            raise ParameterError(f"{what} has modes {_few(both)} off the lattice of N={params.N}")
+        modes = np.zeros(params.harmonics + 1, dtype=complex)
+        modes[n // params.N] = self.modes[self.modes != 0]
+        return AngularSignal(params, modes)
 
     @classmethod
     def base(cls, params: SolverParams) -> "AngularSignal":
-        return cls(params, {0: complex(params.base_omega)})
+        return cls(params, np.r_[params.base_omega, np.zeros(params.harmonics)])
 
     @classmethod
     def constant_plus_cosine(
         cls, params: SolverParams, amplitude: float, harmonic: int | None = None
     ) -> "AngularSignal":
         """base constant + amplitude*cos(harmonic*phi)."""
-        h = params.N if harmonic is None else int(harmonic)
-        if h % params.N != 0 or h == 0:
-            raise ParameterError(f"harmonic {h} is not a nonzero multiple of N={params.N}")
-        coeffs = {0: complex(params.base_omega), h: amplitude / 2.0, -h: amplitude / 2.0}
-        return cls(params, coeffs)
-
-    def coeff(self, n: int) -> complex:
-        return complex(self.coeffs.get(int(n), 0.0))
+        h, N, K = params.N if harmonic is None else int(harmonic), params.N, params.harmonics
+        if h % N != 0 or h == 0 or abs(h) > N * K:
+            raise ParameterError(f"harmonic {h} is not a nonzero multiple of N={N} up to N*{K}")
+        modes = cls.base(params).modes
+        modes[abs(h) // N] = amplitude / 2.0
+        return cls(params, modes)
 
     def values(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
-        out = np.zeros(phi.shape, dtype=complex)
-        for n, c in self.coeffs.items():
-            out += c * np.exp(1j * n * phi)
-        return out.real
+        out = np.full(phi.shape, self.modes[0].real)
+        for n, a in zip(self.params.mode_indices[1:].tolist(), self.modes[1:].tolist()):
+            if a:
+                out += (2.0 * a * np.exp(1j * n * phi)).real
+        return out
 
     def seminorm(self) -> float:
         """A^(-1/2) sum excluding the mean mode."""
-        return float(
-            sum(abs(c) / math.sqrt(bracket(n)) for n, c in self.coeffs.items() if n != 0)
-        )
+        return replace(self, modes=np.r_[0.0, self.modes[1:]]).a_norm(-0.5)
 
     def a_norm(self, s: float) -> float:
-        return float(sum(bracket(n) ** s * abs(c) for n, c in self.coeffs.items()))
+        n = self.params.mode_indices
+        return float(np.sum(mode_weight(n) * bracket(n) ** s * np.abs(self.modes)))
 
     def lp_norm(self, p: float) -> float:
         """L^p norm over the circle by dense quadrature on 4096 points of one period."""
         phi = self.params.period * np.arange(4096) / 4096
-        vals = np.abs(self.values(phi)) ** p
-        return float((2.0 * np.pi * np.mean(vals)) ** (1.0 / p))
+        return float((2.0 * np.pi * np.mean(np.abs(self.values(phi)) ** p)) ** (1.0 / p))
 
     def plus(self, other: "AngularSignal") -> "AngularSignal":
-        keys = set(self.coeffs) | set(other.coeffs)
-        return AngularSignal(
-            self.params, {n: self.coeff(n) + other.coeff(n) for n in keys}
-        )
+        return replace(self, modes=self.modes + other.modes)
 
     def scaled(self, a: complex) -> "AngularSignal":
-        return AngularSignal(self.params, {n: a * c for n, c in self.coeffs.items()})
+        return replace(self, modes=a * self.modes)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ class NonlinearWorkspace:
         self.mode_list = [int(n) for n in params.mode_indices]
         # reduced circle: fields are 2*pi/N periodic, so sample Phi = N*phi
         self.Phi = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
-        self.phi = self.Phi / params.N
         self.synth_matrix = mode_weight(self.mode_list)[:, None] * np.exp(
             1j * np.outer(np.arange(K + 1), self.Phi)
         )
@@ -89,16 +88,17 @@ class NonlinearWorkspace:
         """
         return np.tensordot(rows, self.synth_matrix, axes=(0, 0)).real
 
-    def project(self, values: np.ndarray) -> tuple[dict[int, np.ndarray], float]:
+    def project(self, values: np.ndarray) -> tuple[np.ndarray, float]:
         """Project real angular samples (last axis) onto the modes k = 0..K.
 
+        The modes come back as rows shaped like synth's input, (K+1, ...).
         Also returns the dropped mass: the largest modulus of every discarded
         bin, each bin above K counted twice for its conjugate, the Nyquist
         bin of an even sample count once.
         """
         c = np.fft.rfft(values, axis=-1) / self.n_angles
         K = self.params.harmonics
-        out = {int(k * self.params.N): c[..., k] for k in range(K + 1)}
+        out = np.moveaxis(c[..., : K + 1], -1, 0)
         dropped = 0.0
         for b in range(K + 1, c.shape[-1]):
             twice = 2 * b != self.n_angles
@@ -167,7 +167,7 @@ def _check_signs(ws: NonlinearWorkspace, named: dict) -> None:
         if np.any(bad):
             i, a = np.argwhere(bad)[0]
             beta = np.inf if i == ws.grid.size else float(ws.grid.nodes[i])
-            raise SignConditionError(label, beta, float(ws.phi[a]), float(vals[i, a]))
+            raise SignConditionError(label, beta, float(ws.Phi[a] / ws.params.N), float(vals[i, a]))
 
 
 def eval_residual(
@@ -199,8 +199,7 @@ def eval_residual(
 
     R = 2.0 * A * B / C * (1.0 + (D / (2.0 * A)) ** 2) - D * E / (2.0 * A)
     S = (C * E - D * B) / (2.0 * A)
-    om = omega.values(ws.phi)
-    source = C * B ** (-1.0 / (2.0 * mu)) * om[None, :] / (2.0 * mu)
+    source = C * B ** (-1.0 / (2.0 * mu)) * ws.synth(omega.modes) / (2.0 * mu)
 
     Rm, dropR = ws.project(R)
     Sm, dropS = ws.project(S)
@@ -208,7 +207,7 @@ def eval_residual(
 
     res = np.empty_like(fields["psi"])
     for k, n in enumerate(ws.mode_list):
-        res[k] = dvarphi_bar_ext(ws.grid, mu, n, Rm[n]) + 1j * n * Sm[n] + Qm[n]
+        res[k] = dvarphi_bar_ext(ws.grid, mu, n, Rm[k]) + 1j * n * Sm[k] + Qm[k]
 
     raw = {n: float(np.max(np.abs(row[:-1]))) for n, row in zip(ws.mode_list, res)}
     if preimage_norms:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InversionError, NonFiniteError, ParameterError
-from .grid_space import AngularSignal, SolverParams, SpectralField, bump
+from .grid_space import AngularSignal, SpectralField, bump
 from .operators import derived_fields
 
 __all__ = [
@@ -322,7 +322,7 @@ def eval_fields_batch(
     omega with modes off the evaluator's lattice ParameterError and a w that
     overflows NonFiniteError.
     """
-    omega.check_lattice(ev.params, "the angular factor")
+    omega = omega.on(ev.params, "the angular factor")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     mu = ev.mu
@@ -362,20 +362,18 @@ def initial_data(ev: FieldEvaluator, omega: AngularSignal, theta) -> dict:
     the angles theta; only w0 takes the angular factor omega, whose modes
     must lie on the evaluator's lattice (ParameterError otherwise).
     """
-    omega.check_lattice(ev.params, "the angular factor")
+    omega = omega.on(ev.params, "the angular factor")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mu = ev.mu
     zero = np.zeros_like(theta)
     psi0, db0, dv0, dp0, dpdb0, lg0 = ev.field(ev.FIELDS, zero, theta)
-    om = omega.values(theta)
-
-    w0 = (db0 / (-mu * dv0)) ** (1.0 / (2.0 * mu)) * om
+    w0 = (db0 / (-mu * dv0)) ** (1.0 / (2.0 * mu)) * omega.values(theta)
     psi0_factor = (-db0 / mu) ** (1.0 / (2.0 * mu) - 1.0) * psi0
     u0 = np.stack(_velocity(1.0, mu, theta, db0, dv0, dp0, dpdb0, lg0), axis=-1)
     return {"w0": w0, "u0": u0, "psi0": psi0_factor}
 
 
-def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
+def _omega_zeros(omega: AngularSignal) -> np.ndarray:
     """All zeros of the angular factor on [0, 2 pi), by scan and bisection.
 
     A zero on a scan node is kept as it is; the sign changes between nodes
@@ -385,15 +383,11 @@ def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
     signs and zeros are omega's own, and a huge or tiny omega neither
     overflows nor underflows in the sign tests.
     """
-    coeffs = {n: complex(c) for n, c in omega.coeffs.items()}
-    top = max((max(abs(c.real), abs(c.imag)) for c in coeffs.values()), default=0.0)
-    if top > 0.0:
-        e = -math.frexp(top)[1]
-        omega = replace(omega, coeffs={
-            n: complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for n, c in coeffs.items()
-        })
+    parts = omega.modes.view(float)  # (re, im) of each mode
+    if top := float(np.max(np.abs(parts))):
+        omega = replace(omega, modes=np.ldexp(parts, -math.frexp(top)[1]).view(complex))
     n_scan = 16384
-    period = params.period
+    period = omega.params.period
     phis = period * np.arange(n_scan + 1) / n_scan
     vals = omega.values(phis[:-1])
     vals = np.append(vals, vals[0])
@@ -406,7 +400,7 @@ def _omega_zeros(omega: AngularSignal, params: SolverParams) -> np.ndarray:
         left = fa * fm <= 0.0
         a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
     zeros = np.concatenate([on_node, 0.5 * (a + b)])
-    all_zeros = np.concatenate([zeros + j * period for j in range(params.N)])
+    all_zeros = np.concatenate([zeros + j * period for j in range(omega.params.N)])
     return np.sort(np.mod(all_zeros, 2.0 * np.pi))
 
 
@@ -422,8 +416,8 @@ def spiral_extract(
     with modes off the evaluator's lattice ParameterError: the zero scan
     covers one period of the evaluator's N.
     """
-    omega.check_lattice(ev.params, "the angular factor")
-    zeros = _omega_zeros(omega, ev.params)
+    omega = omega.on(ev.params, "the angular factor")
+    zeros = _omega_zeros(omega)
     if len(zeros) == 0:
         return []
     beta = np.geomspace(0.05, 40.0, n_beta)
@@ -566,7 +560,7 @@ def verify(
 
     An omega with modes off the evaluator's lattice raises ParameterError.
     """
-    omega.check_lattice(ev.params, "the angular factor")
+    omega = omega.on(ev.params, "the angular factor")
     unknown = set(suite) - set(VERIFY_SUITES)
     if unknown:
         raise ParameterError(f"unknown verification suites: {sorted(unknown)}")

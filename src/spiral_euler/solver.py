@@ -114,7 +114,7 @@ def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) 
     stand-in for the radius in which the fixed-point map is known to
     contract.
     """
-    mean = omega.coeff(0)
+    mean = omega.modes[0]
     base = params.base_omega
     if abs(mean - base) > 0.25 * abs(base):
         raise ConvergenceError(
@@ -149,14 +149,13 @@ def newton_solve(
     """
     if max_iter < 0:
         raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
-    omega.check_lattice(params, "the angular factor")
+    omega = omega.on(params, "the angular factor")
     if ws is None:
         ws = NonlinearWorkspace(params)
     if backend not in ("chord", "fd"):
         raise ParameterError(f"unknown backend {backend!r}")
     _omega_gate(omega, params, epsilon_cap)
-    base = AngularSignal.base(params)
-    eps_used = float(omega.plus(base.scaled(-1.0)).a_norm(-0.5))
+    eps_used = omega.plus(AngularSignal.base(params).scaled(-1.0)).a_norm(-0.5)
 
     # the chord's operators, assembled once per workspace; the gauge keeps none
     linearization = ws.linearization if backend == "chord" else None
@@ -243,16 +242,8 @@ def angular_initial_vorticity(
     # the values at beta = 0, the first node
     db_vals = ws.synth(fields["db"][:, 0])
     dv_vals = ws.synth(fields["dv"][:, 0])
-    om = omega.values(ws.phi)
-    h_vals = (db_vals / (-mu * dv_vals)) ** (1.0 / (2.0 * mu)) * om
-    modes, _ = ws.project(h_vals)
-    # an AngularSignal carries the whole lattice; h is real
-    coeffs = {}
-    for n, c in modes.items():
-        coeffs[n] = complex(c)
-        if n:
-            coeffs[-n] = complex(np.conj(c))
-    return AngularSignal(ws.params, coeffs)
+    h_vals = (db_vals / (-mu * dv_vals)) ** (1.0 / (2.0 * mu)) * ws.synth(omega.modes)
+    return AngularSignal(ws.params, ws.project(h_vals)[0])
 
 
 def match_initial_data(
@@ -276,8 +267,8 @@ def match_initial_data(
     for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
         if cap < 0:
             raise ParameterError(f"{name} must be non-negative, got {cap}")
-    g.check_lattice(params, "the target angular profile")
-    g0_hat = g.coeff(0)
+    g = g.on(params, "the target angular profile")
+    g0_hat = g.modes[0]
     if g0_hat == 0.0:
         raise ParameterError("the target angular profile must have a nonzero mean")
     mu = params.mu

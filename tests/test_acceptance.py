@@ -233,16 +233,16 @@ def test_criterion_6_initial_data_matching(prod):
     params, _ = prod
     mu = params.mu
     w0 = base_vorticity_factor(mu)
-    g = AngularSignal(
+    g = AngularSignal.from_entries(
         params,
-        {0: complex(w0), params.N: 0.005 * w0, -params.N: 0.005 * w0},
+        {0: complex(w0), params.N: 0.005 * w0, -params.N: 0.005 * w0}.items(),
     )
     omega, stream, report = match_initial_data(g, params, tol=1e-10)
     mismatch = report.residual_history[-1]
 
     # derivative of the initial-data map at the base point is mu^(-1/2mu) id
     ws = NonlinearWorkspace(params)
-    direction = AngularSignal(params, {params.N: 0.5, -params.N: 0.5})
+    direction = AngularSignal.from_entries(params, {params.N: 0.5, -params.N: 0.5}.items())
     eps = 1e-3
     h_vals = {}
     for sign in (+1, -1):

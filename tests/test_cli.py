@@ -90,7 +90,12 @@ def test_config_accepts_conjugate_coeffs():
         "mu = 1.0\nN = 8\nomega.kind = coeffs\n"
         "omega.coeffs = 0:1:0,8:0.01:0.02,-8:0.01:-0.02,16:0.001:0\n"
     )
-    assert cfg.omega().coeffs == {0: 1.0, 8: 0.01 + 0.02j, -8: 0.01 - 0.02j, 16: 0.001}
+    # a pair gives its mode n, a lone entry half of it: 0.001 cos(16 phi)
+    omega = cfg.omega()
+    assert omega.modes.tolist() == [1.0, 0.01 + 0.02j, 0.0005, 0.0]
+    assert omega.entries() == [
+        (-16, 0.0005), (-8, 0.01 - 0.02j), (0, 1.0), (8, 0.01 + 0.02j), (16, 0.0005)
+    ]
 
 
 # the edge values every config key is drawn from, and a few values of the
@@ -626,7 +631,7 @@ def test_unloadable_field_exits_as_config_error(tmp_path, edit):
         _slot_form: "missing key 'values'",
         _rescale_grid: "grid_nodes are not those of grid.points = 96, grid.scale = 2.0",
         _nan_values: "mode 8 values hold a non-finite number",
-        _nan_omega: "omega coefficients of modes [8] are not finite",
+        _nan_omega: "omega has non-finite coefficients at modes [8]",
         _empty_omega: "omega is identically zero",
     }.get(edit, "modes for harmonics = 3, which stores 4")
     cfg, out = _saved_field(tmp_path, edit)
@@ -724,6 +729,9 @@ def mutated_field_run(tmp_path_factory):
 @example(edits=[(("omega", 0, 0), float("inf"))])
 @example(edits=[(("N",), 8.0)])
 @example(edits=[(("grid_scale",), 1e308)])
+@example(edits=[(("omega", 0, 0), 8)])
+@example(edits=[(("omega", 1, 2), 0.5)])
+@example(edits=[(("omega", 2, 2), 0.5)])
 def test_mutated_field_loads_or_exits_with_one_line(mutated_field_run, edits):
     # a saved field with any key replaced or deleted reconstructs (0) or is
     # refused with one short line and no artifact: a field that does not
@@ -765,6 +773,66 @@ def test_mutated_field_loads_or_exits_with_one_line(mutated_field_run, edits):
     assert code == 0 or lines
     assert svg.exists() == (code == 0)
     assert peak < 50e6, peak
+
+
+def _reconstruct_saved(run, doc):
+    """Exit code and stderr lines of reconstruct --field on a saved field document."""
+    _, cfg, tmp = run
+    field = tmp / "field.json"
+    field.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["reconstruct", "--config", str(cfg), "--field", str(field),
+                     "--out", str(tmp / "out"), "--format", "svg"])
+    return code, err.getvalue().splitlines()
+
+
+# the desk omega is [[-8, 0.005, 0.0], [0, 1.0, 0.0], [8, 0.005, 0.0]]; each
+# edit makes it describe no real angular factor, and the same entries as
+# omega.coeffs are refused by the config
+@pytest.mark.parametrize("path, value, message", [
+    (("omega", 0, 0), 8, "omega lists mode 8 twice"),
+    (("omega", 1, 2), 0.5, "omega mode 0 must be real, got (1+0.5j)"),
+    (("omega", 2, 2), 0.5, "omega mode -8 must be the conjugate of mode 8 for a real "
+     "angular factor: (0.005+0j) != (0.005-0.5j)"),
+], ids=["duplicate", "imaginary-mean", "not-conjugate"])
+def test_saved_omega_of_no_real_factor_is_refused(mutated_field_run, path, value, message):
+    doc = json.loads(json.dumps(mutated_field_run[0]))
+    doc[path[0]][path[1]][path[2]] = value
+    code, lines = _reconstruct_saved(mutated_field_run, doc)
+    assert code == 1 and len(lines) == 1, lines
+    assert lines[0].startswith("configuration error: cannot load the saved field")
+    assert lines[0].endswith(message)
+    coeffs = ",".join(f"{n}:{re}:{im}" for n, re, im in doc["omega"])
+    with pytest.raises(ConfigError, match=re.escape(message.replace("omega", "omega.coeffs"))):
+        parse_config_text(f"mu = 1.0\nN = 8\nomega.kind = coeffs\nomega.coeffs = {coeffs}\n")
+
+
+@pytest.mark.parametrize("value", [0.1, float("nan")], ids=["finite", "nan"])
+def test_saved_omega_counts_its_many_bad_modes(mutated_field_run, value):
+    # 2000 entries off the lattice, finite or not, are counted in one short line
+    doc = json.loads(json.dumps(mutated_field_run[0]))
+    doc["omega"] += [[8 * k + 1, value, 0.0] for k in range(2000)]
+    code, lines = _reconstruct_saved(mutated_field_run, doc)
+    assert code == 1 and len(lines) == 1, lines[:1]
+    assert len(lines[0]) <= 500, len(lines[0])
+    assert lines[0].endswith("omega has modes [1, 9, 17, 25, 33] and 1995 more off the lattice "
+                             "of N=8")
+
+
+def test_omega_coeffs_counts_its_many_off_lattice_modes(tmp_path):
+    coeffs = ",".join(f"{8 * k + 1}:0.1:0" for k in range(2000))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mu = 1.0\nN = 8\nomega.kind = coeffs\nomega.coeffs = {coeffs}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1, lines[:1]
+    assert len(lines[0]) <= 500, len(lines[0])
+    assert lines[0] == ("configuration error: omega.coeffs has modes [1, 9, 17, 25, 33] and 1995 "
+                        "more off the lattice of N=8")
+    assert not (tmp_path / "out").exists()
 
 
 def test_match_past_the_trust_region_fails_with_one_line(tmp_path):
@@ -849,7 +917,7 @@ def test_help_exits_zero():
     ("solve", "omega.kind = coeffs\nomega.coeffs = x:1:0",
      "omega.coeffs entry 'x:1:0' is not n:re:im"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 0:1.0:0,3:0.01:0",
-     "omega.coeffs: coefficients off the mode lattice: [3]"),
+     "omega.coeffs has modes [3] off the lattice of N=8"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 0:1:0,8:0.01:0,-8:0.5:0",
      "omega.coeffs mode -8 must be the conjugate of mode 8"),
     ("certify", "seed = -1", "seed must be non-negative, got -1"),
@@ -880,11 +948,11 @@ def test_help_exits_zero():
     ("solve", "omega.amplitude = nan", "omega.amplitude must be finite, got nan"),
     ("solve", "solver.epsilon_cap = inf", "solver.epsilon_cap must be finite, got inf"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 0:nan:0",
-     "omega.coeffs entry '0:nan:0' must be finite"),
+     "omega.coeffs has non-finite coefficients at modes [0]"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 8:inf:0,-8:inf:0",
-     "omega.coeffs entry '8:inf:0' must be finite"),
+     "omega.coeffs has non-finite coefficients at modes [-8, 8]"),
     ("solve", "omega.kind = coeffs\nomega.coeffs = 8:1e400:0,-8:1e400:0",
-     "omega.coeffs entry '8:1e400:0' must be finite"),
+     "omega.coeffs has non-finite coefficients at modes [-8, 8]"),
     ("solve", "omega.harmonic = 32", "omega.harmonic = 32 lies past N * harmonics = 24"),
     ("verify", "omega.harmonic = -32", "omega.harmonic = -32 lies past N * harmonics = 24"),
     ("solve", "omega.kind = match\ntarget.harmonic = 32",

@@ -221,7 +221,7 @@ def test_mode_profile_constant_slot_reserved():
 
 
 def test_a_norm_single_coefficient(desk_params):
-    sig = AngularSignal(desk_params, {desk_params.N: 1.0})
+    sig = AngularSignal.from_entries(desk_params, {desk_params.N: 1.0}.items())
     expected = bracket(desk_params.N) ** 0.5
     assert sig.a_norm(0.5) == pytest.approx(expected)
 
@@ -230,9 +230,81 @@ def test_base_angular_seminorm_is_zero(desk_params):
     assert AngularSignal.base(desk_params).seminorm() == 0.0
 
 
+@st.composite
+def _two_sided_entries(draw):
+    """Params with K <= 8 and the two-sided entries (n, c_n) of a real factor
+    on their lattice: conjugate pairs, lone n and lone -n, in any order."""
+    K = draw(st.integers(1, 8))
+    params = SolverParams(mu=1.0, N=draw(st.sampled_from([2, 8, 4000])), harmonics=K)
+    part = st.floats(-1e3, 1e3)
+    entries = [(0, complex(draw(part)))] if draw(st.booleans()) else []
+    for k in range(1, K + 1):
+        n, c = params.N * k, complex(draw(part), draw(part))
+        entries += draw(st.sampled_from([[], [(n, c), (-n, c.conjugate())], [(n, c)], [(-n, c)]]))
+    draw(st.randoms()).shuffle(entries)
+    return params, entries
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=_two_sided_entries())
+def test_angular_factor_matches_the_two_sided_sums(drawn):
+    # the former dict form summed over every entry (n, c_n); the stored modes
+    # k >= 0 give the same function and norms to a few ulp of sum |c_n|
+    params, entries = drawn
+    x = AngularSignal.from_entries(params, entries)
+    eps = np.finfo(float).eps
+    phi = np.linspace(0.0, 2.0 * np.pi, 97)
+    want = sum((c * np.exp(1j * n * phi) for n, c in entries), np.zeros(97, complex)).real
+    scale = sum(abs(c) for _, c in entries)
+    assert np.max(np.abs(x.values(phi) - want), initial=0.0) <= 8 * eps * scale
+    semi = sum(abs(c) / math.sqrt(bracket(n)) for n, c in entries if n != 0)
+    assert abs(x.seminorm() - semi) <= 8 * eps * semi
+    for s in (-0.5, 0.5):
+        norm = sum(bracket(n) ** s * abs(c) for n, c in entries)
+        assert abs(x.a_norm(s) - norm) <= 8 * eps * norm
+    # entries() gives the factor back, bit for bit
+    y = AngularSignal.from_entries(params, x.entries())
+    assert y.params == x.params and y.modes.tobytes() == x.modes.tobytes()
+
+
+def test_lone_entries_fold_without_overflow(desk_params):
+    N = desk_params.N
+    pair = AngularSignal.from_entries(desk_params, [(N, 1e308), (-N, 1e308)])
+    lone = AngularSignal.from_entries(desk_params, [(-N, 1e308 + 2e307j)])
+    assert pair.modes.tolist() == [0.0, 1e308, 0.0, 0.0]
+    assert lone.modes.tolist() == [0.0, 5e307 - 1e307j, 0.0, 0.0]
+    assert lone.entries() == [(-N, 5e307 + 1e307j), (N, 5e307 - 1e307j)]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(3, 1.0)], "omega has modes [3] off the lattice of N=8"),
+    ([(32, 1.0), (-32, 1.0)], "omega has modes [-32, 32] off the lattice of N=8"),
+    ([(8 * k + 1, 1.0) for k in range(2000)],
+     "omega has modes [1, 9, 17, 25, 33] and 1995 more off the lattice of N=8"),
+    ([(8, float("nan"))] * 2000,
+     "omega has non-finite coefficients at modes [8, 8, 8, 8, 8] and 1995 more"),
+    ([(8, 1.0), (8.0, 1.0)], "omega lists mode 8 twice"),
+    ([(0, 1j)], "omega mode 0 must be real, got 1j"),
+    ([(8, 1j), (-8, 1j)], "omega mode -8 must be the conjugate of mode 8"),
+])
+def test_from_entries_refuses_what_is_no_real_factor(desk_params, entries, message):
+    with pytest.raises(StructureError) as err:
+        AngularSignal.from_entries(desk_params, entries)
+    assert str(err.value).startswith(message)
+
+
+def test_angular_factor_moves_to_a_finer_lattice():
+    # an N = 4 factor whose modes sit on the N = 8 lattice is re-indexed there
+    P4, P8 = SolverParams(mu=1.0, N=4), SolverParams(mu=1.0, N=8)
+    on = AngularSignal.constant_plus_cosine(P4, 0.01, harmonic=8).on(P8, "omega")
+    assert on.params == P8 and on.modes.tolist() == [1.0, 0.005, 0.0, 0.0]
+    with pytest.raises(ParameterError, match=r"omega has modes \[-4, 4\] off the lattice of N=8"):
+        AngularSignal.constant_plus_cosine(P4, 0.01).on(P8, "omega")
+
+
 def test_angular_l2_of_cosine(desk_params):
     # || cos(N phi) ||_{L^2} over the circle equals sqrt(pi)
-    sig = AngularSignal(desk_params, {desk_params.N: 0.5, -desk_params.N: 0.5})
+    sig = AngularSignal.from_entries(desk_params, {desk_params.N: 0.5, -desk_params.N: 0.5}.items())
     assert sig.lp_norm(2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 

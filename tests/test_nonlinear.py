@@ -38,7 +38,7 @@ def test_zero_angular_factor_gives_constant_residual(desk_params, desk_grid):
     # the constant (2 mu - 1)/mu
     mu = desk_params.mu
     base = SpectralField.base_state(desk_params)
-    zero = AngularSignal(desk_params, {0: 0.0})
+    zero = AngularSignal.from_entries(desk_params, {0: 0.0}.items())
     res = eval_residual(base, zero)
     mode0 = res.field.values[0]
     expected = (2 * mu - 1) / mu

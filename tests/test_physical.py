@@ -364,7 +364,8 @@ def test_spiral_extract_no_zeros_is_empty(desk_solution):
 
 def test_spiral_extract_rejects_points_past_float_range(base_setup, desk_params):
     base, _, ev = base_setup
-    omega = AngularSignal(desk_params, {desk_params.N: -0.5j, -desk_params.N: 0.5j})
+    N = desk_params.N
+    omega = AngularSignal.from_entries(desk_params, {N: -0.5j, -N: 0.5j}.items())
     assert len(spiral_extract(ev, omega, 1e300, n_beta=8)) == 2 * desk_params.N
     with pytest.raises(InversionError, match="leave the float range"):
         spiral_extract(ev, omega, 1e308, n_beta=8)
@@ -414,9 +415,9 @@ def _scalar_omega_zeros(omega, params):
 ], ids=["constant", "sine", "harmonics-1-2-3", "harmonics-1-3"])
 def test_omega_zeros_match_scalar_bisection(desk_params, harmonics):
     N = desk_params.N
-    omega = AngularSignal(desk_params, {k * N: c for k, c in harmonics.items()})
+    omega = AngularSignal.from_entries(desk_params, [(k * N, c) for k, c in harmonics.items()])
     want = _scalar_omega_zeros(omega, desk_params)
-    got = _omega_zeros(omega, desk_params)
+    got = _omega_zeros(omega)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -431,9 +432,9 @@ def test_omega_zeros_of_a_huge_or_tiny_omega(desk_params, scale):
     # (2^-600, 2^-1000) leave the float range
     N = desk_params.N
     coeffs = {0: 0.5, N: 0.3 + 0.1j, -N: 0.3 - 0.1j, 2 * N: 0.05, -2 * N: 0.05}
-    want = _omega_zeros(AngularSignal(desk_params, coeffs), desk_params)
+    want = _omega_zeros(AngularSignal.from_entries(desk_params, coeffs.items()))
     scaled = {n: c * scale for n, c in coeffs.items()}
-    got = _omega_zeros(AngularSignal(desk_params, scaled), desk_params)
+    got = _omega_zeros(AngularSignal.from_entries(desk_params, scaled.items()))
     assert len(want) == 2 * N
     assert np.array_equal(got, want)
 
@@ -443,7 +444,7 @@ def test_spiral_extract_sine_zero_set(base_setup, desk_params):
     # a scan node, where Omega is exactly zero
     base, _, ev = base_setup
     N = desk_params.N
-    omega = AngularSignal(desk_params, {N: -0.5j, -N: 0.5j})
+    omega = AngularSignal.from_entries(desk_params, {N: -0.5j, -N: 0.5j}.items())
     assert omega.values(np.array([0.0]))[0] == 0.0
     curves = spiral_extract(ev, omega, 1.0, n_beta=8)
     phi0 = np.array([c.phi0 for c in curves])
@@ -492,7 +493,7 @@ def test_spiral_extract_matches_former_formula(desk_solution, desk_params, t, re
     # to_plane; at t = 1 the product is taken in the same order
     stream, _, _ = desk_solution
     N = desk_params.N
-    omega = AngularSignal(desk_params, {N: -0.5j, -N: 0.5j})
+    omega = AngularSignal.from_entries(desk_params, {N: -0.5j, -N: 0.5j}.items())
     ev = FieldEvaluator(stream)
     curves = spiral_extract(ev, omega, t, n_beta=40)
     B = curves[0].beta[:, None]
@@ -510,7 +511,7 @@ def test_physical_functions_reject_an_off_lattice_angular_factor():
     params = SolverParams(mu=1.0, N=8, grid_points=64)
     ev = FieldEvaluator(SpectralField.base_state(params))
     coarse = SolverParams(mu=1.0, N=4, grid_points=64)
-    off = AngularSignal(coarse, {0: 0.5, 4: -0.5j, -4: 0.5j})
+    off = AngularSignal.from_entries(coarse, {0: 0.5, 4: -0.5j, -4: 0.5j}.items())
     calls = {
         "eval_fields_batch": lambda: eval_fields_batch(ev, off, np.array([[1.0, 0.0]]), 1.0),
         "initial_data": lambda: initial_data(ev, off, [0.0]),
@@ -521,7 +522,7 @@ def test_physical_functions_reject_an_off_lattice_angular_factor():
         with pytest.raises(ParameterError, match=r"modes \[-4, 4\] off the lattice of N=8"):
             call()
     # the same factor on the evaluator's own lattice: 2N zero-set curves
-    on = AngularSignal(params, {0: 0.5, 8: -0.5j, -8: 0.5j})
+    on = AngularSignal.from_entries(params, {0: 0.5, 8: -0.5j, -8: 0.5j}.items())
     assert len(spiral_extract(ev, on, 1.0)) == 16
 
 
