@@ -8,9 +8,11 @@ subcommand, a --format entry outside json,csv,svg), configuration problem,
 an output directory that cannot be written, a saved field that does not load
 or an allocation that fails (out of memory), 2 certificate failure, 3 solve
 failure, 4 verification failure, a failed chart inversion or a field that
-does not evaluate (verify, reconstruct).  Codes 1, 4 and a certificate that
-cannot be formed (2) print one line to stderr.  Every JSON artifact embeds
-the config digest and the seed; identical configs give identical bytes.
+does not evaluate (verify, reconstruct).  Codes 1, 3, 4 and a certificate
+that cannot be formed (2) print one line to stderr, and a solve that drops
+harmonic mass above the gate one summary line, which a failed solve joins to
+its own.  Every JSON artifact embeds the config digest and the seed;
+identical configs give identical bytes.
 """
 
 from __future__ import annotations
@@ -94,39 +96,39 @@ def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
 
 
 @contextmanager
-def _dropped_mass_summary():
-    """Fold the dropped-harmonic-mass warnings raised inside into one stderr line.
+def _dropped_mass_recorded():
+    """Record the dropped-harmonic-mass warnings raised inside in the yielded list.
 
     Other warnings are shown as usual once the block ends.  The recording
     filter is appended, so a filter the caller set (-W, PYTHONWARNINGS)
     still decides first.
     """
+    dropped = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DroppedMassWarning, append=True)
-            yield
+            yield dropped
     finally:
-        dropped = []
         for w in caught:
             if isinstance(w.message, DroppedMassWarning):
                 dropped.append(w.message)
             else:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        if dropped:
-            top = max(dropped, key=lambda w: w.dropped)
-            print(
-                f"warning: {len(dropped)} residual evaluations dropped harmonic mass "
-                f"above the gate; largest {top.dropped:.3e} against the residual "
-                f"scale {top.scale:.3e}",
-                file=sys.stderr,
-            )
+
+
+def _dropped_mass_summary(dropped: list) -> str:
+    top = max(dropped, key=lambda w: w.dropped)
+    return (
+        f"{len(dropped)} residual evaluations dropped harmonic mass above the gate; "
+        f"largest {top.dropped:.3e} against the residual scale {top.scale:.3e}"
+    )
 
 
 def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
     from .solver import match_initial_data, newton_solve
 
     try:
-        with _dropped_mass_summary():
+        with _dropped_mass_recorded() as dropped:
             if cfg["omega.kind"] == "match":
                 omega, stream, report = match_initial_data(
                     cfg.target(),
@@ -154,8 +156,12 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
         if rep is not None:
             doc["residual_history"] = list(rep.residual_history)
         _dump_json(out / "report.json", doc)
-        print(f"solve failed: {exc}", file=sys.stderr)
+        # one stderr line: the dropped mass, if any, joins the failure
+        summary = f" ({_dropped_mass_summary(dropped)})" if dropped else ""
+        print(f"solve failed: {exc}{summary}", file=sys.stderr)
         return EXIT_SOLVE
+    if dropped:
+        print(f"warning: {_dropped_mass_summary(dropped)}", file=sys.stderr)
 
     field_doc = dict(stamp)
     field_doc.update(field_to_json(stream))

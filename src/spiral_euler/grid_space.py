@@ -203,21 +203,6 @@ class RadialGrid:
         out[-1] = value_at_inf
         return out
 
-    def apply_radial(self, ext: np.ndarray) -> np.ndarray:
-        """Apply beta*d/dbeta to an extended vector.
-
-        The infinity-slot value is subtracted first; beta*d/dbeta kills
-        constants, and the shift keeps the annihilation exact in floats.
-        """
-        return self.radial @ (ext - ext[-1])
-
-    def limit_beta_times(self, ext: np.ndarray) -> complex:
-        """lim beta*f(beta) as beta -> inf for a function with f(inf) = 0.
-
-        Equals -scale * f'(s) at s = 1 by l'Hopital on the algebraic map.
-        """
-        return -self.map_scale * (self.diff_s_inf @ (ext - ext[-1]))
-
     def chebyshev_coefficients(self, ext: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients of the interpolant through the M+1 points."""
         # values ordered by s ascending correspond to y = 1 - 2s descending,
@@ -277,6 +262,8 @@ def build_grid(points: int, scale: float) -> RadialGrid:
         nodes = scale * s[:-1] / (1.0 - s[:-1])
     if not np.isfinite(nodes[-1]):
         raise ParameterError(f"grid scale {scale} overflows the largest radial node")
+    if not nodes[1] >= np.finfo(float).tiny:  # subnormal nodes lose their digits, or vanish
+        raise ParameterError(f"grid scale {scale} underflows the smallest radial node")
     # pairwise differences via the product identity keeps corner entries exact
     ii, kk = np.meshgrid(j, j, indexing="ij")
     diff = np.sin((ii + kk) * (np.pi / (2 * M))) * np.sin((ii - kk) * (np.pi / (2 * M)))

@@ -41,8 +41,8 @@ from .operators import (
     beta_mult_matrix,
     dense_solve,
     derived_fields,
-    dvarphi_bar_ext,
     linearization_set,
+    mode_operator_apply,
     mode_operator_matrix,
     shift_minus,
     shift_plus,
@@ -71,6 +71,10 @@ class NonlinearWorkspace:
             n_angles = max(64, 1 << (4 * K).bit_length())
         if n_angles < 4 * K + 1:
             raise ParameterError(f"need at least {4 * K + 1} angles for dealiasing")
+        top = params.N * K  # its shift s+ is the largest of any D the workspace applies
+        if not np.isfinite(shift_plus(params.mu, top)):
+            raise ParameterError(f"mode operator shift (2 + n) mu - 1 overflows at "
+                                 f"mu = {params.mu}, n = {top}")
         self.params = params
         self.grid = params.grid
         self.n_angles = int(n_angles)
@@ -205,9 +209,10 @@ def eval_residual(
     Sm, dropS = ws.project(S)
     Qm, dropQ = ws.project(source)
 
+    # dvarphi_bar R + dphi S + source, with dvarphi_bar = -D(n, 2 mu - 1)
     res = np.empty_like(fields["psi"])
     for k, n in enumerate(ws.mode_list):
-        res[k] = dvarphi_bar_ext(ws.grid, mu, n, Rm[k]) + 1j * n * Sm[k] + Qm[k]
+        res[k] = -mode_operator_apply(ws.grid, n, 2.0 * mu - 1.0, Rm[k]) + 1j * n * Sm[k] + Qm[k]
 
     raw = {n: float(np.max(np.abs(row[:-1]))) for n, row in zip(ws.mode_list, res)}
     if preimage_norms:

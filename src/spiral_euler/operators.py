@@ -11,11 +11,15 @@ The workhorse family is the shifted mode operator
     D(n, shift) = beta * (d/dbeta - i n) - shift,
 
 whose kernel beta^shift * exp(i n beta) never stays bounded on [0, inf) for
-a nonzero shift, so a bounded inverse is unique.  Applied to a structured
-profile, D and its inverse act on the profile's extended values, the vector
-the solver works on.  Two independent realizations of the inverse are kept:
-a collocation solve on the extended grid (the solver default) and direct
-evaluation of the explicit integral
+a nonzero shift, so a bounded inverse is unique.  mode_operator_apply
+applies D to an extended vector and mode_operator_matrix forms its matrix;
+nothing else does either.  The adapted derivatives are D's: dbeta_bar =
+D(0, 2 mu - 1), dvarphi_bar = -D(n, 2 mu - 1), (dvarphi_bar + 1) dbeta_bar =
+dbeta_bar - D(n, 2 mu - 1) dbeta_bar, and Q + 1 = D(0, -1).  Applied to a
+structured profile, D and its inverse act on the profile's extended values,
+the vector the solver works on.  Two independent realizations of the inverse
+are kept: a collocation solve on the extended grid (the solver default) and
+direct evaluation of the explicit integral
 
     u(beta) = -beta^s e^{i n beta} int_beta^inf  x^{-s-1} e^{-i n x} f(x) dx   (s > 0)
     u(beta) =  beta^s e^{i n beta} int_0^beta    x^{-s-1} e^{-i n x} f(x) dx   (s < 0)
@@ -27,8 +31,9 @@ On the extended vector [values at nodes; value at infinity], multiplication
 by beta uses the finite-part rule (beta*f)(inf) := -scale * f'(s=1), which is
 the exact limit whenever f vanishes at infinity; composed operators then
 impose the correct far-field balance on bounded solutions through their last
-row.  The per-mode linearization of the nonlinear problem at the base state
-is
+row.  The rule is written here only: apply_beta_mult applies it and
+_beta_mult_parts gives its matrix row.  The per-mode linearization of the
+nonlinear problem at the base state is
 
     (1/2 mu^2) * ( D(n, s+) D(n, s-) (Q + 1) + (2 mu - 1) * i n beta ),
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +67,7 @@ __all__ = [
     "shift_plus",
     "shift_minus",
     "mode_operator_matrix",
+    "mode_operator_apply",
     "apply_mode_operator",
     "invert_mode_operator",
     "derived_fields",
@@ -98,11 +104,21 @@ def beta_mult_matrix(grid: RadialGrid, n: int) -> np.ndarray:
 
 
 def apply_beta_mult(grid: RadialGrid, n: int, ext: np.ndarray) -> np.ndarray:
-    """Apply i*n*beta to an extended vector, finite-part rule at infinity."""
+    """Apply i*n*beta to an extended vector, finite-part rule at infinity:
+    lim beta f = -scale f'(s=1) for f = ext - ext[-1], by l'Hopital on the map."""
     out = np.empty(len(ext), dtype=complex)
     out[:-1] = 1j * n * grid.nodes * ext[:-1]
-    out[-1] = 1j * n * grid.limit_beta_times(ext)
+    out[-1] = 1j * n * (-grid.map_scale * (grid.diff_s_inf @ (ext - ext[-1])))
     return out
+
+
+def mode_operator_apply(grid: RadialGrid, n: int, shift: float, ext: np.ndarray) -> np.ndarray:
+    """D(n, shift) ext, the matrix-free twin of mode_operator_matrix.
+
+    Q is applied to ext - ext[-1]: beta d/dbeta kills constants, and
+    subtracting the far value keeps the annihilation exact in floats.
+    """
+    return grid.radial @ (ext - ext[-1]) - apply_beta_mult(grid, n, ext) - shift * ext
 
 
 def mode_operator_matrix(
@@ -165,14 +181,12 @@ def apply_mode_operator(
 ) -> ModeProfile:
     """Apply D(n, shift) to a structured profile.
 
-    The operator acts on the profile's extended values through the
-    collocation primitives, as the solver's derived fields do.  The
+    The operator acts on the profile's extended values through
+    mode_operator_apply, as the solver's derived fields do.  The
     operator's oscillation index is ``n``; the result keeps the profile's
     own mode label.
     """
-    grid = cuts.grid
-    ext = f.extended(cuts)
-    out = grid.apply_radial(ext) - apply_beta_mult(grid, n, ext) - shift * ext
+    out = mode_operator_apply(cuts.grid, n, shift, f.extended(cuts))
     return ModeProfile.from_values(f.n, out[:-1], out[-1], cuts)
 
 
@@ -210,7 +224,9 @@ def invert_mode_operator(
     elif method == "quadrature":
         sol = np.zeros_like(rhs)
         for j, r in enumerate(rhs.T):
-            fun = profile_interpolant(grid, r)
+            # f is the Chebyshev interpolant of the extended values
+            coeffs = grid.chebyshev_coefficients(r)
+            fun = lambda x: grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
             sol[:-1, j] = _invert_by_quadrature(n, shift, fun, grid.nodes, 1e-12)
     else:
         raise ParameterError(f"unknown inversion method {method!r}")
@@ -218,16 +234,6 @@ def invert_mode_operator(
     sol -= far / shift
     out = [ModeProfile.from_values(g.n, u[:-1], u[-1], cuts) for g, u in zip(profiles, sol.T)]
     return out if batch else out[0]
-
-
-def profile_interpolant(grid: RadialGrid, ext: np.ndarray) -> Callable:
-    """Callable evaluating the interpolant of an extended vector at beta >= 0."""
-    coeffs = grid.chebyshev_coefficients(ext)
-
-    def fun(x):
-        return grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
-
-    return fun
 
 
 _HALVINGS = 48  # geometric panels below the smallest radius (shift < 0)
@@ -377,18 +383,6 @@ def _invert_by_quadrature(n: int, shift: float, fun, betas: np.ndarray, tol: flo
 # ---------------------------------------------------------------------------
 
 
-def dvarphi_bar_ext(
-    grid: RadialGrid, mu: float, n: int, ext: np.ndarray, q: np.ndarray | None = None
-) -> np.ndarray:
-    """dvarphi_bar = -(Q - i n beta) + (2 mu - 1) on an extended mode vector.
-
-    ``q`` is Q ext = beta d/dbeta ext when the caller already has it.
-    """
-    if q is None:
-        q = grid.apply_radial(ext)
-    return -(q - apply_beta_mult(grid, n, ext)) + (2.0 * mu - 1.0) * ext
-
-
 def derived_fields(field_: SpectralField) -> dict:
     """The stream profile and its five adapted-coordinate derivatives.
 
@@ -396,25 +390,26 @@ def derived_fields(field_: SpectralField) -> dict:
     mode n = N k, k = 0..K, like the field's values, keyed by name:
 
         psi   the profile itself
-        db    dbeta_bar psi = (Q + 1 - 2 mu) psi
-        dv    dvarphi_bar psi
+        db    dbeta_bar psi = D(0, 2 mu - 1) psi
+        dv    dvarphi_bar psi = -D(n, 2 mu - 1) psi
         dp    dphi psi = i n psi
-        dpdb  dphi dbeta_bar psi
-        lg    (dvarphi_bar + 1) dbeta_bar psi
+        dpdb  dphi dbeta_bar psi = i n db
+        lg    (dvarphi_bar + 1) dbeta_bar psi = db - D(n, 2 mu - 1) db
+
+    Every D is applied by mode_operator_apply.
     """
-    grid, mu = field_.grid, field_.params.mu
+    grid, s = field_.grid, 2.0 * field_.params.mu - 1.0
     nvec = [int(n) for n in field_.params.mode_indices]
     psi = np.array(field_.values)
     db, dv, dp, dpdb, lg = (np.empty_like(psi) for _ in range(5))
-    # row by row through the per-vector primitives, which a stacked matrix
+    # row by row through the per-vector kernel, which a stacked matrix
     # product would not reproduce bit for bit
     for i, n in enumerate(nvec):
-        q = grid.apply_radial(psi[i])
-        db[i] = q + (1.0 - 2.0 * mu) * psi[i]
-        dv[i] = dvarphi_bar_ext(grid, mu, n, psi[i], q)
+        db[i] = mode_operator_apply(grid, 0, s, psi[i])
+        dv[i] = -mode_operator_apply(grid, n, s, psi[i])
         dp[i] = 1j * n * psi[i]
         dpdb[i] = 1j * n * db[i]
-        lg[i] = dvarphi_bar_ext(grid, mu, n, db[i]) + db[i]
+        lg[i] = db[i] - mode_operator_apply(grid, n, s, db[i])
     return {"psi": psi, "db": db, "dv": dv, "dp": dp, "dpdb": dpdb, "lg": lg}
 
 
@@ -436,16 +431,13 @@ def assemble_linearization(n: int, params: SolverParams) -> np.ndarray:
         raise DegenerateShiftError(f"degenerate shift at (mu={mu}, n={n})")
     grid = params.grid
     # (Dp Dm (Q + I) + (2 mu - 1) beta_mult_matrix) / (2 mu^2), entry by entry
-    # as that expression, with at most three operators alive at a time
+    # as that expression, with at most three operators alive at a time;
+    # Q + I is D(0, -1)
     fun = mode_operator_matrix(grid, n, sp) @ mode_operator_matrix(grid, n, sm)
-    q1 = np.add(grid.radial, 0.0, dtype=complex)  # adding I's zeros turns -0.0 into +0.0
-    k = np.arange(grid.size + 1)
-    q1[k, k] += 1.0
-    fun = fun @ q1
-    del q1
+    fun = fun @ mode_operator_matrix(grid, 0, -1.0)
     c = 2.0 * mu - 1.0
     b_diag, b_last = _beta_mult_parts(grid, n)
-    j = k[:-1]
+    j = np.arange(grid.size)
     diag = fun[j, j] + c * b_diag
     last = fun[-1] + c * b_last
     # elsewhere c * beta_mult_matrix holds +0.0 (c > 0), which turns -0.0 into +0.0
@@ -464,8 +456,11 @@ def linearization_set(params: SolverParams) -> np.ndarray:
     """
     size = params.grid.size + 1
     ops = np.empty((len(params.mode_indices), size, size), dtype=complex)
-    for k, n in enumerate(params.mode_indices):
-        ops[k] = assemble_linearization(int(n), params)
+    # on a grid too wide for the products, the operators overflow quietly
+    # and dense_solve refuses them as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, n in enumerate(params.mode_indices):
+            ops[k] = assemble_linearization(int(n), params)
     return ops
 
 

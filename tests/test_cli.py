@@ -112,18 +112,46 @@ _STRING_VALUES = {
 }
 
 
+# values that pass their own checks near the limits of a run, drawn as well
+# by the command-level fuzz; its sizes pass only up to M = 32 and K = 3
+_LIMIT_VALUES = {
+    "mu": ("0.6667", "2.0", "1e308"),
+    "N": ("2", "3", "4"),
+    "harmonics": ("1", "3"),
+    "grid.points": ("16", "32"),
+    "grid.scale": ("1e-300", "1e300"),
+    "omega.amplitude": ("1e-300", "0.5", "1.05"),
+    "omega.harmonic": ("8", "-24"),
+    "target.harmonic": ("-8", "24"),
+    "target.amplitude": ("1e-300", "0.5"),
+    "solver.tol": ("1e-300", "1"),
+    "solver.max_iter": ("1",),
+    "solver.epsilon_cap": ("1e-300",),
+    "solver.outer_tol": ("1e-300",),
+    "solver.outer_max_iter": ("1",),
+}
+
+
 @st.composite
-def _config_texts(draw):
+def _config_texts(draw, near_limits=False):
     """Desk config text with some keys set to edge values."""
     lines = {"mu": "1.0", "N": "8", "grid.points": "24"}
-    for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), max_size=6)):
-        lines[key] = draw(st.sampled_from(_EDGE_VALUES + _STRING_VALUES.get(key, ())))
+    for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), max_size=3 if near_limits else 6)):
+        edges = _EDGE_VALUES + _STRING_VALUES.get(key, ())
+        values = st.sampled_from(edges)
+        if near_limits:
+            # half the draws pass their own checks
+            if key in ("grid.points", "harmonics"):
+                edges = tuple(v for v in edges if abs(float(v)) < 2**62)
+            passing = _LIMIT_VALUES.get(key, ()) + _STRING_VALUES.get(key, ())
+            values = st.sampled_from(edges) | st.sampled_from(passing or (str(_KEYS[key][1]),))
+        lines[key] = draw(values)
     try:
         past = int(lines["N"]) * (int(lines.get("harmonics", "3")) + 1)  # past N * harmonics
     except ValueError:
         past = None
     for key in ("omega.harmonic", "target.harmonic"):
-        if past is not None and draw(st.booleans()):
+        if past is not None and not near_limits and draw(st.booleans()):
             lines[key] = str(draw(st.sampled_from((1, -1))) * past)
     return "".join(f"{key} = {value}\n" for key, value in lines.items())
 
@@ -143,6 +171,34 @@ def test_config_text_gives_a_config_or_a_config_error(text):
     except ConfigError:
         assert cfg["omega.kind"] == "match"
     cfg.target()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(text=_config_texts(near_limits=True))
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\ngrid.scale = 5e-324\n")
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\ngrid.scale = 1e300\n")
+@example(text="mu = 1e308\nN = 8\ngrid.points = 24\n")
+@example(text="mu = 1.0\nN = 3\ngrid.points = 24\nsolver.max_iter = 1\n")
+def test_config_text_through_certify_and_solve_exits_with_at_most_one_line(
+    tmp_path_factory, text
+):
+    # what a config lets through reaches certify and solve: each leaves with
+    # a documented exit code, at most one stderr line and no warning, and a
+    # configuration error (1) leaves no output directory behind
+    tmp = tmp_path_factory.mktemp("config")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(text)
+    for command in ("certify", "solve"):
+        out = tmp / command
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2, 3, 4), (command, code)
+        assert not caught, (command, [str(w.message) for w in caught])
+        assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue()[:1000])
+        assert "Traceback" not in err.getvalue()
+        assert code != 1 or not out.exists(), command
 
 
 def test_config_comments_and_echo():
@@ -178,6 +234,26 @@ def test_certify_exit_codes(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"certificate failed: {message}\n"
         assert not (tmp_path / "o3" / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_certify_below_four_skips_rows_and_writes_the_certificate(tmp_path, N, capsys):
+    # the interval distances and spot checks need N >= 4; the contraction
+    # constant is the one at N = 4, and the certificate fails (exit 2)
+    from spiral_euler.certifier import contraction_and_threshold
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mu = 1.0\nN = {N}\ngrid.points = 24\n")
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ""
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())["certificate"]
+    assert cert["N"] == N and cert["passes"] is False
+    assert cert["dist_rows"] == [] and cert["spot_checks"] == []
+    assert cert["notes"] == [
+        "interval-distance rows skipped: they require N >= 4",
+        "contraction constant evaluated at N=4, the smallest admissible value",
+    ]
+    assert cert["contraction"] == contraction_and_threshold(1.0, 4)[0]
 
 
 def test_solve_reconstruct_verify_pipeline(tmp_path):

@@ -31,7 +31,7 @@ from spiral_euler import (
     shift_plus,
 )
 from spiral_euler import operators
-from spiral_euler.operators import beta_mult_matrix, mode_operator_matrix
+from spiral_euler.operators import beta_mult_matrix, mode_operator_apply, mode_operator_matrix
 from conftest import random_field
 
 
@@ -88,6 +88,17 @@ def test_derived_fields_match_dense_matrix_forms(desk_params, desk_grid):
         for name, ref in expected.items():
             err = np.max(np.abs(got[name][i] - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (n, name, err)
+
+
+def test_mode_operator_apply_is_its_matrix(desk_params, desk_grid):
+    # the kernel and its matrix twin are one D(n, s), to rounding
+    F = random_field(desk_params, seed=9)
+    mu = desk_params.mu
+    for ext, n in zip(F.values, (int(n) for n in desk_params.mode_indices)):
+        for shift in (2.0 * mu - 1.0, -1.0, shift_plus(mu, n), shift_minus(mu, n)):
+            got = mode_operator_apply(desk_grid, n, shift, ext)
+            ref = mode_operator_matrix(desk_grid, n, shift) @ ext
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, shift)
 
 
 def test_apply_on_constant_mode_zero(desk_cuts):

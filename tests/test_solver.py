@@ -197,6 +197,26 @@ def test_solves_act_on_values_without_slots(desk_params, monkeypatch):
     assert report.converged
 
 
+_SPECTRAL_BLOCKING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 12: spectral blocking, mode 0 keeps T_M at small N",
+)
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+@pytest.mark.parametrize("N", [
+    pytest.param(2, marks=_SPECTRAL_BLOCKING), pytest.param(4, marks=_SPECTRAL_BLOCKING), 8,
+])
+def test_mode_zero_top_chebyshev_coefficient_is_small(N):
+    # mode 0's largest value is 1; its top coefficient c_M should sit far
+    # below it, as at N = 8 (9.5e-12).  At M = 65 it reads 1.26e-4 at N = 2
+    # and 5.12e-8 at N = 4.
+    params = SolverParams(mu=1.0, N=N, harmonics=3, grid_points=65)
+    stream, _ = newton_solve(AngularSignal.constant_plus_cosine(params, 0.01), params)
+    c = params.grid.chebyshev_coefficients(stream.values[0])
+    assert abs(c[-1]) <= 1e-8
+
+
 def test_base_vorticity_factor_at_unit_exponent():
     assert base_vorticity_factor(1.0) == pytest.approx(1.0)
     mu = 0.8
