@@ -38,12 +38,7 @@ from .grid_space import (
     sample_cutoffs,
     xi_far,
 )
-from .operators import (
-    apply_beta_mult,
-    invert_mode_operator,
-    shift_minus,
-    shift_plus,
-)
+from .operators import apply_beta_mult, mode_operator_solve, shift_minus, shift_plus
 
 __all__ = [
     "Certificate",
@@ -253,9 +248,8 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _random_core_profile(rng: np.random.Generator, n: int, cuts, delta: float) -> ModeProfile:
-    """Random smooth profile with the decay the weighted core norm demands."""
-    grid = cuts.grid
+def _random_core(rng: np.random.Generator, grid: RadialGrid, delta: float) -> np.ndarray:
+    """Extended values of a random smooth core with the decay the weighted core norm demands."""
     b = grid.nodes
     ncoef = 10
     co = rng.standard_normal(ncoef) + 1j * rng.standard_normal(ncoef)
@@ -264,39 +258,38 @@ def _random_core_profile(rng: np.random.Generator, n: int, cuts, delta: float) -
     envelope = np.zeros_like(b)
     pos = b > 0
     envelope[pos] = np.minimum(b[pos] ** delta, b[pos] ** -delta) * np.exp(-0.05 * b[pos])
-    return ModeProfile(n, smooth * envelope)
+    return grid.extend(smooth * envelope, 0.0)
 
 
 def _perturbation_spot_check(params: SolverParams, K: float, seed: int) -> tuple:
     """Sampled norm of the perturbation against the contraction bound.
 
-    Draws eight random weighted-core profiles g per mode, forms the
-    solution-space element psi = (Q+1)^-1 D(n,s-)^-1 g, applies
-    (2 mu - 1) i n beta, and measures
-    the image back in the target space through the D(n,s+) preimage.  Every
-    sampled ratio must stay below K.  Each mode's samples pass D(n,s-) and
-    D(n,s+) as one batch; (Q+1)^-1 = D(0,-1) does not depend on the mode,
-    so all modes' samples pass it as one batch.
+    Draws eight random weighted cores g per mode, forms the solution-space
+    element psi = (Q+1)^-1 D(n,s-)^-1 g, applies (2 mu - 1) i n beta, and
+    measures the image back in the target space through the D(n,s+)
+    preimage.  Every sampled ratio must stay below K.  The stages act on
+    extended values, one column per sample, and a column is split into
+    slots only for mode_norm.  Each mode's samples pass D(n,s-) and D(n,s+)
+    as one block; (Q+1)^-1 = D(0,-1) does not depend on the mode, so all
+    modes' samples pass it as one block.
     """
-    cuts = sample_cutoffs(params.grid)
-    mu = params.mu
-    delta = params.delta
+    grid, mu, delta = params.grid, params.mu, params.delta
+    cuts = sample_cutoffs(grid)
     rng = np.random.default_rng(seed)
     modes = [k * params.N for k in (1, 2, 3)]
-    gs = {n: [_random_core_profile(rng, n, cuts, delta) for _ in range(8)] for n in modes}
-    if not all(g.core.any() for n in modes for g in gs[n]):  # exp(-beta/20) underflowed
+    gs = [np.stack([_random_core(rng, grid, delta) for _ in range(8)], axis=1) for _ in modes]
+    if not all(g.any(axis=0).all() for g in gs):  # exp(-beta/20) underflowed
         raise ParameterError(f"spot-check profiles vanish on the grid of scale {params.grid_scale}")
-    stage1 = [h for n in modes for h in invert_mode_operator(n, shift_minus(mu, n), gs[n], cuts)]
-    psis = invert_mode_operator(0, -1.0, stage1, cuts)
+    stage1 = [mode_operator_solve(grid, n, shift_minus(mu, n), g) for n, g in zip(modes, gs)]
+    psis = np.split(mode_operator_solve(grid, 0, -1.0, np.concatenate(stage1, axis=1)), 3, axis=1)
     rows = []
-    for i, n in enumerate(modes):
-        perts = []
-        for psi in psis[8 * i : 8 * (i + 1)]:
-            pert = (2.0 * mu - 1.0) * apply_beta_mult(cuts.grid, n, psi.extended(cuts))
-            perts.append(ModeProfile.from_values(n, pert[:-1], pert[-1], cuts))
-        pres = invert_mode_operator(n, shift_plus(mu, n), perts, cuts)
+    for n, g, psi in zip(modes, gs, psis):
+        pert = np.stack([(2.0 * mu - 1.0) * apply_beta_mult(grid, n, col) for col in psi.T], axis=1)
+        pre = mode_operator_solve(grid, n, shift_plus(mu, n), pert)
         worst = max(
-            mode_norm(pre, delta, cuts) / mode_norm(g, delta, cuts) for g, pre in zip(gs[n], pres)
+            mode_norm(ModeProfile.from_values(n, p[:-1], p[-1], cuts), delta, cuts)
+            / mode_norm(ModeProfile(n, c[:-1]), delta, cuts)
+            for c, p in zip(g.T, pre.T)
         )
         rows.append(SpotRow(int(n), float(worst), float(K), bool(worst <= K)))
     return tuple(rows)

@@ -10,9 +10,9 @@ or an allocation that fails (out of memory), 2 certificate failure, 3 solve
 failure, 4 verification failure, a failed chart inversion or a field that
 does not evaluate (verify, reconstruct).  Codes 1, 3, 4 and a certificate
 that cannot be formed (2) print one line to stderr, and a solve that drops
-harmonic mass above the gate one summary line, which a failed solve joins to
-its own.  Every JSON artifact embeds the config digest and the seed;
-identical configs give identical bytes.
+harmonic mass above the gate one summary line, which a failure of the
+command that solved joins to its own.  Every JSON artifact embeds the config
+digest and the seed; identical configs give identical bytes.
 """
 
 from __future__ import annotations
@@ -96,39 +96,39 @@ def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
 
 
 @contextmanager
-def _dropped_mass_recorded():
-    """Record the dropped-harmonic-mass warnings raised inside in the yielded list.
+def _dropped_mass_recorded(notes: list):
+    """Sum up the dropped-harmonic-mass warnings raised inside as one line in notes.
 
     Other warnings are shown as usual once the block ends.  The recording
     filter is appended, so a filter the caller set (-W, PYTHONWARNINGS)
     still decides first.
     """
-    dropped = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DroppedMassWarning, append=True)
-            yield dropped
+            yield
     finally:
+        dropped = [w.message for w in caught if isinstance(w.message, DroppedMassWarning)]
         for w in caught:
-            if isinstance(w.message, DroppedMassWarning):
-                dropped.append(w.message)
-            else:
+            if not isinstance(w.message, DroppedMassWarning):
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if dropped:
+            top = max(dropped, key=lambda w: w.dropped)
+            notes.append(
+                f"{len(dropped)} residual evaluations dropped harmonic mass above the gate; "
+                f"largest {top.dropped:.3e} against the residual scale {top.scale:.3e}"
+            )
 
 
-def _dropped_mass_summary(dropped: list) -> str:
-    top = max(dropped, key=lambda w: w.dropped)
-    return (
-        f"{len(dropped)} residual evaluations dropped harmonic mass above the gate; "
-        f"largest {top.dropped:.3e} against the residual scale {top.scale:.3e}"
-    )
+def _joined(notes: list) -> str:
+    return f" ({notes[0]})" if notes else ""
 
 
-def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
     from .solver import match_initial_data, newton_solve
 
     try:
-        with _dropped_mass_recorded() as dropped:
+        with _dropped_mass_recorded(notes):
             if cfg["omega.kind"] == "match":
                 omega, stream, report = match_initial_data(
                     cfg.target(),
@@ -156,12 +156,8 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
         if rep is not None:
             doc["residual_history"] = list(rep.residual_history)
         _dump_json(out / "report.json", doc)
-        # one stderr line: the dropped mass, if any, joins the failure
-        summary = f" ({_dropped_mass_summary(dropped)})" if dropped else ""
-        print(f"solve failed: {exc}{summary}", file=sys.stderr)
+        print(f"solve failed: {exc}{_joined(notes)}", file=sys.stderr)
         return EXIT_SOLVE
-    if dropped:
-        print(f"warning: {_dropped_mass_summary(dropped)}", file=sys.stderr)
 
     field_doc = dict(stamp)
     field_doc.update(field_to_json(stream))
@@ -177,7 +173,7 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
     return EXIT_OK
 
 
-def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
+def _solution(cfg: RunConfig, out: Path, stamp: dict, notes: list, field=None):
     """The exit code, field evaluator and angular factor of a saved field.json.
 
     The field is read from the path ``field`` if one is given.  Otherwise it
@@ -189,7 +185,7 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
     """
     path = Path(field) if field else out / "field.json"
     if not field and not path.exists():
-        code = cmd_solve(cfg, out, stamp)
+        code = cmd_solve(cfg, out, stamp, notes)
         if code != EXIT_OK:
             return code, None, None
     try:
@@ -205,8 +201,10 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
     return EXIT_OK, FieldEvaluator(stream), omega
 
 
-def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, field) -> int:
-    code, ev, omega = _solution(cfg, out, stamp, field)
+def cmd_reconstruct(
+    cfg: RunConfig, out: Path, stamp: dict, notes: list, formats: set, field
+) -> int:
+    code, ev, omega = _solution(cfg, out, stamp, notes, field)
     if code != EXIT_OK:
         return code
     t = cfg["reconstruct.t"]
@@ -230,8 +228,8 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, field)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out: Path, stamp: dict) -> int:
-    code, ev, omega = _solution(cfg, out, stamp)
+def cmd_verify(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
+    code, ev, omega = _solution(cfg, out, stamp, notes)
     if code != EXIT_OK:
         return code
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
@@ -276,39 +274,40 @@ def main(argv=None) -> int:
             p.add_argument("--field", default=None, help="a saved field JSON; never solve")
         p.set_defaults(fn=fn)
     cfg = None
+    notes = []  # a solve's dropped-mass summary: a warning line, or joined to a failure's
     try:
         # every check, reconstruct's --format included, before any directory is made
         args = parser.parse_args(argv)
         if not args.config:
             raise ConfigError("--config PATH is required")
         cfg = load_config(args.config)
-        options = {}
+        options = {} if args.command == "certify" else {"notes": notes}
         if args.command == "reconstruct":
             formats = parse_formats(cfg["output.formats"], "output.formats")
             if args.format:
                 formats &= parse_formats(args.format, "--format")
-            options = {"formats": formats, "field": args.field}
+            options.update(formats=formats, field=args.field)
         out, stamp, cfg = _prepare(cfg, args.out, args.seed)
-        return args.fn(cfg, out, stamp, **options)
+        code = args.fn(cfg, out, stamp, **options)
+        if notes and code != EXIT_SOLVE:  # a failed solve joined them to its own line
+            print(f"warning: {notes[0]}", file=sys.stderr)
+        return code
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        line, code = f"configuration error: {exc}", EXIT_CONFIG
     except InversionError as exc:
-        print(f"chart inversion failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        line, code = f"chart inversion failed: {exc}", EXIT_VERIFY
     except NonFiniteError as exc:
         # raised here only by verify and reconstruct: solve and certify report their own
-        print(f"field evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        line, code = f"field evaluation failed: {exc}", EXIT_VERIFY
     except MemoryError:
         # a mode operator takes (grid.points + 1)^2 complex entries, and the
         # linearization holds one for each of the harmonics + 1 stored modes
         at = ""
         if cfg is not None:
             at = f" at grid.points = {cfg['grid.points']}, harmonics = {cfg['harmonics']}"
-        print(f"out of memory{at}: lower grid.points or harmonics", file=sys.stderr)
-        return EXIT_CONFIG
-
+        line, code = f"out of memory{at}: lower grid.points or harmonics", EXIT_CONFIG
+    print(f"{line}{_joined(notes)}", file=sys.stderr)
+    return code
 
 if __name__ == "__main__":
     raise SystemExit(main())

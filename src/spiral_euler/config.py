@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +86,8 @@ class RunConfig:
         ):
             if not values[key] > 0:  # rejects nan too
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
+        if (n := values["reconstruct.samples"]) > sys.maxsize // 16:  # an (n, 2) float array
+            raise ConfigError(f"reconstruct.samples = {n} is more points than an array holds")
         for key in sorted(k for k, (kind, _) in _KEYS.items() if kind is float):
             # an infinite reconstruct.t would put x * t^(-mu) at the origin,
             # which the chart does not cover

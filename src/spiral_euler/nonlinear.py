@@ -39,11 +39,10 @@ from .errors import DroppedMassWarning, ParameterError, SignConditionError
 from .grid_space import AngularSignal, SolverParams, SpectralField, bracket, mode_weight
 from .operators import (
     beta_mult_matrix,
-    dense_solve,
     derived_fields,
     linearization_set,
     mode_operator_apply,
-    mode_operator_matrix,
+    mode_operator_solve,
     shift_minus,
     shift_plus,
 )
@@ -134,10 +133,8 @@ class NonlinearWorkspace:
         terms = {}
         for n, ext in zip(self.mode_list, res):
             shifts = (shift_plus(mu, n),) if n == 0 else (shift_plus(mu, n), shift_minus(mu, n))
-            terms[n] = 0.0
-            for s in shifts:
-                sol = dense_solve(mode_operator_matrix(self.grid, n, s, out=buf), ext)
-                terms[n] += float(np.max(np.abs(sol)))
+            sols = (mode_operator_solve(self.grid, n, s, ext, out=buf) for s in shifts)
+            terms[n] = sum(float(np.max(np.abs(sol))) for sol in sols)
         return terms
 
 

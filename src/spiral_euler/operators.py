@@ -12,14 +12,15 @@ The workhorse family is the shifted mode operator
 
 whose kernel beta^shift * exp(i n beta) never stays bounded on [0, inf) for
 a nonzero shift, so a bounded inverse is unique.  mode_operator_apply
-applies D to an extended vector and mode_operator_matrix forms its matrix;
-nothing else does either.  The adapted derivatives are D's: dbeta_bar =
-D(0, 2 mu - 1), dvarphi_bar = -D(n, 2 mu - 1), (dvarphi_bar + 1) dbeta_bar =
-dbeta_bar - D(n, 2 mu - 1) dbeta_bar, and Q + 1 = D(0, -1).  Applied to a
-structured profile, D and its inverse act on the profile's extended values,
-the vector the solver works on.  Two independent realizations of the inverse
-are kept: a collocation solve on the extended grid (the solver default) and
-direct evaluation of the explicit integral
+applies D to an extended vector, mode_operator_solve its bounded inverse,
+and mode_operator_matrix forms D's matrix; nothing else does any of them.
+The adapted derivatives are D's: dbeta_bar = D(0, 2 mu - 1), dvarphi_bar =
+-D(n, 2 mu - 1), (dvarphi_bar + 1) dbeta_bar = dbeta_bar - D(n, 2 mu - 1)
+dbeta_bar, and Q + 1 = D(0, -1).  apply_mode_operator and
+invert_mode_operator wrap the two for a structured profile, acting on its
+extended values.  The inverse has two independent realizations: a
+collocation solve on the extended grid (the solver default) and direct
+evaluation of the explicit integral
 
     u(beta) = -beta^s e^{i n beta} int_beta^inf  x^{-s-1} e^{-i n x} f(x) dx   (s > 0)
     u(beta) =  beta^s e^{i n beta} int_0^beta    x^{-s-1} e^{-i n x} f(x) dx   (s < 0)
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "shift_minus",
     "mode_operator_matrix",
     "mode_operator_apply",
+    "mode_operator_solve",
     "apply_mode_operator",
     "invert_mode_operator",
     "derived_fields",
@@ -171,6 +172,40 @@ def dense_solve(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol[..., :-1].reshape(rhs.shape)
 
 
+def mode_operator_solve(
+    grid: RadialGrid, n: int, shift: float, ext: np.ndarray, method: str = "matrix",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Bounded inverse D(n, shift)^-1 of an extended vector, or of a block of them as columns.
+
+    Each column of a block gets the bits it gets alone.  At n = 0 the
+    operator maps a constant c to exactly -shift * c, so the far value is
+    split off first and inverted by division: constants invert exactly.  A
+    far value at n != 0 has a bounded preimage that vanishes at infinity,
+    and it goes through the solve with the rest.  "matrix" solves with
+    mode_operator_matrix, formed in ``out`` when given, all columns with one
+    factorization; "quadrature" evaluates the integral formula on the
+    Chebyshev interpolant of each column.
+    """
+    if shift == 0.0:
+        raise DegenerateShiftError(f"mode operator with zero shift at n={n} is singular")
+    far = ext[-1] if n == 0 else 0.0
+    rhs = ext - far
+    if method == "matrix":
+        sol = dense_solve(mode_operator_matrix(grid, n, shift, out=out), rhs)
+    elif method == "quadrature":
+        sol = np.zeros(rhs.shape, dtype=complex)
+        cols = sol.reshape(len(sol), -1)  # a view of sol, one column per vector
+        for j, r in enumerate(rhs.reshape(len(rhs), -1).T):
+            coeffs = grid.chebyshev_coefficients(r)
+            fun = lambda x: grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
+            cols[:-1, j] = _invert_by_quadrature(n, shift, fun, grid.nodes, 1e-12)
+    else:
+        raise ParameterError(f"unknown inversion method {method!r}")
+    sol -= far / shift
+    return sol
+
+
 # ---------------------------------------------------------------------------
 # apply / invert on structured profiles
 # ---------------------------------------------------------------------------
@@ -191,49 +226,15 @@ def apply_mode_operator(
 
 
 def invert_mode_operator(
-    n: int,
-    shift: float,
-    f: ModeProfile | Sequence[ModeProfile],
-    cuts: CutoffSamples,
-    method: str = "matrix",
-) -> ModeProfile | list[ModeProfile]:
+    n: int, shift: float, f: ModeProfile, cuts: CutoffSamples, method: str = "matrix"
+) -> ModeProfile:
     """Bounded inverse of D(n, shift) applied to a structured profile.
 
-    Both methods invert the profile's extended values.  At n = 0 the
-    operator maps a constant c to exactly -shift * c, so the far value is
-    split off first and inverted by division: constants invert exactly.  A
-    far value at n != 0 has a bounded preimage that vanishes at infinity,
-    and it goes through the solve with the rest.
-
-    ``f`` is one profile or a sequence of them; a sequence returns a list.
-    The matrix method solves a sequence as the columns of one solve, so its
-    profiles share one factorization, and each result equals the one its
-    profile gets alone, bit for bit.
+    The inverse acts on the profile's extended values through
+    mode_operator_solve; the result keeps the profile's own mode label.
     """
-    if shift == 0.0:
-        raise DegenerateShiftError(f"mode operator with zero shift at n={n} is singular")
-    batch = not isinstance(f, ModeProfile)
-    profiles = list(f) if batch else [f]
-    grid = cuts.grid
-    ext = np.stack([g.extended(cuts) for g in profiles], axis=1)
-    far = ext[-1] if n == 0 else 0.0
-    rhs = ext - far
-
-    if method == "matrix":
-        sol = dense_solve(mode_operator_matrix(grid, n, shift), rhs)
-    elif method == "quadrature":
-        sol = np.zeros_like(rhs)
-        for j, r in enumerate(rhs.T):
-            # f is the Chebyshev interpolant of the extended values
-            coeffs = grid.chebyshev_coefficients(r)
-            fun = lambda x: grid.evaluate_coefficients(coeffs, grid.s_of_beta(x)).astype(complex)
-            sol[:-1, j] = _invert_by_quadrature(n, shift, fun, grid.nodes, 1e-12)
-    else:
-        raise ParameterError(f"unknown inversion method {method!r}")
-
-    sol -= far / shift
-    out = [ModeProfile.from_values(g.n, u[:-1], u[-1], cuts) for g, u in zip(profiles, sol.T)]
-    return out if batch else out[0]
+    out = mode_operator_solve(cuts.grid, n, shift, f.extended(cuts), method)
+    return ModeProfile.from_values(f.n, out[:-1], out[-1], cuts)
 
 
 _HALVINGS = 48  # geometric panels below the smallest radius (shift < 0)

@@ -318,15 +318,16 @@ def eval_fields_batch(
     """Reconstruct w, u, psi at arrays of space-time points (t > 0).
 
     The evaluator's stream gives u and psi; w takes the angular factor omega
-    too.  A nonzero x that t^-mu scales to zero raises InversionError, an
-    omega with modes off the evaluator's lattice ParameterError and a w that
-    overflows NonFiniteError.
+    too.  A nonzero x that t^-mu scales to zero or past the float range
+    raises InversionError, an omega with modes off the evaluator's lattice
+    ParameterError and a w that overflows NonFiniteError.
     """
     omega = omega.on(ev.params, "the angular factor")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     mu = ev.mu
-    z = x * (t ** (-mu))[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # to_chart refuses a z past the float range
+        z = x * (t ** (-mu))[..., None]
     # a point the time scale takes to the origin is out of the chart's reach;
     # the origin itself is not in its domain (to_chart raises ParameterError)
     lost = ~np.any(z, axis=-1) & np.any(x, axis=-1)

@@ -144,11 +144,13 @@ def newton_solve(
     backend "chord" freezes the base-state linearization, kept by ws; "fd"
     refreshes the Jacobian by finite differences each step (small grids only).
     Raises ConvergenceError carrying the report on failure, and
-    ParameterError on a negative max_iter or an omega with modes off the
-    lattice of params.
+    ParameterError on a negative max_iter, a tol that is not positive or an
+    omega with modes off the lattice of params.
     """
     if max_iter < 0:
         raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
+    if not tol > 0.0:  # the stop message measures the residual in tol
+        raise ParameterError(f"tol must be positive, got {tol}")
     omega = omega.on(params, "the angular factor")
     if ws is None:
         ws = NonlinearWorkspace(params)
@@ -179,11 +181,12 @@ def newton_solve(
             report.converged = True
             break
         if it >= 1 and history[-1] > history[-2]:
-            hint = "try a smaller angular amplitude"
-            if history[-2] < 100.0 * tol:
-                hint = f"it stalled at its rounding floor, {history[-2]:.1e}, above tol {tol:.1e}"
+            last = history[-4:]
+            ratios = ", ".join(f"{b / a:.3g}" for a, b in zip(last, last[1:]))
             raise ConvergenceError(
-                f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; {hint}", report=report
+                f"residual grew from {history[-2]:.3e} to {history[-1]:.3e}; last step ratios "
+                f"r[k+1]/r[k] {ratios}; previous residual {history[-2] / tol:.3g} x tol {tol:.1e}",
+                report=report,
             )
         if it == max_iter:
             raise ConvergenceError(f"no convergence in {max_iter} iterations", report=report)

@@ -170,11 +170,13 @@ def test_spot_check_factors_each_operator_once(desk_params, monkeypatch):
     rows = certifier._perturbation_spot_check(desk_params, K, seed=42)
     assert columns == [8, 8, 8, 24, 8, 8, 8]
 
-    invert = certifier.invert_mode_operator
+    solve_block = certifier.mode_operator_solve
     monkeypatch.setattr(
         certifier,
-        "invert_mode_operator",
-        lambda n, shift, fs, cuts: [invert(n, shift, f, cuts) for f in fs],
+        "mode_operator_solve",
+        lambda grid, n, shift, ext: np.stack(
+            [solve_block(grid, n, shift, col) for col in ext.T], axis=1
+        ),
     )
     columns.clear()
     per_call = certifier._perturbation_spot_check(desk_params, K, seed=42)

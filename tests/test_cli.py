@@ -201,6 +201,65 @@ def test_config_text_through_certify_and_solve_exits_with_at_most_one_line(
         assert code != 1 or not out.exists(), command
 
 
+# values of the keys only reconstruct and verify read, drawn by their fuzz:
+# samples past what an array holds, and times whose t^-mu leaves the float range
+_RUN_VALUES = {
+    "verify.suites": ("selfsim", "divfree,poisson", "weak", "lp", "selfsim,selfsim", "none"),
+    "reconstruct.t": ("5e-324", "1e-300", "0.5", "1e300"),
+    "reconstruct.samples": ("1", "40", str(2**62), str(2**63)),
+}
+_FORMATS = (None, "json", "csv", "svg", "csv,svg", "pdf")
+
+
+@st.composite
+def _run_texts(draw):
+    """Config text with edge values for the reconstruct and verify keys, and a --format."""
+    lines = dict(
+        line.split(" = ", 1) for line in draw(_config_texts(near_limits=True)).splitlines()
+    )
+    lines.setdefault("verify.suites", "selfsim")  # the five suites take a second at M = 32
+    for key in draw(st.lists(st.sampled_from(sorted(_RUN_VALUES)), max_size=3)):
+        lines[key] = draw(st.sampled_from(_RUN_VALUES[key]))
+    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    return text, draw(st.sampled_from(_FORMATS))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(drawn=_run_texts())
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = 4611686018427387904\n",
+                "csv"))
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = 9223372036854775808\n",
+                "csv"))
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.t = 5e-324\n", "csv"))
+# a solve that dropped mass, then a chart inversion that fails: one line, not two
+@example(drawn=("mu = 1.0\nN = 2\ngrid.points = 24\nreconstruct.t = 1e160\n", "csv"))
+def test_config_text_through_reconstruct_and_verify_exits_with_at_most_one_line(
+    tmp_path_factory, drawn
+):
+    # what a config lets through reaches reconstruct and verify, each solving
+    # first into its own directory: each leaves with a documented exit code,
+    # at most one stderr line and no warning or traceback, and a configuration
+    # error (1) leaves no output directory behind
+    text, fmt = drawn
+    tmp = tmp_path_factory.mktemp("config")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(text)
+    for command in ("reconstruct", "verify"):
+        out = tmp / command
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "reconstruct" and fmt is not None:
+            argv += ["--format", fmt]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4), (command, code)
+        assert not caught, (command, [str(w.message) for w in caught])
+        assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue()[:1000])
+        assert "Traceback" not in err.getvalue()
+        assert code != 1 or not out.exists(), command
+
+
 def test_config_comments_and_echo():
     cfg = parse_config_text("mu = 1.0  # exponent\nN = 8\n")
     text = cfg.effective_text()
@@ -388,7 +447,7 @@ def test_allocation_failure_exits_as_config_error(tmp_path, monkeypatch, capsys)
     # simulated: a real allocation failure would need a grid too large to test
     from spiral_euler import operators
 
-    def exhausted(grid, n, shift):
+    def exhausted(grid, n, shift, out=None):
         raise MemoryError
 
     monkeypatch.setattr(operators, "mode_operator_matrix", exhausted)

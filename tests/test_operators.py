@@ -31,7 +31,9 @@ from spiral_euler import (
     shift_plus,
 )
 from spiral_euler import operators
-from spiral_euler.operators import beta_mult_matrix, mode_operator_apply, mode_operator_matrix
+from spiral_euler.operators import (
+    beta_mult_matrix, mode_operator_apply, mode_operator_matrix, mode_operator_solve
+)
 from conftest import random_field
 
 
@@ -207,6 +209,64 @@ def test_invert_zero_shift_is_singular(desk_cuts):
     f = smooth_profile(desk_cuts.grid, desk_cuts)
     with pytest.raises(DegenerateShiftError):
         invert_mode_operator(2, 0.0, f, desk_cuts)
+
+
+@pytest.mark.parametrize("method", ["matrix", "quadrature"])
+@pytest.mark.parametrize("n, shift", [(0, 1.3), (0, -0.9), (2, 1.3), (2, -0.9)])
+def test_mode_operator_solve_block_equals_its_columns(desk_cuts, method, n, shift):
+    # three columns solved as one block get the bits each gets alone; one has
+    # a far value, which the kernel splits off at n = 0 and solves for at n = 2
+    grid = desk_cuts.grid
+    cols = [smooth_profile(grid, desk_cuts, n=n, seed=k).extended(desk_cuts) for k in (1, 2, 3)]
+    block = np.stack(cols, axis=1)
+    block[-1, 1] = 0.3 - 0.2j
+    out = mode_operator_solve(grid, n, shift, block, method)
+    assert out.shape == block.shape
+    for j in range(3):
+        alone = mode_operator_solve(grid, n, shift, np.ascontiguousarray(block[:, j]), method)
+        assert _same_bits(np.ascontiguousarray(out[:, j]), np.ascontiguousarray(alone)), j
+
+
+@pytest.mark.parametrize("method", ["matrix", "quadrature"])
+def test_mode_operator_solve_inverts_a_constant_exactly(desk_cuts, method):
+    # at n = 0 the far value is split off and divided out: -c/shift, zero core
+    grid = desk_cuts.grid
+    for s in (1.3, -0.9):
+        u = mode_operator_solve(grid, 0, s, np.full(grid.size + 1, 2.0 + 1.0j), method)
+        assert np.all(u == -(2.0 + 1.0j) / s)
+        prof = ModeProfile.from_values(0, u[:-1], u[-1], desk_cuts)
+        assert prof.cconst == -(2.0 + 1.0j) / s and not prof.core.any()
+
+
+@pytest.mark.parametrize("mu", [0.75, 1.5])
+def test_gauge_term_of_a_constant_mode_zero_row_is_exact(mu):
+    # the gauge inverts D(0, s+) through the kernel: |D(0, s+)^-1 c| = |c| / s+(0);
+    # the shifts 1/2 and 2 keep the complex division c / s+ exact as well
+    from spiral_euler import NonlinearWorkspace
+
+    params = SolverParams(mu=mu, N=8, grid_points=96)
+    ws = NonlinearWorkspace(params)
+    res = np.zeros((params.harmonics + 1, params.grid_points + 1), dtype=complex)
+    res[0] = 0.3
+    terms = ws.preimage_sups(res)
+    assert terms[0] == 0.3 / shift_plus(params.mu, 0)
+    assert all(terms[n] == 0.0 for n in ws.mode_list[1:])
+
+
+@pytest.mark.parametrize("method", ["matrix", "quadrature"])
+def test_mode_operator_solve_zero_shift_is_singular(desk_cuts, method):
+    ext = smooth_profile(desk_cuts.grid, desk_cuts).extended(desk_cuts)
+    for n in (0, 2):
+        with pytest.raises(DegenerateShiftError):
+            mode_operator_solve(desk_cuts.grid, n, 0.0, ext, method)
+        with pytest.raises(DegenerateShiftError):
+            mode_operator_solve(desk_cuts.grid, n, 0.0, np.stack([ext, ext], axis=1), method)
+
+
+def test_mode_operator_solve_rejects_an_unknown_method(desk_cuts):
+    ext = smooth_profile(desk_cuts.grid, desk_cuts).extended(desk_cuts)
+    with pytest.raises(ParameterError, match="unknown inversion method 'lu'"):
+        mode_operator_solve(desk_cuts.grid, 2, 1.3, ext, "lu")
 
 
 def test_singular_operator_raises_instead_of_nan():

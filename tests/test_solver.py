@@ -99,28 +99,66 @@ def test_amplitude_gate_rejects_large_perturbation(desk_params):
         newton_solve(big, desk_params)
 
 
-def test_stall_at_the_rounding_floor_names_the_floor_and_tol():
+def test_stall_at_the_rounding_floor_states_the_ratios_and_tol():
     # match_initial_data's default inner_tol = 1e-12 lies under the residual's
     # rounding floor at mu = 0.7; its inner history reads 6.45e-5, 1.74e-11,
-    # 2.38e-12, 1.97e-12, 2.44e-12, and the amplitude is not to blame
+    # 2.38e-12, 1.97e-12, 2.44e-12, and the message states what it measured
     params = SolverParams(mu=0.7, N=4000)
     w0 = base_vorticity_factor(params.mu)
     entries = {0: w0, params.N: 0.0025 * w0, -params.N: 0.0025 * w0}.items()
     g = AngularSignal.from_entries(params, entries)
     with pytest.raises(ConvergenceError) as err:
         match_initial_data(g, params)
-    assert "rounding floor, 2.0e-12, above tol 1.0e-12" in str(err.value)
-    assert "amplitude" not in str(err.value)
+    assert str(err.value) == (
+        "residual grew from 1.968e-12 to 2.438e-12; last step ratios r[k+1]/r[k] "
+        "0.136, 0.829, 1.24; previous residual 1.97 x tol 1.0e-12"
+    )
     assert len(err.value.report.residual_history) == 5
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_growth_far_above_tol_still_names_the_amplitude():
-    # a residual that grows from 0.239, far above 100 tol, is no rounding stall
+def test_growth_far_above_tol_states_the_ratios_and_tol():
+    # a residual that grows from 0.239, far above 100 tol: the chord contracted
+    # at 0.95 a step before it
     params = SolverParams(mu=1.0, N=4, grid_points=96)
     omega = AngularSignal.constant_plus_cosine(params, 1.0)
-    with pytest.raises(ConvergenceError, match="grew from 2.394e-01.*smaller angular amplitude"):
+    with pytest.raises(ConvergenceError) as err:
         newton_solve(omega, params, epsilon_cap=100.0)
+    assert str(err.value) == (
+        "residual grew from 2.394e-01 to 2.549e-01; last step ratios r[k+1]/r[k] "
+        "0.952, 0.946, 1.06; previous residual 2.39e+09 x tol 1.0e-10"
+    )
+    assert len(err.value.report.residual_history) == 5
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+@pytest.mark.parametrize("params, amplitude, tol, message", [
+    # a tol under the floor, 9.4e-16 at mu = 2 on 24 nodes: no amplitude is to blame
+    (SolverParams(mu=2.0, N=8, grid_points=24), 0.01, 1e-300,
+     "residual grew from 9.416e-16 to 9.480e-16; last step ratios r[k+1]/r[k] "
+     "0.00487, 0.171, 1.01; previous residual 9.42e+284 x tol 1.0e-300"),
+    # the desk point on 257 nodes stalls at 4.2e-13, far above tol 1e-15
+    (SolverParams(mu=1.0, N=8, grid_points=257), 0.01, 1e-15,
+     "residual grew from 4.175e-13 to 4.837e-13; last step ratios r[k+1]/r[k] "
+     "0.996, 0.811, 1.16; previous residual 418 x tol 1.0e-15"),
+    # growth at the first step has one ratio to state
+    (SolverParams(mu=1.0, N=2, grid_points=129), 0.05, 1e-10,
+     "residual grew from 4.989e-02 to 5.602e-02; last step ratios r[k+1]/r[k] "
+     "1.12; previous residual 4.99e+08 x tol 1.0e-10"),
+], ids=["mu2-tol1e-300", "desk-M257-tol1e-15", "N2-M129-first-step"])
+def test_growth_message_states_what_it_measured(params, amplitude, tol, message):
+    omega = AngularSignal.constant_plus_cosine(params, amplitude)
+    with pytest.raises(ConvergenceError) as err:
+        newton_solve(omega, params, tol=tol)
+    assert str(err.value) == message
+    assert "amplitude" not in str(err.value)
+
+
+def test_nonpositive_tol_is_rejected(desk_params):
+    omega = AngularSignal.constant_plus_cosine(desk_params, 0.01)
+    for tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ParameterError, match="tol must be positive"):
+            newton_solve(omega, desk_params, tol=tol)
 
 
 def test_mean_gate_rejects_shifted_mean(desk_params):
