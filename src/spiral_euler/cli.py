@@ -134,7 +134,6 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
                     cfg.target(),
                     cfg.params,
                     tol=cfg["solver.outer_tol"],
-                    max_outer=cfg["solver.outer_max_iter"],
                     inner_tol=cfg["solver.tol"],
                     inner_max_iter=cfg["solver.max_iter"],
                     epsilon_cap=cfg["solver.epsilon_cap"],
@@ -204,17 +203,20 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, notes: list, field=None):
 def cmd_reconstruct(
     cfg: RunConfig, out: Path, stamp: dict, notes: list, formats: set, field
 ) -> int:
+    n = 0  # the samples are drawn and evaluated only for samples.csv
+    if "csv" in formats:  # drawn before any solve: a count too large exits first
+        n = cfg["reconstruct.samples"]
+        rng = np.random.default_rng(cfg["seed"])
+        try:
+            r, ang = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+            x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+        except MemoryError:
+            raise ConfigError(f"out of memory drawing reconstruct.samples = {n} points") from None
     code, ev, omega = _solution(cfg, out, stamp, notes, field)
     if code != EXIT_OK:
         return code
     t = cfg["reconstruct.t"]
-    n = 0  # the samples are evaluated only for samples.csv
     if "csv" in formats:
-        n = cfg["reconstruct.samples"]
-        rng = np.random.default_rng(cfg["seed"])
-        r = rng.uniform(0.5, 2.0, n)
-        ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
         fields = eval_fields_batch(ev, omega, x, np.full(n, t))
         export_samples_csv(out / "samples.csv", x, t, fields)
     curves = []  # the curves are extracted only for spirals.csv or spirals.svg

@@ -33,7 +33,6 @@ _KEYS = {
     "solver.backend": (str, "chord"),
     "solver.epsilon_cap": (float, 0.1),
     "solver.outer_tol": (float, 1e-10),
-    "solver.outer_max_iter": (int, 50),
     "output.dir": (str, "out"),
     "output.formats": (str, "json,csv,svg"),
     "verify.suites": (str, "selfsim,lp,weak,divfree,poisson"),
@@ -77,7 +76,7 @@ class RunConfig:
             raise ConfigError(f"omega.kind must be constant_plus_cos, coeffs or match")
         if values["solver.backend"] not in ("chord", "fd"):
             raise ConfigError(f"solver.backend must be chord or fd")
-        for key in ("seed", "solver.max_iter", "solver.outer_max_iter"):
+        for key in ("seed", "solver.max_iter"):
             if values[key] < 0:
                 raise ConfigError(f"{key} must be non-negative, got {values[key]}")
         for key in (

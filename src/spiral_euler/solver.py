@@ -1,4 +1,4 @@
-"""Frozen-Jacobian Newton iteration and the initial-data matching loop.
+"""Frozen-Jacobian Newton iteration and the initial-data match.
 
 The inner solve fixes the angular factor Omega and iterates
 
@@ -9,20 +9,18 @@ residual evaluation and one block-diagonal solve.  Near the base state the
 iteration contracts at least linearly; convergence is declared on the
 weighted preimage aggregate of the residual.
 
-The outer loop matches a prescribed angular profile g of the initial
-vorticity.  Writing h(Omega) for the angular factor the converged stream
-profile induces at time zero,
+The match attains a prescribed angular profile g of the initial vorticity.
+The angular factor the solved stream profile induces at time zero,
 
     h(Omega)(theta) = ( dbeta_bar psi(0,theta) /
                         (-mu dvarphi_bar psi(0,theta)) )^(1/(2 mu)) Omega(theta),
 
-the derivative of h at the base point is exactly mu^(-1/(2 mu)) times the
-identity (the correction term carries a factor beta and dies at beta = 0),
-so the fixed-point update
-
-    Omega_{j+1} = Omega_j + mu^(1/(2 mu)) (g0 - h(Omega_j))
-
-contracts near the base point.  The target is first normalized so its mean
+is exactly mu^(-1/(2 mu)) Omega: at beta = 0 the terms beta d/dbeta and
+i n beta of D(n, s) vanish, so dbeta_bar psi = -(2 mu - 1) psi(0) =
+-dvarphi_bar psi for every profile.  The match is one step from the base
+factor, Omega = Omega_base + mu^(1/(2 mu)) (g0 - h(Omega_base)), one inner
+solve there and one measurement of the mismatch g0 - h(Omega), which only
+rounding keeps from zero.  The target is first normalized so its mean
 matches the base value; the caller recovers the requested amplitude through
 the time-scaling symmetry factor recorded in the report.
 """
@@ -119,7 +117,7 @@ def _omega_gate(omega: AngularSignal, params: SolverParams, epsilon_cap: float) 
     if abs(mean - base) > 0.25 * abs(base):
         raise ConvergenceError(
             f"mean angular factor {mean:.6g} is not near the base value {base:.6g}; "
-            "normalize the data first (see the matching loop)"
+            "normalize the data first (see match_initial_data)"
         )
     semi = omega.seminorm()
     if semi > epsilon_cap * abs(mean):
@@ -236,7 +234,9 @@ def angular_initial_vorticity(
     """Angular factor of the vorticity trace at time zero.
 
     h(theta) = (dbeta_bar psi / (-mu dvarphi_bar psi))^(1/(2 mu)) at beta = 0
-    times Omega(theta), projected back onto the mode lattice.
+    times Omega(theta), projected back onto the mode lattice.  That is
+    mu^(-1/(2 mu)) Omega up to rounding for every stream: at beta = 0 every
+    D(n, s) is -s, so dbeta_bar psi = -(2 mu - 1) psi = -dvarphi_bar psi.
     """
     if ws is None:
         ws = NonlinearWorkspace(stream.params)
@@ -253,7 +253,6 @@ def match_initial_data(
     g: AngularSignal,
     params: SolverParams,
     tol: float = 1e-10,
-    max_outer: int = 50,
     inner_tol: float = 1e-12,
     inner_max_iter: int = 100,
     epsilon_cap: float = 0.1,
@@ -263,13 +262,14 @@ def match_initial_data(
     g is normalized so its mean equals the base factor; the time-scaling
     ratio lambda = mean(g)/base is stored in the report, and the physical
     solution for the original g is lambda * w(x, lambda * t).  The report's
-    history is the outer mismatch, and a failed match's ConvergenceError
-    carries that report too.  A negative max_outer or inner_max_iter, or a
-    g with modes off the lattice of params, raises ParameterError.
+    history is the mismatch before and after the one exact step (see the
+    module docstring), with the inner solve's bounds and margins; a final
+    mismatch not below tol raises ConvergenceError carrying that report.  A
+    negative inner_max_iter, or a g with modes off the lattice of params,
+    raises ParameterError.
     """
-    for name, cap in (("max_outer", max_outer), ("inner_max_iter", inner_max_iter)):
-        if cap < 0:
-            raise ParameterError(f"{name} must be non-negative, got {cap}")
+    if inner_max_iter < 0:
+        raise ParameterError(f"inner_max_iter must be non-negative, got {inner_max_iter}")
     g = g.on(params, "the target angular profile")
     g0_hat = g.modes[0]
     if g0_hat == 0.0:
@@ -288,42 +288,25 @@ def match_initial_data(
     g0 = g.scaled(1.0 / lam)
 
     ws = NonlinearWorkspace(params)
-    omega = AngularSignal.base(params)
-    step = mu ** (1.0 / (2.0 * mu))
-    history: list[float] = []
-    for outer in range(max_outer + 1):
-        stream, inner = newton_solve(
-            omega,
-            params,
-            tol=inner_tol,
-            max_iter=inner_max_iter,
-            epsilon_cap=epsilon_cap,
-            ws=ws,
+    base = AngularSignal.base(params)
+    h0 = angular_initial_vorticity(SpectralField.base_state(params), base, ws)
+    mismatch = g0.plus(h0.scaled(-1.0))
+    omega = base.plus(mismatch.scaled(mu ** (1.0 / (2.0 * mu))))
+    stream, inner = newton_solve(
+        omega, params, tol=inner_tol, max_iter=inner_max_iter, epsilon_cap=epsilon_cap, ws=ws
+    )
+    dist = g0.plus(angular_initial_vorticity(stream, omega, ws).scaled(-1.0)).a_norm(-0.5)
+    report = SolveReport(
+        converged=dist < tol,
+        iterations=2,
+        residual_history=[mismatch.a_norm(-0.5), dist],
+        bounds_ok=inner.bounds_ok,
+        epsilon_used=inner.epsilon_used,
+        time_scale=lam,
+        margins=inner.margins,
+    )
+    if not report.converged:
+        raise ConvergenceError(
+            f"initial-data mismatch {dist:.3e} is not below tol {tol:.1e}", report=report
         )
-        h = angular_initial_vorticity(stream, omega, ws)
-        mismatch = g0.plus(h.scaled(-1.0))
-        dist = mismatch.a_norm(-0.5)
-        history.append(dist)
-        report = SolveReport(
-            converged=dist < tol,
-            iterations=len(history),
-            residual_history=history,
-            bounds_ok=inner.bounds_ok,
-            epsilon_used=inner.epsilon_used,
-            time_scale=lam,
-            margins=inner.margins,
-        )
-        if dist < tol:
-            break
-        if outer >= 2 and history[-1] > history[-2] > history[-3]:
-            raise ConvergenceError(
-                f"initial-data matching stagnated at {dist:.3e}", report=report
-            )
-        if outer == max_outer:
-            raise ConvergenceError(
-                f"initial-data matching did not reach {tol:.1e} in {max_outer} steps "
-                f"(at {dist:.3e})",
-                report=report,
-            )
-        omega = omega.plus(mismatch.scaled(step))
     return omega, stream, report

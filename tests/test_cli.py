@@ -128,7 +128,6 @@ _LIMIT_VALUES = {
     "solver.max_iter": ("1",),
     "solver.epsilon_cap": ("1e-300",),
     "solver.outer_tol": ("1e-300",),
-    "solver.outer_max_iter": ("1",),
 }
 
 
@@ -460,6 +459,23 @@ def test_allocation_failure_exits_as_config_error(tmp_path, monkeypatch, capsys)
     assert err == message + "\n"
 
 
+def test_sample_count_no_array_holds_exits_before_the_solve(tmp_path, capsys):
+    # 2^50 points pass the config's bound, but their draw cannot be held; it
+    # comes before the solve, so nothing is solved or written
+    n = 2**50
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = {n}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"configuration error: out of memory drawing reconstruct.samples = {n} points\n"
+    )
+    assert "solved:" not in captured.out
+    assert not (out / "field.json").exists() and not (out / "report.json").exists()
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "none.cfg")]) == 1
     assert main(["solve"]) == 1
@@ -512,18 +528,19 @@ def test_match_mode_solve(tmp_path):
 
 
 def test_failed_match_reports_the_outer_history(tmp_path):
-    # no outer step allowed: the report holds the one outer mismatch the
-    # error names, not the residuals of the converged inner solve
+    # a tol below rounding fails at once: the report holds the mismatch before
+    # and after the one exact step, the error names the last, and neither is
+    # a residual of the converged inner solve
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "mu = 1.0\nN = 8\ngrid.points = 96\nomega.kind = match\nsolver.outer_max_iter = 0\n"
+        "mu = 1.0\nN = 8\ngrid.points = 96\nomega.kind = match\nsolver.outer_tol = 1e-300\n"
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
     doc = json.loads((out / "report.json").read_text())
-    (dist,) = doc["residual_history"]
-    assert dist > 1e-10
-    assert f"in 0 steps (at {dist:.3e})" in doc["error"]
+    before, after = doc["residual_history"]
+    assert after < 1e-15 < before
+    assert doc["error"] == f"initial-data mismatch {after:.3e} is not below tol 1.0e-300"
 
 
 def test_singular_linearization_exits_as_solve_failure(tmp_path, monkeypatch):
@@ -1070,8 +1087,9 @@ def test_help_exits_zero():
     ("solve", "solver.max_iter = -1", "solver.max_iter must be non-negative, got -1"),
     ("solve", "omega.kind = match\nsolver.max_iter = -1",
      "solver.max_iter must be non-negative, got -1"),
-    ("solve", "omega.kind = match\nsolver.outer_max_iter = -1",
-     "solver.outer_max_iter must be non-negative, got -1"),
+    # the match is one exact step: it has no outer iteration cap to set
+    ("solve", "omega.kind = match\nsolver.outer_max_iter = 50",
+     "line 5: unknown key 'solver.outer_max_iter'"),
     ("verify", "verify.suites = ", "verify.suites must name at least one suite"),
     ("solve", "solver.epsilon_cap = nan", "solver.epsilon_cap must be positive, got nan"),
     ("solve", "solver.tol = 0", "solver.tol must be positive, got 0.0"),
@@ -1170,7 +1188,7 @@ def test_config_digest_leaves_out_only_the_output_dir():
     # the config_hash every artifact embeds; its value is pinned so that a
     # change to the echo format or the key table shows here
     cfg = parse_config_text(DESK)
-    assert cfg.digest() == "54be34ce88832b61"
+    assert cfg.digest() == "01d3055405220faa"
     assert parse_config_text(DESK + "output.dir = elsewhere\n").digest() == cfg.digest()
     assert parse_config_text(DESK + "seed = 7\n").digest() != cfg.digest()
 

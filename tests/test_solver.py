@@ -15,6 +15,7 @@ from spiral_euler import (
     newton_solve,
 )
 from spiral_euler import solver
+from spiral_euler.operators import derived_fields
 from spiral_euler.solver import angular_initial_vorticity
 
 
@@ -261,6 +262,45 @@ def test_base_vorticity_factor_at_unit_exponent():
     assert base_vorticity_factor(mu) == pytest.approx(mu ** (-1 / (2 * mu)) * (2 - 1 / mu))
 
 
+@pytest.mark.parametrize("mu", [0.7, 1.0, 1.5, 2.0])
+def test_every_mode_operator_is_minus_its_shift_at_beta_zero(mu):
+    # beta d/dbeta and i n beta vanish at beta = 0, the first node, so D(n, s)
+    # is -s there for every profile: the identity the match's one exact step
+    # rests on, which a discretization giving D a nonzero row there breaks
+    params = SolverParams(mu=mu, N=8, grid_points=24)
+    rng = np.random.default_rng(5)
+    shape = (len(params.mode_indices), params.grid.size + 1)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values[0] = values[0].real
+    fields = derived_fields(SpectralField(params, values))
+    psi0 = fields["psi"][:, 0]
+    assert np.array_equal(fields["db"][:, 0], -(2 * mu - 1) * psi0)
+    assert np.array_equal(fields["dv"][:, 0], (2 * mu - 1) * psi0)
+
+
+_DESK = SolverParams(mu=1.0, N=8, grid_points=96)
+_N3 = SolverParams(mu=1.5, N=3, grid_points=96)
+_K8 = SolverParams(mu=1.0, N=8, harmonics=8, grid_points=96)
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+@pytest.mark.parametrize("omega, cap", [
+    (AngularSignal.constant_plus_cosine(_DESK, 1.05), 0.5),
+    (AngularSignal.constant_plus_cosine(_N3, 0.01), 0.1),
+    (AngularSignal.from_entries(
+        _K8, {0: 1.0, 8: 0.004 + 0.002j, -8: 0.004 - 0.002j, 24: 0.001, -24: 0.001}.items()
+    ), 0.1),
+], ids=["desk-spiral", "N3-mu1.5", "K8-coeffs"])
+def test_initial_vorticity_is_the_exact_multiple_of_omega(omega, cap):
+    # h(Omega) = mu^(-1/(2 mu)) Omega for any solved stream, not only the base
+    mu = omega.params.mu
+    stream, report = newton_solve(omega, omega.params, epsilon_cap=cap)
+    assert report.converged and report.iterations > 0
+    h = angular_initial_vorticity(stream, omega)
+    expected = omega.scaled(mu ** (-1.0 / (2.0 * mu))).modes
+    assert np.max(np.abs(h.modes - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_match_constant_target_returns_base(desk_params):
     g = AngularSignal.from_entries(desk_params, {0: base_vorticity_factor(desk_params.mu)}.items())
     omega, stream, report = match_initial_data(g, desk_params)
@@ -303,8 +343,8 @@ def test_match_rejects_negative_mean(desk_params):
 
 
 @pytest.mark.parametrize("cap", [
-    {"max_outer": -1}, {"inner_max_iter": -1}, {"max_iter": -1},
-], ids=["outer", "inner", "newton"])
+    {"inner_max_iter": -1}, {"max_iter": -1},
+], ids=["inner", "newton"])
 def test_negative_iteration_cap_is_rejected(desk_params, cap):
     # a negative cap would run no iteration and hand back the unsolved base
     # state (or no report at all) as if it were a solution
