@@ -127,27 +127,14 @@ def _joined(notes: list) -> str:
 def cmd_solve(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
     from .solver import match_initial_data, newton_solve
 
+    controls = {key: cfg[f"solver.{key}"] for key in ("tol", "max_iter", "backend", "epsilon_cap")}
     try:
         with _dropped_mass_recorded(notes):
             if cfg["omega.kind"] == "match":
-                omega, stream, report = match_initial_data(
-                    cfg.target(),
-                    cfg.params,
-                    tol=cfg["solver.outer_tol"],
-                    inner_tol=cfg["solver.tol"],
-                    inner_max_iter=cfg["solver.max_iter"],
-                    epsilon_cap=cfg["solver.epsilon_cap"],
-                )
+                omega, stream, report = match_initial_data(cfg.target(), cfg.params, **controls)
             else:
                 omega = cfg.omega()
-                stream, report = newton_solve(
-                    omega,
-                    cfg.params,
-                    tol=cfg["solver.tol"],
-                    max_iter=cfg["solver.max_iter"],
-                    backend=cfg["solver.backend"],
-                    epsilon_cap=cfg["solver.epsilon_cap"],
-                )
+                stream, report = newton_solve(omega, cfg.params, **controls)
     except (ConvergenceError, ParameterError) as exc:
         doc = dict(stamp)
         doc["error"] = str(exc)

@@ -32,7 +32,6 @@ _KEYS = {
     "solver.max_iter": (int, 100),
     "solver.backend": (str, "chord"),
     "solver.epsilon_cap": (float, 0.1),
-    "solver.outer_tol": (float, 1e-10),
     "output.dir": (str, "out"),
     "output.formats": (str, "json,csv,svg"),
     "verify.suites": (str, "selfsim,lp,weak,divfree,poisson"),
@@ -79,10 +78,7 @@ class RunConfig:
         for key in ("seed", "solver.max_iter"):
             if values[key] < 0:
                 raise ConfigError(f"{key} must be non-negative, got {values[key]}")
-        for key in (
-            "reconstruct.samples", "reconstruct.t", "solver.tol", "solver.outer_tol",
-            "solver.epsilon_cap",
-        ):
+        for key in ("reconstruct.samples", "reconstruct.t", "solver.tol", "solver.epsilon_cap"):
             if not values[key] > 0:  # rejects nan too
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
         if (n := values["reconstruct.samples"]) > sys.maxsize // 16:  # an (n, 2) float array

@@ -51,7 +51,7 @@ __all__ = [
     "cutoff_normalization",
     "bump",
     "mollifier_bump",
-    "gauss_legendre_16",
+    "gauss_legendre",
     "xi_far",
     "xi_near",
     "mode_norm",
@@ -331,10 +331,15 @@ def cutoff_normalization() -> float:
 _XI_BLOCK = 1 << 11  # points per bump quadrature in xi_far, which bounds memory
 
 
-@lru_cache(maxsize=1)
-def gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1], formed once."""
-    return np.polynomial.legendre.leggauss(16)
+@lru_cache(maxsize=8)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], formed once per n.
+
+    Every caller shares the arrays, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @lru_cache(maxsize=1)
@@ -344,7 +349,7 @@ def _bump_cumulative_table():
     edges = 1.0 + np.arange(n_cells + 1) / n_cells
     half = 0.5 / n_cells
     mid = edges[:-1] + half
-    gx, gw = gauss_legendre_16()
+    gx, gw = gauss_legendre(16)
     x = mid[:, None] + half * gx[None, :]
     cell = half * np.sum(mollifier_bump(x) * gw[None, :], axis=1)
     cum = np.concatenate([[0.0], np.cumsum(cell)])
@@ -355,7 +360,7 @@ def xi_far(beta) -> np.ndarray:
     """Cutoff equal to 0 on [0, 1] and 1 on [2, inf); integral of the bump."""
     beta = np.asarray(beta, dtype=float)
     edges, cum = _bump_cumulative_table()
-    gx, gw = gauss_legendre_16()
+    gx, gw = gauss_legendre(16)
     out = np.zeros_like(beta)
     out[beta >= 2.0] = 1.0
     inside = (beta > 1.0) & (beta < 2.0)

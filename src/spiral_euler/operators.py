@@ -59,7 +59,7 @@ from .errors import (
     SingularOperatorError,
 )
 from .grid_space import (
-    CutoffSamples, ModeProfile, RadialGrid, SolverParams, SpectralField, gauss_legendre_16
+    CutoffSamples, ModeProfile, RadialGrid, SolverParams, SpectralField, gauss_legendre
 )
 
 __all__ = [
@@ -246,7 +246,7 @@ _CHUNK = 1 << 13  # panels per integrand evaluation, which bounds memory
 
 def _gauss_sums(n: int, shift: float, fun, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """16-point Gauss-Legendre integral of x^(-shift-1) e^(-i n x) f(x) on each panel."""
-    gx, gw = gauss_legendre_16()
+    gx, gw = gauss_legendre(16)
     out = np.empty(len(a), dtype=complex)
     for i in range(0, len(a), _CHUNK):
         lo, hi = a[i : i + _CHUNK], b[i : i + _CHUNK]

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InversionError, NonFiniteError, ParameterError
-from .grid_space import AngularSignal, SpectralField, bump
+from .grid_space import AngularSignal, SpectralField, bump, gauss_legendre
 from .operators import derived_fields
 
 __all__ = [
@@ -441,7 +441,7 @@ def spiral_extract(
 
 
 def _gauss(n, a, b):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -253,23 +253,22 @@ def match_initial_data(
     g: AngularSignal,
     params: SolverParams,
     tol: float = 1e-10,
-    inner_tol: float = 1e-12,
-    inner_max_iter: int = 100,
+    max_iter: int = 100,
+    backend: str = "chord",
     epsilon_cap: float = 0.1,
 ) -> tuple[AngularSignal, SpectralField, SolveReport]:
     """Find the angular factor whose solution attains initial vorticity g.
 
     g is normalized so its mean equals the base factor; the time-scaling
     ratio lambda = mean(g)/base is stored in the report, and the physical
-    solution for the original g is lambda * w(x, lambda * t).  The report's
-    history is the mismatch before and after the one exact step (see the
-    module docstring), with the inner solve's bounds and margins; a final
-    mismatch not below tol raises ConvergenceError carrying that report.  A
-    negative inner_max_iter, or a g with modes off the lattice of params,
-    raises ParameterError.
+    solution for the original g is lambda * w(x, lambda * t).  tol,
+    max_iter, backend and epsilon_cap are newton_solve's, handed to the one
+    inner solve.  The report's history is the mismatch before and after the
+    one exact step (see the module docstring), with the inner solve's bounds
+    and margins; a final mismatch not below tol raises ConvergenceError
+    carrying that report.  A g with modes off the lattice of params raises
+    ParameterError, as do the controls newton_solve refuses.
     """
-    if inner_max_iter < 0:
-        raise ParameterError(f"inner_max_iter must be non-negative, got {inner_max_iter}")
     g = g.on(params, "the target angular profile")
     g0_hat = g.modes[0]
     if g0_hat == 0.0:
@@ -292,9 +291,7 @@ def match_initial_data(
     h0 = angular_initial_vorticity(SpectralField.base_state(params), base, ws)
     mismatch = g0.plus(h0.scaled(-1.0))
     omega = base.plus(mismatch.scaled(mu ** (1.0 / (2.0 * mu))))
-    stream, inner = newton_solve(
-        omega, params, tol=inner_tol, max_iter=inner_max_iter, epsilon_cap=epsilon_cap, ws=ws
-    )
+    stream, inner = newton_solve(omega, params, tol, max_iter, backend, epsilon_cap, ws)
     dist = g0.plus(angular_initial_vorticity(stream, omega, ws).scaled(-1.0)).a_norm(-0.5)
     report = SolveReport(
         converged=dist < tol,

@@ -27,7 +27,7 @@ from spiral_euler.grid_space import (
     _XI_BLOCK,
     _bump_cumulative_table,
     bump,
-    gauss_legendre_16,
+    gauss_legendre,
     mollifier_bump,
 )
 
@@ -111,7 +111,7 @@ def _xi_far_in_one_call(beta):
     """The former xi_far: every point's bump quadrature in one call."""
     beta = np.asarray(beta, dtype=float)
     edges, cum = _bump_cumulative_table()
-    gx, gw = gauss_legendre_16()
+    gx, gw = gauss_legendre(16)
     out = np.zeros_like(beta)
     out[beta >= 2.0] = 1.0
     m = (beta > 1.0) & (beta < 2.0)
@@ -153,12 +153,21 @@ def test_cutoff_partition_of_unity(desk_cuts):
 
 def test_cutoff_bump_integral_is_one():
     # integral of the normalized bump over its support
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(200)
+    x, w = gauss_legendre(200)
     xs = 1.5 + 0.5 * x
     total = 0.5 * np.sum(w * cutoff_normalization() * mollifier_bump(xs))
     assert abs(total - 1.0) < 1e-8
+
+
+def test_gauss_legendre_rule_is_formed_once_and_read_only():
+    # every quadrature shares one rule per n, so no caller may write to it
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = gauss_legendre(40)
+    assert gauss_legendre(40)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    for ours, theirs in zip((x, w), leggauss(40)):
+        assert np.array_equal(ours, theirs)
 
 
 def test_mode_norm_pure_slot_components(desk_cuts):

@@ -100,21 +100,34 @@ def test_amplitude_gate_rejects_large_perturbation(desk_params):
         newton_solve(big, desk_params)
 
 
-def test_stall_at_the_rounding_floor_states_the_ratios_and_tol():
-    # match_initial_data's default inner_tol = 1e-12 lies under the residual's
-    # rounding floor at mu = 0.7; its inner history reads 6.45e-5, 1.74e-11,
-    # 2.38e-12, 1.97e-12, 2.44e-12, and the message states what it measured
+def _cosine_target_at_mu_07():
+    """0.005 w0 cos(N theta) about the base factor w0 at mu = 0.7, N = 4000."""
     params = SolverParams(mu=0.7, N=4000)
     w0 = base_vorticity_factor(params.mu)
     entries = {0: w0, params.N: 0.0025 * w0, -params.N: 0.0025 * w0}.items()
-    g = AngularSignal.from_entries(params, entries)
+    return AngularSignal.from_entries(params, entries), params
+
+
+def test_stall_at_the_rounding_floor_states_the_ratios_and_tol():
+    # tol = 1e-12 lies under the residual's rounding floor at mu = 0.7; the
+    # match's inner history reads 6.45e-5, 1.74e-11, 2.38e-12, 1.97e-12,
+    # 2.44e-12, and the message states what it measured
+    g, params = _cosine_target_at_mu_07()
     with pytest.raises(ConvergenceError) as err:
-        match_initial_data(g, params)
+        match_initial_data(g, params, tol=1e-12)
     assert str(err.value) == (
         "residual grew from 1.968e-12 to 2.438e-12; last step ratios r[k+1]/r[k] "
         "0.136, 0.829, 1.24; previous residual 1.97 x tol 1.0e-12"
     )
     assert len(err.value.report.residual_history) == 5
+
+
+def test_match_library_defaults_converge_at_mu_07():
+    # the match's default tol is newton_solve's 1e-10, above that floor
+    g, params = _cosine_target_at_mu_07()
+    _, _, report = match_initial_data(g, params)
+    assert report.converged
+    assert report.residual_history[-1] < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
@@ -130,6 +143,22 @@ def test_growth_far_above_tol_states_the_ratios_and_tol():
         "0.952, 0.946, 1.06; previous residual 2.39e+09 x tol 1.0e-10"
     )
     assert len(err.value.report.residual_history) == 5
+
+
+@pytest.mark.filterwarnings("ignore:dropped harmonic mass")
+def test_growth_past_the_contraction_region_states_the_ratios_and_tol():
+    # at amplitude 1.25 the chord contracts at 0.2-0.86 a step for 37 steps,
+    # then at 0.927, and grows at the 39th with the residual 6.9 x tol; its
+    # residuals drop harmonic mass up to 5.3e-3 against a scale of 0.48
+    params = SolverParams(mu=1.0, N=8, grid_points=96)
+    omega = AngularSignal.constant_plus_cosine(params, 1.25)
+    with pytest.raises(ConvergenceError) as err:
+        newton_solve(omega, params, tol=1e-10, epsilon_cap=100.0)
+    assert str(err.value) == (
+        "residual grew from 6.880e-10 to 6.972e-10; last step ratios r[k+1]/r[k] "
+        "0.754, 0.927, 1.01; previous residual 6.88 x tol 1.0e-10"
+    )
+    assert len(err.value.report.residual_history) == 40
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
@@ -342,17 +371,13 @@ def test_match_rejects_negative_mean(desk_params):
         match_initial_data(g, desk_params)
 
 
-@pytest.mark.parametrize("cap", [
-    {"inner_max_iter": -1}, {"max_iter": -1},
-], ids=["inner", "newton"])
-def test_negative_iteration_cap_is_rejected(desk_params, cap):
+@pytest.mark.parametrize("solve", [match_initial_data, newton_solve], ids=["inner", "newton"])
+def test_negative_iteration_cap_is_rejected(desk_params, solve):
     # a negative cap would run no iteration and hand back the unsolved base
-    # state (or no report at all) as if it were a solution
+    # state (or no report at all) as if it were a solution; the match hands
+    # its cap to its inner solve, which refuses it
     from spiral_euler import ParameterError
 
     omega = AngularSignal.constant_plus_cosine(desk_params, amplitude=0.01)
-    with pytest.raises(ParameterError, match="must be non-negative, got -1"):
-        if "max_iter" in cap:
-            newton_solve(omega, desk_params, **cap)
-        else:
-            match_initial_data(omega, desk_params, **cap)
+    with pytest.raises(ParameterError, match="max_iter must be non-negative, got -1"):
+        solve(omega, desk_params, max_iter=-1)
