@@ -60,23 +60,16 @@ def _dump_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _prepare(cfg: RunConfig, out_override=None, seed_override=None):
-    """The output directory (made, with config.echo), the stamp every artifact
-    embeds and the configuration, with the --out and --seed overrides."""
-    values = dict(cfg.values)
-    if out_override:
-        values["output.dir"] = out_override
-    if seed_override is not None:
-        values["seed"] = seed_override
-    cfg = RunConfig(values=values)
+def _prepare(cfg: RunConfig):
+    """The output directory, made with config.echo, and the stamp every
+    artifact embeds."""
     out = Path(cfg["output.dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo").write_text(cfg.effective_text())
     except OSError as exc:
         raise ConfigError(f"cannot write the output directory {out}: {exc}") from exc
-    stamp = {"config_hash": cfg.digest(), "seed": cfg["seed"]}
-    return out, stamp, cfg
+    return out, {"config_hash": cfg.digest(), "seed": cfg["seed"]}
 
 
 def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
@@ -159,21 +152,13 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
     return EXIT_OK
 
 
-def _solution(cfg: RunConfig, out: Path, stamp: dict, notes: list, field=None):
-    """The exit code, field evaluator and angular factor of a saved field.json.
+def _load_field(path: Path):
+    """The stream profile and angular factor saved at path.
 
-    The field is read from the path ``field`` if one is given.  Otherwise it
-    is out/field.json, solved there first if it is missing; a failed solve
-    returns its exit code and no field.  A file that cannot be read, is no
-    field of this format (a non-finite number included) or whose omega
-    from_entries refuses or is identically zero raises ConfigError.  The
-    evaluator is built once the field has loaded, so its errors pass through.
+    A file that cannot be read, is no field of this format (a non-finite
+    number included) or whose omega from_entries refuses or is identically
+    zero raises ConfigError.
     """
-    path = Path(field) if field else out / "field.json"
-    if not field and not path.exists():
-        code = cmd_solve(cfg, out, stamp, notes)
-        if code != EXIT_OK:
-            return code, None, None
     try:
         doc = json.loads(path.read_text())
         stream = field_from_json(doc)
@@ -184,28 +169,49 @@ def _solution(cfg: RunConfig, out: Path, stamp: dict, notes: list, field=None):
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"cannot load the saved field {path}: {detail}") from exc
+    return stream, omega
+
+
+def _solution(cfg: RunConfig, out: Path, stamp: dict, notes: list, field=None):
+    """The exit code, field evaluator and angular factor of ``field``, a loaded
+    (stream, omega) pair, or else of out/field.json, solved there first if it
+    is missing; a failed solve returns its exit code and no field.  The
+    evaluator is built once the field has loaded, so its errors pass through.
+    """
+    if field is None:
+        path = out / "field.json"
+        if not path.exists():
+            code = cmd_solve(cfg, out, stamp, notes)
+            if code != EXIT_OK:
+                return code, None, None
+        field = _load_field(path)
+    stream, omega = field
     return EXIT_OK, FieldEvaluator(stream), omega
 
 
+def _draw_samples(cfg: RunConfig, formats: set) -> np.ndarray:
+    """The reconstruct.samples points of samples.csv, none without csv."""
+    if "csv" not in formats:
+        return np.empty((0, 2))
+    n = cfg["reconstruct.samples"]
+    rng = np.random.default_rng(cfg["seed"])
+    try:
+        r, ang = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+        return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    except MemoryError:
+        raise ConfigError(f"out of memory drawing reconstruct.samples = {n} points") from None
+
+
 def cmd_reconstruct(
-    cfg: RunConfig, out: Path, stamp: dict, notes: list, formats: set, field
+    cfg: RunConfig, out: Path, stamp: dict, notes: list, formats: set, samples, field
 ) -> int:
-    n = 0  # the samples are drawn and evaluated only for samples.csv
-    if "csv" in formats:  # drawn before any solve: a count too large exits first
-        n = cfg["reconstruct.samples"]
-        rng = np.random.default_rng(cfg["seed"])
-        try:
-            r, ang = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
-            x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-        except MemoryError:
-            raise ConfigError(f"out of memory drawing reconstruct.samples = {n} points") from None
     code, ev, omega = _solution(cfg, out, stamp, notes, field)
     if code != EXIT_OK:
         return code
-    t = cfg["reconstruct.t"]
+    n, t = len(samples), cfg["reconstruct.t"]
     if "csv" in formats:
-        fields = eval_fields_batch(ev, omega, x, np.full(n, t))
-        export_samples_csv(out / "samples.csv", x, t, fields)
+        fields = eval_fields_batch(ev, omega, samples, np.full(n, t))
+        export_samples_csv(out / "samples.csv", samples, t, fields)
     curves = []  # the curves are extracted only for spirals.csv or spirals.svg
     if formats & {"csv", "svg"}:
         curves = spiral_extract(ev, omega, t)
@@ -265,18 +271,27 @@ def main(argv=None) -> int:
     cfg = None
     notes = []  # a solve's dropped-mass summary: a warning line, or joined to a failure's
     try:
-        # every check, reconstruct's --format included, before any directory is made
+        # every check before any directory is made: the overrides, and
+        # reconstruct's --format, sample draw and --field load
         args = parser.parse_args(argv)
         if not args.config:
             raise ConfigError("--config PATH is required")
         cfg = load_config(args.config)
+        values = dict(cfg.values)
+        if args.out:
+            values["output.dir"] = args.out
+        if args.seed is not None:
+            values["seed"] = args.seed
+        cfg = RunConfig(values=values)
         options = {} if args.command == "certify" else {"notes": notes}
         if args.command == "reconstruct":
             formats = parse_formats(cfg["output.formats"], "output.formats")
             if args.format:
                 formats &= parse_formats(args.format, "--format")
-            options.update(formats=formats, field=args.field)
-        out, stamp, cfg = _prepare(cfg, args.out, args.seed)
+            samples = _draw_samples(cfg, formats)
+            field = _load_field(Path(args.field)) if args.field else None
+            options.update(formats=formats, samples=samples, field=field)
+        out, stamp = _prepare(cfg)
         code = args.fn(cfg, out, stamp, **options)
         if notes and code != EXIT_SOLVE:  # a failed solve joined them to its own line
             print(f"warning: {notes[0]}", file=sys.stderr)

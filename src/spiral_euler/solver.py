@@ -17,12 +17,11 @@ The angular factor the solved stream profile induces at time zero,
 
 is exactly mu^(-1/(2 mu)) Omega: at beta = 0 the terms beta d/dbeta and
 i n beta of D(n, s) vanish, so dbeta_bar psi = -(2 mu - 1) psi(0) =
--dvarphi_bar psi for every profile.  The match is one step from the base
-factor, Omega = Omega_base + mu^(1/(2 mu)) (g0 - h(Omega_base)), one inner
-solve there and one measurement of the mismatch g0 - h(Omega), which only
-rounding keeps from zero.  The target is first normalized so its mean
-matches the base value; the caller recovers the requested amplitude through
-the time-scaling symmetry factor recorded in the report.
+-dvarphi_bar psi for every profile.  The match is therefore a rescaling and
+one inner solve: the target is normalized so its mean matches the base
+value, by lambda = mean(g)/base, and Omega = mu^(1/(2 mu)) g/lambda.  The
+caller recovers the requested amplitude through the time-scaling symmetry
+factor lambda recorded in the report.
 """
 
 from __future__ import annotations
@@ -263,11 +262,10 @@ def match_initial_data(
     ratio lambda = mean(g)/base is stored in the report, and the physical
     solution for the original g is lambda * w(x, lambda * t).  tol,
     max_iter, backend and epsilon_cap are newton_solve's, handed to the one
-    inner solve.  The report's history is the mismatch before and after the
-    one exact step (see the module docstring), with the inner solve's bounds
-    and margins; a final mismatch not below tol raises ConvergenceError
-    carrying that report.  A g with modes off the lattice of params raises
-    ParameterError, as do the controls newton_solve refuses.
+    inner solve on Omega = mu^(1/(2 mu)) g/lambda (see the module
+    docstring), whose report, with time_scale = lambda, is returned; its
+    failures raise as newton_solve's.  A g with modes off the lattice of
+    params raises ParameterError, as do the controls newton_solve refuses.
     """
     g = g.on(params, "the target angular profile")
     g0_hat = g.modes[0]
@@ -284,26 +282,7 @@ def match_initial_data(
             "a negative-mean target belongs to the negated-circulation branch, "
             "which this solver does not construct"
         )
-    g0 = g.scaled(1.0 / lam)
-
-    ws = NonlinearWorkspace(params)
-    base = AngularSignal.base(params)
-    h0 = angular_initial_vorticity(SpectralField.base_state(params), base, ws)
-    mismatch = g0.plus(h0.scaled(-1.0))
-    omega = base.plus(mismatch.scaled(mu ** (1.0 / (2.0 * mu))))
-    stream, inner = newton_solve(omega, params, tol, max_iter, backend, epsilon_cap, ws)
-    dist = g0.plus(angular_initial_vorticity(stream, omega, ws).scaled(-1.0)).a_norm(-0.5)
-    report = SolveReport(
-        converged=dist < tol,
-        iterations=2,
-        residual_history=[mismatch.a_norm(-0.5), dist],
-        bounds_ok=inner.bounds_ok,
-        epsilon_used=inner.epsilon_used,
-        time_scale=lam,
-        margins=inner.margins,
-    )
-    if not report.converged:
-        raise ConvergenceError(
-            f"initial-data mismatch {dist:.3e} is not below tol {tol:.1e}", report=report
-        )
+    omega = g.scaled(mu ** (1.0 / (2.0 * mu)) / lam)
+    stream, report = newton_solve(omega, params, tol, max_iter, backend, epsilon_cap)
+    report.time_scale = lam
     return omega, stream, report

@@ -110,14 +110,14 @@ def _cosine_target_at_mu_07():
 
 def test_stall_at_the_rounding_floor_states_the_ratios_and_tol():
     # tol = 1e-12 lies under the residual's rounding floor at mu = 0.7; the
-    # match's inner history reads 6.45e-5, 1.74e-11, 2.38e-12, 1.97e-12,
-    # 2.44e-12, and the message states what it measured
+    # match's solve history reads 6.45e-5, 1.74e-11, 2.48e-12, 1.51e-12,
+    # 2.14e-12, and the message states what it measured
     g, params = _cosine_target_at_mu_07()
     with pytest.raises(ConvergenceError) as err:
         match_initial_data(g, params, tol=1e-12)
     assert str(err.value) == (
-        "residual grew from 1.968e-12 to 2.438e-12; last step ratios r[k+1]/r[k] "
-        "0.136, 0.829, 1.24; previous residual 1.97 x tol 1.0e-12"
+        "residual grew from 1.511e-12 to 2.144e-12; last step ratios r[k+1]/r[k] "
+        "0.142, 0.609, 1.42; previous residual 1.51 x tol 1.0e-12"
     )
     assert len(err.value.report.residual_history) == 5
 
@@ -294,7 +294,7 @@ def test_base_vorticity_factor_at_unit_exponent():
 @pytest.mark.parametrize("mu", [0.7, 1.0, 1.5, 2.0])
 def test_every_mode_operator_is_minus_its_shift_at_beta_zero(mu):
     # beta d/dbeta and i n beta vanish at beta = 0, the first node, so D(n, s)
-    # is -s there for every profile: the identity the match's one exact step
+    # is -s there for every profile: the identity the match's closed-form rescaling
     # rests on, which a discretization giving D a nonzero row there breaks
     params = SolverParams(mu=mu, N=8, grid_points=24)
     rng = np.random.default_rng(5)
@@ -361,6 +361,19 @@ def test_match_rescales_amplitude(desk_params):
     g = AngularSignal.from_entries(desk_params, {0: lam * w0, N: 0.002, -N: 0.002}.items())
     omega, stream, report = match_initial_data(g, desk_params)
     assert report.time_scale == pytest.approx(lam)
+
+
+def test_match_returns_its_solve_report(desk_params):
+    # the match is a rescaling and one solve: its report is that solve's, bit
+    # for bit, with the time scale lambda = mean(g)/base set on it
+    w0, lam, N = base_vorticity_factor(desk_params.mu), 1.5, desk_params.N
+    g = AngularSignal.from_entries(desk_params, {0: lam * w0, N: 0.0075, -N: 0.0075}.items())
+    omega, stream, report = match_initial_data(g, desk_params)
+    again, solved = newton_solve(omega, desk_params)
+    assert report.residual_history == solved.residual_history
+    assert report.iterations == len(report.residual_history) - 1 >= 1
+    assert report.time_scale == lam
+    assert np.array_equal(stream.values, again.values)
 
 
 def test_match_rejects_negative_mean(desk_params):
