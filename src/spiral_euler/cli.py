@@ -1,18 +1,22 @@
 """Command-line entry points: certify, solve, reconstruct, verify.
 
-Every subcommand takes --config, --out and --seed; reconstruct also takes
---format and --field.
+Every subcommand takes --config, --out (default out) and --seed; reconstruct
+also takes --format (default json,csv,svg) and --field.
 
 Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
-subcommand, a --format entry outside json,csv,svg), configuration problem,
-an output directory that cannot be written, a saved field that does not load
-or an allocation that fails (out of memory), 2 certificate failure, 3 solve
-failure, 4 verification failure, a failed chart inversion or a field that
-does not evaluate (verify, reconstruct).  Codes 1, 3, 4 and a certificate
-that cannot be formed (2) print one line to stderr, and a solve that drops
-harmonic mass above the gate one summary line, which a failure of the
-command that solved joins to its own.  Every JSON artifact embeds the config
-digest and the seed; identical configs give identical bytes.
+subcommand, an empty --out, a --format entry outside json,csv,svg),
+configuration problem, an output directory that cannot be written, a saved
+field that does not load or an allocation that fails (out of memory), 2
+certificate failure, 3 solve failure, 4 verification failure, a failed chart
+inversion or a field that does not evaluate (verify, reconstruct).  Codes 1,
+3, 4 and a certificate that cannot be formed (2) print one line to stderr,
+and a solve that drops harmonic mass above the gate one summary line, which
+a failure of the command that solved joins to its own; main prints every
+such line.  An exit 1 found before a command runs makes no output
+directory; an allocation that fails inside a running command exits 1 after
+the directory and its config.echo are made, with no artifact of the failed
+step.  Every JSON artifact embeds the config digest and the seed; identical
+configs give identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, parse_formats
+from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -60,16 +64,19 @@ def _dump_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _prepare(cfg: RunConfig):
-    """The output directory, made with config.echo, and the stamp every
-    artifact embeds."""
-    out = Path(cfg["output.dir"])
+class _Exit(Exception):
+    """A command that failed once its artifacts were written; its args are
+    the exit code and the stderr line main prints."""
+
+
+def _prepare(cfg: RunConfig, out: Path) -> dict:
+    """Make the output directory with config.echo; the stamp every artifact embeds."""
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo").write_text(cfg.effective_text())
     except OSError as exc:
         raise ConfigError(f"cannot write the output directory {out}: {exc}") from exc
-    return out, {"config_hash": cfg.digest(), "seed": cfg["seed"]}
+    return {"config_hash": cfg.digest(), "seed": cfg["seed"]}
 
 
 def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
@@ -78,8 +85,7 @@ def cmd_certify(cfg: RunConfig, out: Path, stamp: dict) -> int:
     try:
         cert = certify(cfg.params, seed=cfg["seed"])
     except ParameterError as exc:
-        print(f"certificate failed: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise _Exit(EXIT_CERTIFICATE, f"certificate failed: {exc}") from exc
     doc = dict(stamp)
     doc["certificate"] = cert.to_json()
     _dump_json(out / "certificate.json", doc)
@@ -113,21 +119,16 @@ def _dropped_mass_recorded(notes: list):
             )
 
 
-def _joined(notes: list) -> str:
-    return f" ({notes[0]})" if notes else ""
-
-
-def cmd_solve(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, stamp: dict) -> int:
     from .solver import match_initial_data, newton_solve
 
     controls = {key: cfg[f"solver.{key}"] for key in ("tol", "max_iter", "backend", "epsilon_cap")}
     try:
-        with _dropped_mass_recorded(notes):
-            if cfg["omega.kind"] == "match":
-                omega, stream, report = match_initial_data(cfg.target(), cfg.params, **controls)
-            else:
-                omega = cfg.omega()
-                stream, report = newton_solve(omega, cfg.params, **controls)
+        if cfg["omega.kind"] == "match":
+            omega, stream, report = match_initial_data(cfg.target(), cfg.params, **controls)
+        else:
+            omega = cfg.omega()
+            stream, report = newton_solve(omega, cfg.params, **controls)
     except (ConvergenceError, ParameterError) as exc:
         doc = dict(stamp)
         doc["error"] = str(exc)
@@ -135,8 +136,7 @@ def cmd_solve(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
         if rep is not None:
             doc["residual_history"] = list(rep.residual_history)
         _dump_json(out / "report.json", doc)
-        print(f"solve failed: {exc}{_joined(notes)}", file=sys.stderr)
-        return EXIT_SOLVE
+        raise _Exit(EXIT_SOLVE, f"solve failed: {exc}") from exc
 
     field_doc = dict(stamp)
     field_doc.update(field_to_json(stream))
@@ -172,21 +172,19 @@ def _load_field(path: Path):
     return stream, omega
 
 
-def _solution(cfg: RunConfig, out: Path, stamp: dict, notes: list, field=None):
-    """The exit code, field evaluator and angular factor of ``field``, a loaded
-    (stream, omega) pair, or else of out/field.json, solved there first if it
-    is missing; a failed solve returns its exit code and no field.  The
-    evaluator is built once the field has loaded, so its errors pass through.
+def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
+    """The field evaluator and angular factor of ``field``, a loaded (stream,
+    omega) pair, or else of out/field.json, solved there first if it is
+    missing.  The evaluator is built once the field has loaded, so its errors
+    pass through.
     """
     if field is None:
         path = out / "field.json"
         if not path.exists():
-            code = cmd_solve(cfg, out, stamp, notes)
-            if code != EXIT_OK:
-                return code, None, None
+            cmd_solve(cfg, out, stamp)
         field = _load_field(path)
     stream, omega = field
-    return EXIT_OK, FieldEvaluator(stream), omega
+    return FieldEvaluator(stream), omega
 
 
 def _draw_samples(cfg: RunConfig, formats: set) -> np.ndarray:
@@ -202,12 +200,8 @@ def _draw_samples(cfg: RunConfig, formats: set) -> np.ndarray:
         raise ConfigError(f"out of memory drawing reconstruct.samples = {n} points") from None
 
 
-def cmd_reconstruct(
-    cfg: RunConfig, out: Path, stamp: dict, notes: list, formats: set, samples, field
-) -> int:
-    code, ev, omega = _solution(cfg, out, stamp, notes, field)
-    if code != EXIT_OK:
-        return code
+def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, samples, field) -> int:
+    ev, omega = _solution(cfg, out, stamp, field)
     n, t = len(samples), cfg["reconstruct.t"]
     if "csv" in formats:
         fields = eval_fields_batch(ev, omega, samples, np.full(n, t))
@@ -223,10 +217,8 @@ def cmd_reconstruct(
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out: Path, stamp: dict, notes: list) -> int:
-    code, ev, omega = _solution(cfg, out, stamp, notes)
-    if code != EXIT_OK:
-        return code
+def cmd_verify(cfg: RunConfig, out: Path, stamp: dict) -> int:
+    ev, omega = _solution(cfg, out, stamp)
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
     report = run_verify(ev, omega, suite=suites, seed=cfg["seed"])
     verdict = verdicts(report)
@@ -262,10 +254,10 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=False, help="path to the run configuration")
-        p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "reconstruct":
-            p.add_argument("--format", default=None, help="comma list of json,csv,svg")
+            p.add_argument("--format", default="json,csv,svg", help="comma list of json,csv,svg")
             p.add_argument("--field", default=None, help="a saved field JSON; never solve")
         p.set_defaults(fn=fn)
     cfg = None
@@ -276,26 +268,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.config:
             raise ConfigError("--config PATH is required")
+        if not args.out:
+            raise ConfigError("--out must name a directory")
         cfg = load_config(args.config)
-        values = dict(cfg.values)
-        if args.out:
-            values["output.dir"] = args.out
         if args.seed is not None:
-            values["seed"] = args.seed
-        cfg = RunConfig(values=values)
-        options = {} if args.command == "certify" else {"notes": notes}
+            cfg = RunConfig(values={**cfg.values, "seed": args.seed})
+        options = {}
         if args.command == "reconstruct":
-            formats = parse_formats(cfg["output.formats"], "output.formats")
-            if args.format:
-                formats &= parse_formats(args.format, "--format")
+            formats = set(args.format.split(","))
+            if not formats <= {"json", "csv", "svg"}:
+                raise ConfigError("--format must be a subset of json,csv,svg")
             samples = _draw_samples(cfg, formats)
             field = _load_field(Path(args.field)) if args.field else None
-            options.update(formats=formats, samples=samples, field=field)
-        out, stamp = _prepare(cfg)
-        code = args.fn(cfg, out, stamp, **options)
-        if notes and code != EXIT_SOLVE:  # a failed solve joined them to its own line
+            options = {"formats": formats, "samples": samples, "field": field}
+        out = Path(args.out)
+        stamp = _prepare(cfg, out)
+        with _dropped_mass_recorded(notes):
+            code = args.fn(cfg, out, stamp, **options)
+        if notes:
             print(f"warning: {notes[0]}", file=sys.stderr)
         return code
+    except _Exit as exc:
+        code, line = exc.args
     except ConfigError as exc:
         line, code = f"configuration error: {exc}", EXIT_CONFIG
     except InversionError as exc:
@@ -310,7 +304,8 @@ def main(argv=None) -> int:
         if cfg is not None:
             at = f" at grid.points = {cfg['grid.points']}, harmonics = {cfg['harmonics']}"
         line, code = f"out of memory{at}: lower grid.points or harmonics", EXIT_CONFIG
-    print(f"{line}{_joined(notes)}", file=sys.stderr)
+    joined = f" ({notes[0]})" if notes else ""  # the summary of the solve that ran first
+    print(f"{line}{joined}", file=sys.stderr)
     return code
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .errors import ConfigError, ParameterError, StructureError
 from .grid_space import AngularSignal, SolverParams
 from .physical import VERIFY_SUITES
 
-__all__ = ["RunConfig", "load_config", "parse_config_text", "parse_formats"]
+__all__ = ["RunConfig", "load_config", "parse_config_text"]
 
 # every key once: its type and its default (None: required, or filled from N)
 _KEYS = {
@@ -32,8 +32,6 @@ _KEYS = {
     "solver.max_iter": (int, 100),
     "solver.backend": (str, "chord"),
     "solver.epsilon_cap": (float, 0.1),
-    "output.dir": (str, "out"),
-    "output.formats": (str, "json,csv,svg"),
     "verify.suites": (str, "selfsim,lp,weak,divfree,poisson"),
     "reconstruct.t": (float, 1.0),
     "reconstruct.samples": (int, 200),
@@ -88,7 +86,6 @@ class RunConfig:
             # which the chart does not cover
             if not math.isfinite(values[key]):
                 raise ConfigError(f"{key} must be finite, got {values[key]}")
-        parse_formats(values["output.formats"], "output.formats")
         suites = [s for s in values["verify.suites"].split(",") if s]
         if not suites:
             raise ConfigError("verify.suites must name at least one suite")
@@ -131,15 +128,9 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        """Hash of the result-relevant configuration.
-
-        The output location does not influence any computed value, so it is
-        left out: identical settings give byte-identical artifacts wherever
-        they land.
-        """
-        out_line = f"output.dir = {self.values['output.dir']}\n"
-        text = self.effective_text().replace(out_line, "", 1)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        """Hash of the canonical echo.  No key names an output location, so
+        identical settings give byte-identical artifacts wherever they land."""
+        return hashlib.sha256(self.effective_text().encode()).hexdigest()[:16]
 
 
 def _coeffs_factor(params: SolverParams, text: str) -> AngularSignal:
@@ -190,14 +181,6 @@ def parse_config_text(text: str) -> RunConfig:
         values["target.harmonic"] = values["N"]
 
     return RunConfig(values=values)
-
-
-def parse_formats(text: str, source: str) -> set:
-    """The set named by a comma list of artifact formats out of json,csv,svg."""
-    formats = set(text.split(","))
-    if not formats <= {"json", "csv", "svg"}:
-        raise ConfigError(f"{source} must be a subset of json,csv,svg")
-    return formats
 
 
 def load_config(path) -> RunConfig:

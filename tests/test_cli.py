@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -107,7 +108,6 @@ _STRING_VALUES = {
     "omega.kind": ("constant_plus_cos", "coeffs", "match"),
     "omega.coeffs": ("0:1:0,8:0.01:0,-8:0.01:0", "8:1e308:0,-8:1e308:0", "32:1:0,-32:1:0"),
     "solver.backend": ("chord", "fd"),
-    "output.formats": ("json", "csv,svg"),
     "verify.suites": ("selfsim", "lp,weak"),
 }
 
@@ -171,32 +171,66 @@ def test_config_text_gives_a_config_or_a_config_error(text):
     cfg.target()
 
 
+# the --seed and --out overrides the command-level fuzz draws: no seed or an
+# edge value, and an output directory, an empty --out, a directory two levels
+# down or a file that exists
+_SEEDS = (None,) + _EDGE_VALUES
+_OUTS = ("dir", "", "nested", "file")
+_OVERRIDES = st.tuples(st.sampled_from(_SEEDS), st.sampled_from(_OUTS))
+_PLAIN = (None, "dir")
+
+
+def _run_overridden(tmp, command, cfg, overrides, extra=()):
+    """Run command with the drawn --seed and --out; checks what every exit
+    shares and returns the exit code."""
+    seed, kind = overrides
+    top = tmp / command
+    out = {"dir": top, "": "", "nested": top / "a" / "b", "file": top}[kind]
+    if kind == "file":
+        top.write_text("kept\n")
+    argv = [command, "--config", str(cfg), "--out", str(out), *extra]
+    if seed is not None:
+        argv += ["--seed", seed]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), (command, code)
+    assert not caught, (command, [str(w.message) for w in caught])
+    assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue()[:1000])
+    assert "Traceback" not in err.getvalue()
+    # an --out that names no writable directory is a configuration error (1),
+    # and a configuration error makes no output directory
+    if kind in ("", "file"):
+        assert code == 1, command
+    if kind == "file":
+        assert top.read_text() == "kept\n", command
+        top.unlink()
+    else:
+        assert code != 1 or not top.exists(), command
+    return code
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(text=_config_texts(near_limits=True))
-@example(text="mu = 1.0\nN = 8\ngrid.points = 24\ngrid.scale = 5e-324\n")
-@example(text="mu = 1.0\nN = 8\ngrid.points = 24\ngrid.scale = 1e300\n")
-@example(text="mu = 1e308\nN = 8\ngrid.points = 24\n")
-@example(text="mu = 1.0\nN = 3\ngrid.points = 24\nsolver.max_iter = 1\n")
+@given(text=_config_texts(near_limits=True), overrides=_OVERRIDES)
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\ngrid.scale = 5e-324\n", overrides=_PLAIN)
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\ngrid.scale = 1e300\n", overrides=_PLAIN)
+@example(text="mu = 1e308\nN = 8\ngrid.points = 24\n", overrides=_PLAIN)
+@example(text="mu = 1.0\nN = 3\ngrid.points = 24\nsolver.max_iter = 1\n", overrides=_PLAIN)
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\n", overrides=(str(2**63), "nested"))
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\n", overrides=("-1", "file"))
+@example(text="mu = 1.0\nN = 8\ngrid.points = 24\n", overrides=("0", ""))
 def test_config_text_through_certify_and_solve_exits_with_at_most_one_line(
-    tmp_path_factory, text
+    tmp_path_factory, text, overrides
 ):
-    # what a config lets through reaches certify and solve: each leaves with
-    # a documented exit code, at most one stderr line and no warning, and a
-    # configuration error (1) leaves no output directory behind
+    # what a config and the overrides let through reaches certify and solve:
+    # each leaves with a documented exit code, at most one stderr line and no
+    # warning, and a configuration error (1) leaves no output directory behind
     tmp = tmp_path_factory.mktemp("config")
     cfg = tmp / "run.cfg"
     cfg.write_text(text)
     for command in ("certify", "solve"):
-        out = tmp / command
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([command, "--config", str(cfg), "--out", str(out)])
-        assert code in (0, 1, 2, 3, 4), (command, code)
-        assert not caught, (command, [str(w.message) for w in caught])
-        assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue()[:1000])
-        assert "Traceback" not in err.getvalue()
-        assert code != 1 or not out.exists(), command
+        _run_overridden(tmp, command, cfg, overrides)
 
 
 # values of the keys only reconstruct and verify read, drawn by their fuzz:
@@ -223,39 +257,34 @@ def _run_texts(draw):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(drawn=_run_texts())
+@given(drawn=_run_texts(), overrides=_OVERRIDES)
 @example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = 4611686018427387904\n",
-                "csv"))
+                "csv"), overrides=_PLAIN)
 @example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = 9223372036854775808\n",
-                "csv"))
-@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.t = 5e-324\n", "csv"))
+                "csv"), overrides=_PLAIN)
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.t = 5e-324\n", "csv"),
+         overrides=_PLAIN)
 # a solve that dropped mass, then a chart inversion that fails: one line, not two
-@example(drawn=("mu = 1.0\nN = 2\ngrid.points = 24\nreconstruct.t = 1e160\n", "csv"))
+@example(drawn=("mu = 1.0\nN = 2\ngrid.points = 24\nreconstruct.t = 1e160\n", "csv"),
+         overrides=_PLAIN)
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nverify.suites = selfsim\n", "svg"),
+         overrides=(str(2**63), "nested"))
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", "csv"), overrides=("inf", "file"))
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", None), overrides=(None, ""))
 def test_config_text_through_reconstruct_and_verify_exits_with_at_most_one_line(
-    tmp_path_factory, drawn
+    tmp_path_factory, drawn, overrides
 ):
-    # what a config lets through reaches reconstruct and verify, each solving
-    # first into its own directory: each leaves with a documented exit code,
-    # at most one stderr line and no warning or traceback, and a configuration
-    # error (1) leaves no output directory behind
+    # what a config and the overrides let through reaches reconstruct and
+    # verify, each solving first into its own directory: each leaves with a
+    # documented exit code, at most one stderr line and no warning or
+    # traceback, and a configuration error (1) leaves no output directory behind
     text, fmt = drawn
     tmp = tmp_path_factory.mktemp("config")
     cfg = tmp / "run.cfg"
     cfg.write_text(text)
     for command in ("reconstruct", "verify"):
-        out = tmp / command
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        if command == "reconstruct" and fmt is not None:
-            argv += ["--format", fmt]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        assert code in (0, 1, 2, 3, 4), (command, code)
-        assert not caught, (command, [str(w.message) for w in caught])
-        assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue()[:1000])
-        assert "Traceback" not in err.getvalue()
-        assert code != 1 or not out.exists(), command
+        extra = ["--format", fmt] if command == "reconstruct" and fmt is not None else []
+        _run_overridden(tmp, command, cfg, overrides, extra)
 
 
 def test_config_comments_and_echo():
@@ -458,7 +487,10 @@ def test_solve_failure_exit_code(tmp_path):
 
 
 def test_allocation_failure_exits_as_config_error(tmp_path, monkeypatch, capsys):
-    # simulated: a real allocation failure would need a grid too large to test
+    # simulated: a real allocation failure would need a grid too large to test.
+    # It comes inside the running command, after the output directory and its
+    # config.echo are made, and leaves no artifact of the failed step: no
+    # certificate, and no field or report of the solve (verify solves first)
     from spiral_euler import operators
 
     def exhausted(grid, n, shift, out=None):
@@ -467,11 +499,62 @@ def test_allocation_failure_exits_as_config_error(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(operators, "mode_operator_matrix", exhausted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DESK)
-    capsys.readouterr()
-    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
     message = "out of memory at grid.points = 96, harmonics = 3: lower grid.points or harmonics"
-    assert err == message + "\n"
+    for command in ("certify", "solve", "verify"):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo"]
+
+
+# a desk-size solve that drops harmonic mass above the gate in every residual
+DROPPING = "mu = 1.0\nN = 2\ngrid.points = 24\nverify.suites = selfsim\n"
+
+
+@pytest.mark.parametrize("command, lines, code, start", [
+    ("solve", "solver.max_iter = 1", 3, "solve failed: no convergence in 1 iterations"),
+    ("verify", "solver.max_iter = 1", 3, "solve failed: no convergence in 1 iterations"),
+    ("reconstruct", "solver.max_iter = 1", 3, "solve failed: no convergence in 1 iterations"),
+    ("reconstruct", "reconstruct.t = 1e160", 4, "chart inversion failed: "),
+    ("verify", "", 1, "out of memory at grid.points = 24, harmonics = 3: lower grid.points or "
+     "harmonics"),
+], ids=["solve", "verify-solve", "reconstruct-solve", "chart", "memory"])
+def test_every_failure_after_a_dropping_solve_is_one_line_with_its_summary(
+    tmp_path, monkeypatch, capsys, command, lines, code, start
+):
+    # main prints every failure line, and joins to it the dropped-mass
+    # summary of the solve that ran first; no second line, no warning
+    from spiral_euler import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    if code == 1:
+        monkeypatch.setattr(cli, "run_verify", exhausted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{DROPPING}{lines}\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    summary = (r" \(\d+ residual evaluations dropped harmonic mass above the gate; "
+               r"largest \S+ against the residual scale \S+\)\n")
+    assert re.fullmatch(re.escape(start) + r".*" + summary, err), err
+
+
+def test_empty_out_exits_as_config_error(tmp_path, monkeypatch, capsys):
+    # an empty --out names no directory; no command makes one, here or anywhere
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(DESK)
+    for command in ("certify", "solve", "reconstruct", "verify"):
+        capsys.readouterr()
+        assert main([command, "--config", "run.cfg", "--out", ""]) == 1, command
+        assert capsys.readouterr().err == "configuration error: --out must name a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_sample_count_no_array_holds_exits_before_the_solve(tmp_path, capsys):
@@ -1130,6 +1213,9 @@ def test_help_exits_zero():
     # the match is a rescaling and one solve: it has no outer iteration cap to set
     ("solve", "omega.kind = match\nsolver.outer_max_iter = 50",
      "line 5: unknown key 'solver.outer_max_iter'"),
+    # --out and --format alone choose where a run writes and what reconstruct writes
+    ("solve", "output.dir = elsewhere", "line 4: unknown key 'output.dir'"),
+    ("reconstruct", "output.formats = csv", "line 4: unknown key 'output.formats'"),
     ("verify", "verify.suites = ", "verify.suites must name at least one suite"),
     ("solve", "solver.epsilon_cap = nan", "solver.epsilon_cap must be positive, got nan"),
     ("solve", "solver.tol = 0", "solver.tol must be positive, got 0.0"),
@@ -1222,12 +1308,12 @@ def test_reconstruct_rejects_unknown_format(tmp_path):
     assert not out.exists()
 
 
-def test_config_digest_leaves_out_only_the_output_dir():
+def test_config_digest_is_the_hash_of_the_echo():
     # the config_hash every artifact embeds; its value is pinned so that a
     # change to the echo format or the key table shows here
     cfg = parse_config_text(DESK)
-    assert cfg.digest() == "2ed8e78f9fd7c6dc"
-    assert parse_config_text(DESK + "output.dir = elsewhere\n").digest() == cfg.digest()
+    assert cfg.digest() == "3f24c107a750d57d"
+    assert cfg.digest() == hashlib.sha256(cfg.effective_text().encode()).hexdigest()[:16]
     assert parse_config_text(DESK + "seed = 7\n").digest() != cfg.digest()
 
 
