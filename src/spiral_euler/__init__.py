@@ -22,14 +22,12 @@ _EXPORTS = {
     "grid_space": "AngularSignal CutoffSamples ModeProfile RadialGrid SolverParams SpectralField "
     "bracket build_grid cutoff_normalization delta_of field_from_json field_to_json mode_norm "
     "sample_cutoffs xi_far xi_near",
-    "nonlinear": "NonlinearWorkspace ResidualField eval_residual fd_derivative_check "
-    "linearization_at_base",
+    "nonlinear": "NonlinearWorkspace ResidualField eval_residual",
     "operators": "apply_linearization_inverse apply_mode_operator assemble_linearization "
     "dense_solve derived_fields invert_mode_operator linearization_set shift_minus shift_plus",
     "physical": "FieldEvaluator SpiralCurve eval_fields_batch initial_data spiral_extract to_chart "
     "to_plane verify",
-    "solver": "SolveReport angular_initial_vorticity base_vorticity_factor bounds_check "
-    "match_initial_data newton_solve",
+    "solver": "SolveReport base_vorticity_factor bounds_check match_initial_data newton_solve",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,10 +1,10 @@
 """Command-line entry points: certify, solve, reconstruct, verify.
 
 Every subcommand takes --config, --out (default out) and --seed; reconstruct
-also takes --format (default json,csv,svg) and --field.
+also takes --format (default csv,svg) and --field.
 
 Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
-subcommand, an empty --out, a --format entry outside json,csv,svg),
+subcommand, an empty --out, a --format entry outside csv,svg),
 configuration problem, an output directory that cannot be written, a saved
 field that does not load or an allocation that fails (out of memory), 2
 certificate failure, 3 solve failure, 4 verification failure, a failed chart
@@ -206,9 +206,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, sample
     if "csv" in formats:
         fields = eval_fields_batch(ev, omega, samples, np.full(n, t))
         export_samples_csv(out / "samples.csv", samples, t, fields)
-    curves = []  # the curves are extracted only for spirals.csv or spirals.svg
-    if formats & {"csv", "svg"}:
-        curves = spiral_extract(ev, omega, t)
+    curves = spiral_extract(ev, omega, t)
     if "csv" in formats:
         export_spirals_csv(out / "spirals.csv", curves)
     if "svg" in formats:
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "reconstruct":
-            p.add_argument("--format", default="json,csv,svg", help="comma list of json,csv,svg")
+            p.add_argument("--format", default="csv,svg", help="comma list of csv,svg")
             p.add_argument("--field", default=None, help="a saved field JSON; never solve")
         p.set_defaults(fn=fn)
     cfg = None
@@ -276,8 +274,8 @@ def main(argv=None) -> int:
         options = {}
         if args.command == "reconstruct":
             formats = set(args.format.split(","))
-            if not formats <= {"json", "csv", "svg"}:
-                raise ConfigError("--format must be a subset of json,csv,svg")
+            if not formats <= {"csv", "svg"}:
+                raise ConfigError("--format must be a subset of csv,svg")
             samples = _draw_samples(cfg, formats)
             field = _load_field(Path(args.field)) if args.field else None
             options = {"formats": formats, "samples": samples, "field": field}

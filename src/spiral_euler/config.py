@@ -37,6 +37,13 @@ _KEYS = {
     "reconstruct.samples": (int, 200),
 }
 
+# the keys only one omega.kind reads; a file that sets another kind's key is refused
+_KIND_KEYS = {
+    "constant_plus_cos": ("omega.amplitude", "omega.harmonic"),
+    "coeffs": ("omega.coeffs",),
+    "match": ("target.amplitude", "target.harmonic"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -180,7 +187,13 @@ def parse_config_text(text: str) -> RunConfig:
     if values["target.harmonic"] is None:
         values["target.harmonic"] = values["N"]
 
-    return RunConfig(values=values)
+    cfg = RunConfig(values=values)
+    kind = values["omega.kind"]
+    unread = {key for other, keys in _KIND_KEYS.items() if other != kind for key in keys}
+    for key, (lineno, _) in raw.items():
+        if key in unread:
+            raise ConfigError(f"line {lineno}: {key} is not read when omega.kind = {kind}")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

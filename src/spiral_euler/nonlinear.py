@@ -1,4 +1,4 @@
-"""Evaluation of the full nonlinear operator and its analytic linearization.
+"""Evaluation of the full nonlinear operator and its convergence gauge.
 
 The rescaled vorticity-stream equation on the chart reads, written with the
 adapted-coordinate derivatives,
@@ -38,7 +38,6 @@ import numpy as np
 from .errors import DroppedMassWarning, ParameterError, SignConditionError
 from .grid_space import AngularSignal, SolverParams, SpectralField, bracket, mode_weight
 from .operators import (
-    beta_mult_matrix,
     derived_fields,
     linearization_set,
     mode_operator_apply,
@@ -47,13 +46,7 @@ from .operators import (
     shift_plus,
 )
 
-__all__ = [
-    "NonlinearWorkspace",
-    "ResidualField",
-    "eval_residual",
-    "linearization_at_base",
-    "fd_derivative_check",
-]
+__all__ = ["NonlinearWorkspace", "ResidualField", "eval_residual"]
 
 
 class NonlinearWorkspace:
@@ -149,10 +142,6 @@ class ResidualField:
     def aggregate(self) -> float:
         return self.norm_report["aggregate"]
 
-    @property
-    def raw_max(self) -> float:
-        return max(self.norm_report["raw"].values())
-
 
 _SIGN_CONDITIONS = (
     ("dbeta_bar(psi)", "db", -1.0),  # must stay negative
@@ -230,71 +219,3 @@ def eval_residual(
 
     report = {"raw": raw, "preimage": zmode, "aggregate": aggregate, "dropped_mass": dropped}
     return ResidualField(field=SpectralField(params=params, values=res), norm_report=report)
-
-
-def linearization_at_base(params: SolverParams) -> np.ndarray:
-    """Analytic linearization at the base state by the bar-derivative route.
-
-    Composes (1/2 mu^2)((dvarphi_bar^2 + mu^2 dphi^2)(dbeta_bar + 2 mu)
-    + (2 mu - 1)(dbeta_bar + dvarphi_bar)) mode by mode into a stack shaped
-    like linearization_set's, row k for mode n = N k.  Must agree with
-    assemble_linearization, which multiplies out the shifted-operator form;
-    the two code paths share only the grid primitives.
-    """
-    mu, grid = params.mu, params.grid
-    M = grid.size
-    eye = np.eye(M + 1, dtype=complex)
-    QM = grid.radial.astype(complex)
-    ops = np.empty((len(params.mode_indices), M + 1, M + 1), dtype=complex)
-    for k, n in enumerate(params.mode_indices.tolist()):
-        Bm = beta_mult_matrix(grid, n)
-        dbeta = QM + (1.0 - 2.0 * mu) * eye
-        dvarphi = -(QM - Bm) + (2.0 * mu - 1.0) * eye
-        ops[k] = (
-            (dvarphi @ dvarphi + mu * mu * (1j * n) ** 2 * eye) @ (dbeta + 2.0 * mu * eye)
-            + (2.0 * mu - 1.0) * (dbeta + dvarphi)
-        ) / (2.0 * mu * mu)
-    return ops
-
-
-def fd_derivative_check(
-    stream: SpectralField,
-    omega: AngularSignal,
-    direction: SpectralField,
-    h: float,
-    ws: NonlinearWorkspace | None = None,
-) -> float:
-    """Central-difference check of the linearization.
-
-    At the base state the analytic operator is the reference and the return
-    value is || (L(psi+h d) - L(psi-h d)) / 2h - A d || / || A d ||.  At any
-    other base point the return value is the self-consistency defect of the
-    finite difference at step sizes h and h/2.
-    """
-    if not (1e-8 <= h <= 1e-3):
-        raise ParameterError(f"step size h={h} outside [1e-8, 1e-3]")
-    if ws is None:
-        ws = NonlinearWorkspace(stream.params)
-    weights = mode_weight(ws.mode_list)
-    norm2 = lambda rows: float(
-        np.sqrt(sum(w * np.sum(np.abs(row) ** 2) for w, row in zip(weights, rows)))
-    )
-    if norm2(direction.values) == 0.0:
-        return 0.0
-
-    def fd(step: float) -> np.ndarray:
-        # only the residual fields enter the check, so skip the gauge
-        plus, minus = (
-            eval_residual(stream.plus(direction.scaled(s)), omega, ws, preimage_norms=False)
-            for s in (step, -step)
-        )
-        return (plus.field.values - minus.field.values) / (2.0 * step)
-
-    base = SpectralField.base_state(stream.params)
-    is_base = float(np.max(np.abs(stream.values - base.values))) < 1e-14
-    fd_h = fd(h)
-    if is_base:
-        ref = (ws.linearization @ direction.values[..., None])[..., 0]
-    else:
-        ref = fd(0.5 * h)
-    return norm2(fd_h - ref) / norm2(ref)

@@ -92,16 +92,9 @@ def shift_minus(mu: float, n: int) -> float:
 
 
 def _beta_mult_parts(grid: RadialGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero parts of beta_mult_matrix: the diagonal above the last row, the last row."""
+    """The nonzero parts of B, the matrix of i*n*beta with the finite-part last
+    row: the diagonal above the last row, the last row."""
     return 1j * n * grid.nodes, -1j * n * grid.map_scale * grid.diff_s_inf
-
-
-def beta_mult_matrix(grid: RadialGrid, n: int) -> np.ndarray:
-    """Matrix of multiplication by i*n*beta with the finite-part last row."""
-    M = grid.size
-    B = np.zeros((M + 1, M + 1), dtype=complex)
-    B[np.arange(M), np.arange(M)], B[-1, :] = _beta_mult_parts(grid, n)
-    return B
 
 
 def apply_beta_mult(grid: RadialGrid, n: int, ext: np.ndarray) -> np.ndarray:
@@ -128,7 +121,7 @@ def mode_operator_matrix(
     """Collocation matrix of D(n, shift) on the extended vector.
 
     Formed in one buffer, ``out`` when given, entry by entry as
-    radial - beta_mult_matrix - shift * I: only the diagonal and the
+    radial - B - shift * I: only the diagonal and the
     finite-part last row take the i n beta and shift terms.
     """
     M = grid.size
@@ -431,7 +424,7 @@ def assemble_linearization(n: int, params: SolverParams) -> np.ndarray:
     if sp == 0.0 or sm == 0.0:
         raise DegenerateShiftError(f"degenerate shift at (mu={mu}, n={n})")
     grid = params.grid
-    # (Dp Dm (Q + I) + (2 mu - 1) beta_mult_matrix) / (2 mu^2), entry by entry
+    # (Dp Dm (Q + I) + (2 mu - 1) B) / (2 mu^2), entry by entry
     # as that expression, with at most three operators alive at a time;
     # Q + I is D(0, -1)
     fun = mode_operator_matrix(grid, n, sp) @ mode_operator_matrix(grid, n, sm)
@@ -441,7 +434,7 @@ def assemble_linearization(n: int, params: SolverParams) -> np.ndarray:
     j = np.arange(grid.size)
     diag = fun[j, j] + c * b_diag
     last = fun[-1] + c * b_last
-    # elsewhere c * beta_mult_matrix holds +0.0 (c > 0), which turns -0.0 into +0.0
+    # elsewhere c * B holds +0.0 (c > 0), which turns -0.0 into +0.0
     fun += 0.0
     fun[j, j] = diag
     fun[-1] = last

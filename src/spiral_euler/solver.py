@@ -38,7 +38,6 @@ from .operators import apply_linearization_inverse, dense_solve, derived_fields
 __all__ = [
     "SolveReport",
     "base_vorticity_factor",
-    "angular_initial_vorticity",
     "bounds_check",
     "newton_solve",
     "match_initial_data",
@@ -225,27 +224,6 @@ def _fd_newton_update(stream, omega, res, ws: NonlinearWorkspace):
         probe = eval_residual(unpack(xp), omega, ws, preimage_norms=False)
         J[:, j] = (pack(probe.field.values) - f0) / h
     return unpack(dense_solve(J, f0))
-
-
-def angular_initial_vorticity(
-    stream: SpectralField, omega: AngularSignal, ws: NonlinearWorkspace | None = None
-) -> AngularSignal:
-    """Angular factor of the vorticity trace at time zero.
-
-    h(theta) = (dbeta_bar psi / (-mu dvarphi_bar psi))^(1/(2 mu)) at beta = 0
-    times Omega(theta), projected back onto the mode lattice.  That is
-    mu^(-1/(2 mu)) Omega up to rounding for every stream: at beta = 0 every
-    D(n, s) is -s, so dbeta_bar psi = -(2 mu - 1) psi = -dvarphi_bar psi.
-    """
-    if ws is None:
-        ws = NonlinearWorkspace(stream.params)
-    mu = stream.params.mu
-    fields = derived_fields(stream)
-    # the values at beta = 0, the first node
-    db_vals = ws.synth(fields["db"][:, 0])
-    dv_vals = ws.synth(fields["dv"][:, 0])
-    h_vals = (db_vals / (-mu * dv_vals)) ** (1.0 / (2.0 * mu)) * ws.synth(omega.modes)
-    return AngularSignal(ws.params, ws.project(h_vals)[0])
 
 
 def match_initial_data(

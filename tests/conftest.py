@@ -20,12 +20,18 @@ def pytest_terminal_summary(terminalreporter):
 
 from spiral_euler import (
     AngularSignal,
+    NonlinearWorkspace,
     ParameterError,
+    RadialGrid,
     SolverParams,
     SpectralField,
+    derived_fields,
+    eval_residual,
     newton_solve,
     sample_cutoffs,
 )
+from spiral_euler.grid_space import mode_weight
+from spiral_euler.operators import _beta_mult_parts
 
 
 @pytest.fixture(scope="session")
@@ -136,3 +142,106 @@ def spiral_ode_oracle(mu: float, C: float, z0, theta_span) -> SpiralFit:
     fit = (a * thetas + b) ** (-mu)
     max_rel = float(np.max(np.abs(fit - radius) / radius))
     return SpiralFit(theta=thetas, radius=radius, a=float(a), b=float(b), max_rel_error=max_rel)
+
+
+# ---------------------------------------------------------------------------
+# Instruments of the acceptance criteria: each calls the package's kernels
+# and is read only by the checks.
+# ---------------------------------------------------------------------------
+
+
+def beta_mult_matrix(grid: RadialGrid, n: int) -> np.ndarray:
+    """Matrix of multiplication by i*n*beta with the finite-part last row."""
+    M = grid.size
+    B = np.zeros((M + 1, M + 1), dtype=complex)
+    B[np.arange(M), np.arange(M)], B[-1, :] = _beta_mult_parts(grid, n)
+    return B
+
+
+def linearization_at_base(params: SolverParams) -> np.ndarray:
+    """Analytic linearization at the base state by the bar-derivative route.
+
+    Composes (1/2 mu^2)((dvarphi_bar^2 + mu^2 dphi^2)(dbeta_bar + 2 mu)
+    + (2 mu - 1)(dbeta_bar + dvarphi_bar)) mode by mode into a stack shaped
+    like linearization_set's, row k for mode n = N k.  Must agree with
+    assemble_linearization, which multiplies out the shifted-operator form;
+    the two code paths share only the grid primitives.
+    """
+    mu, grid = params.mu, params.grid
+    M = grid.size
+    eye = np.eye(M + 1, dtype=complex)
+    QM = grid.radial.astype(complex)
+    ops = np.empty((len(params.mode_indices), M + 1, M + 1), dtype=complex)
+    for k, n in enumerate(params.mode_indices.tolist()):
+        Bm = beta_mult_matrix(grid, n)
+        dbeta = QM + (1.0 - 2.0 * mu) * eye
+        dvarphi = -(QM - Bm) + (2.0 * mu - 1.0) * eye
+        ops[k] = (
+            (dvarphi @ dvarphi + mu * mu * (1j * n) ** 2 * eye) @ (dbeta + 2.0 * mu * eye)
+            + (2.0 * mu - 1.0) * (dbeta + dvarphi)
+        ) / (2.0 * mu * mu)
+    return ops
+
+
+def fd_derivative_check(
+    stream: SpectralField,
+    omega: AngularSignal,
+    direction: SpectralField,
+    h: float,
+    ws: NonlinearWorkspace | None = None,
+) -> float:
+    """Central-difference check of the linearization.
+
+    At the base state the analytic operator is the reference and the return
+    value is || (L(psi+h d) - L(psi-h d)) / 2h - A d || / || A d ||.  At any
+    other base point the return value is the self-consistency defect of the
+    finite difference at step sizes h and h/2.
+    """
+    if not (1e-8 <= h <= 1e-3):
+        raise ParameterError(f"step size h={h} outside [1e-8, 1e-3]")
+    if ws is None:
+        ws = NonlinearWorkspace(stream.params)
+    weights = mode_weight(ws.mode_list)
+    norm2 = lambda rows: float(
+        np.sqrt(sum(w * np.sum(np.abs(row) ** 2) for w, row in zip(weights, rows)))
+    )
+    if norm2(direction.values) == 0.0:
+        return 0.0
+
+    def fd(step: float) -> np.ndarray:
+        # only the residual fields enter the check, so skip the gauge
+        plus, minus = (
+            eval_residual(stream.plus(direction.scaled(s)), omega, ws, preimage_norms=False)
+            for s in (step, -step)
+        )
+        return (plus.field.values - minus.field.values) / (2.0 * step)
+
+    base = SpectralField.base_state(stream.params)
+    is_base = float(np.max(np.abs(stream.values - base.values))) < 1e-14
+    fd_h = fd(h)
+    if is_base:
+        ref = (ws.linearization @ direction.values[..., None])[..., 0]
+    else:
+        ref = fd(0.5 * h)
+    return norm2(fd_h - ref) / norm2(ref)
+
+
+def angular_initial_vorticity(
+    stream: SpectralField, omega: AngularSignal, ws: NonlinearWorkspace | None = None
+) -> AngularSignal:
+    """Angular factor of the vorticity trace at time zero.
+
+    h(theta) = (dbeta_bar psi / (-mu dvarphi_bar psi))^(1/(2 mu)) at beta = 0
+    times Omega(theta), projected back onto the mode lattice.  That is
+    mu^(-1/(2 mu)) Omega up to rounding for every stream: at beta = 0 every
+    D(n, s) is -s, so dbeta_bar psi = -(2 mu - 1) psi = -dvarphi_bar psi.
+    """
+    if ws is None:
+        ws = NonlinearWorkspace(stream.params)
+    mu = stream.params.mu
+    fields = derived_fields(stream)
+    # the values at beta = 0, the first node
+    db_vals = ws.synth(fields["db"][:, 0])
+    dv_vals = ws.synth(fields["dv"][:, 0])
+    h_vals = (db_vals / (-mu * dv_vals)) ** (1.0 / (2.0 * mu)) * ws.synth(omega.modes)
+    return AngularSignal(ws.params, ws.project(h_vals)[0])

@@ -240,6 +240,7 @@ _RUN_VALUES = {
     "reconstruct.t": ("5e-324", "1e-300", "0.5", "1e300"),
     "reconstruct.samples": ("1", "40", str(2**62), str(2**63)),
 }
+# json and pdf are refused: --format names files reconstruct writes
 _FORMATS = (None, "json", "csv", "svg", "csv,svg", "pdf")
 
 
@@ -743,12 +744,12 @@ AccuracyError AngularSignal Certificate ConfigError ConvergenceError CutoffSampl
 DegenerateShiftError DroppedMassWarning FieldEvaluator InversionError
 ModeProfile NonFiniteError NonlinearWorkspace ParameterError RadialGrid ResidualField RunConfig
 SignConditionError SingularOperatorError SolveReport SolverParams SpectralField SpiralCurve
-StructureError angular_initial_vorticity apply_linearization_inverse apply_mode_operator
+StructureError apply_linearization_inverse apply_mode_operator
 assemble_linearization base_vorticity_factor bounds_check bracket build_grid certify
 contraction_and_threshold cutoff_norm_table cutoff_normalization delta_of dense_solve
 derived_fields dist_gap
-eval_fields_batch eval_residual fd_derivative_check field_from_json field_to_json initial_data
-invert_mode_operator linearization_at_base linearization_set load_config match_initial_data
+eval_fields_batch eval_residual field_from_json field_to_json initial_data
+invert_mode_operator linearization_set load_config match_initial_data
 mode_norm newton_solve parse_config_text sample_cutoffs shift_minus shift_plus spiral_extract
 to_chart to_plane verify xi_far xi_near
 """.split()
@@ -1216,6 +1217,19 @@ def test_help_exits_zero():
     # --out and --format alone choose where a run writes and what reconstruct writes
     ("solve", "output.dir = elsewhere", "line 4: unknown key 'output.dir'"),
     ("reconstruct", "output.formats = csv", "line 4: unknown key 'output.formats'"),
+    # a key that the omega.kind does not read is refused, not ignored
+    ("solve", "omega.coeffs = 0:1:0,8:0.3:0,-8:0.3:0",
+     "line 4: omega.coeffs is not read when omega.kind = constant_plus_cos"),
+    ("solve", "omega.kind = coeffs\nomega.coeffs = 0:1:0\nomega.amplitude = 0.3",
+     "line 6: omega.amplitude is not read when omega.kind = coeffs"),
+    ("solve", "omega.kind = match\nomega.harmonic = 16",
+     "line 5: omega.harmonic is not read when omega.kind = match"),
+    ("solve", "omega.kind = match\nomega.coeffs = 0:1:0",
+     "line 5: omega.coeffs is not read when omega.kind = match"),
+    ("verify", "target.amplitude = 0.3",
+     "line 4: target.amplitude is not read when omega.kind = constant_plus_cos"),
+    ("reconstruct", "omega.kind = coeffs\nomega.coeffs = 0:1:0\ntarget.harmonic = 8",
+     "line 6: target.harmonic is not read when omega.kind = coeffs"),
     ("verify", "verify.suites = ", "verify.suites must name at least one suite"),
     ("solve", "solver.epsilon_cap = nan", "solver.epsilon_cap must be positive, got nan"),
     ("solve", "solver.tol = 0", "solver.tol must be positive, got 0.0"),
@@ -1303,7 +1317,7 @@ def test_reconstruct_rejects_unknown_format(tmp_path):
     out = tmp_path / "out"
     proc = _cli("reconstruct", "--config", str(cfg), "--out", str(out), "--format", "csv,pdf")
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == "configuration error: --format must be a subset of json,csv,svg\n"
+    assert proc.stderr == "configuration error: --format must be a subset of csv,svg\n"
     assert proc.stdout == ""
     assert not out.exists()
 
@@ -1352,21 +1366,24 @@ def test_artifact_key_sets(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:dropped harmonic mass")
-def test_reconstruct_json_extracts_no_curves(tmp_path, monkeypatch, capsys):
-    # with neither csv nor svg selected nothing writes curves, so none are
-    # extracted; this factor has 16 zero-set curves
+def test_reconstruct_refuses_format_json(tmp_path, monkeypatch, capsys):
+    # reconstruct writes no JSON file, so --format json names nothing to
+    # write: it exits 1 before any solve, extraction or directory
     from spiral_euler import cli
 
     def unwanted(*args, **kwargs):
-        raise AssertionError("curves extracted for no spirals.csv or spirals.svg")
+        raise AssertionError("a refused --format reached the command")
 
     monkeypatch.setattr(cli, "spiral_extract", unwanted)
+    monkeypatch.setattr(cli, "cmd_solve", unwanted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ZERO_CROSSING)
     out = tmp_path / "out"
-    assert main(["reconstruct", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
-    assert "reconstructed 0 samples and 0 zero-set curves" in capsys.readouterr().out
-    assert not (out / "spirals.csv").exists() and not (out / "spirals.svg").exists()
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: --format must be a subset of csv,svg\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -23,7 +23,6 @@ from spiral_euler import (
     dense_solve,
     derived_fields,
     invert_mode_operator,
-    linearization_at_base,
     linearization_set,
     mode_norm,
     sample_cutoffs,
@@ -31,10 +30,8 @@ from spiral_euler import (
     shift_plus,
 )
 from spiral_euler import operators
-from spiral_euler.operators import (
-    beta_mult_matrix, mode_operator_apply, mode_operator_matrix, mode_operator_solve
-)
-from conftest import random_field
+from spiral_euler.operators import mode_operator_apply, mode_operator_matrix, mode_operator_solve
+from conftest import beta_mult_matrix, linearization_at_base, random_field
 
 
 def smooth_profile(grid, cuts, n=2, seed=1):

@@ -16,7 +16,7 @@ from spiral_euler import (
 )
 from spiral_euler import solver
 from spiral_euler.operators import derived_fields
-from spiral_euler.solver import angular_initial_vorticity
+from conftest import angular_initial_vorticity
 
 
 def test_desk_solve_converges(desk_solution):
