@@ -1,22 +1,24 @@
 """Command-line entry points: certify, solve, reconstruct, verify.
 
 Every subcommand takes --config, --out (default out) and --seed; reconstruct
-also takes --format (default csv,svg) and --field.
+also takes --format (default csv,svg) and --field.  solve alone makes a
+field: verify and reconstruct read the one it saved in the output directory,
+or reconstruct the one --field names, and never load nonlinear or solver.
 
 Exit codes: 0 success, 1 usage error (unknown flag or subcommand, missing
-subcommand, an empty --out, a --format entry outside csv,svg),
+subcommand, an empty --out or --field, a --format entry outside csv,svg),
 configuration problem, an output directory that cannot be written, a saved
-field that does not load or an allocation that fails (out of memory), 2
-certificate failure, 3 solve failure, 4 verification failure, a failed chart
-inversion or a field that does not evaluate (verify, reconstruct).  Codes 1,
-3, 4 and a certificate that cannot be formed (2) print one line to stderr,
-and a solve that drops harmonic mass above the gate one summary line, which
-a failure of the command that solved joins to its own; main prints every
-such line.  An exit 1 found before a command runs makes no output
-directory; an allocation that fails inside a running command exits 1 after
-the directory and its config.echo are made, with no artifact of the failed
-step.  Every JSON artifact embeds the config digest and the seed; identical
-configs give identical bytes.
+field that is missing or does not load or an allocation that fails (out of
+memory), 2 certificate failure, 3 solve failure, 4 verification failure, a
+failed chart inversion or a field that does not evaluate (verify,
+reconstruct).  Codes 1, 3, 4 and a certificate that cannot be formed (2)
+print one line to stderr, and a solve that drops harmonic mass above the
+gate one summary line, which a failed solve joins to its own; main prints
+every such line.  An exit 1 found before a command runs, a saved field that
+does not load included, makes no output directory; an allocation that fails
+inside a running command exits 1 after the directory and its config.echo
+are made, with no artifact of the failed step.  Every JSON artifact embeds
+the config digest and the seed; identical configs give identical bytes.
 """
 
 from __future__ import annotations
@@ -172,21 +174,6 @@ def _load_field(path: Path):
     return stream, omega
 
 
-def _solution(cfg: RunConfig, out: Path, stamp: dict, field=None):
-    """The field evaluator and angular factor of ``field``, a loaded (stream,
-    omega) pair, or else of out/field.json, solved there first if it is
-    missing.  The evaluator is built once the field has loaded, so its errors
-    pass through.
-    """
-    if field is None:
-        path = out / "field.json"
-        if not path.exists():
-            cmd_solve(cfg, out, stamp)
-        field = _load_field(path)
-    stream, omega = field
-    return FieldEvaluator(stream), omega
-
-
 def _draw_samples(cfg: RunConfig, formats: set) -> np.ndarray:
     """The reconstruct.samples points of samples.csv, none without csv."""
     if "csv" not in formats:
@@ -201,7 +188,8 @@ def _draw_samples(cfg: RunConfig, formats: set) -> np.ndarray:
 
 
 def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, samples, field) -> int:
-    ev, omega = _solution(cfg, out, stamp, field)
+    stream, omega = field
+    ev = FieldEvaluator(stream)
     n, t = len(samples), cfg["reconstruct.t"]
     if "csv" in formats:
         fields = eval_fields_batch(ev, omega, samples, np.full(n, t))
@@ -215,8 +203,9 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stamp: dict, formats: set, sample
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out: Path, stamp: dict) -> int:
-    ev, omega = _solution(cfg, out, stamp)
+def cmd_verify(cfg: RunConfig, out: Path, stamp: dict, field) -> int:
+    stream, omega = field
+    ev = FieldEvaluator(stream)
     suites = tuple(s for s in cfg["verify.suites"].split(",") if s)
     report = run_verify(ev, omega, suite=suites, seed=cfg["seed"])
     verdict = verdicts(report)
@@ -256,18 +245,20 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "reconstruct":
             p.add_argument("--format", default="csv,svg", help="comma list of csv,svg")
-            p.add_argument("--field", default=None, help="a saved field JSON; never solve")
-        p.set_defaults(fn=fn)
+            p.add_argument("--field", help="a saved field JSON (default: OUT/field.json)")
+        p.set_defaults(fn=fn, field=None)
     cfg = None
-    notes = []  # a solve's dropped-mass summary: a warning line, or joined to a failure's
+    notes = []  # a solve's dropped-mass summary: a warning line, or joined to its failure's
     try:
-        # every check before any directory is made: the overrides, and
-        # reconstruct's --format, sample draw and --field load
+        # every check before any directory is made: the overrides,
+        # reconstruct's --format and sample draw, and the saved field's load
         args = parser.parse_args(argv)
         if not args.config:
             raise ConfigError("--config PATH is required")
         if not args.out:
             raise ConfigError("--out must name a directory")
+        if args.field == "":
+            raise ConfigError("--field must name a file")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = RunConfig(values={**cfg.values, "seed": args.seed})
@@ -276,10 +267,10 @@ def main(argv=None) -> int:
             formats = set(args.format.split(","))
             if not formats <= {"csv", "svg"}:
                 raise ConfigError("--format must be a subset of csv,svg")
-            samples = _draw_samples(cfg, formats)
-            field = _load_field(Path(args.field)) if args.field else None
-            options = {"formats": formats, "samples": samples, "field": field}
+            options = {"formats": formats, "samples": _draw_samples(cfg, formats)}
         out = Path(args.out)
+        if args.command in ("reconstruct", "verify"):
+            options["field"] = _load_field(Path(args.field or out / "field.json"))
         stamp = _prepare(cfg, out)
         with _dropped_mass_recorded(notes):
             code = args.fn(cfg, out, stamp, **options)
@@ -302,7 +293,7 @@ def main(argv=None) -> int:
         if cfg is not None:
             at = f" at grid.points = {cfg['grid.points']}, harmonics = {cfg['harmonics']}"
         line, code = f"out of memory{at}: lower grid.points or harmonics", EXIT_CONFIG
-    joined = f" ({notes[0]})" if notes else ""  # the summary of the solve that ran first
+    joined = f" ({notes[0]})" if notes else ""  # the summary of the solve that failed
     print(f"{line}{joined}", file=sys.stderr)
     return code
 

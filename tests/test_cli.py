@@ -180,12 +180,20 @@ _OVERRIDES = st.tuples(st.sampled_from(_SEEDS), st.sampled_from(_OUTS))
 _PLAIN = (None, "dir")
 
 
-def _run_overridden(tmp, command, cfg, overrides, extra=()):
-    """Run command with the drawn --seed and --out; checks what every exit
-    shares and returns the exit code."""
+def _tree(top):
+    """The bytes of each file under top, or None where top does not exist."""
+    if not top.exists():
+        return None
+    return {p: p.read_bytes() for p in sorted(top.rglob("*")) if p.is_file()}
+
+
+def _run_overridden(tmp, command, cfg, overrides, extra=(), top=None):
+    """Run command with the drawn --seed and --out (under top, default
+    tmp/command); checks what every exit shares and returns the exit code."""
     seed, kind = overrides
-    top = tmp / command
+    top = top or tmp / command
     out = {"dir": top, "": "", "nested": top / "a" / "b", "file": top}[kind]
+    before = _tree(top)
     if kind == "file":
         top.write_text("kept\n")
     argv = [command, "--config", str(cfg), "--out", str(out), *extra]
@@ -200,14 +208,14 @@ def _run_overridden(tmp, command, cfg, overrides, extra=()):
     assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue()[:1000])
     assert "Traceback" not in err.getvalue()
     # an --out that names no writable directory is a configuration error (1),
-    # and a configuration error makes no output directory
+    # and a configuration error makes no output directory and writes nothing
     if kind in ("", "file"):
         assert code == 1, command
     if kind == "file":
         assert top.read_text() == "kept\n", command
         top.unlink()
     else:
-        assert code != 1 or not top.exists(), command
+        assert code != 1 or _tree(top) == before, command
     return code
 
 
@@ -258,34 +266,47 @@ def _run_texts(draw):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(drawn=_run_texts(), overrides=_OVERRIDES)
+@given(drawn=_run_texts(), overrides=_OVERRIDES,
+       reader=st.none() | _run_texts().map(lambda drawn: drawn[0]))
 @example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = 4611686018427387904\n",
-                "csv"), overrides=_PLAIN)
+                "csv"), overrides=_PLAIN, reader=None)
 @example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = 9223372036854775808\n",
-                "csv"), overrides=_PLAIN)
+                "csv"), overrides=_PLAIN, reader=None)
 @example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.t = 5e-324\n", "csv"),
-         overrides=_PLAIN)
-# a solve that dropped mass, then a chart inversion that fails: one line, not two
+         overrides=_PLAIN, reader=None)
+# a solve that dropped mass prints its one warning line; the chart inversion
+# that then fails prints one line of its own, with no summary joined
 @example(drawn=("mu = 1.0\nN = 2\ngrid.points = 24\nreconstruct.t = 1e160\n", "csv"),
-         overrides=_PLAIN)
+         overrides=_PLAIN, reader=None)
 @example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\nverify.suites = selfsim\n", "svg"),
-         overrides=(str(2**63), "nested"))
-@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", "csv"), overrides=("inf", "file"))
-@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", None), overrides=(None, ""))
+         overrides=(str(2**63), "nested"), reader=None)
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", "csv"), overrides=("inf", "file"),
+         reader=None)
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", None), overrides=(None, ""), reader=None)
+# the field of one config read under another of other mu, N and grid
+@example(drawn=("mu = 1.0\nN = 8\ngrid.points = 24\n", "csv,svg"), overrides=_PLAIN,
+         reader="mu = 2.0\nN = 3\ngrid.points = 16\nverify.suites = selfsim\n")
 def test_config_text_through_reconstruct_and_verify_exits_with_at_most_one_line(
-    tmp_path_factory, drawn, overrides
+    tmp_path_factory, drawn, overrides, reader
 ):
-    # what a config and the overrides let through reaches reconstruct and
-    # verify, each solving first into its own directory: each leaves with a
-    # documented exit code, at most one stderr line and no warning or
-    # traceback, and a configuration error (1) leaves no output directory behind
+    # what a config and the overrides let through reaches a solve, and then
+    # reconstruct and verify on the field it saved, read under the same config
+    # or under a second drawn one: each leaves with a documented exit code, at
+    # most one stderr line and no warning or traceback, and a configuration
+    # error (1) makes no output directory and writes nothing into one
     text, fmt = drawn
     tmp = tmp_path_factory.mktemp("config")
     cfg = tmp / "run.cfg"
     cfg.write_text(text)
+    read = cfg
+    if reader is not None:
+        read = tmp / "read.cfg"
+        read.write_text(reader)
+    top = tmp / "run"
+    _run_overridden(tmp, "solve", cfg, overrides, top=top)
     for command in ("reconstruct", "verify"):
         extra = ["--format", fmt] if command == "reconstruct" and fmt is not None else []
-        _run_overridden(tmp, command, cfg, overrides, extra)
+        _run_overridden(tmp, command, read, overrides, extra, top=top)
 
 
 def test_config_comments_and_echo():
@@ -384,23 +405,44 @@ def test_field_json_round_trip_samples_no_cutoffs(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("certified", [False, True], ids=["no-dir", "certified-dir"])
 @pytest.mark.parametrize("command", ["reconstruct", "verify"])
-def test_auto_solve_reads_the_config_once(tmp_path, monkeypatch, command):
-    # a command that solves first hands its resolved config to cmd_solve
+def test_no_saved_field_exits_before_writing_anything(
+    tmp_path, monkeypatch, capsys, command, certified
+):
+    # only solve makes a field: reconstruct and verify with no field.json in
+    # the output directory exit 1 with one line, never solve and read the
+    # config once; they make no directory, and write nothing, not even
+    # config.echo, into one that a certify made
     from spiral_euler import cli
 
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK)
+    out = tmp_path / "out"
+    if certified:
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        (out / "config.echo").write_text("kept\n")  # a rewrite would show
+    before = _tree(out)
     calls = []
 
     def counted(path):
         calls.append(path)
         return load_config(path)
 
+    def unwanted(*args, **kwargs):
+        raise AssertionError("solved for a command that reads a saved field")
+
     monkeypatch.setattr(cli, "load_config", counted)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(DESK)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "field.json").exists()
+    monkeypatch.setattr(cli, "cmd_solve", unwanted)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"configuration error: cannot load the saved field {out / 'field.json'}: "
+    )
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert _tree(out) == before
     assert calls == [str(cfg)]
 
 
@@ -453,6 +495,7 @@ def test_reconstruct_without_csv_evaluates_no_samples(tmp_path, monkeypatch, cap
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DESK)
     out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["reconstruct", "--config", str(cfg), "--out", str(out), "--format", "svg"]) == 0
     assert (out / "spirals.svg").exists()
     assert not (out / "samples.csv").exists()
@@ -468,7 +511,8 @@ def test_reconstruct_spirals_csv_reads_back_as_numbers(tmp_path):
         "solver.epsilon_cap = 0.5\nreconstruct.samples = 10\n"
     )
     out = tmp_path / "out"
-    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+    for command in ("solve", "reconstruct"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "spirals.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["phi0", "t", "beta", "x1", "x2"]
@@ -491,22 +535,29 @@ def test_allocation_failure_exits_as_config_error(tmp_path, monkeypatch, capsys)
     # simulated: a real allocation failure would need a grid too large to test.
     # It comes inside the running command, after the output directory and its
     # config.echo are made, and leaves no artifact of the failed step: no
-    # certificate, and no field or report of the solve (verify solves first)
-    from spiral_euler import operators
+    # certificate, no field or report of the solve, and no verify.json of a
+    # verify whose selfsim suite fails to allocate on a saved field
+    from spiral_euler import operators, physical
 
-    def exhausted(grid, n, shift, out=None):
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(operators, "mode_operator_matrix", exhausted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DESK)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 0
+    monkeypatch.setattr(operators, "mode_operator_matrix", exhausted)
+    monkeypatch.setattr(physical, "eval_fields_batch", exhausted)
     message = "out of memory at grid.points = 96, harmonics = 3: lower grid.points or harmonics"
-    for command in ("certify", "solve", "verify"):
+    for command, left in (
+        ("certify", ["config.echo"]),
+        ("solve", ["config.echo"]),
+        ("verify", ["config.echo", "field.json", "report.json"]),
+    ):
         out = tmp_path / command
         capsys.readouterr()
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == message + "\n"
-        assert sorted(p.name for p in out.iterdir()) == ["config.echo"]
+        assert sorted(p.name for p in out.iterdir()) == left
 
 
 # a desk-size solve that drops harmonic mass above the gate in every residual
@@ -515,35 +566,41 @@ DROPPING = "mu = 1.0\nN = 2\ngrid.points = 24\nverify.suites = selfsim\n"
 
 @pytest.mark.parametrize("command, lines, code, start", [
     ("solve", "solver.max_iter = 1", 3, "solve failed: no convergence in 1 iterations"),
-    ("verify", "solver.max_iter = 1", 3, "solve failed: no convergence in 1 iterations"),
-    ("reconstruct", "solver.max_iter = 1", 3, "solve failed: no convergence in 1 iterations"),
     ("reconstruct", "reconstruct.t = 1e160", 4, "chart inversion failed: "),
     ("verify", "", 1, "out of memory at grid.points = 24, harmonics = 3: lower grid.points or "
      "harmonics"),
-], ids=["solve", "verify-solve", "reconstruct-solve", "chart", "memory"])
+], ids=["solve", "chart", "memory"])
 def test_every_failure_after_a_dropping_solve_is_one_line_with_its_summary(
     tmp_path, monkeypatch, capsys, command, lines, code, start
 ):
-    # main prints every failure line, and joins to it the dropped-mass
-    # summary of the solve that ran first; no second line, no warning
+    # main prints every failure line; a failed solve joins its own
+    # dropped-mass summary to it, while reconstruct and verify, which read the
+    # field a dropping solve saved, print their line alone; no second line,
+    # no warning
     from spiral_euler import cli
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    if code == 1:
-        monkeypatch.setattr(cli, "run_verify", exhausted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{DROPPING}{lines}\n")
-    capsys.readouterr()
+    out = tmp_path / "out"
+    if code == 1:
+        monkeypatch.setattr(cli, "run_verify", exhausted)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        if command != "solve":
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
     assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     summary = (r" \(\d+ residual evaluations dropped harmonic mass above the gate; "
                r"largest \S+ against the residual scale \S+\)\n")
+    if command != "solve":
+        summary = r"\n"
+        assert "dropped harmonic mass" not in err, err
     assert re.fullmatch(re.escape(start) + r".*" + summary, err), err
 
 
@@ -555,13 +612,16 @@ def test_empty_out_exits_as_config_error(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main([command, "--config", "run.cfg", "--out", ""]) == 1, command
         assert capsys.readouterr().err == "configuration error: --out must name a directory\n"
+    # nor does an empty --field name a file: it is refused, not read as OUT/field.json
+    assert main(["reconstruct", "--config", "run.cfg", "--out", "e1", "--field", ""]) == 1
+    assert capsys.readouterr().err == "configuration error: --field must name a file\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_sample_count_no_array_holds_exits_before_the_solve(tmp_path, capsys):
     # 2^50 points pass the config's bound, but their draw cannot be held; it
-    # comes before the solve and before the output directory is made, so
-    # nothing is solved or written
+    # comes before the field is loaded and before the output directory is
+    # made, so nothing is read or written
     n = 2**50
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mu = 1.0\nN = 8\ngrid.points = 24\nreconstruct.samples = {n}\n")
@@ -792,6 +852,9 @@ def test_each_command_loads_only_the_code_it_runs(tmp_path):
     # the CLI and a config, the benchmark's set-up probe, load none of them
     assert probe == []
     assert solved == ["spiral_euler.nonlinear", "spiral_euler.solver"]
+    # verify and reconstruct read the saved field and load neither
+    _, (_, verified, reconstructed) = import_sets(desk, "verify", "reconstruct")
+    assert verified == reconstructed == ["numpy.polynomial"]
     assert import_sets(match, "solve")[1][1] == ["spiral_euler.nonlinear", "spiral_euler.solver"]
     assert import_sets(desk, "certify")[1][1] == ["spiral_euler.certifier", "numpy.polynomial"]
 
@@ -1291,8 +1354,9 @@ def test_reconstruct_artifacts_byte_identical_across_dirs(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ZERO_CROSSING)
     for out in ("a", "b"):
-        proc = _cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / out))
-        assert proc.returncode == 0, proc.stderr
+        for command in ("solve", "reconstruct"):
+            proc = _cli(command, "--config", str(cfg), "--out", str(tmp_path / out))
+            assert proc.returncode == 0, proc.stderr
         assert "16 zero-set curves" in proc.stdout
     for name in ("samples.csv", "spirals.csv", "spirals.svg"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -1304,7 +1368,12 @@ def test_unwritable_out_exits_as_config_error(tmp_path, command):
     cfg.write_text(DESK)
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
-    proc = _cli(command, "--config", str(cfg), "--out", str(blocker / "out"))
+    extra = []
+    if command == "reconstruct":
+        # the saved field loads; the output directory is refused after it
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solved")]) == 0
+        extra = ["--field", str(tmp_path / "solved" / "field.json")]
+    proc = _cli(command, "--config", str(cfg), "--out", str(blocker / "out"), *extra)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error: cannot write the output directory")

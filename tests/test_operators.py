@@ -24,7 +24,6 @@ from spiral_euler import (
     derived_fields,
     invert_mode_operator,
     linearization_set,
-    mode_norm,
     sample_cutoffs,
     shift_minus,
     shift_plus,
